@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
+from dataclasses import astuple
 from typing import Optional
 
 import numpy as np
@@ -55,6 +57,20 @@ def _header(args: argparse.Namespace, columns: list[str]) -> list[str]:
             parts.append(f"{key}={val}")
     return [f"# scattertomo {' '.join(parts)}",
             f"# columns: {','.join(columns)}"]
+
+
+def _table(args: argparse.Namespace, columns: list[str], data: list) -> list[str]:
+    """Header, then one CSV row per index of the equal-length data columns."""
+    return _header(args, columns) + [",".join(map(_fmt, row)) for row in zip(*data)]
+
+
+def _resolve_target(args: argparse.Namespace) -> None:
+    """Reject mixed polar and cartesian target flags; unset components read 0."""
+    unset = [k for k in ("vx", "vy", "vz") if getattr(args, k) is None]
+    if len(unset) < 3 and any(getattr(args, k) is not None for k in ("r", "theta", "phi")):
+        raise UsageError("give the target by --vx/--vy/--vz or by --r/--theta/--phi, not both")
+    for key in unset:
+        setattr(args, key, 0.0)
 
 
 def _target_bloch(args: argparse.Namespace) -> states.BlochVector:
@@ -214,155 +230,96 @@ def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
     return np.linspace(lo, hi, args.points)
 
 
+def _nea_scan(x: np.ndarray, args: argparse.Namespace, mode) -> list:
+    values = {"omega": args.omega, "theta-a": args.theta_a, "vz": args.vz, args.sweep: x}
+    if values["omega"] is None:
+        raise UsageError("--omega is required for this scan")
+    return [closedform.nea_qfi(values["vz"], values["theta-a"], values["omega"], mode)]
+
+
+# (strategy, swept variable) -> (columns, value columns on the whole grid x)
+SCANS = {
+    ("ea", "omega"): (["omega", "c_r", "c_theta"],
+                      lambda x, a, m: astuple(closedform.ea_polar(a.r or 0.0, x, m))),
+    ("ea", "r"): (["r", "c_r", "c_theta"],
+                  lambda x, a, m: astuple(closedform.ea_polar(x, _require_omega(a), m))),
+    ("ea", "vz"): (["v_z", "qfi_zz"],
+                   lambda x, a, m: [optimize.ea_zaxis_qfi(x, _require_omega(a), m)]),
+    ("nea", "omega"): (["omega", "qfi_zz"], _nea_scan),
+    ("nea", "theta-a"): (["theta_a", "qfi_zz"], _nea_scan),
+    ("nea", "vz"): (["vz", "qfi_zz"], _nea_scan),
+    ("direct", "r"): (["r", "c_r", "c_theta"], lambda x, a, m: astuple(closedform.direct_qfi(x))),
+}
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
-    mode = MODES[args.mode]
+    if (args.strategy, args.sweep) not in SCANS:
+        raise UsageError(f"sweep {args.sweep!r} not supported for strategy {args.strategy}")
+    columns, compute = SCANS[args.strategy, args.sweep]
     grid = _sweep_grid(args)
-    swept = args.sweep
-    lines: list[str]
-    if args.strategy == "ea":
-        if swept == "omega":
-            r = args.r if args.r is not None else 0.0
-            lines = _header(args, ["omega", "c_r", "c_theta"])
-            for om in grid:
-                coeffs = closedform.ea_polar(r, float(om), mode)
-                lines.append(f"{_fmt(om)},{_fmt(coeffs.c_r)},{_fmt(coeffs.c_theta)}")
-        elif swept == "r":
-            omega = _require_omega(args)
-            lines = _header(args, ["r", "c_r", "c_theta"])
-            for r in grid:
-                coeffs = closedform.ea_polar(float(r), omega, mode)
-                lines.append(f"{_fmt(r)},{_fmt(coeffs.c_r)},{_fmt(coeffs.c_theta)}")
-        elif swept == "vz":
-            omega = _require_omega(args)
-            lines = _header(args, ["v_z", "qfi_zz"])
-            for vz in grid:
-                val = float(optimize.ea_zaxis_qfi(float(vz), omega, mode))
-                lines.append(f"{_fmt(vz)},{_fmt(val)}")
-        else:
-            raise UsageError(f"sweep {swept!r} not supported for strategy ea")
-    elif args.strategy == "nea":
-        omega = args.omega
-        theta_a = args.theta_a
-        vz = args.vz
-        lines = _header(args, [swept.replace("-", "_"), "qfi_zz"])
-        for x in grid:
-            om = float(x) if swept == "omega" else omega
-            ta = float(x) if swept == "theta-a" else theta_a
-            vv = float(x) if swept == "vz" else vz
-            if om is None:
-                raise UsageError("--omega is required for this scan")
-            lines.append(f"{_fmt(x)},{_fmt(closedform.nea_qfi(vv, ta, om, mode))}")
-    elif args.strategy == "direct":
-        if swept != "r":
-            raise UsageError("direct estimation only supports --sweep r")
-        lines = _header(args, ["r", "c_r", "c_theta"])
-        for r in grid:
-            coeffs = closedform.direct_qfi(float(r))
-            lines.append(f"{_fmt(r)},{_fmt(coeffs.c_r)},{_fmt(coeffs.c_theta)}")
-    else:
-        raise UsageError(f"unknown strategy {args.strategy!r}")
-    _write(lines, args.output)
+    _write(_table(args, columns, [grid, *compute(grid, args, MODES[args.mode])]), args.output)
     return EXIT_OK
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    mode = MODES[args.mode]
     if args.strategy == "nea":
-        if args.vz is None:
-            raise UsageError("--vz is required for NEA optimization")
-        res = optimize.maximize_nea(args.vz, mode=mode, tol=args.tol)
-        if not res.converged:
-            raise optimize.ConvergenceError("NEA optimization did not converge")
-        lines = _header(args, ["theta_a_star", "omega_star", "value",
-                               "iterations", "converged"])
-        lines.append(",".join([
-            _fmt(res.param("theta_a")), _fmt(res.param("omega")),
-            _fmt(res.value), str(res.iterations), str(res.converged).lower()]))
+        res = optimize.maximize_nea(args.vz, mode=MODES[args.mode], tol=args.tol)
     elif args.strategy == "ea":
-        r = args.r if args.r is not None else 0.0
-        res = optimize.maximize_1d(
-            lambda om: float(closedform.ea_cr(r, om, mode)),
-            optimize.DEFAULT_OMEGA_BRACKET, tol=args.tol, name="omega")
-        if not res.converged:
-            raise optimize.ConvergenceError("EA optimization did not converge")
-        lines = _header(args, ["omega_star", "value", "iterations", "converged"])
-        lines.append(",".join([
-            _fmt(res.param("omega")), _fmt(res.value),
-            str(res.iterations), str(res.converged).lower()]))
+        res = optimize.maximize_ea_batch(args.r or 0.0, MODES[args.mode], tol=args.tol)[0]
     else:
         raise UsageError("optimize supports strategies nea and ea")
+    if not res.converged:
+        raise optimize.ConvergenceError(f"{args.strategy.upper()} optimization did not converge")
+    lines = _header(args, [f"{name}_star" for name, _ in res.argmax]
+                    + ["value", "iterations", "converged"])
+    lines.append(",".join([_fmt(x) for _, x in res.argmax] + [
+        _fmt(res.value), str(res.iterations), str(res.converged).lower()]))
     _write(lines, args.output)
     return EXIT_OK
 
 
 def _figure_3(args) -> list[str]:
-    both = scatter.DetectionMode.BOTH
-    lines = _header(args, ["omega", "rescaled_qfi", "m_var_rescaled"])
-    for om in np.geomspace(0.05, 10.0, args.points or 601):
-        val = float(closedform.ea_cr(0.0, float(om), both))
-        lines.append(f"{_fmt(om)},{_fmt(val)},{_fmt(1.0 / val)}")
-    return lines
+    omegas = np.geomspace(0.05, 10.0, args.points or 601)
+    qfi_both = closedform.ea_cr(0.0, omegas, scatter.DetectionMode.BOTH)
+    return _table(args, ["omega", "rescaled_qfi", "m_var_rescaled"],
+                  [omegas, qfi_both, 1.0 / qfi_both])
 
 
 def _figure_surface(args, mode: scatter.DetectionMode) -> list[str]:
-    lines = _header(args, ["r", "omega", "rescaled_c_r"])
-    omegas = np.geomspace(0.05, 10.0, args.points or 121)
-    for r in np.linspace(0.0, 0.98, 15):
-        rescale = 1.0 - r * r
-        for om in omegas:
-            val = rescale * float(closedform.ea_cr(float(r), float(om), mode))
-            lines.append(f"{_fmt(r)},{_fmt(om)},{_fmt(val)}")
-    return lines
+    r = np.linspace(0.0, 0.98, 15)[:, None]
+    omegas = np.geomspace(0.05, 10.0, args.points or 121)[None, :]
+    rescaled = (1.0 - r * r) * closedform.ea_cr(r, omegas, mode)
+    return _table(args, ["r", "omega", "rescaled_c_r"],
+                  [a.ravel() for a in np.broadcast_arrays(r, omegas, rescaled)])
 
 
 def _figure_6(args) -> list[str]:
-    both = scatter.DetectionMode.BOTH
-    res = optimize.maximize_1d(
-        lambda om: float(closedform.ea_cr(0.0, om, both)),
-        optimize.DEFAULT_OMEGA_BRACKET, name="omega")
-    omega_both = res.param("omega")
-    lines = _header(args, ["r", "m_var_direct", "m_var_both",
-                           "m_var_transmission", "m_var_reflection"])
-    for r in np.linspace(0.0, 0.98, args.points or 50):
-        r = float(r)
-        row = [1.0 - r * r,
-               closedform.purity_bound(r, omega_both, 1, both)]
-        for mode in (scatter.DetectionMode.TRANSMISSION, scatter.DetectionMode.REFLECTION):
-            best = optimize.maximize_1d(
-                lambda om: float(closedform.ea_cr(r, om, mode)),
-                optimize.DEFAULT_OMEGA_BRACKET, name="omega")
-            row.append(1.0 / best.value)
-        lines.append(",".join([_fmt(r)] + [_fmt(x) for x in row]))
-    return lines
+    r = np.linspace(0.0, 0.98, args.points or 50)
+    m_var = [[1.0 / res.value for res in optimize.maximize_ea_batch(r, MODES[key])]
+             for key in ("both", "t", "r")]
+    return _table(args, ["r", "m_var_direct", "m_var_both",
+                         "m_var_transmission", "m_var_reflection"], [r, 1.0 - r * r] + m_var)
 
 
 def _figure_7(args) -> list[str]:
-    columns = ["v_z"]
+    v_z = np.linspace(-0.95, 0.95, args.points or 39)
+    columns, data = ["v_z"], [v_z]
     for key in MODE_ORDER:
+        best = optimize.maximize_nea_batch(v_z, mode=MODES[key], tol=1e-6)
         columns += [f"qfi_{key}", f"theta_a_{key}", f"omega_{key}"]
-    lines = _header(args, columns)
-    for vz in np.linspace(-0.95, 0.95, args.points or 39):
-        cells = [_fmt(vz)]
-        for key in MODE_ORDER:
-            pt = optimize.nea_envelope_point(float(vz), MODES[key], tol=1e-6)
-            cells += [_fmt(pt.best_qfi), _fmt(pt.theta_a_star), _fmt(pt.omega_star)]
-        lines.append(",".join(cells))
-    return lines
+        data += [[res.value for res in best], [res.param("theta_a") for res in best],
+                 [res.param("omega") for res in best]]
+    return _table(args, columns, data)
 
 
 def _figure_8(args) -> list[str]:
-    columns = ["v_z"]
+    v_z = np.linspace(0.0, 0.95, args.points or 20)
+    columns, data = ["v_z"], [v_z]
     for key in MODE_ORDER:
         columns += [f"nea_{key}", f"ea_{key}"]
-    lines = _header(args, columns)
-    for vz in np.linspace(0.0, 0.95, args.points or 20):
-        cells = [_fmt(vz)]
-        for key in MODE_ORDER:
-            nea = optimize.nea_envelope_point(float(vz), MODES[key], tol=1e-6)
-            ea = optimize.ea_envelope_point(float(vz), MODES[key], tol=1e-8)
-            cells += [_fmt(nea.best_qfi), _fmt(ea.best_qfi)]
-        lines.append(",".join(cells))
-    return lines
+        data += [[res.value for res in optimize.maximize_nea_batch(v_z, mode=MODES[key], tol=1e-6)],
+                 [res.value for res in optimize.maximize_ea_batch(v_z, MODES[key], tol=1e-8)]]
+    return _table(args, columns, data)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -380,10 +337,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
 def _add_target_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vx", type=float, default=0.0, help="target Bloch x component")
-    p.add_argument("--vy", type=float, default=0.0, help="target Bloch y component")
-    p.add_argument("--vz", type=float, default=0.0, help="target Bloch z component")
+    p.add_argument("--vx", type=float, default=None, help="target Bloch x component (default 0)")
+    p.add_argument("--vy", type=float, default=None, help="target Bloch y component (default 0)")
+    p.add_argument("--vz", type=float, default=None, help="target Bloch z component (default 0)")
     p.add_argument("--r", type=float, default=None, help="target Bloch radius (polar)")
     p.add_argument("--theta", type=float, default=None, help="target polar angle (rad)")
     p.add_argument("--phi", type=float, default=None, help="target azimuth (rad)")
@@ -428,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("omega", "theta-a", "vz", "r"), required=True)
     p.add_argument("--from", dest="start", type=float, default=None)
     p.add_argument("--to", dest="stop", type=float, default=None)
-    p.add_argument("--points", type=int, default=121)
+    p.add_argument("--points", type=_positive_int, default=121)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("optimize", help="maximize QFI over probe controls")
@@ -439,10 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="emit the CSV behind a paper figure")
     p.add_argument("number", type=int)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=_positive_int, default=None)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_figure)
 
+    # argparse reads a negative number in exponent form ("-1e-05") as a flag; no
+    # option here looks like a number, so take every negative number as a value
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 
@@ -450,6 +418,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "vx"):
+            _resolve_target(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,7 +24,8 @@ class QfiPolarCoeffs:
     """Radial and angular polar QFI coefficients.
 
     The polar QFI matrix is diag(c_r, c_theta, c_theta sin^2 theta); c_r is
-    +inf on the pure-state boundary r = 1.
+    +inf on the pure-state boundary r = 1. The constructors give floats for
+    scalar arguments and arrays for array ones.
     """
 
     c_r: float
@@ -100,25 +101,35 @@ def ea_ctheta(r, omega, mode: DetectionMode):
     raise ValueError(f"unknown detection mode {mode}")
 
 
-def direct_qfi(r: float, theta: float = 0.0) -> QfiPolarCoeffs:
+def _polar_coeffs(c_r, c_theta) -> QfiPolarCoeffs:
+    """Coefficients as floats for scalar arguments, as arrays otherwise."""
+    if np.ndim(c_r) == 0:
+        return QfiPolarCoeffs(float(c_r), float(c_theta))
+    return QfiPolarCoeffs(c_r, c_theta)
+
+
+def direct_qfi(r, theta: float = 0.0) -> QfiPolarCoeffs:
     """Polar coefficients for direct access to the target: (1/(1-r^2), r^2).
 
     Independent of theta and phi; theta is accepted only for interface parity
-    with the polar matrix constructors.
+    with the polar matrix constructors. Broadcasts over r.
     """
     del theta
-    r = float(_check_radius(r, strict=False))
-    c_r = math.inf if r >= 1.0 else 1.0 / (1.0 - r**2)
-    return QfiPolarCoeffs(c_r, r**2)
+    r = _check_radius(r, strict=False)
+    with np.errstate(divide="ignore"):
+        return _polar_coeffs(1.0 / (1.0 - r**2), r**2)
 
 
-def ea_polar(r: float, omega: float, mode: DetectionMode) -> QfiPolarCoeffs:
-    """Entanglement-assisted polar coefficients at radius r and momentum Omega."""
-    r = float(_check_radius(r, strict=False))
-    c_theta = float(ea_ctheta(r, omega, mode))
-    if r >= 1.0:
-        return QfiPolarCoeffs(math.inf, c_theta)
-    return QfiPolarCoeffs(float(ea_cr(r, omega, mode)), c_theta)
+def ea_polar(r, omega, mode: DetectionMode) -> QfiPolarCoeffs:
+    """Entanglement-assisted polar coefficients at radius r and momentum Omega.
+
+    Broadcasts; c_r is +inf where r = 1.
+    """
+    r = _check_radius(r, strict=False)
+    c_theta = ea_ctheta(r, omega, mode)
+    inside = r < 1.0
+    return _polar_coeffs(np.where(inside, ea_cr(np.where(inside, r, 0.0), omega, mode),
+                                  math.inf), c_theta)
 
 
 def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):

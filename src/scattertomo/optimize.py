@@ -4,6 +4,10 @@ The objectives are cheap closed forms, so every search is a dense bracket
 scan followed by golden-section refinement of each grid-local maximum; no
 unimodality is assumed. Momentum grids are logarithmic: the QFI vanishes at
 both ends of the bracket, so optima are interior.
+
+Every search solves a batch of independent problems in lockstep: each
+golden-section step makes one broadcasting objective call for every lane
+(problem x candidate) still searching. The one-problem functions wrap these.
 """
 
 from __future__ import annotations
@@ -52,103 +56,123 @@ class EnvelopePoint:
     theta_a_star: Optional[float] = None
 
 
-def _golden_max(f, lo: float, hi: float, stop, max_iter: int = 300):
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals, ok)."""
+def _golden_max(f, lo, hi, stop, max_iter: int = 300):
+    """Golden-section maximization in lockstep, one lane per bracket [lo[k], hi[k]].
+
+    f(x, k) evaluates lanes k at points x; stop(lo, hi, k) is their convergence
+    test. Each lane runs the scalar algorithm and leaves when its test passes,
+    or unconverged after max_iter evaluations. Returns arrays (x, f(x), evals, ok).
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out = [np.empty(lo.size), np.empty(lo.size), np.empty(lo.size, dtype=int),
+           np.empty(lo.size, dtype=bool)]
+    k = np.arange(lo.size)
     c = hi - INV_PHI * (hi - lo)
     d = lo + INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while not stop(lo, hi):
-        if evals >= max_iter:
-            return (c, fc, evals, False) if fc >= fd else (d, fd, evals, False)
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + INV_PHI * (hi - lo)
-            fd = f(d)
+    fc, fd = np.asarray(f(c, k), dtype=float), np.asarray(f(d, k), dtype=float)
+    evals = 2  # every unfinished lane has spent the same number
+    while k.size:
+        ok = stop(lo, hi, k)
+        done = ok | (evals >= max_iter)
+        if done.any():
+            pick_c = fc >= fd
+            for res, val in zip(out, (np.where(pick_c, c, d), np.where(pick_c, fc, fd),
+                                      np.full(k.size, evals), ok)):
+                res[k[done]] = val[done]
+            k, lo, hi, c, d, fc, fd = (a[~done] for a in (k, lo, hi, c, d, fc, fd))
+            continue
+        left = fc >= fd
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+        step = INV_PHI * (hi - lo)
+        x = np.where(left, hi - step, lo + step)
+        # numpy evaluates a lone lane faster as scalars than as 1-element arrays
+        y = np.asarray(f(x, k) if k.size > 1 else [f(x[0], k[0])], dtype=float)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, y, fd), np.where(left, fc, y)
         evals += 1
-    return (c, fc, evals, True) if fc >= fd else (d, fd, evals, True)
+    return tuple(out)
 
 
-def _grid_local_maxima(ys: np.ndarray) -> list[int]:
-    """Indices that dominate their neighbors; plateaus keep the first index."""
-    n = len(ys)
-    out = []
-    for i in range(n):
-        left = ys[i - 1] if i > 0 else -math.inf
-        right = ys[i + 1] if i < n - 1 else -math.inf
-        if ys[i] >= left and ys[i] >= right:
-            if i > 0 and ys[i] == ys[i - 1]:
-                continue
-            out.append(i)
-    return out
+def _first_per_problem(prob: np.ndarray, keys: list, limit: int = 1) -> np.ndarray:
+    """Indices of the first `limit` entries of each problem, by keys (most significant first)."""
+    order = np.lexsort(tuple(keys[::-1]) + (prob,))
+    prob = prob[order]
+    return order[np.arange(order.size) - np.searchsorted(prob, prob) < limit]
+
+
+def _results(prob, n, evals, ok, pick, argmax, value) -> list[OptResult]:
+    """One OptResult per problem: its picked lane, summed evals, all lanes converged."""
+    iterations = np.bincount(prob, weights=evals, minlength=n)
+    failed = np.bincount(prob, weights=~ok, minlength=n)
+    return [OptResult(tuple((name, float(x[p])) for name, x in argmax), float(value[p]),
+                      int(iterations[k]), not failed[k])
+            for k, p in enumerate(pick)]
+
+
+def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
+                      bracket: tuple[float, float], tol: float = 1e-8, n_grid: int = 64,
+                      log_grid: bool = True, name: str = "x") -> list[OptResult]:
+    """Maximize n independent objectives on one bracket, in lockstep.
+
+    objective(x, k) evaluates problems k at points x, broadcasting the two
+    arrays. Each problem gets a dense scan (log-spaced when the bracket is
+    positive); its best 16 grid-local maxima are refined by golden section
+    and the best refined candidate is returned. Ties go to the smaller
+    argument.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise ValueError(f"degenerate bracket ({lo}, {hi})")
+    if n_grid < 2:
+        raise ValueError("n_grid must be at least 2")
+    use_log = log_grid and lo > 0.0
+    xs = np.geomspace(lo, hi, n_grid) if use_log else np.linspace(lo, hi, n_grid)
+    to_u, from_u = (np.log, np.exp) if use_log else (np.asarray, np.asarray)
+
+    def f(x, k):
+        x = np.broadcast_to(x, np.broadcast_shapes(np.shape(x), np.shape(k)))
+        y = np.broadcast_to(np.asarray(objective(x, k), dtype=float), x.shape)
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"objective is not finite at {name}={x[~np.isfinite(y)][0]}")
+        return y
+
+    ys = f(xs[None, :], np.arange(n)[:, None])
+    padded = np.pad(ys, ((0, 0), (1, 1)), constant_values=-math.inf)
+    # grid-local maxima; a plateau keeps its first point
+    prob, i = np.nonzero((ys > padded[:, :-2]) & (ys >= padded[:, 2:]))
+    top = _first_per_problem(prob, [-ys[prob, i], i], 16)
+    prob, i = prob[top], i[top]
+
+    u, fx, evals, ok = _golden_max(
+        lambda uu, k: f(from_u(uu), prob[k]),
+        to_u(xs[np.maximum(i - 1, 0)]), to_u(xs[np.minimum(i + 1, n_grid - 1)]),
+        lambda a, b, k: from_u(b) - from_u(a) <= tol * (1.0 + np.abs(from_u(0.5 * (a + b)))))
+    x = from_u(u)
+    pick = _first_per_problem(prob, [-fx, x])
+    return _results(prob, n, evals, ok, pick, [(name, x)], fx)
 
 
 def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float],
                 tol: float = 1e-8, n_grid: int = 64, log_grid: bool = True,
                 name: str = "x") -> OptResult:
-    """Maximize a scalar objective on a bracket.
+    """Maximize an objective of one float, called once per point (a batch of one)."""
+    mapped = np.vectorize(lambda x: float(objective(x)), otypes=[float])
+    return maximize_1d_batch(lambda x, k: mapped(x), 1, bracket, tol, n_grid, log_grid, name)[0]
 
-    A dense scan (log-spaced when the bracket is positive) locates every local
-    maximum; each is refined by golden section and the best refined candidate
-    is returned. Ties go to the smaller argument.
+
+def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
+                       mode: DetectionMode = DetectionMode.BOTH,
+                       grid: tuple[int, int] = (181, 121),
+                       tol: float = 1e-8) -> list[OptResult]:
+    """Best unentangled-probe QFI over (theta_a, Omega) at each z-axis target.
+
+    Per target, a coarse vectorized grid over theta_a in [0, pi] x log Omega;
+    then the best six grid-local maxima of every target are refined together
+    by coordinate-descent golden section, a lane leaving once it stops
+    moving. Among near-equal optima the smallest theta_a is returned.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"degenerate bracket ({lo}, {hi})")
-    use_log = log_grid and lo > 0.0
-    xs = np.geomspace(lo, hi, n_grid) if use_log else np.linspace(lo, hi, n_grid)
-    ys = np.array([float(objective(x)) for x in xs])
-    if not np.all(np.isfinite(ys)):
-        bad = xs[~np.isfinite(ys)][0]
-        raise ValueError(f"objective is not finite at {name}={bad}")
-
-    to_u = math.log if use_log else (lambda x: x)
-    from_u = math.exp if use_log else (lambda u: u)
-
-    def f_u(u: float) -> float:
-        val = float(objective(from_u(u)))
-        if not math.isfinite(val):
-            raise ValueError(f"objective is not finite at {name}={from_u(u)}")
-        return val
-
-    def stop(ua: float, ub: float) -> bool:
-        mid = from_u(0.5 * (ua + ub))
-        return from_u(ub) - from_u(ua) <= tol * (1.0 + abs(mid))
-
-    candidates = sorted(_grid_local_maxima(ys), key=lambda i: (-ys[i], i))[:16]
-    best = None
-    iterations = 0
-    converged = True
-    for i in candidates:
-        ua = to_u(float(xs[max(i - 1, 0)]))
-        ub = to_u(float(xs[min(i + 1, n_grid - 1)]))
-        if ua == ub:
-            x, fx = float(xs[i]), float(ys[i])
-        else:
-            u, fx, evals, ok = _golden_max(f_u, ua, ub, stop)
-            x = from_u(u)
-            iterations += evals
-            converged = converged and ok
-        if best is None or fx > best[1] or (fx == best[1] and x < best[0]):
-            best = (x, fx)
-    assert best is not None
-    return OptResult(((name, best[0]),), best[1], iterations, converged)
-
-
-def maximize_nea(v_z: float, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                 mode: DetectionMode = DetectionMode.BOTH,
-                 grid: tuple[int, int] = (181, 121), tol: float = 1e-8) -> OptResult:
-    """Best unentangled-probe QFI over (theta_a, Omega) at a z-axis target.
-
-    Coarse vectorized grid over theta_a in [0, pi] x log Omega, then
-    coordinate-descent golden refinement of each grid-local maximum. Among
-    near-equal optima the smallest theta_a is returned.
-    """
-    if not abs(v_z) < 1.0:
+    v_z = np.asarray(v_z, dtype=float).ravel()
+    if not np.all(np.abs(v_z) < 1.0):
         raise ValueError("v_z must satisfy |v_z| < 1")
     lo, hi = float(omega_bracket[0]), float(omega_bracket[1])
     if not (0.0 < lo < hi) or not math.isfinite(hi):
@@ -157,55 +181,56 @@ def maximize_nea(v_z: float, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_
     thetas = np.linspace(0.0, math.pi, n_theta)
     u_lo, u_hi = math.log(lo), math.log(hi)
     us = np.linspace(u_lo, u_hi, n_omega)
-    surface = nea_qfi(v_z, thetas[:, None], np.exp(us)[None, :], mode)
+    surface = np.reshape([nea_qfi(v, thetas[:, None], np.exp(us)[None, :], mode) for v in v_z],
+                         (-1, n_theta, n_omega))
     if not np.all(np.isfinite(surface)):
         raise ValueError("QFI surface is not finite on the scan grid")
 
-    padded = np.pad(surface, 1, constant_values=-math.inf)
-    local = ((surface >= padded[:-2, 1:-1]) & (surface >= padded[2:, 1:-1])
-             & (surface >= padded[1:-1, :-2]) & (surface >= padded[1:-1, 2:]))
-    order = [(-(surface[i, j]), i, j) for i, j in zip(*np.nonzero(local))]
-    order.sort()
-    candidates = [(i, j) for _, i, j in order[:6]]
+    padded = np.pad(surface, ((0, 0), (1, 1), (1, 1)), constant_values=-math.inf)
+    local = ((surface >= padded[:, :-2, 1:-1]) & (surface >= padded[:, 2:, 1:-1])
+             & (surface >= padded[:, 1:-1, :-2]) & (surface >= padded[:, 1:-1, 2:]))
+    prob, i, j = np.nonzero(local)
+    top = _first_per_problem(prob, [-surface[prob, i, j], i, j], 6)
+    prob, theta, u = prob[top], thetas[i[top]], us[j[top]]
+    value, evals = np.empty(prob.size), np.zeros(prob.size, dtype=int)
+    ok = np.ones(prob.size, dtype=bool)
 
     w_theta = 2.0 * math.pi / (n_theta - 1)
     w_u = 2.0 * (u_hi - u_lo) / (n_omega - 1)
 
-    def objective(theta: float, u: float) -> float:
-        return float(nea_qfi(v_z, theta, math.exp(u), mode))
+    act = np.arange(prob.size)
+    for _ in range(40):
+        if not act.size:
+            break
+        t0, u0, v = theta[act], u[act], v_z[prob[act]]
+        t_new, _, ev1, ok1 = _golden_max(
+            lambda t, k: nea_qfi(v[k], t, np.exp(u0[k]), mode),
+            np.maximum(0.0, t0 - w_theta), np.minimum(math.pi, t0 + w_theta),
+            lambda a, b, k: (b - a) <= tol * (1.0 + t0[k]))
+        u_new, value[act], ev2, ok2 = _golden_max(
+            lambda uu, k: nea_qfi(v[k], t_new[k], np.exp(uu), mode),
+            np.maximum(u_lo, u0 - w_u), np.minimum(u_hi, u0 + w_u),
+            lambda a, b, k: np.exp(b) - np.exp(a) <= tol * (1.0 + np.exp(0.5 * (a + b))))
+        evals[act] += ev1 + ev2
+        ok[act] &= ok1 & ok2
+        moved = np.maximum(np.abs(t_new - t0),
+                           np.abs(np.exp(u_new) - np.exp(u0)) / (1.0 + np.exp(u_new)))
+        theta[act], u[act] = t_new, u_new
+        act = act[moved > 10.0 * tol]
+    ok[act] = False  # still moving after the last round
 
-    results = []
-    iterations = 0
-    converged = True
-    for i, j in candidates:
-        theta, u = float(thetas[i]), float(us[j])
-        ok_all = True
-        for _ in range(40):
-            t_stop = lambda a, b: (b - a) <= tol * (1.0 + theta)
-            theta_new, _, ev1, ok1 = _golden_max(
-                lambda t: objective(t, u),
-                max(0.0, theta - w_theta), min(math.pi, theta + w_theta), t_stop)
-            u_stop = lambda a, b: math.exp(b) - math.exp(a) <= tol * (1.0 + math.exp(0.5 * (a + b)))
-            u_new, val, ev2, ok2 = _golden_max(
-                lambda uu: objective(theta_new, uu),
-                max(u_lo, u - w_u), min(u_hi, u + w_u), u_stop)
-            iterations += ev1 + ev2
-            ok_all = ok_all and ok1 and ok2
-            moved = max(abs(theta_new - theta),
-                        abs(math.exp(u_new) - math.exp(u)) / (1.0 + math.exp(u_new)))
-            theta, u = theta_new, u_new
-            if moved <= 10.0 * tol:
-                break
-        else:
-            ok_all = False
-        converged = converged and ok_all
-        results.append((theta, math.exp(u), val))
+    best = value[_first_per_problem(prob, [-value])][prob]
+    near = np.flatnonzero(value >= best - 1e-9 * (1.0 + np.abs(best)))
+    pick = near[_first_per_problem(prob[near], [theta[near]])]
+    return _results(prob, v_z.size, evals, ok, pick,
+                    [("theta_a", theta), ("omega", np.exp(u))], value)
 
-    best_val = max(res[2] for res in results)
-    near = [res for res in results if res[2] >= best_val - 1e-9 * (1.0 + abs(best_val))]
-    theta_star, omega_star, value = min(near, key=lambda res: res[0])
-    return OptResult((("theta_a", theta_star), ("omega", omega_star)),
-                     value, iterations, converged)
+
+def maximize_nea(v_z: float, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
+                 mode: DetectionMode = DetectionMode.BOTH,
+                 grid: tuple[int, int] = (181, 121), tol: float = 1e-8) -> OptResult:
+    """Best unentangled-probe QFI at one z-axis target (``maximize_nea_batch`` of one)."""
+    return maximize_nea_batch([v_z], omega_bracket, mode, grid, tol)[0]
 
 
 def ea_zaxis_qfi(v_z, omega, mode: DetectionMode):
@@ -217,12 +242,24 @@ def ea_zaxis_qfi(v_z, omega, mode: DetectionMode):
     return ea_cr(np.abs(v_z), omega, mode)
 
 
+def maximize_ea_batch(v_z, mode: DetectionMode,
+                      omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
+                      tol: float = 1e-8) -> list[OptResult]:
+    """Best EA QFI over Omega at each z-axis target, in lockstep.
+
+    The z-axis QFI is the radial coefficient c_r at r = |v_z|, so a grid of
+    radii r >= 0 gives the best c_r at each radius.
+    """
+    v_z = np.asarray(v_z, dtype=float).ravel()
+    return maximize_1d_batch(lambda om, k: ea_zaxis_qfi(v_z[k], om, mode), v_z.size,
+                             omega_bracket, tol=tol, name="omega")
+
+
 def ea_envelope_point(v_z: float, mode: DetectionMode,
                       omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
                       tol: float = 1e-8) -> EnvelopePoint:
     """Best EA QFI over Omega at one z-axis target value."""
-    res = maximize_1d(lambda om: float(ea_zaxis_qfi(v_z, om, mode)),
-                      omega_bracket, tol=tol, name="omega")
+    res = maximize_ea_batch([v_z], mode, omega_bracket, tol)[0]
     return EnvelopePoint(v_z, res.value, res.param("omega"))
 
 
@@ -240,9 +277,5 @@ def ea_optimality_intervals(mode: DetectionMode, r_grid: Optional[Sequence[float
     """Range spanned by the per-radius optimal momentum of the radial QFI."""
     if r_grid is None:
         r_grid = np.linspace(0.0, 0.99, 50)
-    stars = []
-    for r in r_grid:
-        res = maximize_1d(lambda om: float(ea_cr(float(r), om, mode)),
-                          omega_bracket, tol=tol, name="omega")
-        stars.append(res.param("omega"))
+    stars = [res.param("omega") for res in maximize_ea_batch(r_grid, mode, omega_bracket, tol)]
     return (min(stars), max(stars))

@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-MAX_DIM = 16
-
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -134,18 +134,6 @@ def probe_state(cfg: ProbeConfig) -> np.ndarray:
     return 0.5 * (ID2 + n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2])
 
 
-def is_density(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    """Hermitian, unit trace, PSD up to roundoff."""
-    rho = as_cmatrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        return False
-    if np.max(np.abs(rho - dagger(rho))) > tol:
-        return False
-    if abs(np.trace(rho) - 1.0) > tol:
-        return False
-    return float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min()) > -1e-9
-
-
 __all__ = [
     "BlochVector",
     "PolarCoords",
@@ -156,5 +144,4 @@ __all__ = [
     "singlet",
     "max_entangled",
     "probe_state",
-    "is_density",
 ]

@@ -58,6 +58,34 @@ class TestQfiCommand:
         assert exc.value.code == 2
 
 
+class TestTargetFlags:
+    @pytest.mark.parametrize("argv", [
+        ("qfi", "--strategy", "ea", "--omega", "0.7", "--r", "0.5", "--vx", "0.9"),
+        ("bound", "--strategy", "direct", "--vz", "0.2", "--theta", "1.0"),
+        ("scan", "--strategy", "ea", "--sweep", "omega", "--r", "0.3", "--vz", "0.1"),
+        ("optimize", "--strategy", "ea", "--r", "0.3", "--vy", "0.0"),
+    ])
+    def test_mixed_polar_and_cartesian_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--r/--theta/--phi" in err
+
+    @pytest.mark.parametrize("value", ["-1.5e-05", "-2E-01", "-.5", "-0"])
+    def test_negative_numbers_are_values(self, capsys, value):
+        code, out, _ = run(capsys, "qfi", "--strategy", "direct", "--vx", "0.1",
+                           "--vy", value, "--vz", "0.1")
+        assert code == 0
+        assert f"vy={float(value)}" in out.splitlines()[0]
+
+    def test_unset_cartesian_components_read_zero(self, capsys):
+        code, out, _ = run(capsys, "qfi", "--strategy", "direct", "--vy", "0.5")
+        assert code == 0
+        assert "vx=0.0 vy=0.5 vz=0.0" in out.splitlines()[0]
+        table = {r[0]: float(r[1]) for r in rows(out)}
+        assert abs(table["yy"] - 1.0 / 0.75) < 1e-10
+
+
 class TestBoundCommand:
     def test_direct_radial(self, capsys):
         code, out, _ = run(capsys, "bound", "--strategy", "direct", "--r", "0.5",
@@ -105,6 +133,27 @@ class TestScanCommand:
         code, _, _ = run(capsys, "scan", "--strategy", "direct", "--sweep", "omega")
         assert code == 2
 
+    def test_nea_radius_sweep_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--strategy", "nea", "--sweep", "r",
+                             "--omega", "0.7")
+        assert code == 2
+        assert out == "" and "sweep 'r'" in err
+
+    def test_pure_state_radius_in_r_sweep(self, capsys):
+        code, out, _ = run(capsys, "scan", "--strategy", "ea", "--sweep", "r",
+                           "--omega", "0.7", "--to", "1.0", "--points", "3")
+        assert code == 0
+        last = rows(out)[-1]
+        assert last[:2] == ["1", "inf"] and float(last[2]) > 0.0
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_nonpositive_points_is_usage_error(self, capsys, points):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--strategy", "direct", "--sweep", "r", "--points", points])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--points" in out.err
+
 
 class TestOptimizeCommand:
     def test_ea(self, capsys):
@@ -150,6 +199,14 @@ class TestFigures:
             vals = [float(x) for x in row]
             for nea, ea in zip(vals[1::2], vals[2::2]):
                 assert ea >= nea - 1e-9
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_nonpositive_points_is_usage_error(self, capsys, points):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "3", "--points", points])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--points" in out.err
 
     def test_bad_figure_number(self, capsys):
         code, _, _ = run(capsys, "figure", "9")

@@ -12,7 +12,10 @@ from scattertomo.optimize import (
     ea_optimality_intervals,
     ea_zaxis_qfi,
     maximize_1d,
+    maximize_1d_batch,
+    maximize_ea_batch,
     maximize_nea,
+    maximize_nea_batch,
     nea_envelope_point,
 )
 from scattertomo.scatter import DetectionMode
@@ -162,3 +165,87 @@ class TestEnvelopes:
             for vals in (ea_vals, nea_vals):
                 assert vals[DetectionMode.BOTH] >= vals[DetectionMode.TRANSMISSION] - 1e-9
                 assert vals[DetectionMode.BOTH] >= vals[DetectionMode.REFLECTION] - 1e-9
+
+
+# Rows of `scattertomo figure 7 --points 3` and `figure 8 --points 3` as
+# printed by the scalar (one problem at a time) optimizers, frozen as the
+# reference for the lockstep ones: (v_z, mode, best_qfi, theta_a*, omega*).
+FIGURE_7_ROWS = [
+    (-0.95, DetectionMode.TRANSMISSION, 2.68132342368, 2.78100709277, 0.57190047722),
+    (-0.95, DetectionMode.REFLECTION, 2.5357269945, 2.92278344084, 0.585829808725),
+    (-0.95, DetectionMode.BOTH, 5.13081669461, 2.86949094584, 0.584820721884),
+    (0.0, DetectionMode.TRANSMISSION, 0.300944153097, 1.57079632679, 0.614788196649),
+    (0.0, DetectionMode.REFLECTION, 0.178632794954, 1.57079632679, 0.759835579188),
+    (0.0, DetectionMode.BOTH, 0.475210284066, 1.57079632679, 0.670012963433),
+    (0.95, DetectionMode.TRANSMISSION, 2.68132342368, 0.360585401866, 0.57190047722),
+    (0.95, DetectionMode.REFLECTION, 2.5357269945, 0.218808955561, 0.585829808725),
+    (0.95, DetectionMode.BOTH, 5.13081669461, 0.272102123901, 0.584820721884),
+]
+# (v_z, mode, best NEA qfi, best EA qfi)
+FIGURE_8_ROWS = [
+    (0.475, DetectionMode.TRANSMISSION, 0.391455529973, 0.490565205714),
+    (0.475, DetectionMode.REFLECTION, 0.272740272224, 0.440382171946),
+    (0.475, DetectionMode.BOTH, 0.630125800665, 0.850437208159),
+    (0.95, DetectionMode.BOTH, 5.13081669461, 6.75443398019),
+]
+CSV_REL = 1e-10  # the CSV prints 12 significant digits
+
+
+class TestFrozenFigureRows:
+    @pytest.mark.parametrize("vz, mode, qfi, theta_star, omega_star", FIGURE_7_ROWS)
+    def test_figure_7(self, vz, mode, qfi, theta_star, omega_star):
+        pt = nea_envelope_point(vz, mode, tol=1e-6)
+        assert abs(pt.best_qfi - qfi) <= CSV_REL * qfi
+        assert abs(pt.theta_a_star - theta_star) <= 1e-6 * (1 + theta_star)
+        assert abs(pt.omega_star - omega_star) <= 1e-6 * (1 + omega_star)
+
+    @pytest.mark.parametrize("vz, mode, nea, ea", FIGURE_8_ROWS)
+    def test_figure_8(self, vz, mode, nea, ea):
+        assert abs(nea_envelope_point(vz, mode, tol=1e-6).best_qfi - nea) <= CSV_REL * nea
+        assert abs(ea_envelope_point(vz, mode, tol=1e-8).best_qfi - ea) <= CSV_REL * ea
+
+
+def assert_same_solve(batched, single, tol):
+    assert batched.iterations == single.iterations
+    assert batched.converged == single.converged
+    for (name, x), (name_1, x_1) in zip(batched.argmax, single.argmax):
+        assert name == name_1
+        assert abs(x - x_1) <= tol * (1 + abs(x_1))
+    assert abs(batched.value - single.value) <= 1e-12 * abs(single.value)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_radial_batch_matches_one_problem_solves(self, mode):
+        r_grid = np.linspace(0.0, 0.98, 9)
+        for r, res in zip(r_grid, maximize_ea_batch(r_grid, mode)):
+            single = maximize_1d(lambda om: float(ea_cr(float(r), om, mode)),
+                                 DEFAULT_OMEGA_BRACKET, name="omega")
+            assert_same_solve(res, single, 1e-8)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nea_batch_matches_one_problem_solves(self, mode):
+        vz_grid = np.linspace(-0.9, 0.9, 7)
+        for vz, res in zip(vz_grid, maximize_nea_batch(vz_grid, mode=mode, tol=1e-7)):
+            assert_same_solve(res, maximize_nea(float(vz), mode=mode, tol=1e-7), 1e-7)
+
+    def test_capped_lane_does_not_stop_the_others(self):
+        # tol * (1 + 1e4) is below the float spacing at 1e4, so the second
+        # problem's bracket can never shrink enough; the first converges near 0
+        centers = np.array([0.0, 1e4, 0.0])
+        results = maximize_1d_batch(lambda x, k: -(x - centers[k])**2, 3, (-1e5, 1e5),
+                                    tol=1e-16, log_grid=False)
+        assert [res.converged for res in results] == [True, False, True]
+        assert results[1].iterations == 300
+        assert results[0] == results[2]
+        assert abs(results[1].param("x") - 1e4) < 1e-6
+
+    def test_batch_sizes_zero_and_one(self):
+        assert maximize_1d_batch(lambda x, k: -x * x, 0, (-1.0, 2.0), log_grid=False) == []
+        assert maximize_nea_batch([], mode=DetectionMode.BOTH) == []
+        assert maximize_ea_batch([], DetectionMode.BOTH) == []
+        (res,) = maximize_nea_batch([0.3], mode=DetectionMode.BOTH, tol=1e-7)
+        assert res == maximize_nea(0.3, mode=DetectionMode.BOTH, tol=1e-7)
+        (res,) = maximize_1d_batch(lambda x, k: -(x - 0.7)**2, 1, (-1.0, 2.0), log_grid=False)
+        assert res == maximize_1d(lambda x: -(x - 0.7)**2, (-1.0, 2.0), log_grid=False)
+        assert abs(res.param("x") - 0.7) < 1e-6
