@@ -9,6 +9,7 @@ probe momentum and orientation.
 
 from .closedform import (
     QfiPolarCoeffs,
+    direct_cartesian,
     direct_qfi,
     ea_cartesian,
     ea_polar,
@@ -40,6 +41,7 @@ from .scatter import (
     BlockLabel,
     BranchDerivatives,
     BranchState,
+    Channel,
     DetectionMode,
     ScatteringAmplitudes,
     amplitudes,
@@ -69,6 +71,7 @@ __all__ = [
     "BlockLabel",
     "BranchDerivatives",
     "BranchState",
+    "Channel",
     "ConvergenceError",
     "CrBound",
     "DetectionMode",
@@ -90,6 +93,7 @@ __all__ = [
     "channel_derivatives_for_input",
     "cr_bound",
     "direct_branches",
+    "direct_cartesian",
     "direct_qfi",
     "ea_cartesian",
     "ea_optimality_intervals",

@@ -106,11 +106,9 @@ def _closed_matrix(strategy: str, v: states.BlochVector, omega: float,
     entry is given (NEA on-axis target); (None, None) when no closed form
     applies (NEA off-axis or polar NEA).
     """
-    vec = v.as_array()
     if strategy == "direct":
         if basis == "cartesian":
-            h = np.eye(3) + np.outer(vec, vec) / (1.0 - v.norm**2)
-            return h, None
+            return closedform.direct_cartesian(v).h, None
         coeffs = closedform.direct_qfi(v.norm)
         return coeffs.matrix(states.bloch_to_polar(v).theta).h, None
     if strategy == "ea":
@@ -139,7 +137,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
 
     axes = qfi.AXES if args.basis == "cartesian" else qfi.POLAR_AXES
     lines = _header(args, ["entry", "numeric", "closed_form"])
-    max_diff = None
+    diffs, refs = [], []
     for i, row in enumerate(axes):
         for j, col in enumerate(axes):
             num = h_num.h[i, j]
@@ -147,48 +145,14 @@ def cmd_qfi(args: argparse.Namespace) -> int:
             if closed is not None and (restriction is None or restriction == (i, j)):
                 if not math.isnan(closed[i, j]):
                     closed_cell = _fmt(closed[i, j])
-                    diff = abs(num - closed[i, j])
-                    max_diff = diff if max_diff is None else max(max_diff, diff)
+                    diffs.append(abs(num - closed[i, j]))
+                    refs.append(abs(closed[i, j]))
             lines.append(f"{row}{col},{_fmt(num)},{closed_cell}")
-    if max_diff is not None:
-        lines.append(f"# max_abs_diff: {_fmt(max_diff)}")
+    if diffs:
+        lines.append(f"# max_abs_diff: {_fmt(max(diffs))}")
+        lines.append(f"# max_rel_diff: {_fmt(max(diffs) / max(max(refs), 1e-300))}")
     _write(lines, args.output)
     return EXIT_OK
-
-
-def _polar_param_jacobian(v: states.BlochVector, param: str) -> qfi.Jacobian:
-    """Reparameterization Jacobian whose first parameter is a polar coordinate.
-
-    The first row is the tangent vector dual to the coordinate's cartesian
-    gradient g (g/|g|^2), so the single-function bound (B H B^T)^-1_11 equals
-    g^T H^-1 g; the remaining rows are an orthonormal completion, which the
-    bound does not depend on. Errors where the coordinate is undefined.
-    """
-    vec = v.as_array()
-    r = v.norm
-    if r < 1e-12:
-        raise ValueError(f"polar coordinate {param!r} undefined at the origin")
-    rho = math.hypot(vec[0], vec[1])
-    if param == "r":
-        grad = vec / r
-    elif param == "theta":
-        if rho < 1e-12:
-            raise ValueError("theta gradient undefined on the z axis")
-        grad = np.array([vec[0] * vec[2], vec[1] * vec[2], -rho * rho]) / (r * r * rho)
-    else:  # phi
-        if rho < 1e-12:
-            raise ValueError("phi undefined on the z axis")
-        grad = np.array([-vec[1], vec[0], 0.0]) / (rho * rho)
-    basis = [grad / np.linalg.norm(grad)]
-    for axis in np.eye(3):
-        w = axis - sum(b * float(b @ axis) for b in basis)
-        norm = np.linalg.norm(w)
-        if norm > 1e-9:
-            basis.append(w / norm)
-        if len(basis) == 3:
-            break
-    rows = np.vstack([grad / float(grad @ grad), basis[1], basis[2]])
-    return qfi.Jacobian(rows)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -204,7 +168,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             lines.append(",".join([row] + [_fmt(bound[i, j]) for j in range(3)]))
     else:
         if args.param in qfi.POLAR_AXES:
-            res = qfi.cr_bound(h, args.m_copies, _polar_param_jacobian(v, args.param))
+            res = qfi.cr_bound(h, args.m_copies, qfi.polar_param_jacobian(v, args.param))
         else:
             res = qfi.cr_bound(h, args.m_copies, args.param)
         lines = _header(args, ["param", "variance_bound"])

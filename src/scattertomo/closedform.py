@@ -120,6 +120,15 @@ def direct_qfi(r, theta: float = 0.0) -> QfiPolarCoeffs:
         return _polar_coeffs(1.0 / (1.0 - r**2), r**2)
 
 
+def direct_cartesian(v: BlochVector) -> QfiMatrix:
+    """Cartesian QFI of direct access to the target: I + v v^T / (1 - |v|^2)."""
+    den = 1.0 - v.norm**2
+    if den <= 0.0:
+        raise ValueError("cartesian direct QFI requires |v| < 1")
+    vec = v.as_array()
+    return QfiMatrix(CARTESIAN, np.eye(3) + np.outer(vec, vec) / den)
+
+
 def ea_polar(r, omega, mode: DetectionMode) -> QfiPolarCoeffs:
     """Entanglement-assisted polar coefficients at radius r and momentum Omega.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .scatter import BranchDerivatives, BranchState
 from .smallmat import clamp_spectrum, dagger, herm_eig
-from .states import PolarCoords
+from .states import BlochVector, PolarCoords
 
 AXES = ("x", "y", "z")
 POLAR_AXES = ("r", "theta", "phi")
@@ -25,7 +25,7 @@ POLAR = "polar"
 
 _SYM_TOL = 1e-10
 _PSD_TOL = -1e-9
-_DET_TOL = 1e-12
+_COND_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def _block_contributions(state: BranchState, derivs: BranchDerivatives,
     if state.labels != derivs.labels:
         raise ValueError(
             f"state labels {state.labels} do not match derivative labels {derivs.labels}")
-    n_ax = len(axes)
-    out = np.zeros((n_ax, n_ax))
+    out = np.zeros((len(axes), len(axes)))
     for i, (_, op) in enumerate(state.blocks):
         eig = herm_eig(op)
         lam = clamp_spectrum(eig.eigenvalues, floor=_PSD_TOL)
@@ -92,13 +91,9 @@ def _block_contributions(state: BranchState, derivs: BranchDerivatives,
         mask = weights > eps
         if not np.any(mask):
             continue
-        rotated = [dagger(vec) @ derivs.per_axis[j][i] @ vec for j in axes]
-        for a in range(n_ax):
-            for b in range(a, n_ax):
-                terms = 2.0 * np.real(rotated[a] * np.conj(rotated[b]))
-                val = float(np.sum(terms[mask] / weights[mask]))
-                out[a, b] += val
-                out[b, a] = out[a, b]
+        rotated = dagger(vec) @ np.stack([derivs.per_axis[j][i] for j in axes]) @ vec
+        inv_w = np.divide(1.0, weights, out=np.zeros_like(weights), where=mask)
+        out += 2.0 * np.einsum("anm,bnm,nm->ab", rotated, np.conj(rotated), inv_w).real
     return out
 
 
@@ -138,6 +133,41 @@ def polar_jacobian(p: PolarCoords) -> Jacobian:
     ]))
 
 
+def polar_param_jacobian(v: BlochVector, param: str) -> Jacobian:
+    """Reparameterization Jacobian whose first parameter is a polar coordinate.
+
+    The first row is the tangent vector dual to the coordinate's cartesian
+    gradient g (g/|g|^2), so the single-function bound (B H B^T)^-1_11 equals
+    g^T H^-1 g; the remaining rows are an orthonormal completion, which the
+    bound does not depend on. Errors where the coordinate is undefined.
+    """
+    vec = v.as_array()
+    r = v.norm
+    if r < 1e-12:
+        raise ValueError(f"polar coordinate {param!r} undefined at the origin")
+    rho = math.hypot(vec[0], vec[1])
+    if param == "r":
+        grad = vec / r
+    elif param == "theta":
+        if rho < 1e-12:
+            raise ValueError("theta gradient undefined on the z axis")
+        grad = np.array([vec[0] * vec[2], vec[1] * vec[2], -rho * rho]) / (r * r * rho)
+    else:  # phi
+        if rho < 1e-12:
+            raise ValueError("phi undefined on the z axis")
+        grad = np.array([-vec[1], vec[0], 0.0]) / (rho * rho)
+    basis = [grad / np.linalg.norm(grad)]
+    for axis in np.eye(3):
+        w = axis - sum(b * float(b @ axis) for b in basis)
+        norm = np.linalg.norm(w)
+        if norm > 1e-9:
+            basis.append(w / norm)
+        if len(basis) == 3:
+            break
+    rows = np.vstack([grad / float(grad @ grad), basis[1], basis[2]])
+    return Jacobian(rows)
+
+
 def cartesian_to_polar(h: QfiMatrix, p: PolarCoords) -> QfiMatrix:
     if h.basis != CARTESIAN:
         raise ValueError("expected a cartesian QFI matrix")
@@ -145,7 +175,8 @@ def cartesian_to_polar(h: QfiMatrix, p: PolarCoords) -> QfiMatrix:
 
 
 def _invert(h: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.det(h)) <= _DET_TOL:
+    lam = np.linalg.eigvalsh(h)  # relative test: a small but well-conditioned H inverts
+    if lam[-1] <= 0.0 or lam[0] <= _COND_TOL * lam[-1]:
         raise ValueError("QFI matrix is singular; matrix/component bound undefined")
     return np.linalg.inv(h)
 

@@ -8,13 +8,14 @@ trace is 1 and the Fisher information is additive over blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .smallmat import ID2, PAULIS, SIGMA_DOT_SIGMA, as_cmatrix, dagger, partial_trace, tensor
+from .smallmat import ID2, PAULIS, SIGMA_DOT_SIGMA, as_cmatrix, dagger
 from .states import BlochVector, ProbeConfig, bloch_to_density, probe_state
 
 TRACE_TOL = 1e-12
@@ -127,83 +128,97 @@ class BranchDerivatives:
                 raise ValueError(f"derivative traces sum to {total}, expected 0")
 
 
-def _branch_blocks(rho_x: np.ndarray, rho_in: np.ndarray, omega: float,
-                   mode: DetectionMode) -> list[tuple[BlockLabel, np.ndarray]]:
-    """Unvalidated channel application; rho_x may be any 2x2 operator."""
-    s_t, s_r = s_matrices(omega)
-    d_in = rho_in.shape[0]
-    if d_in == 4:  # entangled probe: scatter acts on X,A only
-        s_t = tensor(s_t, ID2)
-        s_r = tensor(s_r, ID2)
-        dims = [2, 2, 2]
-    elif d_in == 2:
-        dims = [2, 2]
-    else:
-        raise ValueError(f"probe input must be 2x2 or 4x4, got {rho_in.shape}")
-    full = tensor(rho_x, rho_in)
-    keep = list(range(1, len(dims)))
-    transmitted = partial_trace(s_t @ full @ dagger(s_t), dims, keep)
-    reflected = partial_trace(s_r @ full @ dagger(s_r), dims, keep)
+# I/2, sigma_x/2, sigma_y/2, sigma_z/2: the target inputs the block maps are built on
+_BASIS = 0.5 * np.stack([ID2, *PAULIS])
 
-    if mode is DetectionMode.BOTH:
-        return [(BlockLabel.TRANSMITTED_SPIN, transmitted),
-                (BlockLabel.REFLECTED_SPIN, reflected)]
 
-    def lose_probe(block: np.ndarray) -> np.ndarray:
-        # the particle missed this detector: trace out the probe spin, keeping
-        # the ancilla marginal (EA) or just the no-click probability (NEA)
-        if d_in == 2:
-            return np.array([[np.trace(block)]], dtype=complex)
-        return partial_trace(block, [2, 2], [1])
+class Channel:
+    """The channel at one (probe input, Omega, mode), held as four basis block maps.
 
-    if mode is DetectionMode.TRANSMISSION:
-        return [(BlockLabel.TRANSMITTED_SPIN, transmitted),
-                (BlockLabel.VACUUM_RHS, lose_probe(reflected))]
-    if mode is DetectionMode.REFLECTION:
-        return [(BlockLabel.REFLECTED_SPIN, reflected),
-                (BlockLabel.VACUUM_LHS, lose_probe(transmitted))]
-    raise ValueError(f"unknown detection mode {mode}")
+    Any 2x2 rho_x equals sum_k Tr(rho_x B_k) B_k / 2 with B = (I, sigma_x,
+    sigma_y, sigma_z), so output block i is sum_k Tr(rho_x B_k) maps[i][k],
+    where maps[i] is the read-only (4, d, d) stack of block i applied to the
+    B_k / 2. The derivative blocks are the symmetrized sigma maps; they do not
+    depend on the target and are built once, read-only, with the channel.
+    """
+
+    def __init__(self, rho_in, omega: float, mode: DetectionMode):
+        rho_in = as_cmatrix(rho_in)
+        if rho_in.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"probe input must be 2x2 or 4x4, got {rho_in.shape}")
+        d = rho_in.shape[0]
+        s = np.stack(s_matrices(omega))  # transmitted, reflected
+        if d == 4:  # entangled probe: scatter acts on X,A only
+            s = np.stack([np.kron(op, ID2) for op in s])
+        # (B_k / 2) x rho_in for every k, scattered, then the target traced out
+        full = np.einsum("kab,cd->kacbd", _BASIS, rho_in).reshape(4, 2 * d, 2 * d)
+        out = s[:, None] @ full @ np.conj(np.swapaxes(s, 1, 2))[:, None]
+        transmitted, reflected = np.einsum("skxixj->skij", out.reshape(2, 4, 2, d, 2, d))
+
+        def lose_probe(block: np.ndarray) -> np.ndarray:
+            # the particle missed this detector: trace out the probe spin, keeping
+            # the ancilla marginal (EA) or just the no-click probability (NEA)
+            return np.einsum("kaiaj->kij", block.reshape(4, 2, d // 2, 2, d // 2))
+
+        if mode is DetectionMode.BOTH:
+            blocks = ((BlockLabel.TRANSMITTED_SPIN, transmitted),
+                      (BlockLabel.REFLECTED_SPIN, reflected))
+        elif mode is DetectionMode.TRANSMISSION:
+            blocks = ((BlockLabel.TRANSMITTED_SPIN, transmitted),
+                      (BlockLabel.VACUUM_RHS, lose_probe(reflected)))
+        elif mode is DetectionMode.REFLECTION:
+            blocks = ((BlockLabel.REFLECTED_SPIN, reflected),
+                      (BlockLabel.VACUUM_LHS, lose_probe(transmitted)))
+        else:
+            raise ValueError(f"unknown detection mode {mode}")
+        self.labels = tuple(lab for lab, _ in blocks)
+        self.maps = tuple(m for _, m in blocks)
+        sym = [0.5 * (m[1:] + np.conj(np.swapaxes(m[1:], 1, 2))) for m in self.maps]
+        for a in (*self.maps, *sym):
+            a.flags.writeable = False
+        self.derivatives = BranchDerivatives(self.labels, tuple(zip(*sym)))
+
+    def state(self, rho_x) -> BranchState:
+        """Post-scattering blocks of a Hermitian unit-trace 2x2 target state."""
+        rho_x = as_cmatrix(rho_x)
+        if rho_x.shape != (2, 2):
+            raise ValueError("target state must be 2x2")
+        if np.max(np.abs(rho_x - dagger(rho_x))) > 1e-10 or abs(np.trace(rho_x) - 1.0) > 1e-10:
+            raise ValueError("target state must be Hermitian with unit trace")
+        c = 2.0 * np.einsum("ab,kba->k", rho_x, _BASIS)  # Tr(rho_x B_k)
+        return BranchState(tuple((lab, np.einsum("k,kij->ij", c, m))
+                                 for lab, m in zip(self.labels, self.maps)))
+
+
+@functools.lru_cache(maxsize=1)
+def _probe_channel(probe: ProbeConfig, omega: float, mode: DetectionMode) -> Channel:
+    # one entry: the calls that share a channel (a sweep over targets, and the
+    # apply_channel / channel_derivatives pair of a point) come one after another
+    return Channel(probe_state(probe), omega, mode)
 
 
 def apply_channel_to_input(rho_x: np.ndarray, rho_in: np.ndarray, omega: float,
                            mode: DetectionMode) -> BranchState:
     """Scatter target state rho_x against an explicit probe input state."""
-    rho_x = as_cmatrix(rho_x)
-    if rho_x.shape != (2, 2):
-        raise ValueError("target state must be 2x2")
-    if np.max(np.abs(rho_x - dagger(rho_x))) > 1e-10 or abs(np.trace(rho_x) - 1.0) > 1e-10:
-        raise ValueError("target state must be Hermitian with unit trace")
-    return BranchState(tuple(_branch_blocks(rho_x, as_cmatrix(rho_in), omega, mode)))
+    return Channel(rho_in, omega, mode).state(rho_x)
 
 
 def channel_derivatives_for_input(rho_in: np.ndarray, omega: float,
                                   mode: DetectionMode) -> BranchDerivatives:
-    """Exact block derivatives for an explicit probe input state.
-
-    The channel is affine in the target's Bloch vector with d rho_x/d v_j =
-    sigma_j / 2, so the derivative blocks are the block maps applied to
-    sigma_j / 2; they do not depend on v.
-    """
-    rho_in = as_cmatrix(rho_in)
-    per_axis = []
-    labels: tuple[BlockLabel, ...] = ()
-    for sigma in PAULIS:
-        blocks = _branch_blocks(0.5 * sigma, rho_in, omega, mode)
-        labels = tuple(lab for lab, _ in blocks)
-        per_axis.append(tuple(0.5 * (op + dagger(op)) for _, op in blocks))
-    return BranchDerivatives(labels, tuple(per_axis))
+    """Exact (v-independent) block derivatives for an explicit probe input state."""
+    return Channel(rho_in, omega, mode).derivatives
 
 
 def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
                   mode: DetectionMode) -> BranchState:
     """Post-scattering branch state for the configured probe strategy."""
-    return apply_channel_to_input(rho_x, probe_state(probe), omega, mode)
+    return _probe_channel(probe, float(omega), mode).state(rho_x)
 
 
 def channel_derivatives(probe: ProbeConfig, omega: float,
                         mode: DetectionMode) -> BranchDerivatives:
-    """Block derivatives for the configured probe strategy (v-independent)."""
-    return channel_derivatives_for_input(probe_state(probe), omega, mode)
+    """Block derivatives for the configured probe strategy (v-independent, read-only)."""
+    return _probe_channel(probe, float(omega), mode).derivatives
 
 
 def direct_branches(v: BlochVector) -> tuple[BranchState, BranchDerivatives]:

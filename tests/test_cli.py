@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from scattertomo.cli import main
+from scattertomo.closedform import ea_cartesian
+from scattertomo.scatter import DetectionMode
+from scattertomo.states import BlochVector
 
 
 def run(capsys, *argv):
@@ -31,6 +34,22 @@ class TestQfiCommand:
         assert code == 0
         diff_line = [l for l in out.splitlines() if l.startswith("# max_abs_diff")]
         assert diff_line and float(diff_line[0].split(":")[1]) < 1e-9
+
+    def test_ea_relative_residual(self, capsys):
+        code, out, _ = run(capsys, "qfi", "--strategy", "ea", "--mode", "r", "--vx", "0.2",
+                           "--vy", "-0.5", "--vz", "0.4", "--omega", "0.05")
+        assert code == 0
+        diff_line = [l for l in out.splitlines() if l.startswith("# max_rel_diff: ")]
+        assert len(diff_line) == 1
+        assert 0.0 <= float(diff_line[0].split(":")[1]) <= 1e-8
+        # the absolute residual is printed too, on the line before
+        assert out.splitlines()[-2].startswith("# max_abs_diff: ")
+
+    def test_direct_cartesian_on_the_boundary_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "qfi", "--strategy", "direct", "--vz", "1")
+        assert code == 3
+        assert out == ""
+        assert "|v| < 1" in err
 
     def test_nea_on_axis_gives_zz_closed_form(self, capsys):
         code, out, _ = run(capsys, "qfi", "--strategy", "nea", "--mode", "t",
@@ -98,6 +117,16 @@ class TestBoundCommand:
                            "--omega", "0.7", "--param", "matrix")
         assert code == 0
         assert len(rows(out)) == 3
+
+    def test_small_omega_component_bound(self, capsys):
+        # H is small at Omega = 0.002 (det ~ 4e-14) but well conditioned
+        code, out, _ = run(capsys, "bound", "--strategy", "ea", "--mode", "both",
+                           "--vx", "0.1", "--vy", "0.2", "--vz", "0.3",
+                           "--omega", "0.002", "--param", "z")
+        assert code == 0
+        h = ea_cartesian(BlochVector(0.1, 0.2, 0.3), 0.002, DetectionMode.BOTH).h
+        expected = np.linalg.inv(h)[2, 2]
+        assert abs(float(rows(out)[0][1]) / expected - 1.0) < 1e-8
 
     def test_phi_at_pole_is_domain_error(self, capsys):
         code, _, err = run(capsys, "bound", "--strategy", "ea", "--vz", "0.3",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scattertomo.closedform import (
+    direct_cartesian,
     direct_qfi,
     ea_cartesian,
     ea_cr,
@@ -12,9 +13,9 @@ from scattertomo.closedform import (
     phase_bound,
     purity_bound,
 )
-from scattertomo.qfi import qfi_numeric, qfi_single
+from scattertomo.qfi import cartesian_to_polar, qfi_numeric, qfi_single
 from scattertomo.scatter import DetectionMode, apply_channel, channel_derivatives
-from scattertomo.states import BlochVector, ProbeConfig, bloch_to_density
+from scattertomo.states import BlochVector, ProbeConfig, bloch_to_density, bloch_to_polar
 
 from conftest import log_uniform, relerr
 
@@ -45,6 +46,17 @@ class TestDirectQfi:
         h = direct_qfi(0.5).matrix(math.pi / 3)
         assert h.basis == "polar"
         assert abs(h.h[2, 2] - 0.25 * math.sin(math.pi / 3) ** 2) < 1e-15
+
+    def test_cartesian_matches_polar_coefficients(self):
+        v = BlochVector(0.3, -0.4, 0.5)
+        p = bloch_to_polar(v)
+        h = cartesian_to_polar(direct_cartesian(v), p)
+        assert relerr(h.h, direct_qfi(p.r).matrix(p.theta).h) < 1e-14
+
+    def test_cartesian_boundary_is_domain_error(self):
+        for v in (BlochVector(0.0, 0.0, 1.0), BlochVector(0.8, 0.0, 0.6)):
+            with pytest.raises(ValueError):
+                direct_cartesian(v)
 
 
 class TestEaPolar:

@@ -213,6 +213,26 @@ class TestCrBound:
         with pytest.raises(ValueError):
             cr_bound(h, 1, "r")
 
+    def test_small_well_conditioned_matrix_inverts(self):
+        # at small Omega the whole EA matrix is small (det ~ 4e-14) but cond(H) ~ 1.1
+        v = BlochVector(0.1, 0.2, 0.3)
+        h_closed = ea_cartesian(v, 0.002, DetectionMode.BOTH)
+        expected = np.linalg.inv(h_closed.h)[2, 2]
+        h_num = qfi_numeric(*ea_pair(v.as_array(), 0.002, DetectionMode.BOTH))
+        assert abs(cr_bound(h_num, 1, "z").bound / expected - 1.0) < 1e-8
+        assert abs(cr_bound(h_closed, 1, "z").bound / expected - 1.0) < 1e-12
+        # det ~ 1e-17 at Omega = 5e-4, still a well-conditioned matrix
+        h_closed = ea_cartesian(v, 5e-4, DetectionMode.BOTH)
+        expected = np.linalg.inv(h_closed.h)[2, 2]
+        assert abs(cr_bound(h_closed, 1, "z").bound / expected - 1.0) < 1e-12
+
+    def test_zero_and_ill_conditioned_matrices_raise(self):
+        for diag in ([0.0, 0.0, 0.0], [1e6, 1.0, 1e-7]):
+            with pytest.raises(ValueError):
+                cr_bound(QfiMatrix(CARTESIAN, np.diag(diag)), 1, "matrix")
+        tiny = cr_bound(QfiMatrix(CARTESIAN, np.diag([4e-6, 2e-6, 1e-6])), 1, "z")
+        assert abs(tiny.bound - 1e6) < 1e-6
+
     def test_scalar_bounds(self):
         assert cr_bound(4.0, 5).bound == 1.0 / 20.0
         assert cr_bound(0.0, 5).bound == math.inf

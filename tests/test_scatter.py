@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scattertomo import scatter
+from scattertomo.closedform import ea_cartesian
 from scattertomo.qfi import qfi_numeric
 from scattertomo.scatter import (
     BlockLabel,
     BranchDerivatives,
     BranchState,
+    Channel,
     DetectionMode,
     amplitudes,
     apply_channel,
@@ -20,7 +23,7 @@ from scattertomo.scatter import (
 from scattertomo.smallmat import ID2
 from scattertomo.states import BlochVector, ProbeConfig, bloch_to_density, max_entangled, singlet
 
-from conftest import log_uniform, rand_bloch, rand_unitary
+from conftest import log_uniform, rand_bloch, rand_unitary, relerr
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 
@@ -244,3 +247,113 @@ class TestMaxEntangledInvariance:
                     apply_channel_to_input(rho, rho_me, om, mode),
                     channel_derivatives_for_input(rho_me, om, mode))
                 assert np.max(np.abs(h_singlet.h - h_other.h)) < 1e-9
+
+
+def point(probe, omega, mode, v=(0.1, -0.2, 0.3)):
+    """(blocks, derivative blocks) of one oracle point, as lists of arrays."""
+    state = apply_channel(bloch_to_density(BlochVector(*v)), probe, omega, mode)
+    derivs = channel_derivatives(probe, omega, mode)
+    return [op for _, op in state.blocks], [b for axis in derivs.per_axis for b in axis]
+
+
+def assert_identical(a, b):
+    for xs, ys in zip(a, b):
+        assert len(xs) == len(ys)
+        for x, y in zip(xs, ys):
+            assert np.array_equal(x, y)
+
+
+class TestChannel:
+    EA = ProbeConfig(entangled=True)
+    NEA = ProbeConfig(theta_a=0.9)
+
+    def test_memo_hit_and_miss_are_bit_identical(self):
+        for probe in (self.EA, self.NEA):
+            for mode in MODES:
+                miss = point(probe, 0.37, mode)
+                hit = point(probe, 0.37, mode)
+                point(probe, 2.9, mode)  # evicts the channel at 0.37
+                assert_identical(miss, hit)
+                assert_identical(miss, point(probe, 0.37, mode))
+
+    def test_interleaved_channels(self):
+        a = (self.EA, 0.61, DetectionMode.TRANSMISSION)
+        b = (self.NEA, 0.61, DetectionMode.TRANSMISSION)
+        first = point(*a)
+        other = point(*b)
+        assert not np.array_equal(first[0][0], other[0][0])
+        assert_identical(first, point(*a))
+
+    def test_returned_arrays_are_read_only(self):
+        derivs = channel_derivatives(self.EA, 0.8, DetectionMode.BOTH)
+        before = point(self.EA, 0.8, DetectionMode.BOTH)
+        with pytest.raises(ValueError):
+            derivs.per_axis[2][0][0, 0] = 5.0
+        channel = Channel(singlet(), 0.8, DetectionMode.BOTH)
+        for m in channel.maps:
+            with pytest.raises(ValueError):
+                m[0, 0, 0] = 5.0
+        # a state's blocks are fresh arrays: writing into one leaves the channel as it was
+        state = apply_channel(ID2 / 2, self.EA, 0.8, DetectionMode.BOTH)
+        state.blocks[0][1][:] = 0.0
+        assert_identical(before, point(self.EA, 0.8, DetectionMode.BOTH))
+
+    def test_one_s_matrix_build_per_channel(self, monkeypatch):
+        calls = []
+
+        def counted(omega):
+            calls.append(omega)
+            return s_matrices(omega)
+
+        monkeypatch.setattr(scatter, "s_matrices", counted)
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            point(self.EA, 0.4321, DetectionMode.REFLECTION, v=rand_bloch(rng))
+        assert calls == [0.4321]
+
+    def test_state_matches_direct_channel_application(self):
+        # the affine sum over the basis maps equals S (rho_x x rho_in) S^dag, traced
+        rng = np.random.default_rng(61)
+        rho = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
+        for rho_in in (singlet(), bloch_to_density(BlochVector(0.6, 0.0, 0.8))):
+            d = rho_in.shape[0]
+            s_t, s_r = s_matrices(1.3)
+            if d == 4:
+                s_t, s_r = np.kron(s_t, ID2), np.kron(s_r, ID2)
+            state = apply_channel_to_input(rho, rho_in, 1.3, DetectionMode.BOTH)
+            for s, label in ((s_t, BlockLabel.TRANSMITTED_SPIN), (s_r, BlockLabel.REFLECTED_SPIN)):
+                out = s @ np.kron(rho, rho_in) @ s.conj().T
+                expected = np.einsum("xixj->ij", out.reshape(2, d, 2, d))
+                assert np.max(np.abs(state.block(label) - expected)) < 1e-15
+
+    def test_max_entangled_input_matches_singlet_closed_form(self):
+        rng = np.random.default_rng(67)
+        for mode in MODES:
+            v = BlochVector.from_array(rand_bloch(rng, r_max=0.9))
+            om = log_uniform(rng, 0.05, 20)
+            rho_me = max_entangled(rand_unitary(rng), rand_unitary(rng))
+            h = qfi_numeric(apply_channel_to_input(bloch_to_density(v), rho_me, om, mode),
+                            channel_derivatives_for_input(rho_me, om, mode))
+            assert relerr(h.h, ea_cartesian(v, om, mode).h) < 1e-8
+
+    @pytest.mark.parametrize("rho_x", [
+        np.array([[0.5, 0.3], [0.1, 0.5]]),  # not Hermitian
+        np.diag([0.7, 0.7]),                  # trace 1.4
+        np.eye(3) / 3,                        # not 2x2
+    ])
+    def test_rejects_bad_target_on_both_paths(self, rho_x):
+        with pytest.raises(ValueError):
+            apply_channel(rho_x, self.EA, 0.5, DetectionMode.BOTH)
+        with pytest.raises(ValueError):
+            apply_channel_to_input(rho_x, singlet(), 0.5, DetectionMode.BOTH)
+
+    def test_rejects_bad_probe_input(self):
+        for rho_in in (np.eye(3) / 3, np.ones((2, 4)) / 4):
+            with pytest.raises(ValueError):
+                channel_derivatives_for_input(rho_in, 0.5, DetectionMode.BOTH)
+            with pytest.raises(ValueError):
+                apply_channel_to_input(ID2 / 2, rho_in, 0.5, DetectionMode.BOTH)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError):
+            apply_channel(ID2 / 2, self.EA, 0.5, "both")
