@@ -8,6 +8,7 @@ error, 3 domain error, 4 optimizer non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -328,7 +329,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="scattertomo",
         description="Tomographic accuracy bounds for a qubit probed by 1D scattering")

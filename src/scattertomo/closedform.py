@@ -57,8 +57,11 @@ def _check_radius(r, *, strict: bool):
 
 def ea_cr(r, omega, mode: DetectionMode):
     """Radial coefficient c_r of the entanglement-assisted polar QFI."""
-    r = _check_radius(r, strict=True)
-    w = _check_omega(omega)**2
+    return _ea_cr(_check_radius(r, strict=True), _check_omega(omega)**2, mode)
+
+
+def _ea_cr(r, w, mode: DetectionMode):
+    """c_r at radius r and W = Omega^2, without input checks (0 <= r < 1, W > 0)."""
     r2 = r**2
     if mode is DetectionMode.BOTH:
         return (8 * w * (1 + 18 * w + 63 * w**2)
@@ -154,6 +157,17 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
     if not np.all(np.isfinite(t)):
         raise ValueError("theta_a must be finite")
     w = _check_omega(omega)**2
+    out = _nea_ratio(_nea_factors(v, t, w, mode), w, mode)
+    return float(out) if out.ndim == 0 else out
+
+
+def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
+    """The factors that ``nea_qfi`` combines in ``mode``, without input checks.
+
+    Each factor is a cosine polynomial of degree <= 4 in theta_a = t and a
+    polynomial of degree <= 2 in W = w, so a few samples fix it along either
+    coordinate (the optimizer's per-lane forms rely on this).
+    """
     c1, c2 = np.cos(t), np.cos(2 * t)
     c3, c4 = np.cos(3 * t), np.cos(4 * t)
 
@@ -171,8 +185,8 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
                - 4 * (1 - w + 8 * v**2 * w) * (1 + w) * c2
                - 4 * v * w * (1 + w) * c3
                + v**2 * (1 + w)**2 * c4)
-        out = num * w / (d_t * (1 + w) * f_t * f_r)
-    elif mode is DetectionMode.REFLECTION:
+        return d_t, f_t, f_r, num
+    if mode is DetectionMode.REFLECTION:
         num = (4 * (5 + 23 * w)
                - v**2 * (1 + w)
                - 4 * v * (3 - 2 * w) * c1
@@ -181,8 +195,8 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
                + v**2 * (1 + w) * c4)
         den = (3 * (1 + 3 * w) * (1 + 7 * w) - 2 * v**2 * w
                - 2 * v * (1 + 4 * w - 9 * w**2) * c1 - 2 * v**2 * w * c2)
-        out = num * w / (den * (1 + w) * d_r)
-    elif mode is DetectionMode.BOTH:
+        return d_r, num, den
+    if mode is DetectionMode.BOTH:
         g_t = (4 * (5 + 27 * w) - v**2 + 4 * (1 - 9 * w) * c2
                - 16 * v * c1**3 + v**2 * c4)
         g_r = 3 * (1 + 3 * w) - 2 * v * c1
@@ -191,11 +205,21 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
                - 12 * v * w * (1 + w) * c1
                - 4 * (1 + 8 * w - w**2 + 8 * v**2 * w**2) * c2
                - v * w * (1 + w) * (4 * c3 - v * c4))
-        num = f_r * d_t * g_t + d_r * g_r * g_m
-        out = num * w / (d_t * d_r * f_t * (1 + w) * (1 + 9 * w) * f_r)
-    else:
-        raise ValueError(f"unknown detection mode {mode}")
-    return float(out) if out.ndim == 0 else out
+        return d_t, d_r, f_t, f_r, g_t, g_r, g_m
+    raise ValueError(f"unknown detection mode {mode}")
+
+
+def _nea_ratio(factors, w, mode: DetectionMode):
+    """``nea_qfi`` from the factors ``_nea_factors`` gives for the same mode and W."""
+    if mode is DetectionMode.TRANSMISSION:
+        d_t, f_t, f_r, num = factors
+        return num * w / (d_t * (1 + w) * f_t * f_r)
+    if mode is DetectionMode.REFLECTION:
+        d_r, num, den = factors
+        return num * w / (den * (1 + w) * d_r)
+    d_t, d_r, f_t, f_r, g_t, g_r, g_m = factors
+    num = f_r * d_t * g_t + d_r * g_r * g_m
+    return num * w / (d_t * d_r * f_t * (1 + w) * (1 + 9 * w) * f_r)
 
 
 def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix:

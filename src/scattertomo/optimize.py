@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .closedform import ea_cr, nea_qfi
+from .closedform import (_check_omega, _check_radius, _ea_cr, _nea_factors, _nea_ratio, ea_cr,
+                         nea_qfi)
 from .scatter import DetectionMode
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -59,9 +60,10 @@ class EnvelopePoint:
 def _golden_max(f, lo, hi, stop, max_iter: int = 300):
     """Golden-section maximization in lockstep, one lane per bracket [lo[k], hi[k]].
 
-    f(x, k) evaluates lanes k at points x; stop(lo, hi, k) is their convergence
-    test. Each lane runs the scalar algorithm and leaves when its test passes,
-    or unconverged after max_iter evaluations. Returns arrays (x, f(x), evals, ok).
+    f(x, k) evaluates lanes k at points x (a lone lane gets a scalar x and k);
+    stop(lo, hi, k) is their convergence test. Each lane runs the scalar
+    algorithm and leaves when its test passes, or unconverged after max_iter
+    evaluations. Returns arrays (x, f(x), evals, ok).
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out = [np.empty(lo.size), np.empty(lo.size), np.empty(lo.size, dtype=int),
@@ -160,6 +162,48 @@ def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float
     return maximize_1d_batch(lambda x, k: mapped(x), 1, bracket, tol, n_grid, log_grid, name)[0]
 
 
+# cos(k theta) at the nodes theta = j pi/4 (rows j, columns k = 0..4): a cosine
+# polynomial of degree <= 4 is fixed by its values there
+_THETA_NODES = np.arange(5) * (math.pi / 4)
+_THETA_FIT = np.linalg.inv(np.cos(np.outer(_THETA_NODES, np.arange(5))))
+
+
+def _theta_form(v, w, mode: DetectionMode):
+    """NEA QFI of lanes (v[k], W = w[k]) as a function (theta_a, k) of the probe angle.
+
+    Every factor of ``nea_qfi`` is a cosine polynomial of degree <= 4 in
+    theta_a, fitted once per lane from its values at the five nodes.
+    """
+    at_nodes = np.stack(np.broadcast_arrays(*_nea_factors(
+        v[:, None], _THETA_NODES, w[:, None], mode)))
+    coef = np.einsum("kj,flj->flk", _THETA_FIT, at_nodes)  # (factor, lane, k)
+    powers = np.arange(5)
+    return lambda t, k: _nea_ratio(
+        np.einsum("f...k,...k->f...", coef[:, k], np.cos(np.multiply.outer(t, powers))),
+        w[k], mode)
+
+
+def _omega_form(v, theta, u_lo, u_hi, mode: DetectionMode):
+    """NEA QFI of lanes (v[k], theta[k]) as a function (log Omega, k) on [u_lo[k], u_hi[k]].
+
+    Every factor of ``nea_qfi`` is a quadratic in W = Omega^2, fitted once per
+    lane from its values at the two ends and the centre of the lane's W range.
+    """
+    w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
+    mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
+    nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
+    f_lo, f_mid, f_hi = np.moveaxis(np.stack(np.broadcast_arrays(*_nea_factors(
+        v[:, None], theta[:, None], nodes, mode))), -1, 0)
+    # coefficients (power, factor, lane) in x = (W - mid) / half, x in [-1, 1]
+    quad = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid])
+
+    def qfi(u, k):
+        w = np.exp(u)**2
+        x, (q0, q1, q2) = (w - mid[k]) / half[k], quad[:, :, k]
+        return _nea_ratio(q0 + x * (q1 + x * q2), w, mode)
+    return qfi
+
+
 def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
                        mode: DetectionMode = DetectionMode.BOTH,
                        grid: tuple[int, int] = (181, 121),
@@ -169,7 +213,10 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
     Per target, a coarse vectorized grid over theta_a in [0, pi] x log Omega;
     then the best six grid-local maxima of every target are refined together
     by coordinate-descent golden section, a lane leaving once it stops
-    moving. Among near-equal optima the smallest theta_a is returned.
+    moving. Each round fits every lane's QFI factors once per coordinate (a
+    cosine polynomial in theta_a, a quadratic in W = Omega^2) and the steps
+    evaluate those fits. Among near-equal optima the smallest theta_a is
+    returned, with its value from ``nea_qfi``.
     """
     v_z = np.asarray(v_z, dtype=float).ravel()
     if not np.all(np.abs(v_z) < 1.0):
@@ -181,8 +228,9 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
     thetas = np.linspace(0.0, math.pi, n_theta)
     u_lo, u_hi = math.log(lo), math.log(hi)
     us = np.linspace(u_lo, u_hi, n_omega)
-    surface = np.reshape([nea_qfi(v, thetas[:, None], np.exp(us)[None, :], mode) for v in v_z],
-                         (-1, n_theta, n_omega))
+    surface = np.empty((v_z.size, n_theta, n_omega))
+    for row, v in zip(surface, v_z):
+        row[...] = nea_qfi(v, thetas[:, None], np.exp(us)[None, :], mode)
     if not np.all(np.isfinite(surface)):
         raise ValueError("QFI surface is not finite on the scan grid")
 
@@ -192,7 +240,7 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
     prob, i, j = np.nonzero(local)
     top = _first_per_problem(prob, [-surface[prob, i, j], i, j], 6)
     prob, theta, u = prob[top], thetas[i[top]], us[j[top]]
-    value, evals = np.empty(prob.size), np.zeros(prob.size, dtype=int)
+    evals = np.zeros(prob.size, dtype=int)
     ok = np.ones(prob.size, dtype=bool)
 
     w_theta = 2.0 * math.pi / (n_theta - 1)
@@ -204,12 +252,12 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
             break
         t0, u0, v = theta[act], u[act], v_z[prob[act]]
         t_new, _, ev1, ok1 = _golden_max(
-            lambda t, k: nea_qfi(v[k], t, np.exp(u0[k]), mode),
+            _theta_form(v, np.exp(u0)**2, mode),
             np.maximum(0.0, t0 - w_theta), np.minimum(math.pi, t0 + w_theta),
             lambda a, b, k: (b - a) <= tol * (1.0 + t0[k]))
-        u_new, value[act], ev2, ok2 = _golden_max(
-            lambda uu, k: nea_qfi(v[k], t_new[k], np.exp(uu), mode),
-            np.maximum(u_lo, u0 - w_u), np.minimum(u_hi, u0 + w_u),
+        a, b = np.maximum(u_lo, u0 - w_u), np.minimum(u_hi, u0 + w_u)
+        u_new, _, ev2, ok2 = _golden_max(
+            _omega_form(v, t_new, a, b, mode), a, b,
             lambda a, b, k: np.exp(b) - np.exp(a) <= tol * (1.0 + np.exp(0.5 * (a + b))))
         evals[act] += ev1 + ev2
         ok[act] &= ok1 & ok2
@@ -219,6 +267,7 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
         act = act[moved > 10.0 * tol]
     ok[act] = False  # still moving after the last round
 
+    value = nea_qfi(v_z[prob], theta, np.exp(u), mode)
     best = value[_first_per_problem(prob, [-value])][prob]
     near = np.flatnonzero(value >= best - 1e-9 * (1.0 + np.abs(best)))
     pick = near[_first_per_problem(prob[near], [theta[near]])]
@@ -250,8 +299,9 @@ def maximize_ea_batch(v_z, mode: DetectionMode,
     The z-axis QFI is the radial coefficient c_r at r = |v_z|, so a grid of
     radii r >= 0 gives the best c_r at each radius.
     """
-    v_z = np.asarray(v_z, dtype=float).ravel()
-    return maximize_1d_batch(lambda om, k: ea_zaxis_qfi(v_z[k], om, mode), v_z.size,
+    r = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)
+    _check_omega(omega_bracket)
+    return maximize_1d_batch(lambda om, k: _ea_cr(r[k], om**2, mode), r.size,
                              omega_bracket, tol=tol, name="omega")
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scattertomo
 from scattertomo.cli import main
 from scattertomo.closedform import ea_cartesian
 from scattertomo.scatter import DetectionMode
@@ -264,3 +270,29 @@ def test_output_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("# scattertomo")
     assert len(rows(text)) == 3
+
+
+def test_repeated_main_calls_match_separate_runs(tmp_path, capsys):
+    # the parser is built once per process: flags of one call must not leak
+    # into the next, also after a usage error
+    first = ["scan", "--strategy", "nea", "--mode", "r", "--vz", "0.3", "--omega", "0.7",
+             "--sweep", "theta-a", "--from", "0.2", "--to", "1.0", "--points", "5"]
+    second = ["scan", "--strategy", "ea", "--mode", "t", "--r", "0.3", "--sweep", "omega",
+              "--points", "4"]
+    assert main(first + ["-o", str(tmp_path / "first_in.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--strategy", "ea", "--sweep", "omega", "--points", "0"])
+    assert exc.value.code == 2
+    assert main(["scan", "--strategy", "direct", "--sweep", "omega"]) == 2
+    assert main(second + ["-o", str(tmp_path / "second_in.csv")]) == 0
+    capsys.readouterr()
+
+    src = str(Path(scattertomo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv, name in ((first, "first"), (second, "second")):
+        subprocess.run([sys.executable, "-m", "scattertomo.cli", *argv,
+                        "-o", str(tmp_path / f"{name}_alone.csv")], check=True, env=env)
+        alone = (tmp_path / f"{name}_alone.csv").read_text()
+        assert (tmp_path / f"{name}_in.csv").read_text() == alone
+    assert "start=0.2" not in (tmp_path / "second_in.csv").read_text()

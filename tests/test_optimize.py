@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from scattertomo.closedform import ea_cr, phase_bound
+from scattertomo.closedform import ea_cr, nea_qfi, phase_bound
 from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
     EnvelopePoint,
     OptResult,
+    _omega_form,
+    _theta_form,
     ea_envelope_point,
     ea_optimality_intervals,
     ea_zaxis_qfi,
@@ -249,3 +251,77 @@ class TestLockstep:
         (res,) = maximize_1d_batch(lambda x, k: -(x - 0.7)**2, 1, (-1.0, 2.0), log_grid=False)
         assert res == maximize_1d(lambda x: -(x - 0.7)**2, (-1.0, 2.0), log_grid=False)
         assert abs(res.param("x") - 0.7) < 1e-6
+
+
+def relerr_each(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b) / np.abs(b)))
+
+
+class TestNeaPerLaneForms:
+    """The forms the NEA golden-section steps evaluate, against ``nea_qfi``."""
+
+    @staticmethod
+    def lanes(bracket, seed):
+        rng = np.random.default_rng(seed)
+        v = np.concatenate([[-0.99, 0.0, 0.99], rng.uniform(-0.99, 0.99, 400)])
+        u = rng.uniform(math.log(bracket[0]), math.log(bracket[1]), v.size)
+        theta = np.concatenate([[0.0, math.pi / 2, math.pi],
+                                rng.uniform(0.0, math.pi, v.size - 3)])
+        return rng, v, u, theta
+
+    @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_theta_form(self, mode, bracket):
+        rng, v, u, theta = self.lanes(bracket, 11)
+        form = _theta_form(v, np.exp(u)**2, mode)
+        exact = nea_qfi(v, theta, np.exp(u), mode)
+        assert relerr_each(form(theta, np.arange(v.size)), exact) <= 1e-12
+        sub = rng.permutation(v.size)[:17]
+        assert relerr_each(form(theta[sub], sub), exact[sub]) <= 1e-12
+        # a lone lane is evaluated on scalars
+        assert relerr_each(form(theta[5], 5), exact[5]) <= 1e-12
+
+    @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_omega_form(self, mode, bracket):
+        rng, v, u0, theta = self.lanes(bracket, 12)
+        # each lane's log-Omega bracket, as the refinement sets it around a
+        # point of the default 121-point grid
+        u_lo, u_hi = math.log(bracket[0]), math.log(bracket[1])
+        half = 2.0 * (u_hi - u_lo) / 120
+        a, b = np.maximum(u_lo, u0 - half), np.minimum(u_hi, u0 + half)
+        u = a + (b - a) * np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=v.size - 3)])
+        form = _omega_form(v, theta, a, b, mode)
+        exact = nea_qfi(v, theta, np.exp(u), mode)
+        assert relerr_each(form(u, np.arange(v.size)), exact) <= 1e-12
+        sub = rng.permutation(v.size)[:17]
+        assert relerr_each(form(u[sub], sub), exact[sub]) <= 1e-12
+        assert relerr_each(form(u[5], 5), exact[5]) <= 1e-12
+
+
+class TestBatchInputChecks:
+    @pytest.mark.parametrize("v_z, bracket", [
+        (math.nan, DEFAULT_OMEGA_BRACKET),
+        (1.0, DEFAULT_OMEGA_BRACKET),
+        (-1.5, DEFAULT_OMEGA_BRACKET),
+        (0.3, (0.0, 10.0)),
+        (0.3, (-1.0, 10.0)),
+        (0.3, (0.05, math.inf)),
+        (0.3, (2.0, 2.0)),
+        (0.3, (2.0, 1.0)),
+    ])
+    def test_nea_batch_rejects(self, v_z, bracket):
+        with pytest.raises(ValueError):
+            maximize_nea_batch([0.2, v_z], bracket)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ea_batch_rejects(self, mode):
+        # the messages of ea_cr, which checks the same radii
+        with pytest.raises(ValueError, match="pure-state boundary r = 1"):
+            maximize_ea_batch([1.0], mode)
+        with pytest.raises(ValueError, match="pure-state boundary r = 1"):
+            maximize_ea_batch([0.2, -1.0], mode)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            maximize_ea_batch([math.nan], mode)
+        with pytest.raises(ValueError, match="omega must be positive"):
+            maximize_ea_batch([0.2], mode, (0.0, 1.0))
