@@ -24,6 +24,8 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
 
+AXIS_TOL = 1e-12  # |vx|, |vy| below this count as on the z axis
+
 MODES = {"t": scatter.DetectionMode.TRANSMISSION,
          "r": scatter.DetectionMode.REFLECTION,
          "both": scatter.DetectionMode.BOTH}
@@ -82,6 +84,18 @@ def _target_bloch(args: argparse.Namespace) -> states.BlochVector:
     return states.BlochVector(args.vx, args.vy, args.vz)
 
 
+def _on_axis(v: states.BlochVector) -> bool:
+    return abs(v.vx) < AXIS_TOL and abs(v.vy) < AXIS_TOL
+
+
+def _nea_target_vz(args: argparse.Namespace) -> float:
+    """v_z of the target, which NEA closed forms need on the z axis."""
+    v = _target_bloch(args)
+    if not _on_axis(v):
+        raise ValueError("NEA closed forms need a target on the z axis (vx = vy = 0)")
+    return v.vz
+
+
 def _require_omega(args: argparse.Namespace) -> float:
     if args.strategy != "direct" and args.omega is None:
         raise UsageError(f"--omega is required for strategy {args.strategy}")
@@ -118,7 +132,7 @@ def _closed_matrix(strategy: str, v: states.BlochVector, omega: float,
         coeffs = closedform.ea_polar(v.norm, omega, mode)
         return coeffs.matrix(states.bloch_to_polar(v).theta).h, None
     # NEA: the paper's closed form covers only the zz entry on the z axis
-    if basis == "cartesian" and abs(v.vx) < 1e-12 and abs(v.vy) < 1e-12:
+    if basis == "cartesian" and _on_axis(v):
         h = np.full((3, 3), np.nan)
         h[2, 2] = closedform.nea_qfi(v.vz, theta_a, omega, mode)
         return h, (2, 2)
@@ -156,8 +170,24 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_pure_target(v: states.BlochVector, param: str) -> None:
+    """Refuse bounds that need the radial QFI of a pure target.
+
+    At |v| = 1 the radial QFI diverges, but the numeric QFI drops the
+    zero-weight spectral terms and reports a finite value (the Bures-metric
+    discontinuity), so only directions across the Bloch vector are reliable.
+    """
+    if abs(v.norm - 1.0) > states.NORM_TOL:
+        return
+    if param in ("matrix", "r") or (
+            param in qfi.AXES and abs(getattr(v, "v" + param)) >= AXIS_TOL):
+        raise ValueError(f"--param {param} needs the radial QFI, which diverges "
+                         "on a pure target (|v| = 1)")
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     v = _target_bloch(args)
+    _check_pure_target(v, args.param)
     omega = _require_omega(args)
     mode = MODES[args.mode]
     state, derivs = _branches(args.strategy, v, omega, mode, args.theta_a)
@@ -196,7 +226,8 @@ def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _nea_scan(x: np.ndarray, args: argparse.Namespace, mode) -> list:
-    values = {"omega": args.omega, "theta-a": args.theta_a, "vz": args.vz, args.sweep: x}
+    values = {"omega": args.omega, "theta-a": args.theta_a, "vz": _nea_target_vz(args),
+              args.sweep: x}
     if values["omega"] is None:
         raise UsageError("--omega is required for this scan")
     return [closedform.nea_qfi(values["vz"], values["theta-a"], values["omega"], mode)]
@@ -205,7 +236,7 @@ def _nea_scan(x: np.ndarray, args: argparse.Namespace, mode) -> list:
 # (strategy, swept variable) -> (columns, value columns on the whole grid x)
 SCANS = {
     ("ea", "omega"): (["omega", "c_r", "c_theta"],
-                      lambda x, a, m: astuple(closedform.ea_polar(a.r or 0.0, x, m))),
+                      lambda x, a, m: astuple(closedform.ea_polar(_target_bloch(a).norm, x, m))),
     ("ea", "r"): (["r", "c_r", "c_theta"],
                   lambda x, a, m: astuple(closedform.ea_polar(x, _require_omega(a), m))),
     ("ea", "vz"): (["v_z", "qfi_zz"],
@@ -228,9 +259,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.strategy == "nea":
-        res = optimize.maximize_nea(args.vz, mode=MODES[args.mode], tol=args.tol)
+        res = optimize.maximize_nea(_nea_target_vz(args), mode=MODES[args.mode], tol=args.tol)
     elif args.strategy == "ea":
-        res = optimize.maximize_ea_batch(args.r or 0.0, MODES[args.mode], tol=args.tol)[0]
+        res = optimize.maximize_ea_batch(_target_bloch(args).norm, MODES[args.mode],
+                                         tol=args.tol)[0]
     else:
         raise UsageError("optimize supports strategies nea and ea")
     if not res.converged:

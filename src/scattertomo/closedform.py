@@ -57,12 +57,11 @@ def _check_radius(r, *, strict: bool):
 
 def ea_cr(r, omega, mode: DetectionMode):
     """Radial coefficient c_r of the entanglement-assisted polar QFI."""
-    return _ea_cr(_check_radius(r, strict=True), _check_omega(omega)**2, mode)
+    return _ea_cr(_check_radius(r, strict=True)**2, _check_omega(omega)**2, mode)
 
 
-def _ea_cr(r, w, mode: DetectionMode):
-    """c_r at radius r and W = Omega^2, without input checks (0 <= r < 1, W > 0)."""
-    r2 = r**2
+def _ea_cr(r2, w, mode: DetectionMode):
+    """c_r at r^2 = r2 and W = Omega^2, without input checks (0 <= r2 < 1, W > 0)."""
     if mode is DetectionMode.BOTH:
         return (8 * w * (1 + 18 * w + 63 * w**2)
                 / ((1 - r2) * (1 + w) * (1 + 5 * w) * (1 + 9 * w)**2))
@@ -79,26 +78,27 @@ def _ea_cr(r, w, mode: DetectionMode):
     raise ValueError(f"unknown detection mode {mode}")
 
 
-def ea_ctheta(r, omega, mode: DetectionMode):
-    """Angular coefficient c_theta of the entanglement-assisted polar QFI."""
-    r = _check_radius(r, strict=False)
-    w = _check_omega(omega)**2
-    r2 = r**2
+def _ea_cperp(r2, w, mode: DetectionMode):
+    """c_perp = c_theta / r^2 at r^2 = r2 and W = Omega^2, without input checks.
+
+    The transverse QFI per unit Bloch length; finite at r = 0, where it
+    equals c_r because nothing singles out a direction there.
+    """
     if mode is DetectionMode.BOTH:
         p9 = 4 * (1 + 9 * w)**2 - r2 * (1 - 9 * w)**2
         p5 = 4 * (1 + 5 * w)**2 - r2 * (1 + 3 * w)**2
-        return (32 * r2 * w
+        return (32 * w
                 * (4 * (1 + 5 * w) * (1 + 9 * w) * (1 + 18 * w + 63 * w**2)
                    - r2 * (1 + 4 * w + 68 * w**2 + 720 * w**3 + 1863 * w**4))
                 / ((1 + w) * (1 + 9 * w) * p9 * p5))
     if mode is DetectionMode.TRANSMISSION:
-        return (4 * r2 * w * (2 * (1 + 5 * w) * (11 + 76 * w + 117 * w**2)
-                              - r2 * (1 + 3 * w)**2)
+        return (4 * w * (2 * (1 + 5 * w) * (11 + 76 * w + 117 * w**2)
+                         - r2 * (1 + 3 * w)**2)
                 / (3 * (1 + w) * (1 + 3 * w) * (1 + 9 * w)
                    * (4 * (1 + 5 * w)**2 - r2 * (1 + 3 * w)**2)))
     if mode is DetectionMode.REFLECTION:
-        return (4 * r2 * w * (2 * (1 + 9 * w) * (1 + 36 * w + 207 * w**2)
-                              - r2 * w * (1 - 9 * w)**2)
+        return (4 * w * (2 * (1 + 9 * w) * (1 + 36 * w + 207 * w**2)
+                         - r2 * w * (1 - 9 * w)**2)
                 / ((1 + w) * (1 + 7 * w) * (1 + 9 * w)
                    * (4 * (1 + 9 * w)**2 - r2 * (1 - 9 * w)**2)))
     raise ValueError(f"unknown detection mode {mode}")
@@ -137,11 +137,11 @@ def ea_polar(r, omega, mode: DetectionMode) -> QfiPolarCoeffs:
 
     Broadcasts; c_r is +inf where r = 1.
     """
-    r = _check_radius(r, strict=False)
-    c_theta = ea_ctheta(r, omega, mode)
-    inside = r < 1.0
-    return _polar_coeffs(np.where(inside, ea_cr(np.where(inside, r, 0.0), omega, mode),
-                                  math.inf), c_theta)
+    r2 = _check_radius(r, strict=False)**2
+    w = _check_omega(omega)**2
+    inside = r2 < 1.0
+    c_r = np.where(inside, _ea_cr(np.where(inside, r2, 0.0), w, mode), math.inf)
+    return _polar_coeffs(c_r, r2 * _ea_cperp(r2, w, mode))
 
 
 def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
@@ -225,74 +225,20 @@ def _nea_ratio(factors, w, mode: DetectionMode):
 def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix:
     """Full 3x3 cartesian entanglement-assisted QFI matrix.
 
-    Diagonal entries are a(r) + b(r) v_i^2 and off-diagonal entries b(r)
-    v_i v_j; on-axis targets make the matrix diagonal with the zz entry equal
-    to the single-parameter functions of ``nea-to-EA`` form.
+    The singlet probe and the exchange coupling are rotation invariant, so the
+    matrix is c_perp I + (c_r - c_perp) n n^T with n = v/|v|: c_r along the
+    Bloch vector and c_perp = c_theta/r^2 across it (c_perp I at v = 0).
     """
-    omega = float(_check_omega(omega))
-    w = omega**2
+    w = float(_check_omega(omega))**2
     vec = v.as_array()
-    v2 = float(vec @ vec)
-    if v2 >= 1.0:
+    r2 = float(vec @ vec)  # not |v|**2: 1 - r^2 cancels badly near the boundary
+    if r2 >= 1.0:
         raise ValueError("cartesian EA QFI requires |v| < 1")
-    h = np.zeros((3, 3))
-
-    if mode is DetectionMode.BOTH:
-        p9 = 4 * (1 + 9 * w)**2 - v2 * (1 - 9 * w)**2
-        p5 = 4 * (1 + 5 * w)**2 - v2 * (1 + 3 * w)**2
-        pref = 2 * w / ((1 - v2) * (1 + w) * (1 + 5 * w) * (1 + 9 * w)**2 * p9 * p5)
-        off = ((1 + 7 * w) * (1 + 9 * w) * (3 + 13 * w)**2 * p9
-               + 3 * (1 + 3 * w) * (1 + 5 * w) * (1 + 27 * w)**2 * p5)
-        for i in range(3):
-            h[i, i] = pref * (
-                (1 + 9 * w) * (3 + 13 * w) * p9
-                * (vec[i]**2 * (1 + 7 * w) * (3 + 13 * w)
-                   + 4 * (1 - v2) * (1 + 5 * w)**2)
-                + (1 + 5 * w) * (1 + 27 * w) * p5
-                * (3 * vec[i]**2 * (1 + 3 * w) * (1 + 27 * w)
-                   + 4 * (1 - v2) * (1 + 9 * w)**2))
-            for j in range(i + 1, 3):
-                h[i, j] = h[j, i] = pref * vec[i] * vec[j] * off
-        return QfiMatrix(CARTESIAN, h)
-
-    if mode is DetectionMode.TRANSMISSION:
-        q3 = 9 * (1 + 3 * w)**2 - 4 * v2
-        p5 = 4 * (1 + 5 * w)**2 - v2 * (1 + 3 * w)**2
-        pref = 2 * w / (3 * (1 - v2) * (1 + w) * (1 + 3 * w) * (1 + 5 * w)
-                        * (1 + 9 * w) * q3 * p5)
-        off = (3 * (1 + 3 * w) * (1 + 7 * w) * (3 + 13 * w)**2 * q3
-               + 8 * (1 - v2) * (1 + 5 * w) * p5)
-        for i in range(3):
-            rest = v2 - vec[i]**2  # v_j^2 + v_k^2 for the other two axes
-            h[i, i] = pref * (
-                2 * (1 - v2) * (1 + 5 * w) * p5 * (9 * (1 + 3 * w)**2 - 4 * rest)
-                + 3 * (1 + 3 * w) * (3 + 13 * w) * q3
-                * (4 * (1 + 5 * w)**2 * (1 - rest) - (1 + 3 * w)**2 * vec[i]**2))
-            for j in range(i + 1, 3):
-                h[i, j] = h[j, i] = pref * vec[i] * vec[j] * off
-        return QfiMatrix(CARTESIAN, h)
-
-    if mode is DetectionMode.REFLECTION:
-        r7 = (1 + 7 * w)**2 - 4 * v2 * w**2
-        p9 = 4 * (1 + 9 * w)**2 - v2 * (1 - 9 * w)**2
-        pref = 2 * w / ((1 - v2) * (1 + w) * (1 + 7 * w) * (1 + 9 * w)**2 * r7 * p9)
-        # the second brace term carries +8 Omega^6 (the printed sign fails the
-        # spectral oracle), and the last factor is symmetric in the two
-        # transverse components
-        off = (3 * (1 + 3 * w) * (1 + 7 * w) * (1 + 27 * w)**2 * r7
-               + 8 * (1 - v2) * w**3 * (1 + 9 * w) * p9)
-        for i in range(3):
-            rest = v2 - vec[i]**2
-            h[i, i] = pref * (
-                (1 + 7 * w) * (1 + 27 * w) * r7
-                * (4 * (1 + 9 * w)**2 * (1 - rest) - vec[i]**2 * (1 - 9 * w)**2)
-                + 2 * (1 - v2) * w * (1 + 9 * w) * p9
-                * ((1 + 7 * w)**2 - 4 * w**2 * rest))
-            for j in range(i + 1, 3):
-                h[i, j] = h[j, i] = pref * vec[i] * vec[j] * off
-        return QfiMatrix(CARTESIAN, h)
-
-    raise ValueError(f"unknown detection mode {mode}")
+    c_perp = _ea_cperp(r2, w, mode)
+    h = c_perp * np.eye(3)
+    if r2 > 0.0:
+        h += (_ea_cr(r2, w, mode) - c_perp) * np.outer(vec, vec) / r2
+    return QfiMatrix(CARTESIAN, h)
 
 
 def purity_bound(r: float, omega: float, m: int,
@@ -307,11 +253,10 @@ def purity_bound(r: float, omega: float, m: int,
 def phase_bound(omega: float, m: int) -> float:
     """Variance bound for the azimuthal phase of a pure equatorial target.
 
-    Specialization of the angular bound to r = 1, theta = pi/2, collecting
-    transmitted and reflected data.
+    Specialization of the angular bound 1/(M c_theta) to r = 1, theta = pi/2,
+    collecting transmitted and reflected data.
     """
     if int(m) < 1:
         raise ValueError("m must be >= 1")
     w = float(_check_omega(omega))**2
-    return (3 * (1 + w) * (1 + 3 * w) * (1 + 7 * w) * (1 + 9 * w)
-            / (32 * w * (1 + 10 * w + 27 * w**2))) / int(m)
+    return 1.0 / (int(m) * _ea_cperp(1.0, w, DetectionMode.BOTH))

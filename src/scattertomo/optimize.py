@@ -299,9 +299,9 @@ def maximize_ea_batch(v_z, mode: DetectionMode,
     The z-axis QFI is the radial coefficient c_r at r = |v_z|, so a grid of
     radii r >= 0 gives the best c_r at each radius.
     """
-    r = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)
+    r2 = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)**2
     _check_omega(omega_bracket)
-    return maximize_1d_batch(lambda om, k: _ea_cr(r[k], om**2, mode), r.size,
+    return maximize_1d_batch(lambda om, k: _ea_cr(r2[k], om**2, mode), r2.size,
                              omega_bracket, tol=tol, name="omega")
 
 

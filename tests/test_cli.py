@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import scattertomo
-from scattertomo.cli import main
-from scattertomo.closedform import ea_cartesian
+from scattertomo.cli import MODES, main
+from scattertomo.closedform import ea_cartesian, ea_cr, ea_polar, nea_qfi, phase_bound
 from scattertomo.scatter import DetectionMode
 from scattertomo.states import BlochVector
 
@@ -141,6 +142,57 @@ class TestBoundCommand:
         assert "phi" in err
 
 
+class TestBoundOnPureTarget:
+    # at |v| = 1 the radial QFI diverges but the numeric QFI reports a finite
+    # value, so only bounds across the Bloch vector are printed
+    EA = ("--strategy", "ea", "--mode", "both", "--omega", "0.6")
+    EQUATOR = ("--r", "1", "--theta", repr(math.pi / 2), "--phi", "0.3")
+
+    @pytest.mark.parametrize("target, param", [
+        (("--strategy", "direct", "--vz", "1"), "z"),
+        (("--strategy", "direct", "--vz", "1"), "r"),
+        (("--strategy", "direct", "--vz", "1"), "matrix"),
+        ((*EA, "--vx", "0.6", "--vz", "0.8"), "x"),
+        ((*EA, "--vx", "0.6", "--vz", "0.8"), "z"),
+        ((*EA, "--vx", "0.6", "--vz", "0.8"), "r"),
+        ((*EA, "--vx", "0.6", "--vz", "0.8"), "matrix"),
+        ((*EA, *EQUATOR), "x"),
+        ((*EA, *EQUATOR), "r"),
+        (("--strategy", "nea", "--omega", "0.6", "--vz", "-1"), "z"),
+    ])
+    def test_radial_dependence_is_domain_error(self, capsys, target, param):
+        code, out, err = run(capsys, "bound", *target, "--param", param)
+        assert code == 3
+        assert out == "" and "pure target" in err
+
+    @pytest.mark.parametrize("target, param, sin2", [
+        ((*EA, *EQUATOR), "phi", 1.0),
+        ((*EA, *EQUATOR), "theta", 1.0),
+        ((*EA, *EQUATOR), "z", 1.0),
+        ((*EA, "--vx", "0.6", "--vz", "0.8"), "theta", 1.0),
+        ((*EA, "--vx", "0.6", "--vz", "0.8"), "phi", 0.36),
+        ((*EA, "--vx", "0.6", "--vz", "0.8"), "y", 1.0),
+        ((*EA, "--vz", "1"), "x", 1.0),
+    ])
+    def test_transverse_bounds_are_kept(self, capsys, target, param, sin2):
+        # across the Bloch vector the EA bound is 1/c_perp(r = 1), the phase bound
+        code, out, _ = run(capsys, "bound", *target, "--param", param)
+        assert code == 0
+        assert abs(float(rows(out)[0][1]) * sin2 / phase_bound(0.6, 1) - 1.0) < 1e-9
+
+    def test_direct_transverse_bound(self, capsys):
+        code, out, _ = run(capsys, "bound", "--strategy", "direct", "--vz", "1",
+                           "--param", "x")
+        assert code == 0
+        assert abs(float(rows(out)[0][1]) - 1.0) < 1e-12
+
+    def test_near_pure_target_is_not_refused(self, capsys):
+        code, out, _ = run(capsys, "bound", "--strategy", "direct", "--vz", "0.999999",
+                           "--param", "z")
+        assert code == 0
+        assert abs(float(rows(out)[0][1]) - (1 - 0.999999**2)) < 1e-9
+
+
 class TestScanCommand:
     def test_single_interior_maximum(self, capsys):
         code, out, _ = run(capsys, "scan", "--strategy", "ea", "--mode", "both",
@@ -163,6 +215,44 @@ class TestScanCommand:
                            "--points", "5")
         assert code == 0
         assert [float(r[1]) for r in rows(out)][0] == 1.0
+
+    @pytest.mark.parametrize("strategy, sweep, extra", [
+        ("ea", "omega", ()),
+        ("nea", "theta-a", ("--omega", "0.6")),
+        ("nea", "omega", ("--theta-a", "0.4")),
+    ])
+    def test_target_flag_forms_agree(self, capsys, strategy, sweep, extra):
+        scans = [run(capsys, "scan", "--strategy", strategy, "--mode", "t", "--sweep", sweep,
+                     "--points", "7", *extra, *target)
+                 for target in (("--vz", "0.5"), ("--r", "0.5"))]
+        assert [code for code, _, _ in scans] == [0, 0]
+        assert rows(scans[0][1]) == rows(scans[1][1])
+        default = run(capsys, "scan", "--strategy", strategy, "--mode", "t", "--sweep", sweep,
+                      "--points", "7", *extra)
+        assert rows(default[1]) != rows(scans[0][1])
+
+    def test_ea_omega_scan_uses_the_target_radius(self, capsys):
+        code, out, _ = run(capsys, "scan", "--strategy", "ea", "--sweep", "omega",
+                           "--vx", "0.3", "--vy", "0.4", "--points", "3")
+        assert code == 0
+        for row in rows(out):
+            coeffs = ea_polar(0.5, float(row[0]), DetectionMode.BOTH)
+            assert abs(float(row[1]) / coeffs.c_r - 1.0) < 1e-11
+            assert abs(float(row[2]) / coeffs.c_theta - 1.0) < 1e-11
+
+    @pytest.mark.parametrize("target", [("--vx", "0.3"), ("--r", "0.5", "--theta", "1.0")])
+    def test_nea_off_axis_target_is_domain_error(self, capsys, target):
+        code, out, err = run(capsys, "scan", "--strategy", "nea", "--sweep", "theta-a",
+                             "--omega", "0.6", *target)
+        assert code == 3
+        assert out == "" and "z axis" in err
+
+    @pytest.mark.parametrize("strategy, sweep, flag", [
+        ("nea", "vz", ("--vz", "0.9")), ("ea", "r", ("--r", "0.9"))])
+    def test_swept_variable_overrides_its_flag(self, capsys, strategy, sweep, flag):
+        argv = ("scan", "--strategy", strategy, "--sweep", sweep, "--omega", "0.7",
+                "--points", "5")
+        assert rows(run(capsys, *argv, *flag)[1]) == rows(run(capsys, *argv)[1])
 
     def test_unsupported_sweep_usage_error(self, capsys):
         code, _, _ = run(capsys, "scan", "--strategy", "direct", "--sweep", "omega")
@@ -206,6 +296,39 @@ class TestOptimizeCommand:
         row = rows(out)[0]
         assert float(row[0]) < 0.6  # theta_a* near the pole
 
+    @pytest.mark.parametrize("mode", ["t", "r", "both"])
+    def test_ea_target_flag_forms_agree(self, capsys, mode):
+        results = [run(capsys, "optimize", "--strategy", "ea", "--mode", mode, *target)
+                   for target in (("--vz", "0.5"), ("--r", "0.5"), ("--vx", "0.3", "--vy", "0.4"),
+                                  ("--vz", "-0.5"))]
+        assert [code for code, _, _ in results] == [0] * 4
+        found = [rows(out)[0] for _, out, _ in results]
+        assert found[1:] == found[:1] * 3
+        omega_star, value = float(found[0][0]), float(found[0][1])
+        assert abs(value / ea_cr(0.5, omega_star, MODES[mode]) - 1.0) < 1e-11
+
+    def test_ea_value_at_the_given_radius(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--strategy", "ea", "--vz", "0.5")
+        assert code == 0
+        assert rows(out)[0][1] == "0.878076417425"
+
+    @pytest.mark.parametrize("mode", ["t", "r", "both"])
+    def test_nea_target_flag_forms_agree(self, capsys, mode):
+        results = [run(capsys, "optimize", "--strategy", "nea", "--mode", mode, *target)
+                   for target in (("--vz", "0.5"), ("--r", "0.5"))]
+        assert [code for code, _, _ in results] == [0, 0]
+        assert rows(results[0][1]) == rows(results[1][1])
+        theta_a, omega, value = (float(x) for x in rows(results[0][1])[0][:3])
+        assert abs(value / nea_qfi(0.5, theta_a, omega, MODES[mode]) - 1.0) < 1e-11
+        _, below, _ = run(capsys, "optimize", "--strategy", "nea", "--mode", mode,
+                          "--r", "0.5", "--theta", repr(math.pi))
+        assert rows(below)[0][2] == rows(results[0][1])[0][2]
+
+    @pytest.mark.parametrize("target", [("--vx", "0.3"), ("--r", "0.5", "--theta", "1.0")])
+    def test_nea_off_axis_target_is_domain_error(self, capsys, target):
+        code, out, err = run(capsys, "optimize", "--strategy", "nea", *target)
+        assert code == 3
+        assert out == "" and "z axis" in err
 
 class TestFigures:
     def test_figure_three_minimizing_row(self, capsys):

@@ -20,6 +20,8 @@ from scattertomo.states import BlochVector, ProbeConfig, bloch_to_density, bloch
 from conftest import log_uniform, relerr
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
+MODE_KEYS = {"t": DetectionMode.TRANSMISSION, "r": DetectionMode.REFLECTION,
+             "both": DetectionMode.BOTH}
 
 
 class TestDirectQfi:
@@ -209,6 +211,84 @@ class TestEaCartesian:
     def test_domain(self):
         with pytest.raises(ValueError):
             ea_cartesian(BlochVector(1.0, 0, 0), 0.5, DetectionMode.BOTH)
+
+
+# ea_cartesian outside the oracle's tested window, recorded from the per-mode
+# cartesian expressions the covariant form replaced: (Omega, |v|, mode, upper
+# triangle xx, xy, xz, yy, yz, zz) at v = |v| (2, 6, 9)/11
+EA_CARTESIAN_PINS = (
+    (0.001, 0.0, 't',
+     (7.333252000779326e-06, 0.0, 0.0,
+      7.333252000779326e-06, 0.0, 7.333252000779326e-06)),
+    (0.001, 0.0, 'r',
+     (2.0000199994300083e-06, 0.0, 0.0,
+      2.0000199994300083e-06, 0.0, 2.0000199994300083e-06)),
+    (0.001, 0.0, 'both',
+     (7.999952000104002e-06, 0.0, 0.0,
+      7.999952000104002e-06, 0.0, 7.999952000104002e-06)),
+    (0.001, 0.0001, 't',
+     (7.333252017462592e-06, 5.050452290291107e-15, 7.57567843543666e-15,
+      7.333252030930465e-06, 2.2727035306309987e-14, 7.333252049869662e-06)),
+    (0.001, 0.0001, 'r',
+     (2.000020004925746e-06, 1.4876330758946218e-15, 2.2314496138419325e-15,
+      2.0000200088927677e-06, 6.694348841525799e-15, 2.0000200144713923e-06)),
+    (0.001, 0.0001, 'both',
+     (7.99995202208711e-06, 5.950401396493558e-15, 8.925602094740339e-15,
+      7.999952037954847e-06, 2.677680628422102e-14, 7.99995206026885e-06)),
+    (0.001, 0.999999, 't',
+     (0.0991816494760589, 0.29751694878417245, 0.4462754231762587,
+      0.8925601795671854, 1.3388262695287758, 2.0082487375078317)),
+    (0.001, 0.999999, 'r',
+     (0.03306071072629555, 0.09917413220421965, 0.14876119830632947,
+      0.29752506327088124, 0.44628359491898834, 0.6694280590367048)),
+    (0.001, 0.999999, 'both',
+     (0.13224099162161235, 0.3966909752061666, 0.5950364628092499,
+      1.19008359217139, 1.7851093884277494, 2.677674749194514)),
+    (1000.0, 0.0, 't',
+     (5.777772029635175e-07, 0.0, 0.0,
+      5.777772029635175e-07, 0.0, 5.777772029635175e-07)),
+    (1000.0, 0.0, 'r',
+     (7.301578604191334e-07, 0.0, 0.0,
+      7.301578604191334e-07, 0.0, 7.301578604191334e-07)),
+    (1000.0, 0.0, 'both',
+     (1.2444430301248918e-06, 0.0, 0.0,
+      1.2444430301248918e-06, 0.0, 1.2444430301248918e-06)),
+    (1000.0, 0.0001, 't',
+     (5.777772036573278e-07, 5.214319354938012e-16, 7.821479032407017e-16,
+      5.777772050478129e-07, 2.3464437097221053e-15, 5.777772070031828e-07)),
+    (1000.0, 0.0001, 'r',
+     (7.301578622527997e-07, 5.0100744331952925e-16, 7.515111649792938e-16,
+      7.301578635888196e-07, 2.254533494937882e-15, 7.301578654675975e-07)),
+    (1000.0, 0.0001, 'both',
+     (1.2444430326506553e-06, 1.0172991960544397e-15, 1.5259487940816597e-15,
+      1.2444430353634532e-06, 4.5778463822449805e-15, 1.2444430391783253e-06)),
+    (1000.0, 0.999999, 't',
+     (0.009550654301821913, 0.028650058145797113, 0.04297508721869567,
+      0.08595080935728087, 0.12892526165608698, 0.19338852740402002)),
+    (1000.0, 0.999999, 'r',
+     (0.011020199376843655, 0.033057740993245946, 0.04958661148986892,
+      0.09917417535883284, 0.14875983446960675, 0.2231407040835051)),
+    (1000.0, 0.999999, 'both',
+     (0.020570790000063104, 0.061707798579335525, 0.0925616978690033,
+      0.18512491954495788, 0.2776850936070099, 0.416529164217466)),
+)
+
+
+class TestEaCartesianPins:
+    @pytest.mark.parametrize("omega, r, mode, upper", EA_CARTESIAN_PINS)
+    def test_matches_recorded_values(self, omega, r, mode, upper):
+        v = BlochVector(*(r * np.array([2.0, 6.0, 9.0]) / 11.0))
+        expected = np.zeros((3, 3))
+        expected[np.triu_indices(3)] = upper
+        expected = expected + np.triu(expected, 1).T
+        h = ea_cartesian(v, omega, MODE_KEYS[mode]).h
+        assert relerr(h, expected) < 1e-13
+
+    @pytest.mark.parametrize("omega", [1e-3, 0.7, 1e3])
+    def test_isotropic_at_the_origin(self, omega):
+        for mode in MODES:
+            h = ea_cartesian(BlochVector(0.0, 0.0, 0.0), omega, mode).h
+            assert relerr(h, ea_cr(0.0, omega, mode) * np.eye(3)) < 1e-14
 
 
 class TestPurityBound:
