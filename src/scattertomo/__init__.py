@@ -22,7 +22,6 @@ from .optimize import (
     EnvelopePoint,
     OptResult,
     ea_optimality_intervals,
-    ea_zaxis_qfi,
     maximize_1d,
     maximize_nea,
 )
@@ -34,7 +33,6 @@ from .qfi import (
     cr_bound,
     polar_jacobian,
     qfi_numeric,
-    qfi_single,
     reparameterize,
 )
 from .scatter import (
@@ -46,9 +44,7 @@ from .scatter import (
     ScatteringAmplitudes,
     amplitudes,
     apply_channel,
-    apply_channel_to_input,
     channel_derivatives,
-    channel_derivatives_for_input,
     direct_branches,
     s_matrices,
 )
@@ -85,12 +81,10 @@ __all__ = [
     "ScatteringAmplitudes",
     "amplitudes",
     "apply_channel",
-    "apply_channel_to_input",
     "bloch_to_density",
     "bloch_to_polar",
     "cartesian_to_polar",
     "channel_derivatives",
-    "channel_derivatives_for_input",
     "cr_bound",
     "direct_branches",
     "direct_cartesian",
@@ -98,7 +92,6 @@ __all__ = [
     "ea_cartesian",
     "ea_optimality_intervals",
     "ea_polar",
-    "ea_zaxis_qfi",
     "max_entangled",
     "maximize_1d",
     "maximize_nea",
@@ -109,7 +102,6 @@ __all__ = [
     "probe_state",
     "purity_bound",
     "qfi_numeric",
-    "qfi_single",
     "reparameterize",
     "s_matrices",
     "singlet",

@@ -240,7 +240,7 @@ SCANS = {
     ("ea", "r"): (["r", "c_r", "c_theta"],
                   lambda x, a, m: astuple(closedform.ea_polar(x, _require_omega(a), m))),
     ("ea", "vz"): (["v_z", "qfi_zz"],
-                   lambda x, a, m: [optimize.ea_zaxis_qfi(x, _require_omega(a), m)]),
+                   lambda x, a, m: [closedform.ea_cr(np.abs(x), _require_omega(a), m)]),
     ("nea", "omega"): (["omega", "qfi_zz"], _nea_scan),
     ("nea", "theta-a"): (["theta_a", "qfi_zz"], _nea_scan),
     ("nea", "vz"): (["vz", "qfi_zz"], _nea_scan),
@@ -341,6 +341,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return x
+
+
 def _add_target_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vx", type=float, default=None, help="target Bloch x component (default 0)")
     p.add_argument("--vy", type=float, default=None, help="target Bloch y component (default 0)")
@@ -373,16 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_target_flags(p)
     p.add_argument("--basis", choices=("cartesian", "polar"), default="cartesian")
-    p.add_argument("--eps", type=float, default=1e-12)
+    p.add_argument("--eps", type=_positive_float, default=1e-12)
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("bound", help="print a Cramer-Rao bound")
     _add_common_flags(p)
     _add_target_flags(p)
-    p.add_argument("--m-copies", dest="m_copies", type=int, default=1)
+    p.add_argument("--m-copies", dest="m_copies", type=_positive_int, default=1)
     p.add_argument("--param", choices=("matrix", "x", "y", "z", "r", "theta", "phi"),
                    default="matrix")
-    p.add_argument("--eps", type=float, default=1e-12)
+    p.add_argument("--eps", type=_positive_float, default=1e-12)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("scan", help="sweep omega / theta_a / v_z / r grids")
@@ -397,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize QFI over probe controls")
     _add_common_flags(p)
     _add_target_flags(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("figure", help="emit the CSV behind a paper figure")

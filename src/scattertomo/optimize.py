@@ -18,8 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .closedform import (_check_omega, _check_radius, _ea_cr, _nea_factors, _nea_ratio, ea_cr,
-                         nea_qfi)
+from .closedform import _check_omega, _check_radius, _ea_cr, _nea_factors, _nea_ratio, nea_qfi
 from .scatter import DetectionMode
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -95,6 +94,22 @@ def _golden_max(f, lo, hi, stop, max_iter: int = 300):
     return tuple(out)
 
 
+def _local_maxima(y: np.ndarray, axes: tuple[int, ...], strict_before: bool = False) -> np.ndarray:
+    """Points of a finite scan at least as high as their neighbours along ``axes``.
+
+    With ``strict_before`` a point must also beat its predecessor outright, so a
+    plateau keeps only its first point. Points on an edge miss a neighbour, and
+    the missing comparison passes.
+    """
+    local = np.ones(y.shape, dtype=bool)
+    for axis in axes:
+        at = (slice(None),) * axis
+        later, earlier = at + (slice(1, None),), at + (slice(None, -1),)
+        local[later] &= (y[later] > y[earlier]) if strict_before else (y[later] >= y[earlier])
+        local[earlier] &= y[earlier] >= y[later]
+    return local
+
+
 def _first_per_problem(prob: np.ndarray, keys: list, limit: int = 1) -> np.ndarray:
     """Indices of the first `limit` entries of each problem, by keys (most significant first)."""
     order = np.lexsort(tuple(keys[::-1]) + (prob,))
@@ -139,9 +154,8 @@ def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
         return y
 
     ys = f(xs[None, :], np.arange(n)[:, None])
-    padded = np.pad(ys, ((0, 0), (1, 1)), constant_values=-math.inf)
     # grid-local maxima; a plateau keeps its first point
-    prob, i = np.nonzero((ys > padded[:, :-2]) & (ys >= padded[:, 2:]))
+    prob, i = np.nonzero(_local_maxima(ys, (1,), strict_before=True))
     top = _first_per_problem(prob, [-ys[prob, i], i], 16)
     prob, i = prob[top], i[top]
 
@@ -234,10 +248,7 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
     if not np.all(np.isfinite(surface)):
         raise ValueError("QFI surface is not finite on the scan grid")
 
-    padded = np.pad(surface, ((0, 0), (1, 1), (1, 1)), constant_values=-math.inf)
-    local = ((surface >= padded[:, :-2, 1:-1]) & (surface >= padded[:, 2:, 1:-1])
-             & (surface >= padded[:, 1:-1, :-2]) & (surface >= padded[:, 1:-1, 2:]))
-    prob, i, j = np.nonzero(local)
+    prob, i, j = np.nonzero(_local_maxima(surface, (1, 2)))
     top = _first_per_problem(prob, [-surface[prob, i, j], i, j], 6)
     prob, theta, u = prob[top], thetas[i[top]], us[j[top]]
     evals = np.zeros(prob.size, dtype=int)
@@ -280,15 +291,6 @@ def maximize_nea(v_z: float, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_
                  grid: tuple[int, int] = (181, 121), tol: float = 1e-8) -> OptResult:
     """Best unentangled-probe QFI at one z-axis target (``maximize_nea_batch`` of one)."""
     return maximize_nea_batch([v_z], omega_bracket, mode, grid, tol)[0]
-
-
-def ea_zaxis_qfi(v_z, omega, mode: DetectionMode):
-    """Entanglement-assisted single-parameter QFI for a z-axis target.
-
-    Equals the zz entry of the cartesian EA matrix at (0, 0, v_z), i.e. the
-    radial coefficient continued to r -> v_z; even in v_z. Broadcasts.
-    """
-    return ea_cr(np.abs(v_z), omega, mode)
 
 
 def maximize_ea_batch(v_z, mode: DetectionMode,

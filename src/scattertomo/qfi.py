@@ -3,7 +3,9 @@
 ``qfi_numeric`` is the numerical oracle: it evaluates the spectral form of the
 QFI on the labeled block decomposition, using matrix elements of the state
 derivative instead of eigenvector derivatives (the two forms are algebraically
-identical, and this one stays conditioned near spectral degeneracies).
+identical, and this one stays conditioned near spectral degeneracies). It
+reads each block's spectrum from the ``BranchState``, which computed it while
+validating the block, and solves no eigenproblem of a block itself.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scatter import BranchDerivatives, BranchState
-from .smallmat import clamp_spectrum, dagger, herm_eig
-from .states import BlochVector, PolarCoords
+from .states import BlochVector, PolarCoords, dagger
 
 AXES = ("x", "y", "z")
 POLAR_AXES = ("r", "theta", "phi")
@@ -50,6 +51,8 @@ class QfiMatrix:
 
     def entry(self, row: str, col: str) -> float:
         axes = AXES if self.basis == CARTESIAN else POLAR_AXES
+        if row not in axes or col not in axes:
+            raise ValueError(f"entries of a {self.basis} QFI matrix are named by {axes}")
         return float(self.h[axes.index(row), axes.index(col)])
 
 
@@ -75,28 +78,6 @@ class CrBound:
     target: str
 
 
-def _block_contributions(state: BranchState, derivs: BranchDerivatives,
-                         eps: float, axes: tuple[int, ...]) -> np.ndarray:
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if state.labels != derivs.labels:
-        raise ValueError(
-            f"state labels {state.labels} do not match derivative labels {derivs.labels}")
-    out = np.zeros((len(axes), len(axes)))
-    for i, (_, op) in enumerate(state.blocks):
-        eig = herm_eig(op)
-        lam = clamp_spectrum(eig.eigenvalues, floor=_PSD_TOL)
-        vec = eig.eigenvectors
-        weights = lam[:, None] + lam[None, :]
-        mask = weights > eps
-        if not np.any(mask):
-            continue
-        rotated = dagger(vec) @ np.stack([derivs.per_axis[j][i] for j in axes]) @ vec
-        inv_w = np.divide(1.0, weights, out=np.zeros_like(weights), where=mask)
-        out += 2.0 * np.einsum("anm,bnm,nm->ab", rotated, np.conj(rotated), inv_w).real
-    return out
-
-
 def qfi_numeric(state: BranchState, derivs: BranchDerivatives,
                 eps: float = 1e-12) -> QfiMatrix:
     """Cartesian 3x3 QFI of a branch state via per-block spectral sums.
@@ -104,17 +85,21 @@ def qfi_numeric(state: BranchState, derivs: BranchDerivatives,
     Vanishing spectral weights (lam_n + lam_m <= eps) are dropped; 1x1 vacuum
     blocks reduce to the classical (dp_j dp_k)/p contribution automatically.
     """
-    h = _block_contributions(state, derivs, eps, (0, 1, 2))
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
+    if state.labels != derivs.labels:
+        raise ValueError(
+            f"state labels {state.labels} do not match derivative labels {derivs.labels}")
+    h = np.zeros((3, 3))
+    for (lam, vec), *d_block in zip(state.spectra, *derivs.per_axis):
+        weights = lam[:, None] + lam[None, :]
+        mask = weights > eps
+        if not np.any(mask):
+            continue
+        rotated = dagger(vec) @ np.stack(d_block) @ vec
+        inv_w = np.divide(1.0, weights, out=np.zeros_like(weights), where=mask)
+        h += 2.0 * np.einsum("anm,bnm,nm->ab", rotated, np.conj(rotated), inv_w).real
     return QfiMatrix(CARTESIAN, h)
-
-
-def qfi_single(state: BranchState, derivs: BranchDerivatives, axis: str,
-               eps: float = 1e-12) -> float:
-    """QFI of the one-parameter family along a single Bloch axis."""
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}")
-    j = AXES.index(axis)
-    return float(_block_contributions(state, derivs, eps, (j,))[0, 0])
 
 
 def reparameterize(h: QfiMatrix, b: Jacobian, basis: str | None = None) -> QfiMatrix:

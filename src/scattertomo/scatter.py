@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .smallmat import ID2, PAULIS, SIGMA_DOT_SIGMA, as_cmatrix, dagger
-from .states import BlochVector, ProbeConfig, bloch_to_density, probe_state
+from .states import (ID2, PAULIS, BlochVector, ProbeConfig, as_cmatrix, bloch_to_density, dagger,
+                     probe_state)
 
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-12
+HERM_TOL = 1e-12  # anti-Hermitian part allowed, relative to max(1, largest entry)
+
+# sigma.sigma on target x probe: the Heisenberg coupling, twice the swap operator minus 1
+SIGMA_DOT_SIGMA = sum(np.kron(s, s) for s in PAULIS)
 
 
 class DetectionMode(Enum):
@@ -75,25 +79,41 @@ def s_matrices(omega: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Post-scattering state as labeled positive blocks with total trace 1."""
+    """Post-scattering state as labeled positive blocks with total trace 1.
+
+    Validation diagonalizes every block once and keeps the result:
+    ``spectra[i]`` is (eigenvalues, descending and clipped at 0; matching
+    eigenvectors as columns) of block i. Blocks and spectra are read-only
+    copies, so a spectrum always belongs to its block.
+    """
 
     blocks: tuple[tuple[BlockLabel, np.ndarray], ...]
+    spectra: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False,
+                                                               compare=False)
 
     def __post_init__(self):
         labels = [lab for lab, _ in self.blocks]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate block labels")
-        total = 0.0
+        blocks, spectra, total = [], [], 0.0
         for lab, op in self.blocks:
-            op = as_cmatrix(op)
-            if np.max(np.abs(op - dagger(op))) > 1e-10:
+            op = as_cmatrix(op).copy()
+            herm = 0.5 * (op + dagger(op))
+            if np.max(np.abs(op - herm)) > HERM_TOL * max(1.0, float(np.max(np.abs(op)))):
                 raise ValueError(f"block {lab} is not Hermitian")
-            lam_min = float(np.linalg.eigvalsh(0.5 * (op + dagger(op))).min())
-            if lam_min < PSD_TOL:
-                raise ValueError(f"block {lab} has negative eigenvalue {lam_min:.3e}")
+            lam, vec = np.linalg.eigh(herm)
+            if lam[0] < PSD_TOL:
+                raise ValueError(f"block {lab} has negative eigenvalue {lam[0]:.3e}")
             total += float(np.trace(op).real)
+            spectrum = (np.clip(lam[::-1], 0.0, None), vec[:, ::-1].copy())
+            for a in (op, *spectrum):
+                a.flags.writeable = False
+            blocks.append((lab, op))
+            spectra.append(spectrum)
         if abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"block traces sum to {total}, expected 1")
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "spectra", tuple(spectra))
 
     @property
     def labels(self) -> tuple[BlockLabel, ...]:
@@ -195,18 +215,6 @@ def _probe_channel(probe: ProbeConfig, omega: float, mode: DetectionMode) -> Cha
     # one entry: the calls that share a channel (a sweep over targets, and the
     # apply_channel / channel_derivatives pair of a point) come one after another
     return Channel(probe_state(probe), omega, mode)
-
-
-def apply_channel_to_input(rho_x: np.ndarray, rho_in: np.ndarray, omega: float,
-                           mode: DetectionMode) -> BranchState:
-    """Scatter target state rho_x against an explicit probe input state."""
-    return Channel(rho_in, omega, mode).state(rho_x)
-
-
-def channel_derivatives_for_input(rho_in: np.ndarray, omega: float,
-                                  mode: DetectionMode) -> BranchDerivatives:
-    """Exact (v-independent) block derivatives for an explicit probe input state."""
-    return Channel(rho_in, omega, mode).derivatives
 
 
 def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,

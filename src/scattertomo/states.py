@@ -1,8 +1,9 @@
 """Input states: Bloch/polar target parametrizations, probe and ancilla states.
 
-Basis convention: |0> is the spin-up eigenvector of sigma_z. Coordinate
-singularities are made total by convention: phi := 0 at the poles and at the
-origin, theta := 0 at the origin.
+Basis convention: |0> is the spin-up eigenvector of sigma_z. Subsystems are
+ordered target (X) x probe (A) x ancilla (B), and ``np.kron(a, b)`` is
+left-factor-major. Coordinate singularities are made total by convention:
+phi := 0 at the poles and at the origin, theta := 0 at the origin.
 """
 
 from __future__ import annotations
@@ -12,9 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import ID2, PAULIS, as_cmatrix, dagger, tensor
-
 NORM_TOL = 1e-12
+
+ID2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def as_cmatrix(m) -> np.ndarray:
+    """Coerce to a 2D complex array, rejecting NaN/Inf entries."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of shape {a.shape}")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(m).T
 
 
 @dataclass(frozen=True)
@@ -122,7 +141,7 @@ def max_entangled(u, w) -> np.ndarray:
     u = _check_unitary(u)
     w = _check_unitary(w)
     psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2)
-    psi = tensor(dagger(u), dagger(w)) @ psi.reshape(4, 1)
+    psi = np.kron(dagger(u), dagger(w)) @ psi.reshape(4, 1)
     return psi @ dagger(psi)
 
 

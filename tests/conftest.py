@@ -22,6 +22,12 @@ def rand_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def marginals(rho):
+    """(first, second) one-qubit marginals of a two-qubit operator, by einsum traces."""
+    t = np.asarray(rho).reshape(2, 2, 2, 2)
+    return np.einsum("ajbj->ab", t), np.einsum("iaib->ab", t)
+
+
 def log_uniform(rng, lo, hi):
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 

@@ -37,13 +37,12 @@ from scattertomo.optimize import (
     maximize_1d,
     nea_envelope_point,
 )
-from scattertomo.qfi import cartesian_to_polar, qfi_numeric, qfi_single
+from scattertomo.qfi import cartesian_to_polar, qfi_numeric
 from scattertomo.scatter import (
+    Channel,
     DetectionMode,
     apply_channel,
-    apply_channel_to_input,
     channel_derivatives,
-    channel_derivatives_for_input,
     direct_branches,
     s_matrices,
 )
@@ -103,8 +102,8 @@ def test_criterion_1_oracle_equivalence():
         probe = ProbeConfig(theta_a=theta_a)
         rho = bloch_to_density(BlochVector(0, 0, vz))
         for mode in MODES:
-            val = qfi_single(apply_channel(rho, probe, omega, mode),
-                             channel_derivatives(probe, omega, mode), "z")
+            val = qfi_numeric(apply_channel(rho, probe, omega, mode),
+                              channel_derivatives(probe, omega, mode)).entry("z", "z")
             expected = nea_qfi(vz, theta_a, omega, mode)
             worst = max(worst, abs(val - expected) / max(1.0, abs(expected)))
     elapsed = time.monotonic() - started
@@ -170,10 +169,9 @@ def test_criterion_6_entangled_input_invariance():
         rho = bloch_to_density(BlochVector.from_array(v))
         rho_in = max_entangled(rand_unitary(rng), rand_unitary(rng))
         for mode in MODES:
-            h_ref = qfi_numeric(apply_channel_to_input(rho, singlet(), omega, mode),
-                                channel_derivatives_for_input(singlet(), omega, mode))
-            h_alt = qfi_numeric(apply_channel_to_input(rho, rho_in, omega, mode),
-                                channel_derivatives_for_input(rho_in, omega, mode))
+            ref, alt = Channel(singlet(), omega, mode), Channel(rho_in, omega, mode)
+            h_ref = qfi_numeric(ref.state(rho), ref.derivatives)
+            h_alt = qfi_numeric(alt.state(rho), alt.derivatives)
             worst = max(worst, float(np.max(np.abs(h_ref.h - h_alt.h))))
     assert worst <= 1e-9, f"max deviation {worst:.3e}"
     report(6, f"maximally-entangled-input invariance, max dev {worst:.2e}")

@@ -84,6 +84,37 @@ class TestQfiCommand:
         assert exc.value.code == 2
 
 
+class TestNumericFlags:
+    """--eps and --tol take a finite positive number, --m-copies a positive integer."""
+
+    @pytest.mark.parametrize("argv", [
+        ("qfi", "--strategy", "direct", "--vz", "0.5", "--eps", "nan"),
+        ("qfi", "--strategy", "direct", "--vz", "0.5", "--eps", "inf"),
+        ("bound", "--strategy", "direct", "--vz", "0.5", "--eps", "nan"),
+        ("bound", "--strategy", "ea", "--omega", "0.6", "--vz", "0.5", "--eps", "0"),
+        ("optimize", "--strategy", "ea", "--r", "0.3", "--tol", "nan"),
+        ("optimize", "--strategy", "ea", "--r", "0.3", "--tol", "-1"),
+        ("optimize", "--strategy", "nea", "--vz", "0.3", "--tol", "inf"),
+        ("bound", "--strategy", "direct", "--vz", "0.5", "--m-copies", "0"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_bad_value_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and argv[-2] in out.err
+
+    def test_good_values_are_kept(self, capsys):
+        code, out, _ = run(capsys, "qfi", "--strategy", "direct", "--vz", "0.5", "--eps", "1e-10")
+        assert code == 0 and "eps=1e-10 " in out
+        code, out, _ = run(capsys, "bound", "--strategy", "direct", "--vz", "0.5",
+                           "--param", "z", "--m-copies", "4")
+        assert code == 0 and "m_copies=4 " in out
+        assert abs(float(rows(out)[0][1]) - 0.75 / 4) < 1e-12
+        code, out, _ = run(capsys, "optimize", "--strategy", "ea", "--r", "0.3", "--tol", "1e-6")
+        assert code == 0 and "tol=1e-06 " in out
+
+
 class TestTargetFlags:
     @pytest.mark.parametrize("argv", [
         ("qfi", "--strategy", "ea", "--omega", "0.7", "--r", "0.5", "--vx", "0.9"),

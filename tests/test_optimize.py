@@ -8,11 +8,11 @@ from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
     EnvelopePoint,
     OptResult,
+    _local_maxima,
     _omega_form,
     _theta_form,
     ea_envelope_point,
     ea_optimality_intervals,
-    ea_zaxis_qfi,
     maximize_1d,
     maximize_1d_batch,
     maximize_ea_batch,
@@ -143,7 +143,7 @@ class TestEnvelopes:
         pt = ea_envelope_point(0.4, DetectionMode.BOTH)
         assert isinstance(pt, EnvelopePoint)
         assert pt.theta_a_star is None
-        assert pt.best_qfi >= float(ea_zaxis_qfi(0.4, 0.5, DetectionMode.BOTH))
+        assert pt.best_qfi >= float(ea_cr(0.4, 0.5, DetectionMode.BOTH))
         # both-mode optimum is r independent
         assert abs(pt.omega_star - 0.6165) < 1e-3
 
@@ -297,6 +297,45 @@ class TestNeaPerLaneForms:
         sub = rng.permutation(v.size)[:17]
         assert relerr_each(form(u[sub], sub), exact[sub]) <= 1e-12
         assert relerr_each(form(u[5], 5), exact[5]) <= 1e-12
+
+
+def padded_maxima_1d(ys):
+    """Grid-local maxima along the last axis of a 2-D scan, by comparing with a padded copy."""
+    padded = np.pad(ys, ((0, 0), (1, 1)), constant_values=-math.inf)
+    return (ys > padded[:, :-2]) & (ys >= padded[:, 2:])
+
+
+def padded_maxima_nea(surface):
+    """Grid-local maxima of a (target, theta_a, Omega) scan against its four neighbours."""
+    padded = np.pad(surface, ((0, 0), (1, 1), (1, 1)), constant_values=-math.inf)
+    return ((surface >= padded[:, :-2, 1:-1]) & (surface >= padded[:, 2:, 1:-1])
+            & (surface >= padded[:, 1:-1, :-2]) & (surface >= padded[:, 1:-1, 2:]))
+
+
+class TestLocalMaxima:
+    """The slice comparisons pick the same candidates as a padded copy of the scan."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_figure_7_targets(self, mode):
+        thetas = np.linspace(0.0, math.pi, 181)[:, None]
+        omegas = np.geomspace(*DEFAULT_OMEGA_BRACKET, 121)[None, :]
+        surface = np.stack([nea_qfi(v, thetas, omegas, mode)
+                            for v in np.linspace(-0.95, 0.95, 39)])
+        assert np.array_equal(_local_maxima(surface, (1, 2)), padded_maxima_nea(surface))
+        rows = surface.reshape(-1, omegas.size)
+        assert np.array_equal(_local_maxima(rows, (1,), strict_before=True),
+                              padded_maxima_1d(rows))
+
+    def test_random_surface_with_plateaus(self):
+        surface = np.random.default_rng(331).integers(0, 4, size=(6, 23, 17)).astype(float)
+        assert np.array_equal(_local_maxima(surface, (1, 2)), padded_maxima_nea(surface))
+        rows = surface.reshape(-1, 17)
+        assert np.array_equal(_local_maxima(rows, (1,), strict_before=True),
+                              padded_maxima_1d(rows))
+        # a plateau keeps its first point in one dimension, every point in two
+        flat = np.ones((1, 5))
+        assert _local_maxima(flat, (1,), strict_before=True).tolist() == [[1, 0, 0, 0, 0]]
+        assert _local_maxima(flat[:, None], (1, 2)).all()
 
 
 class TestBatchInputChecks:

@@ -14,7 +14,6 @@ from scattertomo.qfi import (
     cr_bound,
     polar_jacobian,
     qfi_numeric,
-    qfi_single,
     reparameterize,
 )
 from scattertomo.scatter import (
@@ -26,8 +25,8 @@ from scattertomo.scatter import (
     channel_derivatives,
     direct_branches,
 )
-from scattertomo.smallmat import ID2
-from scattertomo.states import BlochVector, PolarCoords, ProbeConfig, bloch_to_density, bloch_to_polar
+from scattertomo.states import (ID2, BlochVector, PolarCoords, ProbeConfig, bloch_to_density,
+                                bloch_to_polar)
 
 from conftest import log_uniform, rand_bloch, relerr
 
@@ -77,6 +76,47 @@ class TestQfiNumeric:
         expected = ea_cartesian(BlochVector(0, 0, 0.3), 0.616, DetectionMode.BOTH)
         assert relerr(h.h, expected.h) < 1e-9
 
+    def test_eps_must_be_positive_and_finite(self):
+        state, derivs = direct_branches(BlochVector(0, 0, 0.5))
+        for eps in (math.nan, math.inf, -math.inf, 0.0, -1e-12):
+            with pytest.raises(ValueError, match="eps"):
+                qfi_numeric(state, derivs, eps=eps)
+
+    def test_slightly_non_hermitian_block_raises(self):
+        # an anti-Hermitian part of 5e-12 is above 1e-12 relative to the largest entry
+        zero = np.zeros((2, 2), dtype=complex)
+        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), ((zero,), (zero,), (zero,)))
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qfi_numeric(BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2 + 1e-11 * skew),)),
+                        derivs)
+        state = BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2 + 1e-13 * skew),))
+        assert np.max(np.abs(qfi_numeric(state, derivs).h)) == 0.0
+
+    def test_no_eigensolve_of_an_output_block(self, monkeypatch):
+        # building a state solves each block once; qfi_numeric only checks its 3x3 result
+        solved = []
+
+        def counted(name):
+            solve = getattr(np.linalg, name)
+
+            def wrapper(a, *args, **kwargs):
+                solved.append((name, np.shape(a)))
+                return solve(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        for build in (lambda: ea_pair([0.1, -0.2, 0.3], 0.6, DetectionMode.BOTH),
+                      lambda: ea_pair([0.0, 0.0, 0.0], 0.6, DetectionMode.REFLECTION),
+                      lambda: nea_pair(0.3, 0.4, 0.6, DetectionMode.TRANSMISSION)):
+            state, derivs = build()
+            assert solved == [("eigh", op.shape) for _, op in state.blocks]
+            solved.clear()
+            qfi_numeric(state, derivs)
+            assert solved == [("eigvalsh", (3, 3))]
+            solved.clear()
+
     def test_label_misalignment_rejected(self):
         state, _ = ea_pair([0.1, 0.0, 0.2], 0.7, DetectionMode.BOTH)
         _, derivs = nea_pair(0.2, 0.3, 0.7, DetectionMode.TRANSMISSION)
@@ -114,21 +154,26 @@ class TestQfiNumeric:
 
 
 class TestQfiSingle:
+    """The QFI of the one-parameter family along an axis: a diagonal entry."""
+
     def test_no_interaction_limit(self):
         state, derivs = nea_pair(0.0, 0.0, 1e-4, DetectionMode.BOTH)
-        assert qfi_single(state, derivs, "z") < 1e-6
+        assert qfi_numeric(state, derivs).entry("z", "z") < 1e-6
 
     def test_equals_matrix_entry(self):
+        # the family along one axis has that axis's derivative blocks and no others
         state, derivs = ea_pair([0.2, -0.1, 0.4], 0.9, DetectionMode.TRANSMISSION)
         h = qfi_numeric(state, derivs)
+        zeros = tuple(np.zeros_like(b) for b in derivs.per_axis[0])
         for idx, axis in enumerate("xyz"):
-            assert abs(qfi_single(state, derivs, axis) - h.h[idx, idx]) < 1e-12
+            alone = BranchDerivatives(derivs.labels, (derivs.per_axis[idx], zeros, zeros))
+            assert abs(qfi_numeric(state, alone).entry("x", "x") - h.entry(axis, axis)) < 1e-12
 
     def test_ea_both_equals_radial_coefficient_on_axis(self):
         for vz in (0.1, 0.45, 0.8):
             for om in (0.3, 0.616, 2.0):
                 state, derivs = ea_pair([0.0, 0.0, vz], om, DetectionMode.BOTH)
-                val = qfi_single(state, derivs, "z")
+                val = qfi_numeric(state, derivs).entry("z", "z")
                 expected = ea_polar(vz, om, DetectionMode.BOTH).c_r
                 assert abs(val - expected) < 1e-9 * max(1, expected)
 
@@ -140,19 +185,81 @@ class TestQfiSingle:
             om = log_uniform(rng, 0.05, 20)
             mode = MODES[rng.integers(3)]
             state, derivs = nea_pair(vz, ta, om, mode)
-            val = qfi_single(state, derivs, "z")
+            val = qfi_numeric(state, derivs).entry("z", "z")
             expected = nea_qfi(vz, ta, om, mode)
             assert abs(val - expected) < 1e-9 * max(1.0, abs(expected))
 
     def test_direct_family(self):
         for vz in (0.0, 0.3, 0.7):
             state, derivs = direct_branches(BlochVector(0, 0, vz))
-            assert abs(qfi_single(state, derivs, "z") - 1 / (1 - vz**2)) < 1e-12
+            assert abs(qfi_numeric(state, derivs).entry("z", "z") - 1 / (1 - vz**2)) < 1e-12
 
     def test_bad_axis(self):
         state, derivs = direct_branches(BlochVector(0, 0, 0.1))
-        with pytest.raises(ValueError):
-            qfi_single(state, derivs, "w")
+        with pytest.raises(ValueError, match="named by"):
+            qfi_numeric(state, derivs).entry("w", "w")
+
+
+# Reference QFI matrices of the oracle at Omega = 0.6, NEA probes at theta_a = 0.7,
+# as the upper triangle (xx, xy, xz, yy, yz, zz). Keys are (strategy, mode, |v|):
+# v = 0 gives the degenerate EA spectra; |v| = 0.999 lies along PIN_DIRECTION,
+# except for "nea_axis", which is on the z axis.
+PIN_OMEGA, PIN_THETA_A = 0.6, 0.7
+PIN_DIRECTION = np.array([0.48, -0.6, 0.64])
+ORACLE_PINS = {
+    ("ea", "t", "0"): (0.3824962495883693, 0.0, 0.0,
+                       0.3824962495883693, 0.0, 0.38249624958836925),
+    ("ea", "t", "0.999"): (39.81976871530629, -49.22823786541513, 52.5101203897762,
+                           61.97247575474308, -65.63765048722021, 70.45067227600913),
+    ("nea_axis", "t", "0"): (0.2976926253370094, 8.464943677142916e-18, -0.0036917447427139774,
+                             0.300802139037433, -1.6941223834001973e-17, 0.29641914524534924),
+    ("nea_axis", "t", "0.999"): (0.28781964213502226, 1.2480918687026003e-16, 0.6710474056361954,
+                                 0.2601445284517746, 2.594018629629862e-15, 14.892497673577267),
+    ("nea_off", "t", "0.999"): (4.910088007254353, -5.352058943480136, 6.147957950509173,
+                                6.412772061545708, -7.073446501361937, 8.384405366275473),
+    ("ea", "r", "0"): (0.34122677680412256, 0.0, 0.0,
+                       0.34122677680412256, 0.0, 0.3412267768041226),
+    ("ea", "r", "0.999"): (36.67226543168132, -45.384262487466074, 48.40987998663046,
+                           57.09518355104106, -60.512349983288075, 64.91136209054905),
+    ("nea_axis", "r", "0"): (0.16168083295422636, -8.049876222620564e-18, -0.009500813676102253,
+                             0.16968325791855202, -7.889592333458809e-18, 0.15840349448304217),
+    ("nea_axis", "r", "0.999"): (0.2526441298623329, 4.412956478397802e-17, 0.6249066085113406,
+                                 0.22471525693093075, 3.256229471186373e-16, 5.5587363997748405),
+    ("nea_off", "r", "0.999"): (2.1434435837177683, -1.9452167410060288, 2.5014493924225696,
+                                2.1403445263112015, -2.5329455901307787, 3.4938496076409233),
+    ("ea", "both", "0"): (0.6581635858330513, 0.0, 0.0,
+                          0.6581635858330513, 0.0, 0.6581635858330513),
+    ("ea", "both", "0.999"): (76.42516499191075, -94.61086320973443, 100.91825409038343,
+                              119.00005343629124, -126.14781761297925, 135.29414654463443),
+    ("nea_axis", "both", "0"): (0.43216521341252867, 4.1506745452235205e-19, -0.04549532491756383,
+                                0.470485396955985, -2.4830816167460783e-17, 0.41647144404765796),
+    ("nea_axis", "both", "0.999"): (0.5093015893346455, 1.6893875165423806e-16, 1.2589569673099943,
+                                    0.48485978538270535, 2.919641576748499e-15, 20.40730963168143),
+    ("nea_off", "both", "0.999"): (7.022103355045504, -7.297275684486165, 8.612094426529715,
+                                   8.553116587856909, -9.606392091492715, 11.833955518685265),
+    ("direct", "-", "0"): (1.0, 0.0, 0.0,
+                           1.0, 0.0, 1.0),
+    ("direct", "-", "0.999"): (116.0272288144327, -143.7840360180409, 153.36963841924359,
+                               180.7300450225511, -191.7120480240545, 205.4928512256581),
+}
+
+
+class TestOraclePins:
+    @pytest.mark.parametrize("key", list(ORACLE_PINS), ids="-".join)
+    def test_matches_pinned_matrix(self, key):
+        strategy, mode, radius = key
+        direction = np.array([0.0, 0.0, 1.0]) if strategy == "nea_axis" else PIN_DIRECTION
+        v = BlochVector.from_array(float(radius) * direction)
+        if strategy == "direct":
+            state, derivs = direct_branches(v)
+        else:
+            probe = ProbeConfig(theta_a=PIN_THETA_A, entangled=(strategy == "ea"))
+            state = apply_channel(bloch_to_density(v), probe, PIN_OMEGA, DetectionMode(mode))
+            derivs = channel_derivatives(probe, PIN_OMEGA, DetectionMode(mode))
+        expected = np.zeros((3, 3))
+        expected[np.triu_indices(3)] = ORACLE_PINS[key]
+        expected = expected + np.triu(expected, 1).T
+        assert relerr(qfi_numeric(state, derivs).h, expected) <= 1e-13
 
 
 class TestReparameterize:

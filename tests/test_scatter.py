@@ -14,14 +14,12 @@ from scattertomo.scatter import (
     DetectionMode,
     amplitudes,
     apply_channel,
-    apply_channel_to_input,
     channel_derivatives,
-    channel_derivatives_for_input,
     direct_branches,
     s_matrices,
 )
-from scattertomo.smallmat import ID2
-from scattertomo.states import BlochVector, ProbeConfig, bloch_to_density, max_entangled, singlet
+from scattertomo.states import (ID2, BlochVector, ProbeConfig, bloch_to_density, max_entangled,
+                                singlet)
 
 from conftest import log_uniform, rand_bloch, rand_unitary, relerr
 
@@ -153,7 +151,7 @@ class TestApplyChannel:
 
     def test_rejects_bad_probe_dimension(self):
         with pytest.raises(ValueError):
-            apply_channel_to_input(ID2 / 2, np.eye(3) / 3, 1.0, DetectionMode.BOTH)
+            Channel(np.eye(3) / 3, 1.0, DetectionMode.BOTH)
 
 
 class TestChannelDerivatives:
@@ -216,6 +214,17 @@ class TestBranchStateValidation:
         with pytest.raises(ValueError):
             BranchState(((BlockLabel.TRANSMITTED_SPIN, np.diag([1.5, -0.5])),))
 
+    def test_blocks_and_spectra_are_read_only_copies(self):
+        given = np.diag([0.75, 0.25]).astype(complex)
+        state = BranchState(((BlockLabel.TRANSMITTED_SPIN, given),))
+        with pytest.raises(ValueError):
+            state.block(BlockLabel.TRANSMITTED_SPIN)[0, 0] = 0.5
+        for a in state.spectra[0]:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        given[0, 0] = 0.5  # the caller's array stays writable, and apart from the state
+        assert state.block(BlockLabel.TRANSMITTED_SPIN)[0, 0] == 0.75
+
     def test_derivative_alignment(self):
         with pytest.raises(ValueError):
             BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,),
@@ -240,12 +249,9 @@ class TestMaxEntangledInvariance:
             rho = bloch_to_density(BlochVector.from_array(v))
             rho_me = max_entangled(rand_unitary(rng), rand_unitary(rng))
             for mode in MODES:
-                h_singlet = qfi_numeric(
-                    apply_channel_to_input(rho, singlet(), om, mode),
-                    channel_derivatives_for_input(singlet(), om, mode))
-                h_other = qfi_numeric(
-                    apply_channel_to_input(rho, rho_me, om, mode),
-                    channel_derivatives_for_input(rho_me, om, mode))
+                ref, other = Channel(singlet(), om, mode), Channel(rho_me, om, mode)
+                h_singlet = qfi_numeric(ref.state(rho), ref.derivatives)
+                h_other = qfi_numeric(other.state(rho), other.derivatives)
                 assert np.max(np.abs(h_singlet.h - h_other.h)) < 1e-9
 
 
@@ -293,9 +299,10 @@ class TestChannel:
         for m in channel.maps:
             with pytest.raises(ValueError):
                 m[0, 0, 0] = 5.0
-        # a state's blocks are fresh arrays: writing into one leaves the channel as it was
+        # a state's blocks are read-only too, and the channel stays as it was
         state = apply_channel(ID2 / 2, self.EA, 0.8, DetectionMode.BOTH)
-        state.blocks[0][1][:] = 0.0
+        with pytest.raises(ValueError):
+            state.blocks[0][1][:] = 0.0
         assert_identical(before, point(self.EA, 0.8, DetectionMode.BOTH))
 
     def test_one_s_matrix_build_per_channel(self, monkeypatch):
@@ -320,7 +327,7 @@ class TestChannel:
             s_t, s_r = s_matrices(1.3)
             if d == 4:
                 s_t, s_r = np.kron(s_t, ID2), np.kron(s_r, ID2)
-            state = apply_channel_to_input(rho, rho_in, 1.3, DetectionMode.BOTH)
+            state = Channel(rho_in, 1.3, DetectionMode.BOTH).state(rho)
             for s, label in ((s_t, BlockLabel.TRANSMITTED_SPIN), (s_r, BlockLabel.REFLECTED_SPIN)):
                 out = s @ np.kron(rho, rho_in) @ s.conj().T
                 expected = np.einsum("xixj->ij", out.reshape(2, d, 2, d))
@@ -332,8 +339,8 @@ class TestChannel:
             v = BlochVector.from_array(rand_bloch(rng, r_max=0.9))
             om = log_uniform(rng, 0.05, 20)
             rho_me = max_entangled(rand_unitary(rng), rand_unitary(rng))
-            h = qfi_numeric(apply_channel_to_input(bloch_to_density(v), rho_me, om, mode),
-                            channel_derivatives_for_input(rho_me, om, mode))
+            channel = Channel(rho_me, om, mode)
+            h = qfi_numeric(channel.state(bloch_to_density(v)), channel.derivatives)
             assert relerr(h.h, ea_cartesian(v, om, mode).h) < 1e-8
 
     @pytest.mark.parametrize("rho_x", [
@@ -345,14 +352,12 @@ class TestChannel:
         with pytest.raises(ValueError):
             apply_channel(rho_x, self.EA, 0.5, DetectionMode.BOTH)
         with pytest.raises(ValueError):
-            apply_channel_to_input(rho_x, singlet(), 0.5, DetectionMode.BOTH)
+            Channel(singlet(), 0.5, DetectionMode.BOTH).state(rho_x)
 
     def test_rejects_bad_probe_input(self):
         for rho_in in (np.eye(3) / 3, np.ones((2, 4)) / 4):
             with pytest.raises(ValueError):
-                channel_derivatives_for_input(rho_in, 0.5, DetectionMode.BOTH)
-            with pytest.raises(ValueError):
-                apply_channel_to_input(ID2 / 2, rho_in, 0.5, DetectionMode.BOTH)
+                Channel(rho_in, 0.5, DetectionMode.BOTH)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

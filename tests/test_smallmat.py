@@ -1,128 +1,161 @@
+"""Small-matrix conventions, checked where the package uses them.
+
+The Pauli constants and ``as_cmatrix``/``dagger`` live in ``states``, and the
+coupling sigma.sigma in ``scatter``. Subsystems are joined with ``np.kron``
+(target x probe x ancilla, left factor major), the ``Channel`` takes the partial
+traces when it builds its output blocks, and a ``BranchState`` keeps the
+spectrum of every block it validates.
+"""
+
 import numpy as np
 import pytest
 
-from scattertomo.smallmat import (
+from scattertomo.scatter import SIGMA_DOT_SIGMA, BlockLabel, BranchState, Channel, DetectionMode
+from scattertomo.states import (
     ID2,
-    SIGMA_DOT_SIGMA,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    SWAP,
-    herm_eig,
-    partial_trace,
-    tensor,
+    BlochVector,
+    bloch_to_density,
+    max_entangled,
+    singlet,
 )
 
-from conftest import rand_unitary
+from conftest import marginals, rand_bloch, rand_unitary
+
+MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
+T, R = BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN
 
 
-def rand_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (a + a.conj().T)
+def rand_density(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def spectrum(block):
+    """(eigenvalues, eigenvectors) a one-block BranchState keeps for ``block``."""
+    return BranchState(((T, block),)).spectra[0]
 
 
 class TestTensor:
     def test_identity(self):
-        assert np.array_equal(tensor(ID2, ID2), np.eye(4))
+        assert np.array_equal(max_entangled(ID2, ID2), singlet())
 
     def test_diagonal_product(self):
-        assert np.array_equal(tensor(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1.0]))
+        # only sigma_z x sigma_z reaches the diagonal of sigma.sigma
+        assert np.array_equal(np.diag(SIGMA_DOT_SIGMA), [1, -1, -1, 1.0])
 
     def test_sigma_x_sigma_y_on_00(self):
         e00 = np.zeros(4, dtype=complex)
         e00[0] = 1.0
-        out = tensor(SIGMA_X, SIGMA_Y) @ e00
+        out = np.kron(SIGMA_X, SIGMA_Y) @ e00
         expected = np.array([0, 0, 0, 1j])  # i|11>
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_associativity(self):
+        # an entangled-probe channel on a product input rho_a x tau acts as the
+        # single-probe channel on rho_a, with the ancilla's tau carried along
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rand_hermitian(rng, 2)
-            b = rand_hermitian(rng, 3)
-            c = rand_hermitian(rng, 2)
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-14 * max(1, np.max(np.abs(left)))
+        for mode in MODES:
+            rho_a = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
+            tau = rand_density(rng, 2)
+            rho_x = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
+            joint = Channel(np.kron(rho_a, tau), 0.8, mode).state(rho_x)
+            alone = Channel(rho_a, 0.8, mode).state(rho_x)
+            for label in alone.labels:
+                assert np.max(np.abs(joint.block(label) - np.kron(alone.block(label), tau))) \
+                    <= 1e-14
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            tensor(np.array([[np.nan, 0], [0, 1]]), ID2)
+            max_entangled(np.array([[np.nan, 0], [0, 1]]), ID2)
 
 
 class TestPartialTrace:
     def test_product_state(self):
+        # the entangled probe that misses the detector leaves p_miss * tau behind
         rng = np.random.default_rng(3)
-        rho = rand_hermitian(rng, 2)
-        tau = rand_hermitian(rng, 3)
-        out = partial_trace(tensor(rho, tau), [2, 3], keep=[0])
-        assert np.allclose(out, rho * np.trace(tau), atol=1e-13)
+        rho_a = bloch_to_density(BlochVector(0.0, 0.6, 0.0))
+        tau = rand_density(rng, 2)
+        rho_x = bloch_to_density(BlochVector(0.1, 0.2, -0.3))
+        joint = Channel(np.kron(rho_a, tau), 1.7, DetectionMode.TRANSMISSION).state(rho_x)
+        alone = Channel(rho_a, 1.7, DetectionMode.TRANSMISSION).state(rho_x)
+        p_miss = alone.block(BlockLabel.VACUUM_RHS)[0, 0]
+        assert np.allclose(joint.block(BlockLabel.VACUUM_RHS), p_miss * tau, atol=1e-14)
 
     def test_singlet_marginals(self):
-        psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-        singlet = np.outer(psi, psi.conj())
-        for keep in ([0], [1]):
-            assert np.allclose(partial_trace(singlet, [2, 2], keep), ID2 / 2, atol=1e-15)
+        for marginal in marginals(singlet()):
+            assert np.allclose(marginal, ID2 / 2, atol=1e-15)
 
     def test_transmitted_block_at_omega_one(self):
-        # full 4x4 arithmetic oracle: S^t (1/2 x |0><0|) S^t+ at Omega=1, traced
-        # over the target, equals diag(0.3, 0.1) with the transmission
-        # probability 0.4 as its trace
-        alpha_t = 0.4 - 0.3j
-        beta_t = 0.1 - 0.2j
-        s_t = alpha_t * np.eye(4) + beta_t * SIGMA_DOT_SIGMA
-        rho_a = np.diag([1.0, 0.0]).astype(complex)
-        full = s_t @ tensor(ID2 / 2, rho_a) @ s_t.conj().T
-        out = partial_trace(full, [2, 2], keep=[1])
+        # S^t (1/2 x |0><0|) S^t+ at Omega = 1, traced over the target, equals
+        # diag(0.3, 0.1) with the transmission probability 0.4 as its trace
+        state = Channel(np.diag([1.0, 0.0]), 1.0, DetectionMode.BOTH).state(ID2 / 2)
+        out = state.block(T)
         assert np.allclose(out, np.diag([0.3, 0.1]), atol=1e-14)
         assert abs(np.trace(out) - 0.4) < 1e-14
-        assert np.linalg.eigvalsh(out).min() > -1e-15
+        assert np.allclose(state.spectra[0][0], [0.3, 0.1], atol=1e-14)
 
     def test_trace_preserved(self):
+        # tracing out the probe of a lost particle keeps its probability
         rng = np.random.default_rng(5)
-        m = rand_hermitian(rng, 12)
-        for dims, keep in (([2, 2, 3], [0]), ([2, 2, 3], [1, 2]), ([3, 4], [1]), ([12], [])):
-            out = partial_trace(m, dims, keep)
-            assert abs(np.trace(out) - np.trace(m)) <= 1e-12 * max(1, abs(np.trace(m)))
+        for rho_in in (singlet(), bloch_to_density(BlochVector(0.6, 0.0, 0.8))):
+            rho_x = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
+            both = Channel(rho_in, 0.9, DetectionMode.BOTH).state(rho_x)
+            lost = {
+                BlockLabel.VACUUM_RHS: Channel(rho_in, 0.9, DetectionMode.TRANSMISSION),
+                BlockLabel.VACUUM_LHS: Channel(rho_in, 0.9, DetectionMode.REFLECTION),
+            }
+            for (label, channel), kept in zip(lost.items(), (R, T)):
+                vacuum = channel.state(rho_x).block(label)
+                assert abs(np.trace(vacuum) - np.trace(both.block(kept))) <= 1e-14
 
     def test_dimension_mismatch(self):
+        channel = Channel(singlet(), 0.5, DetectionMode.BOTH)
         with pytest.raises(ValueError):
-            partial_trace(np.eye(4), [2, 3], keep=[0])
+            channel.state(np.eye(4) / 4)
 
 
 class TestHermEig:
     def test_diagonal(self):
-        eig = herm_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(eig.eigenvalues, [3.0, 1.0])
-        assert np.allclose(np.abs(eig.eigenvectors), np.eye(2))
+        lam, vec = spectrum(np.diag([0.75, 0.25]))
+        assert np.allclose(lam, [0.75, 0.25])
+        assert np.allclose(np.abs(vec), np.eye(2))
 
     def test_pauli_x(self):
-        eig = herm_eig(SIGMA_X)
-        assert np.allclose(eig.eigenvalues, [1.0, -1.0])
-        assert np.allclose(np.abs(eig.eigenvectors), np.full((2, 2), 1 / np.sqrt(2)))
+        lam, vec = spectrum((ID2 + SIGMA_X) / 2)
+        assert np.allclose(lam, [1.0, 0.0])
+        assert np.allclose(np.abs(vec), np.full((2, 2), 1 / np.sqrt(2)))
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
         for dim in range(2, 13):
-            a = rand_hermitian(rng, dim)
-            eig = herm_eig(a)
+            a = rand_density(rng, dim)
+            lam, vec = spectrum(a)
             norm = np.linalg.norm(a)
-            assert np.linalg.norm(eig.reconstruct() - a) <= 1e-10 * norm
+            assert np.linalg.norm((vec * lam) @ vec.conj().T - a) <= 1e-10 * norm
             # eigenpair residuals and orthonormality
             for k in range(dim):
-                res = a @ eig.eigenvectors[:, k] - eig.eigenvalues[k] * eig.eigenvectors[:, k]
+                res = a @ vec[:, k] - lam[k] * vec[:, k]
                 assert np.linalg.norm(res) <= 1e-10 * norm
-            gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+            gram = vec.conj().T @ vec
             assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
 
     def test_descending_order(self):
         rng = np.random.default_rng(9)
-        eig = herm_eig(rand_hermitian(rng, 6))
-        assert np.all(np.diff(eig.eigenvalues) <= 0)
+        lam, _ = spectrum(rand_density(rng, 6))
+        assert np.all(np.diff(lam) <= 0)
+        # roundoff below zero is clipped; the block itself is kept as given
+        block = np.diag([1.0, -1e-13])
+        lam, _ = spectrum(block)
+        assert np.array_equal(lam, [1.0, 0.0])
+        assert BranchState(((T, block),)).block(T)[1, 1] == -1e-13
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            BranchState(((T, np.array([[0.5, 1.0], [0.0, 0.5]])),))
 
 
 def test_swap_identity():
@@ -131,7 +164,6 @@ def test_swap_identity():
     for i in range(2):
         for j in range(2):
             swap[j * 2 + i, i * 2 + j] = 1.0
-    assert np.array_equal(SWAP, swap)
     assert np.array_equal(SIGMA_DOT_SIGMA, 2 * swap - np.eye(4))
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from scattertomo.smallmat import ID2, partial_trace, tensor
 from scattertomo.states import (
+    ID2,
+    SIGMA_X,
     BlochVector,
     PolarCoords,
     ProbeConfig,
@@ -16,7 +17,7 @@ from scattertomo.states import (
     singlet,
 )
 
-from conftest import rand_bloch, rand_unitary
+from conftest import marginals, rand_bloch, rand_unitary
 
 
 class TestBlochToDensity:
@@ -90,8 +91,8 @@ class TestSinglet:
 
     def test_maximally_entangled_marginals(self):
         s = singlet()
-        for keep in ([0], [1]):
-            assert np.allclose(partial_trace(s, [2, 2], keep), ID2 / 2)
+        for marginal in marginals(s):
+            assert np.allclose(marginal, ID2 / 2)
 
     def test_uu_invariance(self):
         # (U x U)|psi-> = det(U)|psi->, so the projector is invariant
@@ -99,7 +100,7 @@ class TestSinglet:
         s = singlet()
         for _ in range(10):
             u = rand_unitary(rng)
-            uu = tensor(u, u)
+            uu = np.kron(u, u)
             assert np.allclose(uu @ s @ uu.conj().T, s, atol=1e-12)
 
 
@@ -108,7 +109,6 @@ class TestMaxEntangled:
         assert np.allclose(max_entangled(ID2, ID2), singlet())
 
     def test_sigma_x_left(self):
-        from scattertomo.smallmat import SIGMA_X
         psi = np.array([-1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
         expected = np.outer(psi, psi.conj())
         assert np.allclose(max_entangled(SIGMA_X, ID2), expected)
@@ -118,8 +118,8 @@ class TestMaxEntangled:
         for _ in range(20):
             rho = max_entangled(rand_unitary(rng), rand_unitary(rng))
             assert abs(np.trace(rho) - 1.0) < 1e-12
-            for keep in ([0], [1]):
-                assert np.allclose(partial_trace(rho, [2, 2], keep), ID2 / 2, atol=1e-12)
+            for marginal in marginals(rho):
+                assert np.allclose(marginal, ID2 / 2, atol=1e-12)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
