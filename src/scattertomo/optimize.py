@@ -218,18 +218,110 @@ def _omega_form(v, theta, u_lo, u_hi, mode: DetectionMode):
     return qfi
 
 
+# NEA seeding scans every SEED_STRIDE-th (theta_a, log Omega) node, then
+# full-resolution windows of SEED_WINDOW x SEED_WINDOW nodes
+SEED_STRIDE = 3
+SEED_WINDOW = 9
+
+
+def _scan(v, theta, omega, mode: DetectionMode) -> np.ndarray:
+    y = nea_qfi(v, theta, omega, mode)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("QFI surface is not finite on the scan grid")
+    return y
+
+
+def _windows(v_z, thetas, omegas, mode: DetectionMode, prob, i0, j0, shape, seen):
+    """Evaluate full-resolution windows of ``shape`` at origins (i0, j0) of targets ``prob``.
+
+    Returns the window maxima whose grid neighbours all lie in the window, as
+    (prob, i, j, value): these are grid-local maxima. The window maxima on a
+    window border inside the grid come back as (prob, i, j, si, sj), since
+    their missing neighbour may be higher; si, sj in {-1, 0, 1} point out of
+    the window. Every point whose grid neighbours all lie in its window is
+    marked in ``seen``.
+    """
+    n_t, n_w = seen.shape[1:]
+    rows = i0[:, None] + np.arange(shape[0])
+    cols = j0[:, None] + np.arange(shape[1])
+    y = _scan(v_z[prob, None, None], thetas[rows][:, :, None], omegas[cols][:, None, :], mode)
+    in_t = ((rows > i0[:, None]) | (rows == 0)) & ((rows < rows[:, -1:]) | (rows == n_t - 1))
+    in_w = ((cols > j0[:, None]) | (cols == 0)) & ((cols < cols[:, -1:]) | (cols == n_w - 1))
+    inner = in_t[:, :, None] & in_w[:, None, :]
+    k, a, b = np.nonzero(inner)
+    seen[prob[k], rows[k, a], cols[k, b]] = True
+    k, a, b = np.nonzero(_local_maxima(y, (1, 2)))
+    at, done = (prob[k], rows[k, a], cols[k, b]), inner[k, a, b]
+    step = (a == shape[0] - 1).astype(int) - (a == 0), (b == shape[1] - 1).astype(int) - (b == 0)
+    return (*(x[done] for x in at), y[k, a, b][done]), tuple(x[~done] for x in (*at, *step))
+
+
+def _nea_seeds(v_z, thetas, omegas, mode: DetectionMode):
+    """Grid-local maxima of ``nea_qfi`` on the (theta_a, Omega) grid of each target.
+
+    Returns (prob, i, j, value), sorted by (prob, i, j), from a fraction of
+    the grid's nodes; each stage is one ``nea_qfi`` call for all targets:
+      * the full-resolution bands of rows {0, 1} and {n-2, n-1}: the surface
+        is even in theta_a about 0 and pi, so every edge point is critical
+        in theta_a and an edge maximum's basin can be narrower than a stride;
+      * a coarse scan of every SEED_STRIDE-th node (and the last) per axis;
+      * a full-resolution window around each coarse local maximum, whose
+        4-neighbour maxima off the window's border are grid-local maxima;
+      * re-centring: a window maximum on the window's border (not the
+        grid's) opens a window there, one call per round until none is
+        left: a hill climb on the full grid.
+    Every point returned is a grid-local maximum with its full-grid value.
+    That none is missed is checked against full-grid scans on the default
+    grid and a set of others (tests/test_optimize.py), not proven: on a grid
+    much coarser than the surface, a ridge between coarse nodes can carry a
+    maximum that no window reaches.
+    """
+    n_t, n_w = thetas.size, omegas.size
+    seen = np.zeros((v_z.size, n_t, n_w), dtype=bool)
+    prob = np.repeat(np.arange(v_z.size), 2)
+    found, _ = _windows(v_z, thetas, omegas, mode, prob, np.tile([0, n_t - 2], v_z.size),
+                        np.zeros_like(prob), (2, n_w), seen)
+    # the bands' border maxima open no window: a climb from them crosses the
+    # grid to maxima that the coarse windows find
+    seeds = [found]
+
+    ci = np.r_[0:n_t - 1:SEED_STRIDE, n_t - 1]
+    cj = np.r_[0:n_w - 1:SEED_STRIDE, n_w - 1]
+    coarse = _scan(v_z[:, None, None], thetas[ci][:, None], omegas[cj], mode)
+    prob, a, b = np.nonzero(_local_maxima(coarse, (1, 2)))
+    i, j, si, sj = ci[a], cj[b], 0, 0
+
+    # a coarse maximum is the centre of its window; a climbing point sits one
+    # node in from the new window's edge, so the window extends ahead of it
+    half = SEED_WINDOW // 2
+    shape = (min(SEED_WINDOW, n_t), min(SEED_WINDOW, n_w))
+    while prob.size:
+        i0 = np.clip(i - half + si * (half - 1), 0, n_t - shape[0])
+        j0 = np.clip(j - half + sj * (half - 1), 0, n_w - shape[1])
+        first = _first_per_problem((prob * n_t + i0) * n_w + j0, [])  # one per origin
+        found, climb = _windows(v_z, thetas, omegas, mode, prob[first], i0[first],
+                                j0[first], shape, seen)
+        seeds.append(found)
+        prob, i, j, si, sj = (x[~seen[climb[:3]]] for x in climb)
+
+    prob, i, j, value = (np.concatenate(x) for x in zip(*seeds))
+    first = _first_per_problem((prob * n_t + i) * n_w + j, [])  # one per node
+    return prob[first], i[first], j[first], value[first]
+
+
 def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
                        mode: DetectionMode = DetectionMode.BOTH,
                        grid: tuple[int, int] = (181, 121),
                        tol: float = 1e-8) -> list[OptResult]:
     """Best unentangled-probe QFI over (theta_a, Omega) at each z-axis target.
 
-    Per target, a coarse vectorized grid over theta_a in [0, pi] x log Omega;
-    then the best six grid-local maxima of every target are refined together
-    by coordinate-descent golden section, a lane leaving once it stops
-    moving. Each round fits every lane's QFI factors once per coordinate (a
-    cosine polynomial in theta_a, a quadratic in W = Omega^2) and the steps
-    evaluate those fits. Among near-equal optima the smallest theta_a is
+    Per target, the grid-local maxima on ``grid`` = (n_theta, n_omega) nodes
+    over theta_a in [0, pi] x log Omega, found by ``_nea_seeds`` without
+    evaluating the whole grid; then the best six of every target are refined
+    together by coordinate-descent golden section, a lane leaving once it
+    stops moving. Each round fits every lane's QFI factors once per
+    coordinate (a cosine polynomial in theta_a, a quadratic in W = Omega^2)
+    and the steps evaluate those fits. Among near-equal optima the smallest theta_a is
     returned, with its value from ``nea_qfi``.
     """
     v_z = np.asarray(v_z, dtype=float).ravel()
@@ -239,17 +331,14 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
     if not (0.0 < lo < hi) or not math.isfinite(hi):
         raise ValueError(f"degenerate omega bracket ({lo}, {hi})")
     n_theta, n_omega = grid
+    if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in grid):
+        raise ValueError(f"grid sizes must be integers >= 2, got {grid}")
     thetas = np.linspace(0.0, math.pi, n_theta)
     u_lo, u_hi = math.log(lo), math.log(hi)
     us = np.linspace(u_lo, u_hi, n_omega)
-    surface = np.empty((v_z.size, n_theta, n_omega))
-    for row, v in zip(surface, v_z):
-        row[...] = nea_qfi(v, thetas[:, None], np.exp(us)[None, :], mode)
-    if not np.all(np.isfinite(surface)):
-        raise ValueError("QFI surface is not finite on the scan grid")
 
-    prob, i, j = np.nonzero(_local_maxima(surface, (1, 2)))
-    top = _first_per_problem(prob, [-surface[prob, i, j], i, j], 6)
+    prob, i, j, value = _nea_seeds(v_z, thetas, np.exp(us), mode)
+    top = _first_per_problem(prob, [-value, i, j], 6)
     prob, theta, u = prob[top], thetas[i[top]], us[j[top]]
     evals = np.zeros(prob.size, dtype=int)
     ok = np.ones(prob.size, dtype=bool)

@@ -205,7 +205,9 @@ class Channel:
             raise ValueError("target state must be 2x2")
         if np.max(np.abs(rho_x - dagger(rho_x))) > 1e-10 or abs(np.trace(rho_x) - 1.0) > 1e-10:
             raise ValueError("target state must be Hermitian with unit trace")
-        c = 2.0 * np.einsum("ab,kba->k", rho_x, _BASIS)  # Tr(rho_x B_k)
+        # Tr(rho_x B_k) of the Hermitian part: a skew the check above allows
+        # must not reach the blocks, whose Hermitian test is tighter
+        c = 2.0 * np.einsum("ab,kba->k", rho_x, _BASIS).real
         return BranchState(tuple((lab, np.einsum("k,kij->ij", c, m))
                                  for lab, m in zip(self.labels, self.maps)))
 

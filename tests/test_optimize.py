@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from scattertomo.closedform import ea_cr, nea_qfi, phase_bound
+from scattertomo.closedform import _nea_factors, ea_cr, nea_qfi, phase_bound
 from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
     EnvelopePoint,
     OptResult,
     _local_maxima,
+    _nea_seeds,
     _omega_form,
     _theta_form,
     ea_envelope_point,
@@ -338,6 +339,96 @@ class TestLocalMaxima:
         assert _local_maxima(flat[:, None], (1, 2)).all()
 
 
+def nea_grid(grid, bracket):
+    """The (theta_a, Omega) nodes ``maximize_nea_batch`` scans on ``grid`` and ``bracket``."""
+    u = np.linspace(math.log(bracket[0]), math.log(bracket[1]), grid[1])
+    return np.linspace(0.0, math.pi, grid[0]), np.exp(u)
+
+
+def full_grid_seeds(v_z, thetas, omegas, mode):
+    """Grid-local maxima (prob, i, j, value) of a scan of every node, a few targets at a time."""
+    found = []
+    for first in range(0, v_z.size, 16):
+        surface = nea_qfi(v_z[first:first + 16, None, None], thetas[:, None], omegas, mode)
+        prob, i, j = np.nonzero(padded_maxima_nea(surface))
+        found.append((prob + first, i, j, surface[prob, i, j]))
+    return tuple(np.concatenate(x) for x in zip(*found))
+
+
+def assert_seeds_match_full_grid(v_z, grid, bracket, mode):
+    thetas, omegas = nea_grid(grid, bracket)
+    seeds = _nea_seeds(np.asarray(v_z, dtype=float), thetas, omegas, mode)
+    reference = full_grid_seeds(np.asarray(v_z, dtype=float), thetas, omegas, mode)
+    # same (target, i, j) in the same order, and bit-equal values
+    for got, want in zip(seeds, reference):
+        assert np.array_equal(got, want)
+
+
+class TestNeaSeeds:
+    """The seeding finds exactly the grid-local maxima and values of a full-grid scan."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_figure_targets(self, mode):
+        for v_z in (np.linspace(-0.95, 0.95, 39), np.linspace(0.0, 0.95, 20)):
+            assert_seeds_match_full_grid(v_z, (181, 121), DEFAULT_OMEGA_BRACKET, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_seeded_sweep_on_the_default_grid(self, mode):
+        rng = np.random.default_rng(701)
+        v_z = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 1000)])
+        assert_seeds_match_full_grid(v_z, (181, 121), DEFAULT_OMEGA_BRACKET, mode)
+
+    @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3), (0.5, 2.0)])
+    @pytest.mark.parametrize("grid", [(181, 121), (180, 120), (91, 61), (361, 241), (7, 5),
+                                      (2, 2)])
+    def test_other_grids_and_brackets(self, grid, bracket):
+        rng = np.random.default_rng(grid[0] * grid[1])
+        v_z = np.concatenate([[0.0, 0.999, -0.999, 0.5], rng.uniform(-0.999, 0.999, 20)])
+        for mode in MODES:
+            assert_seeds_match_full_grid(v_z, grid, bracket, mode)
+
+    def test_no_targets(self):
+        thetas, omegas = nea_grid((181, 121), DEFAULT_OMEGA_BRACKET)
+        for x in _nea_seeds(np.empty(0), thetas, omegas, DetectionMode.BOTH):
+            assert x.size == 0
+
+
+class TestNeaDenominators:
+    """Every denominator of ``nea_qfi`` is positive on the whole domain.
+
+    So ``nea_qfi`` is finite at every grid node, and the nodes the seeding
+    never evaluates cannot hide a value that the finiteness check would refuse.
+    """
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_positive(self, mode):
+        v = np.concatenate([[0.0, 0.999999, -0.999999], np.linspace(-0.9999, 0.9999, 41)])
+        theta = np.linspace(0.0, math.pi, 73)
+        w = np.geomspace(1e-8, 1e8, 49)
+        v, theta, w = np.meshgrid(v, theta, w, indexing="ij", sparse=True)
+        factors = _nea_factors(v, theta, w, mode)
+        if mode is DetectionMode.TRANSMISSION:
+            dens = factors[:3]  # d_t, f_t, f_r
+        elif mode is DetectionMode.REFLECTION:
+            dens = (factors[0], factors[2])  # d_r, den
+        else:
+            dens = factors[:4]  # d_t, d_r, f_t, f_r
+        for den in dens:
+            assert np.all(den > 0.0)
+
+    def test_sum_of_squares_forms(self):
+        # d_t = 2(1+W)(1 - v cos)^2 + 2(1+9W)(1 - v^2) and
+        # d_r = 2(1 - v cos)^2 + 2(1 - v^2): both positive for |v| < 1
+        rng = np.random.default_rng(709)
+        v = rng.uniform(-0.999, 0.999, 500)
+        theta = rng.uniform(0.0, math.pi, 500)
+        w = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), 500))
+        d_t, d_r = _nea_factors(v, theta, w, DetectionMode.BOTH)[:2]
+        square, rest = (1 - v * np.cos(theta))**2, 1 - v**2
+        assert relerr_each(d_t, 2 * (1 + w) * square + 2 * (1 + 9 * w) * rest) <= 1e-10
+        assert relerr_each(d_r, 2 * square + 2 * rest) <= 1e-10
+
+
 class TestBatchInputChecks:
     @pytest.mark.parametrize("v_z, bracket", [
         (math.nan, DEFAULT_OMEGA_BRACKET),
@@ -352,6 +443,12 @@ class TestBatchInputChecks:
     def test_nea_batch_rejects(self, v_z, bracket):
         with pytest.raises(ValueError):
             maximize_nea_batch([0.2, v_z], bracket)
+
+    @pytest.mark.parametrize("grid", [(1, 121), (181, 1), (0, 5), (-3, 5), (181.0, 121),
+                                      (2.5, 5), ("181", 121)])
+    def test_nea_batch_rejects_grid(self, grid):
+        with pytest.raises(ValueError, match="grid sizes must be integers >= 2"):
+            maximize_nea_batch([0.2], grid=grid)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_ea_batch_rejects(self, mode):

@@ -354,6 +354,22 @@ class TestChannel:
         with pytest.raises(ValueError):
             Channel(singlet(), 0.5, DetectionMode.BOTH).state(rho_x)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_skewed_target_maps_like_its_hermitian_part(self, mode):
+        # a skew the target check allows gives the blocks of the Hermitian
+        # part; a larger one is refused as a target, not as an output block
+        for probe in (self.EA, self.NEA):
+            for skew in (5e-11, 5e-11j):
+                rho = np.array([[0.6, 0.1 + 0.2j + skew], [0.1 - 0.2j, 0.4]])
+                skewed = apply_channel(rho, probe, 0.7, mode)
+                herm = apply_channel(0.5 * (rho + rho.conj().T), probe, 0.7, mode)
+                assert skewed.labels == herm.labels
+                for (_, a), (_, b) in zip(skewed.blocks, herm.blocks):
+                    assert np.array_equal(a, b)
+                rho[0, 1] += 1e-9
+                with pytest.raises(ValueError, match="target state must be Hermitian"):
+                    apply_channel(rho, probe, 0.7, mode)
+
     def test_rejects_bad_probe_input(self):
         for rho_in in (np.eye(3) / 3, np.ones((2, 4)) / 4):
             with pytest.raises(ValueError):
