@@ -27,13 +27,11 @@ from .optimize import (
 )
 from .qfi import (
     CrBound,
-    Jacobian,
     QfiMatrix,
     cartesian_to_polar,
     cr_bound,
     polar_jacobian,
     qfi_numeric,
-    reparameterize,
 )
 from .scatter import (
     BlockLabel,
@@ -72,7 +70,6 @@ __all__ = [
     "CrBound",
     "DetectionMode",
     "EnvelopePoint",
-    "Jacobian",
     "OptResult",
     "PolarCoords",
     "ProbeConfig",
@@ -102,7 +99,6 @@ __all__ = [
     "probe_state",
     "purity_bound",
     "qfi_numeric",
-    "reparameterize",
     "s_matrices",
     "singlet",
 ]

@@ -24,7 +24,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
 
-AXIS_TOL = 1e-12  # |vx|, |vy| below this count as on the z axis
+AXIS_TOL = 1e-12  # |vx|, |vy| below this: on the z axis; |g·v| below this: g is across v
 
 MODES = {"t": scatter.DetectionMode.TRANSMISSION,
          "r": scatter.DetectionMode.REFLECTION,
@@ -114,29 +114,25 @@ def _branches(strategy: str, v: states.BlochVector, omega: float,
 
 def _closed_matrix(strategy: str, v: states.BlochVector, omega: float,
                    mode: scatter.DetectionMode, theta_a: float,
-                   basis: str) -> tuple[Optional[np.ndarray], Optional[tuple[int, int]]]:
-    """Closed-form matrix where the paper provides one.
+                   basis: str) -> np.ndarray:
+    """Closed-form matrix where the paper provides one, NaN in the cells it does not.
 
-    Returns (matrix, restriction). restriction=(2, 2) flags that only the zz
-    entry is given (NEA on-axis target); (None, None) when no closed form
-    applies (NEA off-axis or polar NEA).
+    NEA has only the cartesian zz entry, and only for a target on the z axis.
     """
     if strategy == "direct":
         if basis == "cartesian":
-            return closedform.direct_cartesian(v).h, None
+            return closedform.direct_cartesian(v).h
         coeffs = closedform.direct_qfi(v.norm)
-        return coeffs.matrix(states.bloch_to_polar(v).theta).h, None
+        return coeffs.matrix(states.bloch_to_polar(v).theta).h
     if strategy == "ea":
         if basis == "cartesian":
-            return closedform.ea_cartesian(v, omega, mode).h, None
+            return closedform.ea_cartesian(v, omega, mode).h
         coeffs = closedform.ea_polar(v.norm, omega, mode)
-        return coeffs.matrix(states.bloch_to_polar(v).theta).h, None
-    # NEA: the paper's closed form covers only the zz entry on the z axis
+        return coeffs.matrix(states.bloch_to_polar(v).theta).h
+    h = np.full((3, 3), np.nan)
     if basis == "cartesian" and _on_axis(v):
-        h = np.full((3, 3), np.nan)
         h[2, 2] = closedform.nea_qfi(v.vz, theta_a, omega, mode)
-        return h, (2, 2)
-    return None, None
+    return h
 
 
 def cmd_qfi(args: argparse.Namespace) -> int:
@@ -147,8 +143,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     h_num = qfi.qfi_numeric(state, derivs, eps=args.eps)
     if args.basis == "polar":
         h_num = qfi.cartesian_to_polar(h_num, states.bloch_to_polar(v))
-    closed, restriction = _closed_matrix(
-        args.strategy, v, omega, mode, args.theta_a, args.basis)
+    closed = _closed_matrix(args.strategy, v, omega, mode, args.theta_a, args.basis)
 
     axes = qfi.AXES if args.basis == "cartesian" else qfi.POLAR_AXES
     lines = _header(args, ["entry", "numeric", "closed_form"])
@@ -157,11 +152,10 @@ def cmd_qfi(args: argparse.Namespace) -> int:
         for j, col in enumerate(axes):
             num = h_num.h[i, j]
             closed_cell = ""
-            if closed is not None and (restriction is None or restriction == (i, j)):
-                if not math.isnan(closed[i, j]):
-                    closed_cell = _fmt(closed[i, j])
-                    diffs.append(abs(num - closed[i, j]))
-                    refs.append(abs(closed[i, j]))
+            if not math.isnan(closed[i, j]):
+                closed_cell = _fmt(closed[i, j])
+                diffs.append(abs(num - closed[i, j]))
+                refs.append(abs(closed[i, j]))
             lines.append(f"{row}{col},{_fmt(num)},{closed_cell}")
     if diffs:
         lines.append(f"# max_abs_diff: {_fmt(max(diffs))}")
@@ -170,40 +164,39 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_pure_target(v: states.BlochVector, param: str) -> None:
+def _check_pure_target(v: states.BlochVector, grad: Optional[np.ndarray], param: str) -> None:
     """Refuse bounds that need the radial QFI of a pure target.
 
     At |v| = 1 the radial QFI diverges, but the numeric QFI drops the
     zero-weight spectral terms and reports a finite value (the Bures-metric
-    discontinuity), so only directions across the Bloch vector are reliable.
+    discontinuity), so only gradients across the Bloch vector are reliable.
     """
-    if abs(v.norm - 1.0) > states.NORM_TOL:
-        return
-    if param in ("matrix", "r") or (
-            param in qfi.AXES and abs(getattr(v, "v" + param)) >= AXIS_TOL):
+    if abs(v.norm - 1.0) <= states.NORM_TOL and (
+            grad is None or abs(float(grad @ v.as_array())) >= AXIS_TOL):
         raise ValueError(f"--param {param} needs the radial QFI, which diverges "
                          "on a pure target (|v| = 1)")
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     v = _target_bloch(args)
-    _check_pure_target(v, args.param)
+    grad = None  # --param matrix
+    if args.param in qfi.AXES:
+        grad = np.eye(3)[qfi.AXES.index(args.param)]
+    elif args.param != "matrix":
+        grad = qfi.polar_gradient(v, args.param)
+    _check_pure_target(v, grad, args.param)
     omega = _require_omega(args)
     mode = MODES[args.mode]
     state, derivs = _branches(args.strategy, v, omega, mode, args.theta_a)
     h = qfi.qfi_numeric(state, derivs, eps=args.eps)
-    if args.param == "matrix":
+    if grad is None:
         bound = qfi.cr_bound(h, args.m_copies, "matrix").bound
         lines = _header(args, ["row", "x", "y", "z"])
         for i, row in enumerate(qfi.AXES):
             lines.append(",".join([row] + [_fmt(bound[i, j]) for j in range(3)]))
     else:
-        if args.param in qfi.POLAR_AXES:
-            res = qfi.cr_bound(h, args.m_copies, qfi.polar_param_jacobian(v, args.param))
-        else:
-            res = qfi.cr_bound(h, args.m_copies, args.param)
         lines = _header(args, ["param", "variance_bound"])
-        lines.append(f"{args.param},{_fmt(res.bound)}")
+        lines.append(f"{args.param},{_fmt(qfi.cr_bound(h, args.m_copies, grad).bound)}")
     _write(lines, args.output)
     return EXIT_OK
 

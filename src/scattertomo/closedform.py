@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qfi import CARTESIAN, POLAR, QfiMatrix
+from .qfi import CARTESIAN, POLAR, QfiMatrix, cr_bound
 from .scatter import DetectionMode
 from .states import BlochVector
 
@@ -244,10 +244,7 @@ def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix
 def purity_bound(r: float, omega: float, m: int,
                  mode: DetectionMode = DetectionMode.BOTH) -> float:
     """Variance bound for the Bloch radius r: Var[r] >= 1/(M c_r(r, Omega))."""
-    if int(m) < 1:
-        raise ValueError("m must be >= 1")
-    c_r = ea_polar(r, omega, mode).c_r
-    return 0.0 if math.isinf(c_r) else 1.0 / (int(m) * c_r)
+    return cr_bound(ea_polar(r, omega, mode).c_r, m).bound
 
 
 def phase_bound(omega: float, m: int) -> float:
@@ -256,7 +253,5 @@ def phase_bound(omega: float, m: int) -> float:
     Specialization of the angular bound 1/(M c_theta) to r = 1, theta = pi/2,
     collecting transmitted and reflected data.
     """
-    if int(m) < 1:
-        raise ValueError("m must be >= 1")
     w = float(_check_omega(omega))**2
-    return 1.0 / (int(m) * _ea_cperp(1.0, w, DetectionMode.BOTH))
+    return cr_bound(_ea_cperp(1.0, w, DetectionMode.BOTH), m).bound

@@ -57,19 +57,6 @@ class QfiMatrix:
 
 
 @dataclass(frozen=True)
-class Jacobian:
-    """B[j, k] = d v_k / d vtilde_j for a reparameterization vtilde(v)."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.shape != (3, 3) or not np.all(np.isfinite(b)):
-            raise ValueError("Jacobian must be a finite 3x3 real matrix")
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
 class CrBound:
     """Cramer-Rao variance bound over m_copies uses of the encoding state."""
 
@@ -102,61 +89,46 @@ def qfi_numeric(state: BranchState, derivs: BranchDerivatives,
     return QfiMatrix(CARTESIAN, h)
 
 
-def reparameterize(h: QfiMatrix, b: Jacobian, basis: str | None = None) -> QfiMatrix:
-    """QFI of the new parameters: H~ = B H B^T."""
-    return QfiMatrix(basis or h.basis, b.b @ h.h @ b.b.T)
-
-
-def polar_jacobian(p: PolarCoords) -> Jacobian:
-    """Jacobian d(vx,vy,vz)/d(r,theta,phi) of the spherical parametrization."""
+def polar_jacobian(p: PolarCoords) -> np.ndarray:
+    """Jacobian B[j, k] = d v_k / d (r, theta, phi)_j of the spherical parametrization."""
     st, ct = math.sin(p.theta), math.cos(p.theta)
     sp, cp = math.sin(p.phi), math.cos(p.phi)
-    return Jacobian(np.array([
+    return np.array([
         [st * cp, st * sp, ct],
         [p.r * ct * cp, p.r * ct * sp, -p.r * st],
         [-p.r * st * sp, p.r * st * cp, 0.0],
-    ]))
+    ])
 
 
-def polar_param_jacobian(v: BlochVector, param: str) -> Jacobian:
-    """Reparameterization Jacobian whose first parameter is a polar coordinate.
+def polar_gradient(v: BlochVector, param: str) -> np.ndarray:
+    """Cartesian gradient of the polar coordinate ``param`` ("r", "theta", "phi") at v.
 
-    The first row is the tangent vector dual to the coordinate's cartesian
-    gradient g (g/|g|^2), so the single-function bound (B H B^T)^-1_11 equals
-    g^T H^-1 g; the remaining rows are an orthonormal completion, which the
-    bound does not depend on. Errors where the coordinate is undefined.
+    Errors where the coordinate is undefined: at the origin, and for theta and
+    phi on the z axis.
     """
+    if param not in POLAR_AXES:
+        raise ValueError(f"unknown polar coordinate {param!r}")
     vec = v.as_array()
     r = v.norm
     if r < 1e-12:
         raise ValueError(f"polar coordinate {param!r} undefined at the origin")
-    rho = math.hypot(vec[0], vec[1])
     if param == "r":
-        grad = vec / r
-    elif param == "theta":
-        if rho < 1e-12:
-            raise ValueError("theta gradient undefined on the z axis")
-        grad = np.array([vec[0] * vec[2], vec[1] * vec[2], -rho * rho]) / (r * r * rho)
-    else:  # phi
-        if rho < 1e-12:
-            raise ValueError("phi undefined on the z axis")
-        grad = np.array([-vec[1], vec[0], 0.0]) / (rho * rho)
-    basis = [grad / np.linalg.norm(grad)]
-    for axis in np.eye(3):
-        w = axis - sum(b * float(b @ axis) for b in basis)
-        norm = np.linalg.norm(w)
-        if norm > 1e-9:
-            basis.append(w / norm)
-        if len(basis) == 3:
-            break
-    rows = np.vstack([grad / float(grad @ grad), basis[1], basis[2]])
-    return Jacobian(rows)
+        return vec / r
+    rho = math.hypot(vec[0], vec[1])
+    if rho < 1e-12:
+        raise ValueError("theta gradient undefined on the z axis" if param == "theta"
+                         else "phi undefined on the z axis")
+    if param == "theta":
+        return np.array([vec[0] * vec[2], vec[1] * vec[2], -rho * rho]) / (r * r * rho)
+    return np.array([-vec[1], vec[0], 0.0]) / (rho * rho)
 
 
 def cartesian_to_polar(h: QfiMatrix, p: PolarCoords) -> QfiMatrix:
+    """QFI of (r, theta, phi): B H B^T with B = polar_jacobian(p)."""
     if h.basis != CARTESIAN:
         raise ValueError("expected a cartesian QFI matrix")
-    return reparameterize(h, polar_jacobian(p), basis=POLAR)
+    b = polar_jacobian(p)
+    return QfiMatrix(POLAR, b @ h.h @ b.T)
 
 
 def _invert(h: np.ndarray) -> np.ndarray:
@@ -169,10 +141,11 @@ def _invert(h: np.ndarray) -> np.ndarray:
 def cr_bound(h, m: int, target="matrix") -> CrBound:
     """Cramer-Rao bound from a QfiMatrix (or a scalar single-parameter QFI).
 
-    target: "matrix" for the full covariance bound H^-1/M, an axis name for
-    the per-component variance bound (H^-1)_jj/M, or a Jacobian for the bound
-    on the first reparameterized component, (B H B^T)^-1_11 / M. Scalar h
-    gives 1/(M h), reported as +inf when h == 0.
+    target: "matrix" for the full covariance bound H^-1/M, or the gradient g of
+    a scalar function f of H's parameters for the bound on f, g^T H^-1 g / M.
+    An axis name of H's basis stands for the unit vector along it, giving the
+    per-component bound (H^-1)_jj/M. Scalar h gives 1/(M h), reported as +inf
+    when h == 0.
     """
     m = int(m)
     if m < 1:
@@ -183,13 +156,15 @@ def cr_bound(h, m: int, target="matrix") -> CrBound:
             raise ValueError("scalar QFI must be nonnegative")
         bound = math.inf if value == 0.0 else 1.0 / (m * value)
         return CrBound(m, bound, "scalar")
-    if isinstance(target, Jacobian):
-        h_new = reparameterize(h, target)
-        return CrBound(m, float(_invert(h_new.h)[0, 0]) / m, "function")
-    if target == "matrix":
-        return CrBound(m, _invert(h.h) / m, "matrix")
-    axes = AXES if h.basis == CARTESIAN else POLAR_AXES
-    if target not in axes:
-        raise ValueError(f"target {target!r} not valid for basis {h.basis!r}")
-    j = axes.index(target)
-    return CrBound(m, float(_invert(h.h)[j, j]) / m, f"component {target}")
+    label = "function"
+    if isinstance(target, str):
+        if target == "matrix":
+            return CrBound(m, _invert(h.h) / m, "matrix")
+        axes = AXES if h.basis == CARTESIAN else POLAR_AXES
+        if target not in axes:
+            raise ValueError(f"target {target!r} not valid for basis {h.basis!r}")
+        target, label = np.eye(3)[axes.index(target)], f"component {target}"
+    grad = np.asarray(target, dtype=float)
+    if grad.shape != (3,) or not np.all(np.isfinite(grad)):
+        raise ValueError("gradient must be a finite array of shape (3,)")
+    return CrBound(m, float(grad @ _invert(h.h) @ grad) / m, label)

@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import scattertomo
 from scattertomo.cli import MODES, main
-from scattertomo.closedform import ea_cartesian, ea_cr, ea_polar, nea_qfi, phase_bound
+from scattertomo.closedform import (direct_qfi, ea_cartesian, ea_cr, ea_polar, nea_qfi,
+                                    phase_bound)
 from scattertomo.scatter import DetectionMode
 from scattertomo.states import BlochVector
 
@@ -171,6 +173,51 @@ class TestBoundCommand:
                            "--omega", "0.7", "--param", "phi")
         assert code == 3
         assert "phi" in err
+
+    def test_undefined_parameter_is_checked_before_omega(self, capsys):
+        # the target and its parameter are checked first, as on a pure target
+        code, out, err = run(capsys, "bound", "--strategy", "ea", "--vz", "0.3",
+                             "--param", "theta")
+        assert code == 3
+        assert out == "" and "z axis" in err
+
+
+class TestAngularBoundsNearSingularPoints:
+    # g^T H^-1 g / M with the cartesian gradient g: a large gradient on a
+    # well-conditioned H is a large, finite bound, not a singular matrix
+    STRATEGIES = {"direct": ("--strategy", "direct"),
+                  "ea": ("--strategy", "ea", "--mode", "both", "--omega", "0.6"),
+                  "nea": ("--strategy", "nea", "--mode", "both", "--omega", "0.6",
+                          "--theta-a", "0.3")}
+
+    @staticmethod
+    def expected(strategy, r, theta, param):
+        if strategy == "direct":
+            c_theta = direct_qfi(r).c_theta
+        else:
+            c_theta = ea_polar(r, 0.6, DetectionMode.BOTH).c_theta
+        return 1.0 / (c_theta * (math.sin(theta)**2 if param == "phi" else 1.0))
+
+    @pytest.mark.parametrize("strategy", ["direct", "ea", "nea"])
+    @pytest.mark.parametrize("r", ["1e-6", "1e-9"])
+    @pytest.mark.parametrize("param", ["theta", "phi"])
+    def test_near_the_origin(self, capsys, strategy, r, param):
+        code, out, err = run(capsys, "bound", *self.STRATEGIES[strategy], "--r", r,
+                             "--theta", "1", "--phi", "0.5", "--param", param)
+        assert code == 0, err
+        value = float(rows(out)[0][1])
+        assert math.isfinite(value) and value > 0.0
+        if strategy != "nea":
+            expected = self.expected(strategy, float(r), 1.0, param)
+            assert abs(value / expected - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("strategy", ["direct", "ea"])
+    def test_phase_near_the_z_axis(self, capsys, strategy):
+        code, out, err = run(capsys, "bound", *self.STRATEGIES[strategy], "--r", "0.5",
+                             "--theta", "1e-6", "--param", "phi")
+        assert code == 0, err
+        expected = self.expected(strategy, 0.5, 1e-6, "phi")
+        assert abs(float(rows(out)[0][1]) / expected - 1.0) < 1e-9
 
 
 class TestBoundOnPureTarget:
@@ -450,3 +497,24 @@ def test_repeated_main_calls_match_separate_runs(tmp_path, capsys):
         alone = (tmp_path / f"{name}_alone.csv").read_text()
         assert (tmp_path / f"{name}_in.csv").read_text() == alone
     assert "start=0.2" not in (tmp_path / "second_in.csv").read_text()
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("scattertomo ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) >= 5
+    for i, line in enumerate(lines):
+        argv = shlex.split(line)[1:]
+        if "-o" in argv:
+            k = argv.index("-o")
+            del argv[k:k + 2]
+        target = tmp_path / f"example_{i}.csv"
+        assert main(argv + ["-o", str(target)]) == 0, line
+        assert rows(target.read_text()), line
+    capsys.readouterr()

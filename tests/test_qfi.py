@@ -8,13 +8,12 @@ from scattertomo.qfi import (
     CARTESIAN,
     POLAR,
     CrBound,
-    Jacobian,
     QfiMatrix,
     cartesian_to_polar,
     cr_bound,
+    polar_gradient,
     polar_jacobian,
     qfi_numeric,
-    reparameterize,
 )
 from scattertomo.scatter import (
     BlockLabel,
@@ -26,7 +25,7 @@ from scattertomo.scatter import (
     direct_branches,
 )
 from scattertomo.states import (ID2, BlochVector, PolarCoords, ProbeConfig, bloch_to_density,
-                                bloch_to_polar)
+                                bloch_to_polar, polar_to_bloch)
 
 from conftest import log_uniform, rand_bloch, relerr
 
@@ -264,15 +263,19 @@ class TestOraclePins:
 
 class TestReparameterize:
     def test_identity(self):
-        h = QfiMatrix(CARTESIAN, np.diag([2.0, 1.0, 3.0]))
-        out = reparameterize(h, Jacobian(np.eye(3)))
-        assert np.array_equal(out.h, h.h)
+        # on the unit equator B is orthogonal, so the identity QFI stays the identity
+        h = QfiMatrix(CARTESIAN, np.eye(3))
+        out = cartesian_to_polar(h, PolarCoords(1.0, math.pi / 2, 2.3))
+        assert out.basis == POLAR
+        assert relerr(out.h, np.eye(3)) < 1e-15
 
     def test_diagonal_scaling(self):
-        h = QfiMatrix(CARTESIAN, np.diag([2.0, 1.0, 3.0]))
-        out = reparameterize(h, Jacobian(np.diag([2.0, 1.0, 1.0])))
-        assert out.h[0, 0] == 8.0
-        assert out.h[1, 1] == 1.0
+        # an isotropic QFI c I becomes c diag(1, r^2, r^2 sin^2 theta)
+        h = QfiMatrix(CARTESIAN, 2.0 * np.eye(3))
+        p = PolarCoords(0.5, 1.1, 5.9)
+        out = cartesian_to_polar(h, p)
+        expected = 2.0 * np.diag([1.0, p.r**2, (p.r * math.sin(p.theta))**2])
+        assert relerr(out.h, expected) < 1e-15
 
     def test_cartesian_to_polar_diagonalizes_ea(self):
         rng = np.random.default_rng(83)
@@ -288,11 +291,73 @@ class TestReparameterize:
 
     def test_polar_jacobian_rows(self):
         p = PolarCoords(0.5, 1.1, 2.0)
-        b = polar_jacobian(p).b
-        # first row is the unit radial direction
+        b = polar_jacobian(p)
+        assert b.shape == (3, 3)
+        # row j is d v / d (r, theta, phi)_j, checked by central differences
+        step = 1e-6
+        for j in range(3):
+            hi, lo = np.array([p.r, p.theta, p.phi]), np.array([p.r, p.theta, p.phi])
+            hi[j] += step
+            lo[j] -= step
+            fd = (polar_to_bloch(PolarCoords(*hi)).as_array()
+                  - polar_to_bloch(PolarCoords(*lo)).as_array()) / (2 * step)
+            assert np.max(np.abs(b[j] - fd)) < 1e-9
         assert abs(np.linalg.norm(b[0]) - 1.0) < 1e-12
         assert abs(np.linalg.norm(b[1]) - p.r) < 1e-12
         assert abs(np.linalg.norm(b[2]) - p.r * math.sin(p.theta)) < 1e-12
+
+    def test_cartesian_to_polar_refuses_polar_input(self):
+        with pytest.raises(ValueError):
+            cartesian_to_polar(QfiMatrix(POLAR, np.eye(3)), PolarCoords(0.5, 1.0, 0.0))
+
+
+class TestPolarGradient:
+    def test_central_differences(self):
+        rng = np.random.default_rng(97)
+        step = 1e-6
+        for _ in range(20):
+            vec = rand_bloch(rng, r_max=0.9, r_min=0.1)
+            v = BlochVector.from_array(vec)
+            for k, param in enumerate(("r", "theta", "phi")):
+                fd = np.zeros(3)
+                for j in range(3):
+                    e = np.zeros(3)
+                    e[j] = step
+                    hi = bloch_to_polar(BlochVector.from_array(vec + e))
+                    lo = bloch_to_polar(BlochVector.from_array(vec - e))
+                    diff = (hi.r - lo.r, hi.theta - lo.theta, hi.phi - lo.phi)[k]
+                    fd[j] = math.remainder(diff, 2 * math.pi) / (2 * step)  # phi wraps
+                grad = polar_gradient(v, param)
+                assert grad.shape == (3,)
+                assert np.max(np.abs(grad - fd)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+    def test_gradient_bound_matches_polar_component(self):
+        # g^T H^-1 g / M is the component bound of the reparameterized matrix
+        rng = np.random.default_rng(98)
+        for mode in MODES:
+            v = BlochVector.from_array(rand_bloch(rng, r_max=0.9, r_min=0.1))
+            h = ea_cartesian(v, log_uniform(rng, 0.1, 5), mode)
+            h_polar = cartesian_to_polar(h, bloch_to_polar(v))
+            for param in ("r", "theta", "phi"):
+                via_gradient = cr_bound(h, 3, polar_gradient(v, param)).bound
+                assert abs(via_gradient / cr_bound(h_polar, 3, param).bound - 1.0) < 1e-12
+
+    def test_undefined_at_the_origin(self):
+        for param in ("r", "theta", "phi"):
+            with pytest.raises(ValueError, match="origin"):
+                polar_gradient(BlochVector(0.0, 0.0, 0.0), param)
+
+    @pytest.mark.parametrize("param", ["theta", "phi"])
+    def test_undefined_on_the_z_axis(self, param):
+        for vz in (0.5, -1.0):
+            with pytest.raises(ValueError, match="z axis"):
+                polar_gradient(BlochVector(0.0, 0.0, vz), param)
+        # the radial gradient is defined there
+        assert np.array_equal(polar_gradient(BlochVector(0.0, 0.0, -0.5), "r"), [0, 0, -1])
+
+    def test_unknown_coordinate(self):
+        with pytest.raises(ValueError):
+            polar_gradient(BlochVector(0.1, 0.2, 0.3), "x")
 
 
 class TestCrBound:
@@ -348,9 +413,26 @@ class TestCrBound:
 
     def test_function_target(self):
         h = QfiMatrix(CARTESIAN, np.diag([4.0, 1.0, 1.0]))
-        # estimating 2*v_x: d v_x / d f = 1/2
-        jac = Jacobian(np.array([[0.5, 0, 0], [0, 1, 0], [0, 0, 1.0]]))
-        assert abs(cr_bound(h, 1, jac).bound - 1.0) < 1e-12
+        # estimating f = 2*v_x: gradient (2, 0, 0)
+        res = cr_bound(h, 1, np.array([2.0, 0.0, 0.0]))
+        assert abs(res.bound - 1.0) < 1e-12
+        assert res.target == "function"
+
+    def test_axis_name_is_its_unit_gradient(self):
+        h = QfiMatrix(CARTESIAN, np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]))
+        for j, axis in enumerate("xyz"):
+            assert cr_bound(h, 2, axis).bound == cr_bound(h, 2, np.eye(3)[j]).bound
+
+    def test_bad_gradient_raises(self):
+        h = QfiMatrix(CARTESIAN, np.eye(3))
+        for grad in ([1.0, 0.0], np.ones((3, 3)), [1.0, math.nan, 0.0], [math.inf, 0, 0]):
+            with pytest.raises(ValueError, match="gradient"):
+                cr_bound(h, 1, grad)
+
+    def test_conditioning_is_tested_on_h_not_the_gradient(self):
+        # a huge gradient on a well-conditioned H is a huge, finite bound
+        h = QfiMatrix(CARTESIAN, np.eye(3))
+        assert cr_bound(h, 1, np.array([0.0, 1e6, 0.0])).bound == 1e12
 
     def test_m_copies_validation(self):
         with pytest.raises(ValueError):
