@@ -144,6 +144,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     if args.basis == "polar":
         h_num = qfi.cartesian_to_polar(h_num, states.bloch_to_polar(v))
     closed = _closed_matrix(args.strategy, v, omega, mode, args.theta_a, args.basis)
+    _check_pure_target(v, None, "the QFI matrix")
 
     axes = qfi.AXES if args.basis == "cartesian" else qfi.POLAR_AXES
     lines = _header(args, ["entry", "numeric", "closed_form"])
@@ -164,8 +165,8 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_pure_target(v: states.BlochVector, grad: Optional[np.ndarray], param: str) -> None:
-    """Refuse bounds that need the radial QFI of a pure target.
+def _check_pure_target(v: states.BlochVector, grad: Optional[np.ndarray], what: str) -> None:
+    """Refuse ``what``, the matrix (grad None) or a bound of gradient grad, on a pure target.
 
     At |v| = 1 the radial QFI diverges, but the numeric QFI drops the
     zero-weight spectral terms and reports a finite value (the Bures-metric
@@ -173,7 +174,7 @@ def _check_pure_target(v: states.BlochVector, grad: Optional[np.ndarray], param:
     """
     if abs(v.norm - 1.0) <= states.NORM_TOL and (
             grad is None or abs(float(grad @ v.as_array())) >= AXIS_TOL):
-        raise ValueError(f"--param {param} needs the radial QFI, which diverges "
+        raise ValueError(f"{what} needs the radial QFI, which diverges "
                          "on a pure target (|v| = 1)")
 
 
@@ -184,7 +185,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         grad = np.eye(3)[qfi.AXES.index(args.param)]
     elif args.param != "matrix":
         grad = qfi.polar_gradient(v, args.param)
-    _check_pure_target(v, grad, args.param)
+    _check_pure_target(v, grad, f"--param {args.param}")
     omega = _require_omega(args)
     mode = MODES[args.mode]
     state, derivs = _branches(args.strategy, v, omega, mode, args.theta_a)

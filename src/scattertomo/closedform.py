@@ -111,13 +111,11 @@ def _polar_coeffs(c_r, c_theta) -> QfiPolarCoeffs:
     return QfiPolarCoeffs(c_r, c_theta)
 
 
-def direct_qfi(r, theta: float = 0.0) -> QfiPolarCoeffs:
+def direct_qfi(r) -> QfiPolarCoeffs:
     """Polar coefficients for direct access to the target: (1/(1-r^2), r^2).
 
-    Independent of theta and phi; theta is accepted only for interface parity
-    with the polar matrix constructors. Broadcasts over r.
+    Independent of theta and phi. Broadcasts over r.
     """
-    del theta
     r = _check_radius(r, strict=False)
     with np.errstate(divide="ignore"):
         return _polar_coeffs(1.0 / (1.0 - r**2), r**2)

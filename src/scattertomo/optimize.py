@@ -6,8 +6,9 @@ unimodality is assumed. Momentum grids are logarithmic: the QFI vanishes at
 both ends of the bracket, so optima are interior.
 
 Every search solves a batch of independent problems in lockstep: each
-golden-section step makes one broadcasting objective call for every lane
-(problem x candidate) still searching. The one-problem functions wrap these.
+golden-section step makes one objective call on arrays over a fixed set of
+lanes (problem x candidate), finished lanes included. The one-problem
+functions wrap these.
 """
 
 from __future__ import annotations
@@ -59,39 +60,38 @@ class EnvelopePoint:
 def _golden_max(f, lo, hi, stop, max_iter: int = 300):
     """Golden-section maximization in lockstep, one lane per bracket [lo[k], hi[k]].
 
-    f(x, k) evaluates lanes k at points x (a lone lane gets a scalar x and k);
-    stop(lo, hi, k) is their convergence test. Each lane runs the scalar
-    algorithm and leaves when its test passes, or unconverged after max_iter
-    evaluations. Returns arrays (x, f(x), evals, ok).
+    f(x) and the convergence test stop(lo, hi) take arrays over all lanes.
+    Each lane runs the scalar algorithm; its result is recorded when its test
+    first passes, or unconverged after max_iter evaluations, and it keeps
+    stepping until every lane has finished. Returns arrays (x, f(x), evals, ok).
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out = [np.empty(lo.size), np.empty(lo.size), np.empty(lo.size, dtype=int),
            np.empty(lo.size, dtype=bool)]
-    k = np.arange(lo.size)
+    finished = np.zeros(lo.size, dtype=bool)
     c = hi - INV_PHI * (hi - lo)
     d = lo + INV_PHI * (hi - lo)
-    fc, fd = np.asarray(f(c, k), dtype=float), np.asarray(f(d, k), dtype=float)
-    evals = 2  # every unfinished lane has spent the same number
-    while k.size:
-        ok = stop(lo, hi, k)
-        done = ok | (evals >= max_iter)
-        if done.any():
+    fc, fd = np.asarray(f(c), dtype=float), np.asarray(f(d), dtype=float)
+    evals = 2  # every lane has spent the same number
+    while True:
+        ok = stop(lo, hi)
+        new = ~finished & (ok | (evals >= max_iter))
+        if new.any():
             pick_c = fc >= fd
             for res, val in zip(out, (np.where(pick_c, c, d), np.where(pick_c, fc, fd),
-                                      np.full(k.size, evals), ok)):
-                res[k[done]] = val[done]
-            k, lo, hi, c, d, fc, fd = (a[~done] for a in (k, lo, hi, c, d, fc, fd))
-            continue
+                                      np.full(lo.size, evals), ok)):
+                res[new] = val[new]
+            finished |= new
+        if finished.all():
+            return tuple(out)
         left = fc >= fd
         hi, lo = np.where(left, d, hi), np.where(left, lo, c)
         step = INV_PHI * (hi - lo)
         x = np.where(left, hi - step, lo + step)
-        # numpy evaluates a lone lane faster as scalars than as 1-element arrays
-        y = np.asarray(f(x, k) if k.size > 1 else [f(x[0], k[0])], dtype=float)
+        y = np.asarray(f(x), dtype=float)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, y, fd), np.where(left, fc, y)
         evals += 1
-    return tuple(out)
 
 
 def _local_maxima(y: np.ndarray, axes: tuple[int, ...], strict_before: bool = False) -> np.ndarray:
@@ -131,11 +131,12 @@ def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       log_grid: bool = True, name: str = "x") -> list[OptResult]:
     """Maximize n independent objectives on one bracket, in lockstep.
 
-    objective(x, k) evaluates problems k at points x, broadcasting the two
-    arrays. Each problem gets a dense scan (log-spaced when the bracket is
-    positive); its best 16 grid-local maxima are refined by golden section
-    and the best refined candidate is returned. Ties go to the smaller
-    argument.
+    objective(x, k) evaluates problems k at points x: on the scan x has shape
+    (n, n_grid) and k (n, 1), on each golden-section step both have one entry
+    per lane, and the result is broadcast to x's shape. Each problem gets a
+    dense scan (log-spaced when the bracket is positive); its best 16
+    grid-local maxima are refined by golden section and the best refined
+    candidate is returned. Ties go to the smaller argument.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
@@ -147,22 +148,21 @@ def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     to_u, from_u = (np.log, np.exp) if use_log else (np.asarray, np.asarray)
 
     def f(x, k):
-        x = np.broadcast_to(x, np.broadcast_shapes(np.shape(x), np.shape(k)))
         y = np.broadcast_to(np.asarray(objective(x, k), dtype=float), x.shape)
         if not np.all(np.isfinite(y)):
             raise ValueError(f"objective is not finite at {name}={x[~np.isfinite(y)][0]}")
         return y
 
-    ys = f(xs[None, :], np.arange(n)[:, None])
+    ys = f(np.broadcast_to(xs, (n, n_grid)), np.arange(n)[:, None])
     # grid-local maxima; a plateau keeps its first point
     prob, i = np.nonzero(_local_maxima(ys, (1,), strict_before=True))
     top = _first_per_problem(prob, [-ys[prob, i], i], 16)
     prob, i = prob[top], i[top]
 
     u, fx, evals, ok = _golden_max(
-        lambda uu, k: f(from_u(uu), prob[k]),
+        lambda uu: f(from_u(uu), prob),
         to_u(xs[np.maximum(i - 1, 0)]), to_u(xs[np.minimum(i + 1, n_grid - 1)]),
-        lambda a, b, k: from_u(b) - from_u(a) <= tol * (1.0 + np.abs(from_u(0.5 * (a + b)))))
+        lambda a, b: from_u(b) - from_u(a) <= tol * (1.0 + np.abs(from_u(0.5 * (a + b)))))
     x = from_u(u)
     pick = _first_per_problem(prob, [-fx, x])
     return _results(prob, n, evals, ok, pick, [(name, x)], fx)
@@ -183,7 +183,7 @@ _THETA_FIT = np.linalg.inv(np.cos(np.outer(_THETA_NODES, np.arange(5))))
 
 
 def _theta_form(v, w, mode: DetectionMode):
-    """NEA QFI of lanes (v[k], W = w[k]) as a function (theta_a, k) of the probe angle.
+    """NEA QFI of lanes (v, W = w) as a function of their probe angles theta_a.
 
     Every factor of ``nea_qfi`` is a cosine polynomial of degree <= 4 in
     theta_a, fitted once per lane from its values at the five nodes.
@@ -192,13 +192,12 @@ def _theta_form(v, w, mode: DetectionMode):
         v[:, None], _THETA_NODES, w[:, None], mode)))
     coef = np.einsum("kj,flj->flk", _THETA_FIT, at_nodes)  # (factor, lane, k)
     powers = np.arange(5)
-    return lambda t, k: _nea_ratio(
-        np.einsum("f...k,...k->f...", coef[:, k], np.cos(np.multiply.outer(t, powers))),
-        w[k], mode)
+    return lambda t: _nea_ratio(
+        np.einsum("flk,lk->fl", coef, np.cos(np.multiply.outer(t, powers))), w, mode)
 
 
 def _omega_form(v, theta, u_lo, u_hi, mode: DetectionMode):
-    """NEA QFI of lanes (v[k], theta[k]) as a function (log Omega, k) on [u_lo[k], u_hi[k]].
+    """NEA QFI of lanes (v, theta) as a function of their log Omega in [u_lo, u_hi].
 
     Every factor of ``nea_qfi`` is a quadratic in W = Omega^2, fitted once per
     lane from its values at the two ends and the centre of the lane's W range.
@@ -208,12 +207,12 @@ def _omega_form(v, theta, u_lo, u_hi, mode: DetectionMode):
     nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
     f_lo, f_mid, f_hi = np.moveaxis(np.stack(np.broadcast_arrays(*_nea_factors(
         v[:, None], theta[:, None], nodes, mode))), -1, 0)
-    # coefficients (power, factor, lane) in x = (W - mid) / half, x in [-1, 1]
-    quad = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid])
+    # coefficients of x^0, x^1, x^2 per (factor, lane), x = (W - mid) / half in [-1, 1]
+    q0, q1, q2 = f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid
 
-    def qfi(u, k):
+    def qfi(u):
         w = np.exp(u)**2
-        x, (q0, q1, q2) = (w - mid[k]) / half[k], quad[:, :, k]
+        x = (w - mid) / half
         return _nea_ratio(q0 + x * (q1 + x * q2), w, mode)
     return qfi
 
@@ -354,11 +353,11 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
         t_new, _, ev1, ok1 = _golden_max(
             _theta_form(v, np.exp(u0)**2, mode),
             np.maximum(0.0, t0 - w_theta), np.minimum(math.pi, t0 + w_theta),
-            lambda a, b, k: (b - a) <= tol * (1.0 + t0[k]))
+            lambda a, b: (b - a) <= tol * (1.0 + t0))
         a, b = np.maximum(u_lo, u0 - w_u), np.minimum(u_hi, u0 + w_u)
         u_new, _, ev2, ok2 = _golden_max(
             _omega_form(v, t_new, a, b, mode), a, b,
-            lambda a, b, k: np.exp(b) - np.exp(a) <= tol * (1.0 + np.exp(0.5 * (a + b))))
+            lambda a, b: np.exp(b) - np.exp(a) <= tol * (1.0 + np.exp(0.5 * (a + b))))
         evals[act] += ev1 + ev2
         ok[act] &= ok1 & ok2
         moved = np.maximum(np.abs(t_new - t0),

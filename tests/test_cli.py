@@ -60,6 +60,22 @@ class TestQfiCommand:
         assert out == ""
         assert "|v| < 1" in err
 
+    @pytest.mark.parametrize("basis", ["cartesian", "polar"])
+    def test_pure_target_is_domain_error(self, capsys, basis):
+        # a probe aligned with a pure target: the QFI diverges, but the
+        # numeric sum drops the zero-weight terms and would print zz 0.234
+        code, out, err = run(capsys, "qfi", "--strategy", "nea", "--omega", "0.6",
+                             "--theta-a", "0.6435011087932844", "--vx", "0.6", "--vz", "0.8",
+                             "--basis", basis)
+        assert code == 3
+        assert out == "" and "pure target" in err and "--param" not in err
+
+    def test_near_pure_target_is_not_refused(self, capsys):
+        code, out, _ = run(capsys, "qfi", "--strategy", "nea", "--omega", "0.6",
+                           "--theta-a", "0.6435011087932844", "--vx", "0.599999", "--vz", "0.8")
+        assert code == 0
+        assert float({r[0]: r[1] for r in rows(out)}["zz"]) > 1e5
+
     def test_nea_on_axis_gives_zz_closed_form(self, capsys):
         code, out, _ = run(capsys, "qfi", "--strategy", "nea", "--mode", "t",
                            "--vz", "0.3", "--omega", "0.7", "--theta-a", "0.4")

@@ -14,8 +14,9 @@ from scattertomo.closedform import (
     purity_bound,
 )
 from scattertomo.qfi import cartesian_to_polar, qfi_numeric
-from scattertomo.scatter import DetectionMode, apply_channel, channel_derivatives
-from scattertomo.states import BlochVector, ProbeConfig, bloch_to_density, bloch_to_polar
+from scattertomo.scatter import DetectionMode, apply_channel, channel_derivatives, direct_branches
+from scattertomo.states import (BlochVector, PolarCoords, ProbeConfig, bloch_to_density,
+                                bloch_to_polar, polar_to_bloch)
 
 from conftest import log_uniform, relerr
 
@@ -35,7 +36,16 @@ class TestDirectQfi:
         assert abs(coeffs.c_theta - 0.36) < 1e-15
 
     def test_angle_independent(self):
-        assert direct_qfi(0.4, theta=0.3) == direct_qfi(0.4, theta=2.2)
+        # the oracle's polar rr and theta-theta entries do not depend on theta
+        coeffs = direct_qfi(0.4)
+        entries = []
+        for theta in (0.3, 2.2):
+            p = PolarCoords(0.4, theta, 0.7)
+            h = cartesian_to_polar(qfi_numeric(*direct_branches(polar_to_bloch(p))), p).h
+            entries.append((h[0, 0], h[1, 1]))
+            assert abs(h[0, 0] - coeffs.c_r) <= 1e-12 * coeffs.c_r
+            assert abs(h[1, 1] - coeffs.c_theta) <= 1e-12 * coeffs.c_theta
+        assert entries[0] == pytest.approx(entries[1], rel=1e-12, abs=0.0)
 
     def test_boundary_and_domain(self):
         assert direct_qfi(1.0).c_r == math.inf

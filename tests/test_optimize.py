@@ -254,6 +254,42 @@ class TestLockstep:
         assert abs(res.param("x") - 0.7) < 1e-6
 
 
+class TestObjectiveCalls:
+    """After the scan, every golden-section step calls the objective on arrays over all lanes."""
+
+    @staticmethod
+    def recorded(n, bracket, objective, **kwargs):
+        calls = []
+
+        def record(x, k):
+            calls.append((np.shape(x), np.shape(k), isinstance(x, np.ndarray)
+                          and isinstance(k, np.ndarray)))
+            return objective(x, k)
+        results = maximize_1d_batch(record, n, bracket, log_grid=False, **kwargs)
+        assert calls[0][:2] == ((n, 64), (n, 1))
+        steps = calls[1:]
+        assert steps and all(step == steps[0] for step in steps)
+        x_shape, k_shape, arrays = steps[0]
+        assert arrays and x_shape == k_shape and len(x_shape) == 1
+        return results
+
+    def test_one_problem_one_maximum(self):
+        (res,) = self.recorded(1, (-1.0, 2.0), lambda x, k: -(x - 0.7)**2)
+        assert res.converged and abs(res.param("x") - 0.7) < 1e-6
+
+    def test_lanes_finishing_at_different_steps(self):
+        # the stop test scales with 1 + |x|, so the lane near 900 stops first
+        centers = np.array([0.1, 900.0, -50.0])
+        results = self.recorded(3, (-1e5, 1e5), lambda x, k: -(x - centers[k])**2, tol=1e-13)
+        assert len({res.iterations for res in results}) == 3
+        for c, res in zip(centers, results):
+            assert res.converged and abs(res.param("x") - c) <= 1e-6 * (1 + abs(c))
+
+    def test_constant_objective_is_broadcast(self):
+        results = self.recorded(2, (0.1, 1.0), lambda x, k: 1.0)
+        assert [res.value for res in results] == [1.0, 1.0]
+
+
 def relerr_each(a, b):
     return float(np.max(np.abs(np.asarray(a) - b) / np.abs(b)))
 
@@ -270,17 +306,25 @@ class TestNeaPerLaneForms:
                                 rng.uniform(0.0, math.pi, v.size - 3)])
         return rng, v, u, theta
 
+    @staticmethod
+    def check_subsets(build, points, exact, rng):
+        """A form built on all lanes, on 17 of them and on one, evaluated as arrays."""
+        n = exact.size
+        assert relerr_each(build(np.arange(n))(points), exact) <= 1e-12
+        sub = rng.permutation(n)[:17]
+        assert relerr_each(build(sub)(points[sub]), exact[sub]) <= 1e-12
+        one = np.array([5])
+        value = build(one)(points[one])
+        assert value.shape == (1,)
+        assert relerr_each(value, exact[one]) <= 1e-12
+
     @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3)])
     @pytest.mark.parametrize("mode", MODES)
     def test_theta_form(self, mode, bracket):
         rng, v, u, theta = self.lanes(bracket, 11)
-        form = _theta_form(v, np.exp(u)**2, mode)
         exact = nea_qfi(v, theta, np.exp(u), mode)
-        assert relerr_each(form(theta, np.arange(v.size)), exact) <= 1e-12
-        sub = rng.permutation(v.size)[:17]
-        assert relerr_each(form(theta[sub], sub), exact[sub]) <= 1e-12
-        # a lone lane is evaluated on scalars
-        assert relerr_each(form(theta[5], 5), exact[5]) <= 1e-12
+        self.check_subsets(lambda k: _theta_form(v[k], np.exp(u[k])**2, mode),
+                           theta, exact, rng)
 
     @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3)])
     @pytest.mark.parametrize("mode", MODES)
@@ -292,12 +336,9 @@ class TestNeaPerLaneForms:
         half = 2.0 * (u_hi - u_lo) / 120
         a, b = np.maximum(u_lo, u0 - half), np.minimum(u_hi, u0 + half)
         u = a + (b - a) * np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=v.size - 3)])
-        form = _omega_form(v, theta, a, b, mode)
         exact = nea_qfi(v, theta, np.exp(u), mode)
-        assert relerr_each(form(u, np.arange(v.size)), exact) <= 1e-12
-        sub = rng.permutation(v.size)[:17]
-        assert relerr_each(form(u[sub], sub), exact[sub]) <= 1e-12
-        assert relerr_each(form(u[5], 5), exact[5]) <= 1e-12
+        self.check_subsets(lambda k: _omega_form(v[k], theta[k], a[k], b[k], mode),
+                           u, exact, rng)
 
 
 def padded_maxima_1d(ys):
