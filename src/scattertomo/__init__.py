@@ -26,7 +26,6 @@ from .optimize import (
     maximize_nea,
 )
 from .qfi import (
-    CrBound,
     QfiMatrix,
     cartesian_to_polar,
     cr_bound,
@@ -67,7 +66,6 @@ __all__ = [
     "BranchState",
     "Channel",
     "ConvergenceError",
-    "CrBound",
     "DetectionMode",
     "EnvelopePoint",
     "OptResult",

@@ -50,7 +50,7 @@ def _write(lines: list[str], path: Optional[str]) -> None:
 
 
 def _header(args: argparse.Namespace, columns: list[str]) -> list[str]:
-    skip = {"func", "output"}
+    skip = {"func", "output", "target"}
     parts = []
     for key in sorted(vars(args)):
         if key in skip:
@@ -67,20 +67,20 @@ def _table(args: argparse.Namespace, columns: list[str], data: list) -> list[str
     return _header(args, columns) + [",".join(map(_fmt, row)) for row in zip(*data)]
 
 
-def _resolve_target(args: argparse.Namespace) -> None:
-    """Reject mixed polar and cartesian target flags; unset components read 0."""
+def _resolve_target(args: argparse.Namespace) -> states.BlochVector:
+    """The target of the --vx/--vy/--vz or --r/--theta/--phi flags, which must not be mixed.
+
+    Unset components read 0; unset cartesian ones are set to 0.0 for the header.
+    """
+    polar = [getattr(args, k) for k in ("r", "theta", "phi")]
+    polar_given = any(x is not None for x in polar)
     unset = [k for k in ("vx", "vy", "vz") if getattr(args, k) is None]
-    if len(unset) < 3 and any(getattr(args, k) is not None for k in ("r", "theta", "phi")):
+    if polar_given and len(unset) < 3:
         raise UsageError("give the target by --vx/--vy/--vz or by --r/--theta/--phi, not both")
     for key in unset:
         setattr(args, key, 0.0)
-
-
-def _target_bloch(args: argparse.Namespace) -> states.BlochVector:
-    polar_given = any(getattr(args, k, None) is not None for k in ("r", "theta", "phi"))
     if polar_given:
-        p = states.PolarCoords(args.r or 0.0, args.theta or 0.0, args.phi or 0.0)
-        return states.polar_to_bloch(p)
+        return states.polar_to_bloch(states.PolarCoords(*(x or 0.0 for x in polar)))
     return states.BlochVector(args.vx, args.vy, args.vz)
 
 
@@ -90,10 +90,9 @@ def _on_axis(v: states.BlochVector) -> bool:
 
 def _nea_target_vz(args: argparse.Namespace) -> float:
     """v_z of the target, which NEA closed forms need on the z axis."""
-    v = _target_bloch(args)
-    if not _on_axis(v):
+    if not _on_axis(args.target):
         raise ValueError("NEA closed forms need a target on the z axis (vx = vy = 0)")
-    return v.vz
+    return args.target.vz
 
 
 def _require_omega(args: argparse.Namespace) -> float:
@@ -136,7 +135,7 @@ def _closed_matrix(strategy: str, v: states.BlochVector, omega: float,
 
 
 def cmd_qfi(args: argparse.Namespace) -> int:
-    v = _target_bloch(args)
+    v = args.target
     omega = _require_omega(args)
     mode = MODES[args.mode]
     state, derivs = _branches(args.strategy, v, omega, mode, args.theta_a)
@@ -179,7 +178,7 @@ def _check_pure_target(v: states.BlochVector, grad: Optional[np.ndarray], what: 
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    v = _target_bloch(args)
+    v = args.target
     grad = None  # --param matrix
     if args.param in qfi.AXES:
         grad = np.eye(3)[qfi.AXES.index(args.param)]
@@ -191,13 +190,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
     state, derivs = _branches(args.strategy, v, omega, mode, args.theta_a)
     h = qfi.qfi_numeric(state, derivs, eps=args.eps)
     if grad is None:
-        bound = qfi.cr_bound(h, args.m_copies, "matrix").bound
+        bound = qfi.cr_bound(h, args.m_copies, "matrix")
         lines = _header(args, ["row", "x", "y", "z"])
         for i, row in enumerate(qfi.AXES):
             lines.append(",".join([row] + [_fmt(bound[i, j]) for j in range(3)]))
     else:
         lines = _header(args, ["param", "variance_bound"])
-        lines.append(f"{args.param},{_fmt(qfi.cr_bound(h, args.m_copies, grad).bound)}")
+        lines.append(f"{args.param},{_fmt(qfi.cr_bound(h, args.m_copies, grad))}")
     _write(lines, args.output)
     return EXIT_OK
 
@@ -230,7 +229,7 @@ def _nea_scan(x: np.ndarray, args: argparse.Namespace, mode) -> list:
 # (strategy, swept variable) -> (columns, value columns on the whole grid x)
 SCANS = {
     ("ea", "omega"): (["omega", "c_r", "c_theta"],
-                      lambda x, a, m: astuple(closedform.ea_polar(_target_bloch(a).norm, x, m))),
+                      lambda x, a, m: astuple(closedform.ea_polar(a.target.norm, x, m))),
     ("ea", "r"): (["r", "c_r", "c_theta"],
                   lambda x, a, m: astuple(closedform.ea_polar(x, _require_omega(a), m))),
     ("ea", "vz"): (["v_z", "qfi_zz"],
@@ -255,7 +254,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.strategy == "nea":
         res = optimize.maximize_nea(_nea_target_vz(args), mode=MODES[args.mode], tol=args.tol)
     elif args.strategy == "ea":
-        res = optimize.maximize_ea_batch(_target_bloch(args).norm, MODES[args.mode],
+        res = optimize.maximize_ea_batch(args.target.norm, MODES[args.mode],
                                          tol=args.tol)[0]
     else:
         raise UsageError("optimize supports strategies nea and ea")
@@ -419,7 +418,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "vx"):
-            _resolve_target(args)
+            args.target = _resolve_target(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

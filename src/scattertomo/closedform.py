@@ -242,7 +242,7 @@ def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix
 def purity_bound(r: float, omega: float, m: int,
                  mode: DetectionMode = DetectionMode.BOTH) -> float:
     """Variance bound for the Bloch radius r: Var[r] >= 1/(M c_r(r, Omega))."""
-    return cr_bound(ea_polar(r, omega, mode).c_r, m).bound
+    return cr_bound(ea_polar(r, omega, mode).c_r, m)
 
 
 def phase_bound(omega: float, m: int) -> float:
@@ -252,4 +252,4 @@ def phase_bound(omega: float, m: int) -> float:
     collecting transmitted and reflected data.
     """
     w = float(_check_omega(omega))**2
-    return cr_bound(_ea_cperp(1.0, w, DetectionMode.BOTH), m).bound
+    return cr_bound(_ea_cperp(1.0, w, DetectionMode.BOTH), m)

@@ -2,8 +2,8 @@
 
 The objectives are cheap closed forms, so every search is a dense bracket
 scan followed by golden-section refinement of each grid-local maximum; no
-unimodality is assumed. Momentum grids are logarithmic: the QFI vanishes at
-both ends of the bracket, so optima are interior.
+unimodality is assumed. Momentum grids are logarithmic over the one bracket
+DEFAULT_OMEGA_BRACKET: the QFI vanishes at both ends, so optima are interior.
 
 Every search solves a batch of independent problems in lockstep: each
 golden-section step makes one objective call on arrays over a fixed set of
@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .closedform import _check_omega, _check_radius, _ea_cr, _nea_factors, _nea_ratio, nea_qfi
+from .closedform import _check_radius, _ea_cr, _nea_factors, _nea_ratio, nea_qfi
 from .scatter import DetectionMode
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_OMEGA_BRACKET = (0.05, 10.0)
+NEA_GRID = (181, 121)  # (theta_a, log Omega) nodes of the NEA seeding
+MAX_ITER = 300  # golden-section evaluations per lane
 
 
 class ConvergenceError(RuntimeError):
@@ -57,12 +59,12 @@ class EnvelopePoint:
     theta_a_star: Optional[float] = None
 
 
-def _golden_max(f, lo, hi, stop, max_iter: int = 300):
+def _golden_max(f, lo, hi, stop):
     """Golden-section maximization in lockstep, one lane per bracket [lo[k], hi[k]].
 
     f(x) and the convergence test stop(lo, hi) take arrays over all lanes.
     Each lane runs the scalar algorithm; its result is recorded when its test
-    first passes, or unconverged after max_iter evaluations, and it keeps
+    first passes, or unconverged after MAX_ITER evaluations, and it keeps
     stepping until every lane has finished. Returns arrays (x, f(x), evals, ok).
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -75,7 +77,7 @@ def _golden_max(f, lo, hi, stop, max_iter: int = 300):
     evals = 2  # every lane has spent the same number
     while True:
         ok = stop(lo, hi)
-        new = ~finished & (ok | (evals >= max_iter))
+        new = ~finished & (ok | (evals >= MAX_ITER))
         if new.any():
             pick_c = fc >= fd
             for res, val in zip(out, (np.where(pick_c, c, d), np.where(pick_c, fc, fd),
@@ -128,7 +130,7 @@ def _results(prob, n, evals, ok, pick, argmax, value) -> list[OptResult]:
 
 def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
                       bracket: tuple[float, float], tol: float = 1e-8, n_grid: int = 64,
-                      log_grid: bool = True, name: str = "x") -> list[OptResult]:
+                      name: str = "x") -> list[OptResult]:
     """Maximize n independent objectives on one bracket, in lockstep.
 
     objective(x, k) evaluates problems k at points x: on the scan x has shape
@@ -143,7 +145,7 @@ def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise ValueError(f"degenerate bracket ({lo}, {hi})")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
-    use_log = log_grid and lo > 0.0
+    use_log = lo > 0.0
     xs = np.geomspace(lo, hi, n_grid) if use_log else np.linspace(lo, hi, n_grid)
     to_u, from_u = (np.log, np.exp) if use_log else (np.asarray, np.asarray)
 
@@ -169,11 +171,10 @@ def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float],
-                tol: float = 1e-8, n_grid: int = 64, log_grid: bool = True,
-                name: str = "x") -> OptResult:
+                tol: float = 1e-8, n_grid: int = 64, name: str = "x") -> OptResult:
     """Maximize an objective of one float, called once per point (a batch of one)."""
     mapped = np.vectorize(lambda x: float(objective(x)), otypes=[float])
-    return maximize_1d_batch(lambda x, k: mapped(x), 1, bracket, tol, n_grid, log_grid, name)[0]
+    return maximize_1d_batch(lambda x, k: mapped(x), 1, bracket, tol, n_grid, name)[0]
 
 
 # cos(k theta) at the nodes theta = j pi/4 (rows j, columns k = 0..4): a cosine
@@ -270,8 +271,8 @@ def _nea_seeds(v_z, thetas, omegas, mode: DetectionMode):
         grid's) opens a window there, one call per round until none is
         left: a hill climb on the full grid.
     Every point returned is a grid-local maximum with its full-grid value.
-    That none is missed is checked against full-grid scans on the default
-    grid and a set of others (tests/test_optimize.py), not proven: on a grid
+    That none is missed is checked against full-grid scans on NEA_GRID and
+    a set of others (tests/test_optimize.py), not proven: on a grid
     much coarser than the surface, a ridge between coarse nodes can carry a
     maximum that no window reaches.
     """
@@ -308,32 +309,25 @@ def _nea_seeds(v_z, thetas, omegas, mode: DetectionMode):
     return prob[first], i[first], j[first], value[first]
 
 
-def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                       mode: DetectionMode = DetectionMode.BOTH,
-                       grid: tuple[int, int] = (181, 121),
+def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
                        tol: float = 1e-8) -> list[OptResult]:
     """Best unentangled-probe QFI over (theta_a, Omega) at each z-axis target.
 
-    Per target, the grid-local maxima on ``grid`` = (n_theta, n_omega) nodes
-    over theta_a in [0, pi] x log Omega, found by ``_nea_seeds`` without
-    evaluating the whole grid; then the best six of every target are refined
-    together by coordinate-descent golden section, a lane leaving once it
-    stops moving. Each round fits every lane's QFI factors once per
-    coordinate (a cosine polynomial in theta_a, a quadratic in W = Omega^2)
-    and the steps evaluate those fits. Among near-equal optima the smallest theta_a is
-    returned, with its value from ``nea_qfi``.
+    Per target, the grid-local maxima on NEA_GRID = (n_theta, n_omega) nodes
+    over theta_a in [0, pi] x log Omega in DEFAULT_OMEGA_BRACKET, found by
+    ``_nea_seeds`` without evaluating the whole grid; then the best six of
+    every target are refined together by coordinate-descent golden section, a
+    lane leaving once it stops moving. Each round fits every lane's QFI
+    factors once per coordinate (a cosine polynomial in theta_a, a quadratic
+    in W = Omega^2) and the steps evaluate those fits. Among near-equal optima
+    the smallest theta_a is returned, with its value from ``nea_qfi``.
     """
     v_z = np.asarray(v_z, dtype=float).ravel()
     if not np.all(np.abs(v_z) < 1.0):
         raise ValueError("v_z must satisfy |v_z| < 1")
-    lo, hi = float(omega_bracket[0]), float(omega_bracket[1])
-    if not (0.0 < lo < hi) or not math.isfinite(hi):
-        raise ValueError(f"degenerate omega bracket ({lo}, {hi})")
-    n_theta, n_omega = grid
-    if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in grid):
-        raise ValueError(f"grid sizes must be integers >= 2, got {grid}")
+    n_theta, n_omega = NEA_GRID
     thetas = np.linspace(0.0, math.pi, n_theta)
-    u_lo, u_hi = math.log(lo), math.log(hi)
+    u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
     us = np.linspace(u_lo, u_hi, n_omega)
 
     prob, i, j, value = _nea_seeds(v_z, thetas, np.exp(us), mode)
@@ -374,48 +368,37 @@ def maximize_nea_batch(v_z, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_B
                     [("theta_a", theta), ("omega", np.exp(u))], value)
 
 
-def maximize_nea(v_z: float, omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                 mode: DetectionMode = DetectionMode.BOTH,
-                 grid: tuple[int, int] = (181, 121), tol: float = 1e-8) -> OptResult:
+def maximize_nea(v_z: float, mode: DetectionMode = DetectionMode.BOTH,
+                 tol: float = 1e-8) -> OptResult:
     """Best unentangled-probe QFI at one z-axis target (``maximize_nea_batch`` of one)."""
-    return maximize_nea_batch([v_z], omega_bracket, mode, grid, tol)[0]
+    return maximize_nea_batch([v_z], mode, tol)[0]
 
 
-def maximize_ea_batch(v_z, mode: DetectionMode,
-                      omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                      tol: float = 1e-8) -> list[OptResult]:
-    """Best EA QFI over Omega at each z-axis target, in lockstep.
+def maximize_ea_batch(v_z, mode: DetectionMode, tol: float = 1e-8) -> list[OptResult]:
+    """Best EA QFI over Omega in DEFAULT_OMEGA_BRACKET at each z-axis target, in lockstep.
 
     The z-axis QFI is the radial coefficient c_r at r = |v_z|, so a grid of
     radii r >= 0 gives the best c_r at each radius.
     """
     r2 = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)**2
-    _check_omega(omega_bracket)
     return maximize_1d_batch(lambda om, k: _ea_cr(r2[k], om**2, mode), r2.size,
-                             omega_bracket, tol=tol, name="omega")
+                             DEFAULT_OMEGA_BRACKET, tol=tol, name="omega")
 
 
-def ea_envelope_point(v_z: float, mode: DetectionMode,
-                      omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                      tol: float = 1e-8) -> EnvelopePoint:
+def ea_envelope_point(v_z: float, mode: DetectionMode, tol: float = 1e-8) -> EnvelopePoint:
     """Best EA QFI over Omega at one z-axis target value."""
-    res = maximize_ea_batch([v_z], mode, omega_bracket, tol)[0]
+    res = maximize_ea_batch([v_z], mode, tol)[0]
     return EnvelopePoint(v_z, res.value, res.param("omega"))
 
 
-def nea_envelope_point(v_z: float, mode: DetectionMode,
-                       omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                       tol: float = 1e-8) -> EnvelopePoint:
+def nea_envelope_point(v_z: float, mode: DetectionMode, tol: float = 1e-8) -> EnvelopePoint:
     """Best NEA QFI over (theta_a, Omega) at one z-axis target value."""
-    res = maximize_nea(v_z, omega_bracket, mode, tol=tol)
+    res = maximize_nea(v_z, mode, tol)
     return EnvelopePoint(v_z, res.value, res.param("omega"), res.param("theta_a"))
 
 
-def ea_optimality_intervals(mode: DetectionMode, r_grid: Optional[Sequence[float]] = None,
-                            omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                            tol: float = 1e-8) -> tuple[float, float]:
-    """Range spanned by the per-radius optimal momentum of the radial QFI."""
-    if r_grid is None:
-        r_grid = np.linspace(0.0, 0.99, 50)
-    stars = [res.param("omega") for res in maximize_ea_batch(r_grid, mode, omega_bracket, tol)]
+def ea_optimality_intervals(mode: DetectionMode, tol: float = 1e-8) -> tuple[float, float]:
+    """Range spanned by the optimal momentum of the radial QFI over radii 0 to 0.99."""
+    best = maximize_ea_batch(np.linspace(0.0, 0.99, 50), mode, tol)
+    stars = [res.param("omega") for res in best]
     return (min(stars), max(stars))

@@ -56,21 +56,14 @@ class QfiMatrix:
         return float(self.h[axes.index(row), axes.index(col)])
 
 
-@dataclass(frozen=True)
-class CrBound:
-    """Cramer-Rao variance bound over m_copies uses of the encoding state."""
-
-    m_copies: int
-    bound: np.ndarray | float
-    target: str
-
-
 def qfi_numeric(state: BranchState, derivs: BranchDerivatives,
                 eps: float = 1e-12) -> QfiMatrix:
     """Cartesian 3x3 QFI of a branch state via per-block spectral sums.
 
-    Vanishing spectral weights (lam_n + lam_m <= eps) are dropped; 1x1 vacuum
-    blocks reduce to the classical (dp_j dp_k)/p contribution automatically.
+    Vanishing spectral weights are dropped: lam_n + lam_m <= eps * lam_max, with
+    lam_max the largest eigenvalue of the same block, so a block that is small
+    as a whole keeps its weights. 1x1 vacuum blocks reduce to the classical
+    (dp_j dp_k)/p contribution automatically.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be a positive finite number, got {eps}")
@@ -80,7 +73,7 @@ def qfi_numeric(state: BranchState, derivs: BranchDerivatives,
     h = np.zeros((3, 3))
     for (lam, vec), *d_block in zip(state.spectra, *derivs.per_axis):
         weights = lam[:, None] + lam[None, :]
-        mask = weights > eps
+        mask = weights > eps * lam[0]  # lam is descending
         if not np.any(mask):
             continue
         rotated = dagger(vec) @ np.stack(d_block) @ vec
@@ -138,14 +131,14 @@ def _invert(h: np.ndarray) -> np.ndarray:
     return np.linalg.inv(h)
 
 
-def cr_bound(h, m: int, target="matrix") -> CrBound:
-    """Cramer-Rao bound from a QfiMatrix (or a scalar single-parameter QFI).
+def cr_bound(h, m: int, target="matrix") -> np.ndarray | float:
+    """Cramer-Rao bound over m uses of the encoding state, from a QfiMatrix or a scalar QFI.
 
-    target: "matrix" for the full covariance bound H^-1/M, or the gradient g of
-    a scalar function f of H's parameters for the bound on f, g^T H^-1 g / M.
-    An axis name of H's basis stands for the unit vector along it, giving the
-    per-component bound (H^-1)_jj/M. Scalar h gives 1/(M h), reported as +inf
-    when h == 0.
+    target: "matrix" for the full covariance bound H^-1/M, a (3, 3) array, or
+    the gradient g of a scalar function f of H's parameters for the bound on
+    f, the float g^T H^-1 g / M. An axis name of H's basis stands for the unit
+    vector along it, giving the per-component bound (H^-1)_jj/M. Scalar h
+    gives the float 1/(M h), +inf when h == 0.
     """
     m = int(m)
     if m < 1:
@@ -154,17 +147,15 @@ def cr_bound(h, m: int, target="matrix") -> CrBound:
         value = float(h)
         if value < 0.0:
             raise ValueError("scalar QFI must be nonnegative")
-        bound = math.inf if value == 0.0 else 1.0 / (m * value)
-        return CrBound(m, bound, "scalar")
-    label = "function"
+        return math.inf if value == 0.0 else 1.0 / (m * value)
     if isinstance(target, str):
         if target == "matrix":
-            return CrBound(m, _invert(h.h) / m, "matrix")
+            return _invert(h.h) / m
         axes = AXES if h.basis == CARTESIAN else POLAR_AXES
         if target not in axes:
             raise ValueError(f"target {target!r} not valid for basis {h.basis!r}")
-        target, label = np.eye(3)[axes.index(target)], f"component {target}"
+        target = np.eye(3)[axes.index(target)]
     grad = np.asarray(target, dtype=float)
     if grad.shape != (3,) or not np.all(np.isfinite(grad)):
         raise ValueError("gradient must be a finite array of shape (3,)")
-    return CrBound(m, float(grad @ _invert(h.h) @ grad) / m, label)
+    return float(grad @ _invert(h.h) @ grad) / m

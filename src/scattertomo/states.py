@@ -123,10 +123,12 @@ def bloch_to_polar(v: BlochVector) -> PolarCoords:
     return PolarCoords(r, theta, phi)
 
 
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2)  # probe x ancilla
+
+
 def singlet() -> np.ndarray:
-    """Projector onto (|01> - |10>)/sqrt(2) on probe x ancilla."""
-    psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2)
-    return np.outer(psi, psi.conj())
+    """Projector onto the singlet (|01> - |10>)/sqrt(2) on probe x ancilla."""
+    return np.outer(_SINGLET, _SINGLET.conj())
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -140,8 +142,7 @@ def max_entangled(u, w) -> np.ndarray:
     """Projector onto (u^dag x w^dag)|singlet>; marginals are both 1/2."""
     u = _check_unitary(u)
     w = _check_unitary(w)
-    psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2)
-    psi = np.kron(dagger(u), dagger(w)) @ psi.reshape(4, 1)
+    psi = np.kron(dagger(u), dagger(w)) @ _SINGLET.reshape(4, 1)
     return psi @ dagger(psi)
 
 
@@ -149,8 +150,7 @@ def probe_state(cfg: ProbeConfig) -> np.ndarray:
     """Input state of the probe: 2x2 pure state (NEA) or the singlet (EA)."""
     if cfg.entangled:
         return singlet()
-    n = (math.sin(cfg.theta_a), 0.0, math.cos(cfg.theta_a))
-    return 0.5 * (ID2 + n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2])
+    return bloch_to_density(BlochVector(math.sin(cfg.theta_a), 0.0, math.cos(cfg.theta_a)))
 
 
 __all__ = [

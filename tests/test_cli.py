@@ -160,6 +160,15 @@ class TestTargetFlags:
         table = {r[0]: float(r[1]) for r in rows(out)}
         assert abs(table["yy"] - 1.0 / 0.75) < 1e-10
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--strategy", "direct", "--sweep", "r", "--vx", "2"),
+        ("scan", "--strategy", "ea", "--sweep", "r", "--omega", "0.6", "--r", "1.5"),
+    ])
+    def test_target_is_checked_where_the_command_ignores_it(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and "domain error" in err
+
 
 class TestBoundCommand:
     def test_direct_radial(self, capsys):
