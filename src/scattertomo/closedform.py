@@ -40,7 +40,7 @@ class QfiPolarCoeffs:
 
 def _check_omega(omega):
     omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)) or np.any(omega <= 0.0):
+    if not ((omega > 0.0) & (omega < math.inf)).all():  # NaN fails both
         raise ValueError("omega must be positive and finite")
     return omega
 
@@ -149,10 +149,10 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
     angle theta_a in the x-z plane. Broadcasts over array arguments.
     """
     v = np.asarray(v_z, dtype=float)
-    if not np.all(np.isfinite(v)) or np.any(np.abs(v) >= 1.0):
+    if not (np.abs(v) < 1.0).all():  # NaN fails too
         raise ValueError("v_z must satisfy |v_z| < 1")
     t = np.asarray(theta_a, dtype=float)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("theta_a must be finite")
     w = _check_omega(omega)**2
     out = _nea_ratio(_nea_factors(v, t, w, mode), w, mode)

@@ -5,7 +5,9 @@ QFI on the labeled block decomposition, using matrix elements of the state
 derivative instead of eigenvector derivatives (the two forms are algebraically
 identical, and this one stays conditioned near spectral degeneracies). It
 reads each block's spectrum from the ``BranchState``, which computed it while
-validating the block, and solves no eigenproblem of a block itself.
+validating the block, and each block's (3, d, d) derivative stack from the
+``BranchDerivatives``, built once per channel; it solves no eigenproblem of a
+block itself.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scatter import BranchDerivatives, BranchState
-from .states import BlochVector, PolarCoords, dagger
+from .states import BlochVector, PolarCoords
 
 AXES = ("x", "y", "z")
 POLAR_AXES = ("r", "theta", "phi")
@@ -40,14 +42,15 @@ class QfiMatrix:
         if self.basis not in (CARTESIAN, POLAR):
             raise ValueError(f"unknown basis {self.basis!r}")
         h = np.asarray(self.h, dtype=float)
-        if h.shape != (3, 3) or not np.all(np.isfinite(h)):
+        if h.shape != (3, 3) or not np.isfinite(h).all():
             raise ValueError("QFI matrix must be a finite 3x3 real matrix")
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if float(np.max(np.abs(h - h.T))) > _SYM_TOL * scale:
+        scale = max(1.0, np.abs(h).max())
+        if np.abs(h - h.T).max() > _SYM_TOL * scale:
             raise ValueError("QFI matrix is not symmetric")
-        if float(np.linalg.eigvalsh(0.5 * (h + h.T)).min()) < _PSD_TOL * scale:
+        sym = 0.5 * (h + h.T)
+        if np.linalg.eigvalsh(sym)[0] < _PSD_TOL * scale:  # ascending
             raise ValueError("QFI matrix is not positive semidefinite")
-        object.__setattr__(self, "h", 0.5 * (h + h.T))
+        object.__setattr__(self, "h", sym)
 
     def entry(self, row: str, col: str) -> float:
         axes = AXES if self.basis == CARTESIAN else POLAR_AXES
@@ -71,12 +74,12 @@ def qfi_numeric(state: BranchState, derivs: BranchDerivatives,
         raise ValueError(
             f"state labels {state.labels} do not match derivative labels {derivs.labels}")
     h = np.zeros((3, 3))
-    for (lam, vec), *d_block in zip(state.spectra, *derivs.per_axis):
+    for (lam, vec), d_stack in zip(state.spectra, derivs.stacks):
         weights = lam[:, None] + lam[None, :]
         mask = weights > eps * lam[0]  # lam is descending
-        if not np.any(mask):
+        if not mask.any():
             continue
-        rotated = dagger(vec) @ np.stack(d_block) @ vec
+        rotated = vec.conj().T @ d_stack @ vec
         inv_w = np.divide(1.0, weights, out=np.zeros_like(weights), where=mask)
         h += 2.0 * np.einsum("anm,bnm,nm->ab", rotated, np.conj(rotated), inv_w).real
     return QfiMatrix(CARTESIAN, h)

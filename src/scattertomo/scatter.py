@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .states import (ID2, PAULIS, BlochVector, ProbeConfig, as_cmatrix, bloch_to_density, dagger,
+from .states import (ID2, PAULIS, BlochVector, ProbeConfig, as_cmatrix, bloch_to_density,
                      probe_state)
 
 TRACE_TOL = 1e-12
@@ -98,14 +98,14 @@ class BranchState:
         blocks, spectra, total = [], [], 0.0
         for lab, op in self.blocks:
             op = as_cmatrix(op).copy()
-            herm = 0.5 * (op + dagger(op))
-            if np.max(np.abs(op - herm)) > HERM_TOL * max(1.0, float(np.max(np.abs(op)))):
+            herm = 0.5 * (op + op.conj().T)
+            if np.abs(op - herm).max() > HERM_TOL * max(1.0, np.abs(op).max()):
                 raise ValueError(f"block {lab} is not Hermitian")
             lam, vec = np.linalg.eigh(herm)
             if lam[0] < PSD_TOL:
                 raise ValueError(f"block {lab} has negative eigenvalue {lam[0]:.3e}")
-            total += float(np.trace(op).real)
-            spectrum = (np.clip(lam[::-1], 0.0, None), vec[:, ::-1].copy())
+            total += op.trace().real
+            spectrum = (lam[::-1].clip(0.0, None), vec[:, ::-1].copy())
             for a in (op, *spectrum):
                 a.flags.writeable = False
             blocks.append((lab, op))
@@ -132,10 +132,12 @@ class BranchDerivatives:
 
     ``per_axis[j][i]`` is the derivative of block i with respect to v_j,
     j running over (x, y, z). Each axis's block traces sum to zero.
+    ``stacks[i]`` holds block i's three derivatives as one read-only complex (3, d, d) array.
     """
 
     labels: tuple[BlockLabel, ...]
     per_axis: tuple[tuple[np.ndarray, ...], ...]
+    stacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.per_axis) != 3:
@@ -146,6 +148,10 @@ class BranchDerivatives:
             total = sum(float(np.trace(b).real) for b in axis_blocks)
             if abs(total) > TRACE_TOL:
                 raise ValueError(f"derivative traces sum to {total}, expected 0")
+        stacks = tuple(np.array(d_block, dtype=complex) for d_block in zip(*self.per_axis))
+        for a in stacks:
+            a.flags.writeable = False
+        object.__setattr__(self, "stacks", stacks)
 
 
 # I/2, sigma_x/2, sigma_y/2, sigma_z/2: the target inputs the block maps are built on
@@ -203,7 +209,7 @@ class Channel:
         rho_x = as_cmatrix(rho_x)
         if rho_x.shape != (2, 2):
             raise ValueError("target state must be 2x2")
-        if np.max(np.abs(rho_x - dagger(rho_x))) > 1e-10 or abs(np.trace(rho_x) - 1.0) > 1e-10:
+        if np.abs(rho_x - rho_x.conj().T).max() > 1e-10 or abs(rho_x.trace() - 1.0) > 1e-10:
             raise ValueError("target state must be Hermitian with unit trace")
         # Tr(rho_x B_k) of the Hermitian part: a skew the check above allows
         # must not reach the blocks, whose Hermitian test is tighter

@@ -27,7 +27,7 @@ def as_cmatrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # complex: both parts
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -99,8 +99,9 @@ class ProbeConfig:
 
 def bloch_to_density(v: BlochVector) -> np.ndarray:
     """rho(v) = (1 + v.sigma)/2 as a 2x2 density matrix."""
-    rho = 0.5 * (ID2 + v.vx * PAULIS[0] + v.vy * PAULIS[1] + v.vz * PAULIS[2])
-    return rho
+    x, y, z = v.vx, v.vy, v.vz  # '0.0 +' gives each zero entry the sign a Pauli sum gives
+    return 0.5 * np.array([[1.0 + z, complex(0.0 + x, 0.0 - y)],
+                           [complex(0.0 + x, 0.0 + y), 1.0 - z]])
 
 
 def polar_to_bloch(p: PolarCoords) -> BlochVector:

@@ -176,6 +176,32 @@ class TestNeaQfi:
         assert out.shape == (5, 2)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_omega_must_be_positive_and_finite(self, omega):
+        v, arr = BlochVector(0.1, 0.2, 0.3), np.array([0.5, omega])
+        for mode in MODES:
+            for call in (lambda: ea_cartesian(v, omega, mode),
+                         lambda: ea_polar(0.5, omega, mode),
+                         lambda: ea_polar(0.5, arr, mode),
+                         lambda: nea_qfi(0.3, 0.6, omega, mode),
+                         lambda: nea_qfi(0.3, 0.6, arr, mode)):
+                with pytest.raises(ValueError, match="omega must be positive and finite"):
+                    call()
+
+    @pytest.mark.parametrize("vz", [math.nan, math.inf, -math.inf, 1.0, -1.0])
+    def test_nea_vz_inside_the_ball(self, vz):
+        for v in (vz, np.array([0.3, vz])):
+            with pytest.raises(ValueError, match=r"v_z must satisfy \|v_z\| < 1"):
+                nea_qfi(v, 0.6, 0.5, DetectionMode.BOTH)
+
+    @pytest.mark.parametrize("theta_a", [math.nan, math.inf, -math.inf])
+    def test_nea_theta_a_finite(self, theta_a):
+        for t in (theta_a, np.array([0.6, theta_a])):
+            with pytest.raises(ValueError, match="theta_a must be finite"):
+                nea_qfi(0.3, t, 0.5, DetectionMode.BOTH)
+
+
 class TestEaCartesian:
     def test_diagonal_on_axis(self):
         for mode in MODES:

@@ -276,6 +276,38 @@ class TestOraclePins:
         assert relerr(qfi_numeric(state, derivs).h, expected) <= 1e-13
 
 
+class TestQfiMatrixChecks:
+    @pytest.mark.parametrize("h", [np.diag([1.0, math.nan, 1.0]), np.diag([1.0, 1.0, math.inf]),
+                                   np.diag([-math.inf, 1.0, 1.0]), np.eye(2), np.eye(4),
+                                   np.ones(3), np.eye(3)[:, :2]])
+    def test_rejects_nonfinite_or_not_3x3(self, h):
+        with pytest.raises(ValueError, match="finite 3x3 real matrix"):
+            QfiMatrix(CARTESIAN, h)
+
+    @pytest.mark.parametrize("diag", [(0.5, 0.2, 0.1), (4.0, 2.0, 1.0)])
+    def test_symmetry_tolerance_scales_with_the_largest_entry(self, diag):
+        limit = 1e-10 * max(1.0, *diag)
+        h = np.diag(diag)
+        h[0, 1] = 1.001 * limit
+        with pytest.raises(ValueError, match="not symmetric"):
+            QfiMatrix(CARTESIAN, h)
+        h[0, 1] = 0.999 * limit
+        assert QfiMatrix(CARTESIAN, h).h[1, 0] == 0.5 * h[0, 1]
+
+    @pytest.mark.parametrize("diag", [(0.5, 0.2), (4.0, 2.0)])
+    def test_psd_tolerance_scales_with_the_largest_entry(self, diag):
+        limit = 1e-9 * max(1.0, *diag)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            QfiMatrix(CARTESIAN, np.diag([*diag, -1.001 * limit]))
+        assert QfiMatrix(CARTESIAN, np.diag([*diag, -0.999 * limit])).h[2, 2] < 0.0
+
+    def test_stores_the_symmetrized_matrix(self):
+        h = np.array([[4.0, 1.0 + 3e-10, 0.5], [1.0, 3.0, 0.2 - 1e-10], [0.5, 0.2, 2.0]])
+        q = QfiMatrix(CARTESIAN, h)
+        assert np.array_equal(q.h, 0.5 * (h + h.T))
+        assert np.array_equal(q.h, q.h.T)
+
+
 class TestReparameterize:
     def test_identity(self):
         # on the unit equator B is orthogonal, so the identity QFI stays the identity

@@ -230,6 +230,59 @@ class TestBranchStateValidation:
             BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,),
                               ((ID2,), (ID2,)))  # only two axes
 
+    @staticmethod
+    def skewed(diag, skew):
+        """Blocks of one 2x2 block whose anti-Hermitian part is i*skew off the diagonal."""
+        op = np.array([[diag[0], 0.1 + 1j * skew], [0.1 + 1j * skew, diag[1]]])
+        return ((BlockLabel.TRANSMITTED_SPIN, op),)
+
+    def test_hermitian_threshold_below_unit_scale(self):
+        # largest entry 0.75 < 1: the anti-Hermitian part may reach HERM_TOL itself
+        with pytest.raises(ValueError, match="not Hermitian"):
+            BranchState(self.skewed((0.75, 0.25), 1.001 * scatter.HERM_TOL))
+        state = BranchState(self.skewed((0.75, 0.25), 0.999 * scatter.HERM_TOL))
+        assert state.spectra[0][0][0] > 0.75
+
+    def test_hermitian_threshold_scales_with_the_largest_entry(self):
+        # largest entry 2: the limit is 2 * HERM_TOL, and a block just below it
+        # passes the Hermitian test and fails only on its trace of 3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            BranchState(self.skewed((2.0, 1.0), 2.002 * scatter.HERM_TOL))
+        with pytest.raises(ValueError, match="block traces sum to 3"):
+            BranchState(self.skewed((2.0, 1.0), 1.998 * scatter.HERM_TOL))
+
+
+class TestDerivativeStacks:
+    def test_read_only_stacks_of_the_per_axis_blocks(self):
+        every = [direct_branches(BlochVector(0.2, -0.1, 0.4))[1]]
+        every += [channel_derivatives(probe, 0.7, mode) for mode in MODES
+                  for probe in (ProbeConfig(entangled=True), ProbeConfig(theta_a=0.9))]
+        for derivs in every:
+            assert len(derivs.stacks) == len(derivs.labels)
+            for i, stack in enumerate(derivs.stacks):
+                assert stack.dtype == complex
+                assert np.array_equal(stack, np.stack([axis[i] for axis in derivs.per_axis]))
+                with pytest.raises(ValueError):
+                    stack[0, 0, 0] = 5.0
+
+    def test_real_blocks_give_the_complex_result(self):
+        state = BranchState(((BlockLabel.TRANSMITTED_SPIN,
+                              bloch_to_density(BlochVector(0.3, -0.2, 0.4))),))
+        real = (np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([[0.3, 0.2], [0.2, -0.3]]),
+                np.array([[0.5, 0.0], [0.0, -0.5]]))
+        as_real = BranchDerivatives(state.labels, tuple((b,) for b in real))
+        as_complex = BranchDerivatives(state.labels, tuple((b.astype(complex),) for b in real))
+        assert as_real.stacks[0].dtype == complex
+        assert np.array_equal(qfi_numeric(state, as_real).h, qfi_numeric(state, as_complex).h)
+
+    def test_caller_arrays_stay_writable_and_apart(self):
+        given = (np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.5, -0.5]))
+        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), tuple((b,) for b in given))
+        for b in given:
+            assert b.flags.writeable
+            b[0, 1] = 9.0
+        assert np.array_equal(derivs.stacks[0][:, 0, 1], np.zeros(3))
+
 
 class TestDirectBranches:
     def test_single_unit_trace_block(self):

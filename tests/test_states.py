@@ -9,6 +9,7 @@ from scattertomo.states import (
     BlochVector,
     PolarCoords,
     ProbeConfig,
+    as_cmatrix,
     bloch_to_density,
     bloch_to_polar,
     max_entangled,
@@ -146,3 +147,17 @@ class TestProbeState:
     def test_theta_a_range(self):
         with pytest.raises(ValueError):
             ProbeConfig(theta_a=-0.1)
+
+
+class TestAsCmatrix:
+    @pytest.mark.parametrize("bad", [complex(0, math.inf), complex(0, -math.inf),
+                                     complex(0, math.nan), complex(math.nan, 0),
+                                     complex(math.inf, 0)])
+    def test_rejects_a_nonfinite_part(self, bad):
+        # either part alone, the imaginary one included, makes an entry non-finite
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            as_cmatrix([[0.5, bad], [0.0, 0.5]])
+
+    def test_keeps_finite_entries(self):
+        m = [[0.5, 1e308 + 1e308j], [-1e-308j, 0.5]]
+        assert np.array_equal(as_cmatrix(m), np.array(m, dtype=complex))
