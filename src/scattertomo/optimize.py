@@ -1,14 +1,17 @@
 """Maximization of QFI over probe momentum Omega and orientation theta_a.
 
 The objectives are cheap closed forms, so every search is a dense bracket
-scan followed by golden-section refinement of each grid-local maximum; no
+scan followed by local refinement of each grid-local maximum; no
 unimodality is assumed. Momentum grids are logarithmic over the one bracket
 DEFAULT_OMEGA_BRACKET: the QFI vanishes at both ends, so optima are interior.
+A 1-D search refines by golden section. The NEA search over (theta_a,
+log Omega) refines by a projected, damped Newton ascent on exact bivariate
+forms of the QFI's factors, which give its gradient and Hessian.
 
-Every search solves a batch of independent problems in lockstep: each
-golden-section step makes one objective call on arrays over a fixed set of
-lanes (problem x candidate), finished lanes included. The one-problem
-functions wrap these.
+Every search solves a batch of independent problems in lockstep: each step
+makes one objective call on arrays over a fixed set of lanes (problem x
+candidate), finished lanes included, and ``iterations`` counts a lane's
+evaluations. The one-problem functions wrap these.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_OMEGA_BRACKET = (0.05, 10.0)
 NEA_GRID = (181, 121)  # (theta_a, log Omega) nodes of the NEA seeding
-MAX_ITER = 300  # golden-section evaluations per lane
+MAX_ITER = 300  # objective evaluations per lane
+ROUNDING = 1e-13  # relative change of a value taken as lost in rounding
 
 
 class ConvergenceError(RuntimeError):
@@ -96,6 +100,81 @@ def _golden_max(f, lo, hi, stop):
         evals += 1
 
 
+def _quadratic(h, d):
+    """d^T H d per lane, for H stored as its (tt, tu, uu) entries."""
+    return h[0] * d[0]**2 + 2.0 * h[1] * d[0] * d[1] + h[2] * d[1]**2
+
+
+def _ascent_step(jet, x, lo, hi, width):
+    """Step of each lane (column) from its jet at x in the box [lo, hi].
+
+    A coordinate on a bound whose gradient points out of the box is held.
+    On the free ones the step is Newton's where their Hessian is negative
+    definite. Else it goes along the gradient: to the quadratic model's
+    maximum where the model curves down that way (the Cauchy point), or with
+    its largest component one ``width`` long; and a free coordinate on a
+    bound where the model curves up steps one width into the box.
+    """
+    g = jet[1:3]
+    free = ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
+    g = np.where(free, g, 0.0)
+    a = np.where(free[0], jet[3], -1.0)
+    b = np.where(free[0] & free[1], jet[4], 0.0)
+    c = np.where(free[1], jet[5], -1.0)
+    det = a * c - b * b
+    newton = (a < 0.0) & (det > 0.0)
+    d_newton = np.stack([b * g[1] - c * g[0], b * g[0] - a * g[1]]) / np.where(newton, det, 1.0)
+    curve = _quadratic((a, b, c), g)
+    wide = np.abs(g / width[:, None]).max(axis=0)
+    length = np.where(curve < 0.0, -(g * g).sum(axis=0) / np.where(curve < 0.0, curve, 1.0),
+                      1.0 / np.where(wide > 0.0, wide, 1.0))
+    # such a bound is a minimum along the coordinate (the NEA surface is even
+    # about theta_a = 0 and pi, so its gradient there is zero)
+    escape = ((x <= lo) | (x >= hi)) & (np.stack([a, c]) > 0.0)
+    inward = np.where(x <= lo, 1.0, -1.0) * width[:, None]
+    return np.where(newton, d_newton, np.where(escape, inward, length * g))
+
+
+def _newton_max(q, x, lo, hi, width, stop):
+    """Projected, damped Newton ascent in lockstep, one lane per column of x (2, lane).
+
+    q(x0, x1) gives the objective's jet (``_Jet.d``) at every lane, and each
+    lane stays in its box [lo, hi]. A lane tries ``_ascent_step``, clipped to
+    its box, and halves it until the objective does not decrease. A lane
+    finishes once stop(x, x_try) passes for a trial point it evaluated (taking
+    the point if it is not lower), or unconverged after MAX_ITER evaluations,
+    and then no longer moves while the others step. Returns arrays (x, evals, ok).
+    """
+    n = x.shape[1]
+    out_evals, ok = np.empty(n, dtype=int), np.empty(n, dtype=bool)
+    finished = np.zeros(n, dtype=bool)
+    width = np.asarray(width, dtype=float)
+    jet = q(*x)
+    evals = 1  # every lane has spent the same number
+    step, t = _ascent_step(jet, x, lo, hi, width), np.ones(n)
+    while True:
+        x_try = np.clip(x + t * step, lo, hi)
+        jet_try = q(*x_try)
+        evals += 1
+        done = stop(x, x_try)
+        # the rise in the objective: the values' difference or, where that is
+        # lost in rounding, the cubic Hermite rule on the jets at both ends
+        dx = x_try - x
+        hermite = (0.5 * ((jet[1:3] + jet_try[1:3]) * dx).sum(axis=0)
+                   + _quadratic(jet[3:] - jet_try[3:], dx) / 12.0)
+        rise = jet_try[0] - jet[0]
+        rise = np.where(np.abs(rise) <= ROUNDING * np.abs(jet[0]), hermite, rise)
+        up = ~finished & (rise >= 0.0)
+        x, jet = np.where(up, x_try, x), np.where(up, jet_try, jet)
+        step = np.where(up, _ascent_step(jet, x, lo, hi, width), step)
+        t = np.where(up, 1.0, 0.5 * t)
+        new = ~finished & (done | (evals >= MAX_ITER))
+        ok[new], out_evals[new] = done[new], evals
+        finished |= new
+        if finished.all():
+            return x, out_evals, ok
+
+
 def _local_maxima(y: np.ndarray, axes: tuple[int, ...], strict_before: bool = False) -> np.ndarray:
     """Points of a finite scan at least as high as their neighbours along ``axes``.
 
@@ -150,8 +229,10 @@ def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     to_u, from_u = (np.log, np.exp) if use_log else (np.asarray, np.asarray)
 
     def f(x, k):
-        y = np.broadcast_to(np.asarray(objective(x, k), dtype=float), x.shape)
-        if not np.all(np.isfinite(y)):
+        y = np.asarray(objective(x, k), dtype=float)
+        if y.shape != x.shape:
+            y = np.broadcast_to(y, x.shape)
+        if not np.isfinite(y).all():
             raise ValueError(f"objective is not finite at {name}={x[~np.isfinite(y)][0]}")
         return y
 
@@ -177,45 +258,98 @@ def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float
     return maximize_1d_batch(lambda x, k: mapped(x), 1, bracket, tol, n_grid, name)[0]
 
 
+class _Jet:
+    """Value, gradient and Hessian over (theta_a, log Omega), one column per lane.
+
+    ``d`` stacks (f, f_t, f_u, f_tt, f_tu, f_uu) on axis 0. Jets add and
+    multiply with each other and with numbers, and divide by jets: the
+    operations of ``_nea_ratio``, so that one expression serves values and
+    jets alike.
+    """
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: np.ndarray):
+        self.d = d
+
+    @staticmethod
+    def _cross(a, b):
+        # second-order terms of a product: a_i b_j + a_j b_i for (tt, tu, uu)
+        return a[[1, 1, 2]] * b[[1, 2, 2]] + a[[1, 2, 2]] * b[[1, 1, 2]]
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.d + other.d)
+        d = self.d.copy()
+        d[0] += other
+        return _Jet(d)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(self.d * other)
+        a, b = self.d, other.d
+        d = a[0] * b + b[0] * a
+        d[0] = a[0] * b[0]
+        d[3:] += self._cross(a, b)
+        return _Jet(d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # the quotient rule, solved from q b = a term by term
+        a, b = self.d, other.d
+        d = np.empty_like(a)
+        d[0] = a[0] / b[0]
+        d[1:] = (a[1:] - d[0] * b[1:]) / b[0]
+        d[3:] -= self._cross(d, b) / b[0]
+        return _Jet(d)
+
+
 # cos(k theta) at the nodes theta = j pi/4 (rows j, columns k = 0..4): a cosine
 # polynomial of degree <= 4 is fixed by its values there
-_THETA_NODES = np.arange(5) * (math.pi / 4)
-_THETA_FIT = np.linalg.inv(np.cos(np.outer(_THETA_NODES, np.arange(5))))
+_K = np.arange(5)
+_THETA_NODES = _K * (math.pi / 4)
+_THETA_FIT = np.linalg.inv(np.cos(np.outer(_THETA_NODES, _K)))
 
 
-def _theta_form(v, w, mode: DetectionMode):
-    """NEA QFI of lanes (v, W = w) as a function of their probe angles theta_a.
+def _nea_form(v, u_lo, u_hi, mode: DetectionMode):
+    """NEA QFI of lanes v over (theta_a, log Omega in [u_lo, u_hi]), with its derivatives.
 
     Every factor of ``nea_qfi`` is a cosine polynomial of degree <= 4 in
-    theta_a, fitted once per lane from its values at the five nodes.
-    """
-    at_nodes = np.stack(np.broadcast_arrays(*_nea_factors(
-        v[:, None], _THETA_NODES, w[:, None], mode)))
-    coef = np.einsum("kj,flj->flk", _THETA_FIT, at_nodes)  # (factor, lane, k)
-    powers = np.arange(5)
-    return lambda t: _nea_ratio(
-        np.einsum("flk,lk->fl", coef, np.cos(np.multiply.outer(t, powers))), w, mode)
-
-
-def _omega_form(v, theta, u_lo, u_hi, mode: DetectionMode):
-    """NEA QFI of lanes (v, theta) as a function of their log Omega in [u_lo, u_hi].
-
-    Every factor of ``nea_qfi`` is a quadratic in W = Omega^2, fitted once per
-    lane from its values at the two ends and the centre of the lane's W range.
+    theta_a times a quadratic in W = Omega^2, fitted once per lane from its
+    values at the five ``_THETA_NODES`` and at the two ends and the centre of
+    the lane's W range. Returns q(theta, u): the (6, lane) stack of the QFI
+    and its derivatives as in ``_Jet.d``, at theta_a = theta, Omega = exp(u).
     """
     w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
     mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
     nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
-    f_lo, f_mid, f_hi = np.moveaxis(np.stack(np.broadcast_arrays(*_nea_factors(
-        v[:, None], theta[:, None], nodes, mode))), -1, 0)
-    # coefficients of x^0, x^1, x^2 per (factor, lane), x = (W - mid) / half in [-1, 1]
-    q0, q1, q2 = f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid
+    at_nodes = np.stack(np.broadcast_arrays(*_nea_factors(
+        v[:, None, None], _THETA_NODES[:, None], nodes[:, None, :], mode)))
+    f_lo, f_mid, f_hi = np.einsum("kj,flji->iflk", _THETA_FIT, at_nodes)
+    # coefficients of cos(k theta) x^p per (factor, lane, k, p), x = (W - mid) / half
+    coef = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid], axis=-1)
 
-    def qfi(u):
+    def q(theta, u):
+        kt = np.multiply.outer(theta, _K)
+        cos_kt = np.cos(kt)
+        # d^o/dtheta^o cos(k theta), o = 0, 1, 2, then the x-polynomials' coefficients
+        c = np.einsum("olk,flkp->oflp", np.stack([cos_kt, -_K * np.sin(kt), -_K**2 * cos_kt]),
+                      coef)
         w = np.exp(u)**2
         x = (w - mid) / half
-        return _nea_ratio(q0 + x * (q1 + x * q2), w, mode)
-    return qfi
+        x_u = 2.0 * w / half  # dx/du; d2x/du2 = 2 x_u
+        val = c[..., 0] + x * (c[..., 1] + x * c[..., 2])  # (o, factor, lane)
+        d_x = c[:2, ..., 1] + 2.0 * x * c[:2, ..., 2]
+        d_xx = 2.0 * c[0, ..., 2]
+        factors = np.stack([val[0], val[1], d_x[0] * x_u, val[2], d_x[1] * x_u,
+                            (d_xx * x_u + 2.0 * d_x[0]) * x_u], axis=1)
+        zero = np.zeros_like(w)
+        return _nea_ratio([_Jet(f) for f in factors], _Jet(np.stack(
+            [w, zero, 2.0 * w, zero, zero, 4.0 * w])), mode).d
+    return q
 
 
 # NEA seeding scans every SEED_STRIDE-th (theta_a, log Omega) node, then
@@ -309,6 +443,25 @@ def _nea_seeds(v_z, thetas, omegas, mode: DetectionMode):
     return prob[first], i[first], j[first], value[first]
 
 
+def _nea_refine(v, theta, u, mode: DetectionMode, tol: float):
+    """Refine NEA lanes (v, theta_a, log Omega) from grid nodes by ``_newton_max``.
+
+    Each lane's box is its node's +-2-cell neighbourhood on NEA_GRID, clipped
+    to [0, pi] x log DEFAULT_OMEGA_BRACKET, and the lane stops once a step
+    moves theta_a by at most tol and Omega by at most tol (1 + Omega).
+    Returns arrays (theta, u, evals, ok).
+    """
+    u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
+    width = (2.0 * math.pi / (NEA_GRID[0] - 1), 2.0 * (u_hi - u_lo) / (NEA_GRID[1] - 1))
+    lo = np.stack([np.maximum(0.0, theta - width[0]), np.maximum(u_lo, u - width[1])])
+    hi = np.stack([np.minimum(math.pi, theta + width[0]), np.minimum(u_hi, u + width[1])])
+    (theta, u), evals, ok = _newton_max(
+        _nea_form(v, lo[1], hi[1], mode), np.stack([theta, u]), lo, hi, width,
+        lambda x, y: np.maximum(np.abs(y[0] - x[0]), np.abs(np.exp(y[1]) - np.exp(x[1]))
+                                / (1.0 + np.exp(y[1]))) <= tol)
+    return theta, u, evals, ok
+
+
 def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
                        tol: float = 1e-8) -> list[OptResult]:
     """Best unentangled-probe QFI over (theta_a, Omega) at each z-axis target.
@@ -316,11 +469,12 @@ def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
     Per target, the grid-local maxima on NEA_GRID = (n_theta, n_omega) nodes
     over theta_a in [0, pi] x log Omega in DEFAULT_OMEGA_BRACKET, found by
     ``_nea_seeds`` without evaluating the whole grid; then the best six of
-    every target are refined together by coordinate-descent golden section, a
-    lane leaving once it stops moving. Each round fits every lane's QFI
-    factors once per coordinate (a cosine polynomial in theta_a, a quadratic
-    in W = Omega^2) and the steps evaluate those fits. Among near-equal optima
+    every target are refined together by ``_nea_refine``: a projected, damped
+    Newton ascent in (theta_a, log Omega), one lane per seed, on the lane's
+    exact bivariate form of the QFI (``_nea_form``). Among near-equal optima
     the smallest theta_a is returned, with its value from ``nea_qfi``.
+    ``iterations`` counts the form evaluations (each a value, gradient and
+    Hessian) of every lane of the target.
     """
     v_z = np.asarray(v_z, dtype=float).ravel()
     if not np.all(np.abs(v_z) < 1.0):
@@ -333,32 +487,7 @@ def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
     prob, i, j, value = _nea_seeds(v_z, thetas, np.exp(us), mode)
     top = _first_per_problem(prob, [-value, i, j], 6)
     prob, theta, u = prob[top], thetas[i[top]], us[j[top]]
-    evals = np.zeros(prob.size, dtype=int)
-    ok = np.ones(prob.size, dtype=bool)
-
-    w_theta = 2.0 * math.pi / (n_theta - 1)
-    w_u = 2.0 * (u_hi - u_lo) / (n_omega - 1)
-
-    act = np.arange(prob.size)
-    for _ in range(40):
-        if not act.size:
-            break
-        t0, u0, v = theta[act], u[act], v_z[prob[act]]
-        t_new, _, ev1, ok1 = _golden_max(
-            _theta_form(v, np.exp(u0)**2, mode),
-            np.maximum(0.0, t0 - w_theta), np.minimum(math.pi, t0 + w_theta),
-            lambda a, b: (b - a) <= tol * (1.0 + t0))
-        a, b = np.maximum(u_lo, u0 - w_u), np.minimum(u_hi, u0 + w_u)
-        u_new, _, ev2, ok2 = _golden_max(
-            _omega_form(v, t_new, a, b, mode), a, b,
-            lambda a, b: np.exp(b) - np.exp(a) <= tol * (1.0 + np.exp(0.5 * (a + b))))
-        evals[act] += ev1 + ev2
-        ok[act] &= ok1 & ok2
-        moved = np.maximum(np.abs(t_new - t0),
-                           np.abs(np.exp(u_new) - np.exp(u0)) / (1.0 + np.exp(u_new)))
-        theta[act], u[act] = t_new, u_new
-        act = act[moved > 10.0 * tol]
-    ok[act] = False  # still moving after the last round
+    theta, u, evals, ok = _nea_refine(v_z[prob], theta, u, mode, tol)
 
     value = nea_qfi(v_z[prob], theta, np.exp(u), mode)
     best = value[_first_per_problem(prob, [-value])][prob]

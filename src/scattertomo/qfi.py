@@ -41,8 +41,9 @@ class QfiMatrix:
     def __post_init__(self):
         if self.basis not in (CARTESIAN, POLAR):
             raise ValueError(f"unknown basis {self.basis!r}")
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (3, 3) or not np.isfinite(h).all():
+        h = np.asarray(self.h)  # complex is refused, not cast
+        if (np.iscomplexobj(h) or h.shape != (3, 3)
+                or not np.isfinite(h := np.asarray(h, dtype=float)).all()):
             raise ValueError("QFI matrix must be a finite 3x3 real matrix")
         scale = max(1.0, np.abs(h).max())
         if np.abs(h - h.T).max() > _SYM_TOL * scale:

@@ -131,7 +131,8 @@ class BranchDerivatives:
     """Per-axis block derivatives aligned with a BranchState's labels.
 
     ``per_axis[j][i]`` is the derivative of block i with respect to v_j,
-    j running over (x, y, z). Each axis's block traces sum to zero.
+    j running over (x, y, z). Each block is Hermitian (to HERM_TOL, as in
+    BranchState) and each axis's block traces sum to zero.
     ``stacks[i]`` holds block i's three derivatives as one read-only complex (3, d, d) array.
     """
 
@@ -142,14 +143,18 @@ class BranchDerivatives:
     def __post_init__(self):
         if len(self.per_axis) != 3:
             raise ValueError("expected derivative blocks for the three axes")
-        for axis_blocks in self.per_axis:
-            if len(axis_blocks) != len(self.labels):
-                raise ValueError("derivative blocks misaligned with labels")
-            total = sum(float(np.trace(b).real) for b in axis_blocks)
+        if any(len(axis_blocks) != len(self.labels) for axis_blocks in self.per_axis):
+            raise ValueError("derivative blocks misaligned with labels")
+        stacks = tuple(np.array(d_block, dtype=complex) for d_block in zip(*self.per_axis))
+        for total in sum((a.trace(axis1=1, axis2=2).real for a in stacks), np.zeros(3)):
             if abs(total) > TRACE_TOL:
                 raise ValueError(f"derivative traces sum to {total}, expected 0")
-        stacks = tuple(np.array(d_block, dtype=complex) for d_block in zip(*self.per_axis))
-        for a in stacks:
+        for lab, a in zip(self.labels, stacks):
+            # the anti-Hermitian part is half of a - a^dagger, and may reach
+            # HERM_TOL * max(1, largest entry): the entries matter only above 1
+            skew = np.abs(a - a.conj().swapaxes(1, 2)).max()
+            if skew > 2.0 * HERM_TOL and skew > 2.0 * HERM_TOL * np.abs(a).max():
+                raise ValueError(f"derivative block {lab} is not Hermitian")
             a.flags.writeable = False
         object.__setattr__(self, "stacks", stacks)
 
@@ -237,11 +242,14 @@ def channel_derivatives(probe: ProbeConfig, omega: float,
     return _probe_channel(probe, float(omega), mode).derivatives
 
 
+# the identity channel's derivative blocks sigma_j / 2, the same at every target
+_HALF_PAULIS = 0.5 * np.stack(PAULIS)
+_HALF_PAULIS.flags.writeable = False
+_DIRECT_DERIVATIVES = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,),
+                                        tuple((sigma,) for sigma in _HALF_PAULIS))
+
+
 def direct_branches(v: BlochVector) -> tuple[BranchState, BranchDerivatives]:
     """Identity-channel encoding for direct (not probe-mediated) estimation."""
     state = BranchState(((BlockLabel.TRANSMITTED_SPIN, bloch_to_density(v)),))
-    derivs = BranchDerivatives(
-        (BlockLabel.TRANSMITTED_SPIN,),
-        tuple((0.5 * sigma,) for sigma in PAULIS),
-    )
-    return state, derivs
+    return state, _DIRECT_DERIVATIVES

@@ -10,9 +10,10 @@ from scattertomo.optimize import (
     EnvelopePoint,
     OptResult,
     _local_maxima,
+    _nea_form,
+    _nea_refine,
     _nea_seeds,
-    _omega_form,
-    _theta_form,
+    _newton_max,
     ea_envelope_point,
     ea_optimality_intervals,
     maximize_1d,
@@ -295,51 +296,193 @@ def relerr_each(a, b):
     return float(np.max(np.abs(np.asarray(a) - b) / np.abs(b)))
 
 
+def central_difference(f, h, axis):
+    """The five-point central difference of f(theta, u) along axis 0 (theta) or 1 (u)."""
+    def df(theta, u):
+        total = 0.0
+        for k, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
+            shift = (k * h, 0.0) if axis == 0 else (0.0, k * h)
+            total = total + c * f(theta + shift[0], u + shift[1])
+        return total / (12.0 * h)
+    return df
+
+
 class TestNeaPerLaneForms:
-    """The forms the NEA golden-section steps evaluate, against ``nea_qfi``."""
+    """The bivariate form the NEA Newton steps evaluate, against ``nea_qfi``."""
 
     @staticmethod
     def lanes(bracket, seed):
+        """Lanes at random (v_z, theta_a) and log Omega in a box set as the refinement sets it."""
         rng = np.random.default_rng(seed)
         v = np.concatenate([[-0.99, 0.0, 0.99], rng.uniform(-0.99, 0.99, 400)])
-        u = rng.uniform(math.log(bracket[0]), math.log(bracket[1]), v.size)
+        u0 = rng.uniform(math.log(bracket[0]), math.log(bracket[1]), v.size)
         theta = np.concatenate([[0.0, math.pi / 2, math.pi],
                                 rng.uniform(0.0, math.pi, v.size - 3)])
-        return rng, v, u, theta
-
-    @staticmethod
-    def check_subsets(build, points, exact, rng):
-        """A form built on all lanes, on 17 of them and on one, evaluated as arrays."""
-        n = exact.size
-        assert relerr_each(build(np.arange(n))(points), exact) <= 1e-12
-        sub = rng.permutation(n)[:17]
-        assert relerr_each(build(sub)(points[sub]), exact[sub]) <= 1e-12
-        one = np.array([5])
-        value = build(one)(points[one])
-        assert value.shape == (1,)
-        assert relerr_each(value, exact[one]) <= 1e-12
-
-    @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3)])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_theta_form(self, mode, bracket):
-        rng, v, u, theta = self.lanes(bracket, 11)
-        exact = nea_qfi(v, theta, np.exp(u), mode)
-        self.check_subsets(lambda k: _theta_form(v[k], np.exp(u[k])**2, mode),
-                           theta, exact, rng)
-
-    @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3)])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_omega_form(self, mode, bracket):
-        rng, v, u0, theta = self.lanes(bracket, 12)
-        # each lane's log-Omega bracket, as the refinement sets it around a
-        # point of the default 121-point grid
+        # each lane's log-Omega box around a point of the default 121-point grid
         u_lo, u_hi = math.log(bracket[0]), math.log(bracket[1])
         half = 2.0 * (u_hi - u_lo) / 120
         a, b = np.maximum(u_lo, u0 - half), np.minimum(u_hi, u0 + half)
         u = a + (b - a) * np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=v.size - 3)])
-        exact = nea_qfi(v, theta, np.exp(u), mode)
-        self.check_subsets(lambda k: _omega_form(v[k], theta[k], a[k], b[k], mode),
-                           u, exact, rng)
+        return rng, v, theta, u, a, b
+
+    @staticmethod
+    def check_subsets(build, theta, u, exact, rng):
+        """A form built on all lanes, on 17 of them and on one, evaluated as arrays."""
+        n = exact.size
+        jet = build(np.arange(n))(theta, u)
+        assert jet.shape == (6, n)
+        assert relerr_each(jet[0], exact) <= 1e-12
+        sub = rng.permutation(n)[:17]
+        assert relerr_each(build(sub)(theta[sub], u[sub])[0], exact[sub]) <= 1e-12
+        one = np.array([5])
+        value = build(one)(theta[one], u[one])
+        assert value.shape == (6, 1)
+        assert relerr_each(value[0], exact[one]) <= 1e-12
+        return jet
+
+    def jet_and_qfi(self, mode, bracket, seed):
+        rng, v, theta, u, a, b = self.lanes(bracket, seed)
+
+        def qfi(t, uu):
+            return nea_qfi(v, t, np.exp(uu), mode)
+        jet = self.check_subsets(lambda k: _nea_form(v[k], a[k], b[k], mode), theta, u,
+                                 qfi(theta, u), rng)
+        return jet, qfi, theta, u
+
+    @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_theta_form(self, mode, bracket):
+        # value, d/dtheta and d2/dtheta2 against central differences of nea_qfi
+        jet, qfi, theta, u = self.jet_and_qfi(mode, bracket, 11)
+        d_t = central_difference(qfi, 1e-3, 0)
+        scale = np.abs(jet[0])
+        assert np.max(np.abs(jet[1] - d_t(theta, u)) / scale) <= 1e-9
+        assert np.max(np.abs(jet[3] - central_difference(d_t, 1e-3, 0)(theta, u)) / scale) <= 1e-7
+
+    @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_omega_form(self, mode, bracket):
+        # d/du, d2/du2 and d2/dtheta du, u = log Omega, against central differences
+        jet, qfi, theta, u = self.jet_and_qfi(mode, bracket, 12)
+        d_u = central_difference(qfi, 1e-3, 1)
+        scale = np.abs(jet[0])
+        assert np.max(np.abs(jet[2] - d_u(theta, u)) / scale) <= 1e-9
+        assert np.max(np.abs(jet[4] - central_difference(d_u, 1e-3, 0)(theta, u)) / scale) <= 1e-7
+        assert np.max(np.abs(jet[5] - central_difference(d_u, 1e-3, 1)(theta, u)) / scale) <= 1e-7
+
+
+class TestNeaRefinement:
+    """The Newton refinement on random targets |v_z| <= 0.99, in every mode."""
+
+    @staticmethod
+    def targets(seed):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([[-0.99, 0.0, 0.99], rng.uniform(-0.99, 0.99, 25)])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_never_below_the_dense_grid(self, mode):
+        v_z = self.targets(21)
+        thetas = np.linspace(0.0, math.pi, NEA_GRID[0])
+        omegas = np.geomspace(*DEFAULT_OMEGA_BRACKET, NEA_GRID[1])
+        dense = nea_qfi(v_z[:, None, None], thetas[:, None], omegas, mode).max(axis=(1, 2))
+        results = maximize_nea_batch(v_z, mode=mode)
+        assert all(res.converged for res in results)
+        value = np.array([res.value for res in results])
+        assert np.all(value >= dense - 1e-12 * dense)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_seed_refines_to_a_critical_point(self, mode):
+        # all grid-local maxima, not only the best six per target
+        v_z = self.targets(22)
+        thetas = np.linspace(0.0, math.pi, NEA_GRID[0])
+        u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
+        us = np.linspace(u_lo, u_hi, NEA_GRID[1])
+        prob, i, j, seed_value = _nea_seeds(v_z, thetas, np.exp(us), mode)
+        v = v_z[prob]
+        theta, u, evals, ok = _nea_refine(v, thetas[i], us[j], mode, 1e-8)
+        assert ok.all() and evals.max() <= 12
+        jet = _nea_form(v, u - 0.01, u + 0.01, mode)(theta, u)
+        value = nea_qfi(v, theta, np.exp(u), mode)
+        assert np.all(value >= seed_value - 1e-14 * seed_value)
+        # the gradient vanishes where the lane ends inside its box
+        w_theta, w_u = 2.0 * (thetas[1] - thetas[0]), 2.0 * (us[1] - us[0])
+        inside = ((theta > np.maximum(0.0, thetas[i] - w_theta))
+                  & (theta < np.minimum(math.pi, thetas[i] + w_theta))
+                  & (u > np.maximum(u_lo, us[j] - w_u)) & (u < np.minimum(u_hi, us[j] + w_u)))
+        on_edge = (theta == 0.0) | (theta == math.pi)
+        assert np.all(inside | on_edge)
+        assert np.all(np.abs(jet[1:3, inside]) <= 1e-10 * value[inside])
+        # on theta_a in {0, pi} the surface is even in theta_a: dQ/dtheta_a = 0
+        assert np.all(np.abs(jet[1, on_edge]) <= 1e-12 * value[on_edge])
+        assert np.all(np.abs(jet[2, on_edge]) <= 1e-10 * value[on_edge])
+        for edge in (0.0, math.pi):
+            at_edge = _nea_form(v, u - 0.01, u + 0.01, mode)(np.full(v.size, edge), u)
+            assert np.all(np.abs(at_edge[1]) <= 1e-12 * np.abs(at_edge[0]))
+
+    def test_leaves_an_edge_where_the_surface_curves_up(self):
+        # close to the pure state the best probe lies within a cell of theta_a = pi,
+        # where the surface has zero slope but curves up along theta_a
+        v = np.array([-0.99999628])
+        us = np.linspace(*np.log(DEFAULT_OMEGA_BRACKET), NEA_GRID[1])
+        u0 = us[np.argmin(np.abs(us - math.log(0.57735)))]
+        edge = _nea_form(v, np.array([u0 - 0.01]), np.array([u0 + 0.01]),
+                         DetectionMode.BOTH)(np.array([math.pi]), np.array([u0]))
+        assert edge[1, 0] == pytest.approx(0.0, abs=1e-12 * edge[0, 0]) and edge[3, 0] > 0.0
+        theta, u, evals, ok = _nea_refine(v, np.array([math.pi]), np.array([u0]),
+                                          DetectionMode.BOTH, 1e-8)
+        assert ok[0] and evals[0] <= 20
+        assert theta[0] < math.pi - 1e-3
+        assert (nea_qfi(v, theta, np.exp(u), DetectionMode.BOTH)
+                > nea_qfi(v, math.pi, np.exp(u), DetectionMode.BOTH) * (1.0 + 1e-8))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_handful_of_evaluations_per_target(self, mode):
+        results = maximize_nea_batch(np.linspace(-0.99, 0.99, 199), mode=mode)
+        assert all(res.converged for res in results)
+        assert max(res.iterations for res in results) <= 20
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interior_optima_are_critical_points(self, mode):
+        v_z = self.targets(23)
+        results = maximize_nea_batch(v_z, mode=mode)
+        theta = np.array([res.param("theta_a") for res in results])
+        u = np.log([res.param("omega") for res in results])
+        jet = _nea_form(v_z, u - 0.01, u + 0.01, mode)(theta, u)
+        interior = (theta > 0.0) & (theta < math.pi)
+        assert interior.any()
+        assert np.all(np.abs(jet[1:3, interior]) <= 1e-10 * jet[0, interior])
+        assert np.all(np.abs(jet[1, ~interior]) <= 1e-12 * jet[0, ~interior])
+
+
+class TestNewtonMax:
+    """The projected Newton ascent on coupled, multimodal objectives with known jets."""
+
+    def test_never_descends_and_ends_at_a_box_critical_point(self):
+        rng = np.random.default_rng(31)
+        n = 400
+        a, k = rng.uniform(0.2, 1.0, n), rng.integers(2, 5, n)
+        phi, b = rng.uniform(0.0, 2 * math.pi, n), rng.uniform(-0.9, 0.9, n)
+
+        def jet(t, u):
+            # cos t + a cos(k t + phi) + cos u + b cos(t - u)
+            s, c = np.sin(k * t + phi), np.cos(k * t + phi)
+            return np.stack([np.cos(t) + a * c + np.cos(u) + b * np.cos(t - u),
+                             -np.sin(t) - a * k * s - b * np.sin(t - u),
+                             -np.sin(u) + b * np.sin(t - u),
+                             -np.cos(t) - a * k * k * c - b * np.cos(t - u),
+                             b * np.cos(t - u),
+                             -np.cos(u) - b * np.cos(t - u)])
+        hi = np.stack([np.full(n, 3.0), np.full(n, 1.5)])
+        start = np.stack([rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n)])
+        x, evals, ok = _newton_max(jet, start.copy(), -hi, hi, (0.5, 0.5),
+                                   lambda x, y: np.abs(y - x).max(axis=0) <= 1e-10)
+        assert ok.all() and evals.max() <= 40
+        end = jet(*x)
+        assert np.all(end[0] >= jet(*start)[0])
+        # zero slope inside the box; on a bound the slope points out of it
+        g = end[1:3]
+        assert np.all(np.abs(g[:, (np.abs(x) < hi).all(axis=0)]) <= 1e-12)
+        assert np.all(np.where(x <= -hi, g <= 1e-12, True) & np.where(x >= hi, g >= -1e-12, True))
 
 
 def padded_maxima_1d(ys):

@@ -284,6 +284,13 @@ class TestQfiMatrixChecks:
         with pytest.raises(ValueError, match="finite 3x3 real matrix"):
             QfiMatrix(CARTESIAN, h)
 
+    @pytest.mark.parametrize("h", [np.eye(3) + 0.5j * np.ones((3, 3)), np.eye(3) + 0j,
+                                   [[1, 0, 0], [0, 1j, 0], [0, 0, 1]]])
+    def test_rejects_a_complex_matrix(self, h):
+        # even with a zero imaginary part: it is refused, not cast to real
+        with pytest.raises(ValueError, match="finite 3x3 real matrix"):
+            QfiMatrix(CARTESIAN, h)
+
     @pytest.mark.parametrize("diag", [(0.5, 0.2, 0.1), (4.0, 2.0, 1.0)])
     def test_symmetry_tolerance_scales_with_the_largest_entry(self, diag):
         limit = 1e-10 * max(1.0, *diag)

@@ -284,6 +284,60 @@ class TestDerivativeStacks:
         assert np.array_equal(derivs.stacks[0][:, 0, 1], np.zeros(3))
 
 
+class TestDerivativeChecks:
+    X = BlockLabel.TRANSMITTED_SPIN
+
+    def derivs(self, along_x, labels=None):
+        zero = np.zeros_like(along_x)
+        return BranchDerivatives(labels or (self.X,), ((along_x,), (zero,), (zero,)))
+
+    def test_rejects_a_non_hermitian_block(self):
+        # qfi_numeric would read H_xx = 2 at diag(0.7, 0.3); the Hermitian part gives 1
+        with pytest.raises(ValueError, match="derivative block .*SPIN.* not Hermitian"):
+            self.derivs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        state = BranchState(((self.X, np.diag([0.7, 0.3])),))
+        hermitian = self.derivs(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        assert abs(qfi_numeric(state, hermitian).h[0, 0] - 1.0) < 1e-15
+
+    def test_every_block_and_axis_is_checked(self):
+        vacuum = BlockLabel.VACUUM_RHS
+        spin = np.zeros((2, 2))
+        per_axis = ((spin, np.array([[0.0]])), (spin, np.array([[0.0]])),
+                    (spin, np.array([[1e-9j]])))
+        with pytest.raises(ValueError, match="VACUUM_RHS.* not Hermitian"):
+            BranchDerivatives((self.X, vacuum), per_axis)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_traces_sum_to_zero_on_every_axis(self, axis):
+        # per axis the traces may cancel across blocks, up to TRACE_TOL
+        vacuum = BlockLabel.VACUUM_RHS
+        per_axis = [(np.zeros((2, 2)), np.zeros((1, 1))) for _ in range(3)]
+        per_axis[axis] = (np.diag([0.3, 0.2]), np.array([[-0.5 - 0.9 * scatter.TRACE_TOL]]))
+        BranchDerivatives((self.X, vacuum), tuple(per_axis))
+        per_axis[axis] = (np.diag([0.3, 0.2]), np.array([[-0.5 - 2.0 * scatter.TRACE_TOL]]))
+        with pytest.raises(ValueError, match="derivative traces sum to"):
+            BranchDerivatives((self.X, vacuum), tuple(per_axis))
+
+    @pytest.mark.parametrize("scale", [0.75, 2.0])
+    def test_hermitian_threshold_scales_with_the_largest_entry(self, scale):
+        # the anti-Hermitian part may reach HERM_TOL * max(1, largest entry)
+        limit = scatter.HERM_TOL * max(1.0, scale)
+        block = np.array([[scale, 0.0], [0.0, -scale]], dtype=complex)
+        block[0, 1] = 2.002 * limit  # anti-Hermitian part 1.001 * limit
+        with pytest.raises(ValueError, match="not Hermitian"):
+            self.derivs(block)
+        block[0, 1] = 1.998 * limit
+        assert self.derivs(block).stacks[0][0, 0, 1] == 1.998 * limit
+
+    def test_direct_derivatives_are_shared_and_read_only(self):
+        first = direct_branches(BlochVector(0.2, -0.1, 0.4))[1]
+        assert direct_branches(BlochVector(0.0, 0.0, -0.9))[1] is first
+        for (block,), sigma in zip(first.per_axis, (scatter.PAULIS)):
+            assert np.array_equal(block, 0.5 * sigma)
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+
 class TestDirectBranches:
     def test_single_unit_trace_block(self):
         state, derivs = direct_branches(BlochVector(0.2, -0.1, 0.4))
