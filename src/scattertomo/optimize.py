@@ -4,9 +4,11 @@ The objectives are cheap closed forms, so every search is a dense bracket
 scan followed by local refinement of each grid-local maximum; no
 unimodality is assumed. Momentum grids are logarithmic over the one bracket
 DEFAULT_OMEGA_BRACKET: the QFI vanishes at both ends, so optima are interior.
-A 1-D search refines by golden section. The NEA search over (theta_a,
-log Omega) refines by a projected, damped Newton ascent on exact bivariate
-forms of the QFI's factors, which give its gradient and Hessian.
+A 1-D search refines by golden section. The NEA search scans a coarse
+(theta_a, log Omega) grid and refines by a projected, damped Newton ascent
+on exact bivariate forms of the QFI's factors, which give its gradient and
+Hessian; since the forms are exact on any box, a seed need only lie in the
+basin of its maximum.
 
 Every search solves a batch of independent problems in lockstep: each step
 makes one objective call on arrays over a fixed set of lanes (problem x
@@ -28,7 +30,7 @@ from .scatter import DetectionMode
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_OMEGA_BRACKET = (0.05, 10.0)
-NEA_GRID = (181, 121)  # (theta_a, log Omega) nodes of the NEA seeding
+NEA_GRID = (61, 41)  # (theta_a, log Omega) nodes of the NEA seeding scan
 MAX_ITER = 300  # objective evaluations per lane
 ROUNDING = 1e-13  # relative change of a value taken as lost in rounding
 
@@ -112,11 +114,17 @@ def _ascent_step(jet, x, lo, hi, width):
     On the free ones the step is Newton's where their Hessian is negative
     definite. Else it goes along the gradient: to the quadratic model's
     maximum where the model curves down that way (the Cauchy point), or with
-    its largest component one ``width`` long; and a free coordinate on a
-    bound where the model curves up steps one width into the box.
+    its largest component one ``width`` long. A coordinate on a bound whose
+    gradient does not point out and whose own second derivative is positive
+    steps one width into the box instead.
     """
     g = jet[1:3]
-    free = ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
+    on_lo, on_hi = x <= lo, x >= hi
+    free = ~((on_lo & (g <= 0.0)) | (on_hi & (g >= 0.0)))
+    # such a bound is a minimum along the coordinate; the NEA surface is even
+    # about theta_a = 0 and pi, so its theta_a gradient there is zero (exactly
+    # at 0, to rounding at pi)
+    escape = ((on_lo & (g >= 0.0)) | (on_hi & (g <= 0.0))) & (jet[[3, 5]] > 0.0)
     g = np.where(free, g, 0.0)
     a = np.where(free[0], jet[3], -1.0)
     b = np.where(free[0] & free[1], jet[4], 0.0)
@@ -128,11 +136,8 @@ def _ascent_step(jet, x, lo, hi, width):
     wide = np.abs(g / width[:, None]).max(axis=0)
     length = np.where(curve < 0.0, -(g * g).sum(axis=0) / np.where(curve < 0.0, curve, 1.0),
                       1.0 / np.where(wide > 0.0, wide, 1.0))
-    # such a bound is a minimum along the coordinate (the NEA surface is even
-    # about theta_a = 0 and pi, so its gradient there is zero)
-    escape = ((x <= lo) | (x >= hi)) & (np.stack([a, c]) > 0.0)
-    inward = np.where(x <= lo, 1.0, -1.0) * width[:, None]
-    return np.where(newton, d_newton, np.where(escape, inward, length * g))
+    inward = np.where(on_lo, 1.0, -1.0) * width[:, None]
+    return np.where(escape, inward, np.where(newton, d_newton, length * g))
 
 
 def _newton_max(q, x, lo, hi, width, stop):
@@ -352,102 +357,12 @@ def _nea_form(v, u_lo, u_hi, mode: DetectionMode):
     return q
 
 
-# NEA seeding scans every SEED_STRIDE-th (theta_a, log Omega) node, then
-# full-resolution windows of SEED_WINDOW x SEED_WINDOW nodes
-SEED_STRIDE = 3
-SEED_WINDOW = 9
-
-
-def _scan(v, theta, omega, mode: DetectionMode) -> np.ndarray:
-    y = nea_qfi(v, theta, omega, mode)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("QFI surface is not finite on the scan grid")
-    return y
-
-
-def _windows(v_z, thetas, omegas, mode: DetectionMode, prob, i0, j0, shape, seen):
-    """Evaluate full-resolution windows of ``shape`` at origins (i0, j0) of targets ``prob``.
-
-    Returns the window maxima whose grid neighbours all lie in the window, as
-    (prob, i, j, value): these are grid-local maxima. The window maxima on a
-    window border inside the grid come back as (prob, i, j, si, sj), since
-    their missing neighbour may be higher; si, sj in {-1, 0, 1} point out of
-    the window. Every point whose grid neighbours all lie in its window is
-    marked in ``seen``.
-    """
-    n_t, n_w = seen.shape[1:]
-    rows = i0[:, None] + np.arange(shape[0])
-    cols = j0[:, None] + np.arange(shape[1])
-    y = _scan(v_z[prob, None, None], thetas[rows][:, :, None], omegas[cols][:, None, :], mode)
-    in_t = ((rows > i0[:, None]) | (rows == 0)) & ((rows < rows[:, -1:]) | (rows == n_t - 1))
-    in_w = ((cols > j0[:, None]) | (cols == 0)) & ((cols < cols[:, -1:]) | (cols == n_w - 1))
-    inner = in_t[:, :, None] & in_w[:, None, :]
-    k, a, b = np.nonzero(inner)
-    seen[prob[k], rows[k, a], cols[k, b]] = True
-    k, a, b = np.nonzero(_local_maxima(y, (1, 2)))
-    at, done = (prob[k], rows[k, a], cols[k, b]), inner[k, a, b]
-    step = (a == shape[0] - 1).astype(int) - (a == 0), (b == shape[1] - 1).astype(int) - (b == 0)
-    return (*(x[done] for x in at), y[k, a, b][done]), tuple(x[~done] for x in (*at, *step))
-
-
-def _nea_seeds(v_z, thetas, omegas, mode: DetectionMode):
-    """Grid-local maxima of ``nea_qfi`` on the (theta_a, Omega) grid of each target.
-
-    Returns (prob, i, j, value), sorted by (prob, i, j), from a fraction of
-    the grid's nodes; each stage is one ``nea_qfi`` call for all targets:
-      * the full-resolution bands of rows {0, 1} and {n-2, n-1}: the surface
-        is even in theta_a about 0 and pi, so every edge point is critical
-        in theta_a and an edge maximum's basin can be narrower than a stride;
-      * a coarse scan of every SEED_STRIDE-th node (and the last) per axis;
-      * a full-resolution window around each coarse local maximum, whose
-        4-neighbour maxima off the window's border are grid-local maxima;
-      * re-centring: a window maximum on the window's border (not the
-        grid's) opens a window there, one call per round until none is
-        left: a hill climb on the full grid.
-    Every point returned is a grid-local maximum with its full-grid value.
-    That none is missed is checked against full-grid scans on NEA_GRID and
-    a set of others (tests/test_optimize.py), not proven: on a grid
-    much coarser than the surface, a ridge between coarse nodes can carry a
-    maximum that no window reaches.
-    """
-    n_t, n_w = thetas.size, omegas.size
-    seen = np.zeros((v_z.size, n_t, n_w), dtype=bool)
-    prob = np.repeat(np.arange(v_z.size), 2)
-    found, _ = _windows(v_z, thetas, omegas, mode, prob, np.tile([0, n_t - 2], v_z.size),
-                        np.zeros_like(prob), (2, n_w), seen)
-    # the bands' border maxima open no window: a climb from them crosses the
-    # grid to maxima that the coarse windows find
-    seeds = [found]
-
-    ci = np.r_[0:n_t - 1:SEED_STRIDE, n_t - 1]
-    cj = np.r_[0:n_w - 1:SEED_STRIDE, n_w - 1]
-    coarse = _scan(v_z[:, None, None], thetas[ci][:, None], omegas[cj], mode)
-    prob, a, b = np.nonzero(_local_maxima(coarse, (1, 2)))
-    i, j, si, sj = ci[a], cj[b], 0, 0
-
-    # a coarse maximum is the centre of its window; a climbing point sits one
-    # node in from the new window's edge, so the window extends ahead of it
-    half = SEED_WINDOW // 2
-    shape = (min(SEED_WINDOW, n_t), min(SEED_WINDOW, n_w))
-    while prob.size:
-        i0 = np.clip(i - half + si * (half - 1), 0, n_t - shape[0])
-        j0 = np.clip(j - half + sj * (half - 1), 0, n_w - shape[1])
-        first = _first_per_problem((prob * n_t + i0) * n_w + j0, [])  # one per origin
-        found, climb = _windows(v_z, thetas, omegas, mode, prob[first], i0[first],
-                                j0[first], shape, seen)
-        seeds.append(found)
-        prob, i, j, si, sj = (x[~seen[climb[:3]]] for x in climb)
-
-    prob, i, j, value = (np.concatenate(x) for x in zip(*seeds))
-    first = _first_per_problem((prob * n_t + i) * n_w + j, [])  # one per node
-    return prob[first], i[first], j[first], value[first]
-
-
 def _nea_refine(v, theta, u, mode: DetectionMode, tol: float):
     """Refine NEA lanes (v, theta_a, log Omega) from grid nodes by ``_newton_max``.
 
-    Each lane's box is its node's +-2-cell neighbourhood on NEA_GRID, clipped
-    to [0, pi] x log DEFAULT_OMEGA_BRACKET, and the lane stops once a step
+    Each lane's box is its node's +-2-cell neighbourhood on the coarse
+    NEA_GRID, clipped to [0, pi] x log DEFAULT_OMEGA_BRACKET, on which the
+    lane's ``_nea_form`` is exact to rounding; the lane stops once a step
     moves theta_a by at most tol and Omega by at most tol (1 + Omega).
     Returns arrays (theta, u, evals, ok).
     """
@@ -466,10 +381,10 @@ def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
                        tol: float = 1e-8) -> list[OptResult]:
     """Best unentangled-probe QFI over (theta_a, Omega) at each z-axis target.
 
-    Per target, the grid-local maxima on NEA_GRID = (n_theta, n_omega) nodes
-    over theta_a in [0, pi] x log Omega in DEFAULT_OMEGA_BRACKET, found by
-    ``_nea_seeds`` without evaluating the whole grid; then the best six of
-    every target are refined together by ``_nea_refine``: a projected, damped
+    One ``nea_qfi`` call scans every node of NEA_GRID = (n_theta, n_omega)
+    over theta_a in [0, pi] x log Omega in DEFAULT_OMEGA_BRACKET for all
+    targets. The best six grid-local maxima of every target (by value, then
+    node) are refined together by ``_nea_refine``: a projected, damped
     Newton ascent in (theta_a, log Omega), one lane per seed, on the lane's
     exact bivariate form of the QFI (``_nea_form``). Among near-equal optima
     the smallest theta_a is returned, with its value from ``nea_qfi``.
@@ -484,8 +399,11 @@ def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
     u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
     us = np.linspace(u_lo, u_hi, n_omega)
 
-    prob, i, j, value = _nea_seeds(v_z, thetas, np.exp(us), mode)
-    top = _first_per_problem(prob, [-value, i, j], 6)
+    y = nea_qfi(v_z[:, None, None], thetas[:, None], np.exp(us), mode)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("QFI surface is not finite on the scan grid")
+    prob, i, j = np.nonzero(_local_maxima(y, (1, 2)))
+    top = _first_per_problem(prob, [-y[prob, i, j], i, j], 6)
     prob, theta, u = prob[top], thetas[i[top]], us[j[top]]
     theta, u, evals, ok = _nea_refine(v_z[prob], theta, u, mode, tol)
 

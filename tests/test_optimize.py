@@ -12,7 +12,6 @@ from scattertomo.optimize import (
     _local_maxima,
     _nea_form,
     _nea_refine,
-    _nea_seeds,
     _newton_max,
     ea_envelope_point,
     ea_optimality_intervals,
@@ -106,6 +105,15 @@ class TestMaximizeNea:
                 plus = maximize_nea(vz, mode=mode, tol=1e-8)
                 minus = maximize_nea(-vz, mode=mode, tol=1e-8)
                 assert abs(plus.value - minus.value) < 1e-6 * (1 + abs(plus.value))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_even_in_vz_next_to_the_pure_state(self, mode):
+        # the surface is even under (v_z, theta_a) -> (-v_z, pi - theta_a); here the
+        # optimum lies within a cell of theta_a = 0 for v_z > 0 and of pi for v_z < 0
+        v = 1.0 - np.geomspace(1e-6, 1e-3)
+        plus = np.array([res.value for res in maximize_nea_batch(v, mode=mode)])
+        minus = np.array([res.value for res in maximize_nea_batch(-v, mode=mode)])
+        assert relerr_each(plus, minus) <= 1e-9
 
     def test_degenerate_orientation_at_origin(self):
         res = maximize_nea(0.0, mode=DetectionMode.BOTH)
@@ -318,9 +326,9 @@ class TestNeaPerLaneForms:
         u0 = rng.uniform(math.log(bracket[0]), math.log(bracket[1]), v.size)
         theta = np.concatenate([[0.0, math.pi / 2, math.pi],
                                 rng.uniform(0.0, math.pi, v.size - 3)])
-        # each lane's log-Omega box around a point of the default 121-point grid
+        # each lane's log-Omega box: +-2 cells of the NEA_GRID scan around a point
         u_lo, u_hi = math.log(bracket[0]), math.log(bracket[1])
-        half = 2.0 * (u_hi - u_lo) / 120
+        half = 2.0 * (u_hi - u_lo) / (NEA_GRID[1] - 1)
         a, b = np.maximum(u_lo, u0 - half), np.minimum(u_hi, u0 + half)
         u = a + (b - a) * np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=v.size - 3)])
         return rng, v, theta, u, a, b
@@ -381,24 +389,18 @@ class TestNeaRefinement:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_never_below_the_dense_grid(self, mode):
-        v_z = self.targets(21)
-        thetas = np.linspace(0.0, math.pi, NEA_GRID[0])
-        omegas = np.geomspace(*DEFAULT_OMEGA_BRACKET, NEA_GRID[1])
-        dense = nea_qfi(v_z[:, None, None], thetas[:, None], omegas, mode).max(axis=(1, 2))
-        results = maximize_nea_batch(v_z, mode=mode)
-        assert all(res.converged for res in results)
-        value = np.array([res.value for res in results])
-        assert np.all(value >= dense - 1e-12 * dense)
+        assert_never_below_the_dense_grid(self.targets(21), mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_every_seed_refines_to_a_critical_point(self, mode):
-        # all grid-local maxima, not only the best six per target
+        # all grid-local maxima of the NEA_GRID scan, not only the best six per target
         v_z = self.targets(22)
         thetas = np.linspace(0.0, math.pi, NEA_GRID[0])
         u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
         us = np.linspace(u_lo, u_hi, NEA_GRID[1])
-        prob, i, j, seed_value = _nea_seeds(v_z, thetas, np.exp(us), mode)
-        v = v_z[prob]
+        scan = nea_qfi(v_z[:, None, None], thetas[:, None], np.exp(us), mode)
+        prob, i, j = np.nonzero(_local_maxima(scan, (1, 2)))
+        seed_value, v = scan[prob, i, j], v_z[prob]
         theta, u, evals, ok = _nea_refine(v, thetas[i], us[j], mode, 1e-8)
         assert ok.all() and evals.max() <= 12
         jet = _nea_form(v, u - 0.01, u + 0.01, mode)(theta, u)
@@ -406,11 +408,11 @@ class TestNeaRefinement:
         assert np.all(value >= seed_value - 1e-14 * seed_value)
         # the gradient vanishes where the lane ends inside its box
         w_theta, w_u = 2.0 * (thetas[1] - thetas[0]), 2.0 * (us[1] - us[0])
-        inside = ((theta > np.maximum(0.0, thetas[i] - w_theta))
-                  & (theta < np.minimum(math.pi, thetas[i] + w_theta))
-                  & (u > np.maximum(u_lo, us[j] - w_u)) & (u < np.minimum(u_hi, us[j] + w_u)))
+        lo = np.stack([np.maximum(0.0, thetas[i] - w_theta), np.maximum(u_lo, us[j] - w_u)])
+        hi = np.stack([np.minimum(math.pi, thetas[i] + w_theta), np.minimum(u_hi, us[j] + w_u)])
+        x = np.stack([theta, u])
+        inside = ((x > lo) & (x < hi)).all(axis=0)
         on_edge = (theta == 0.0) | (theta == math.pi)
-        assert np.all(inside | on_edge)
         assert np.all(np.abs(jet[1:3, inside]) <= 1e-10 * value[inside])
         # on theta_a in {0, pi} the surface is even in theta_a: dQ/dtheta_a = 0
         assert np.all(np.abs(jet[1, on_edge]) <= 1e-12 * value[on_edge])
@@ -418,22 +420,38 @@ class TestNeaRefinement:
         for edge in (0.0, math.pi):
             at_edge = _nea_form(v, u - 0.01, u + 0.01, mode)(np.full(v.size, edge), u)
             assert np.all(np.abs(at_edge[1]) <= 1e-12 * np.abs(at_edge[0]))
+        # a lane may end on a face of its box inside the domain: there the
+        # gradient points out of the box, and the target's optimum lies elsewhere
+        face = ~inside & ~on_edge
+        x, g, lo, hi = x[:, face], jet[1:3, face], lo[:, face], hi[:, face]
+        assert np.all(np.where(x <= lo, g <= 0.0,
+                               np.where(x >= hi, g >= 0.0, np.abs(g) <= 1e-10 * value[face])))
+        best = np.array([res.value for res in maximize_nea_batch(v_z, mode=mode)])
+        assert np.all(value[face] < best[prob[face]] * (1.0 - 1e-8))
 
-    def test_leaves_an_edge_where_the_surface_curves_up(self):
-        # close to the pure state the best probe lies within a cell of theta_a = pi,
+    @staticmethod
+    def leave_the_edge(v, edge):
+        # close to the pure state the best probe lies within a cell of theta_a = edge,
         # where the surface has zero slope but curves up along theta_a
-        v = np.array([-0.99999628])
+        v = np.array([v])
         us = np.linspace(*np.log(DEFAULT_OMEGA_BRACKET), NEA_GRID[1])
         u0 = us[np.argmin(np.abs(us - math.log(0.57735)))]
-        edge = _nea_form(v, np.array([u0 - 0.01]), np.array([u0 + 0.01]),
-                         DetectionMode.BOTH)(np.array([math.pi]), np.array([u0]))
-        assert edge[1, 0] == pytest.approx(0.0, abs=1e-12 * edge[0, 0]) and edge[3, 0] > 0.0
-        theta, u, evals, ok = _nea_refine(v, np.array([math.pi]), np.array([u0]),
+        at_edge = _nea_form(v, np.array([u0 - 0.01]), np.array([u0 + 0.01]),
+                            DetectionMode.BOTH)(np.array([edge]), np.array([u0]))
+        assert at_edge[1, 0] == pytest.approx(0.0, abs=1e-12 * at_edge[0, 0]) and at_edge[3, 0] > 0.0
+        theta, u, evals, ok = _nea_refine(v, np.array([edge]), np.array([u0]),
                                           DetectionMode.BOTH, 1e-8)
         assert ok[0] and evals[0] <= 20
-        assert theta[0] < math.pi - 1e-3
+        assert abs(theta[0] - edge) > 1e-3
         assert (nea_qfi(v, theta, np.exp(u), DetectionMode.BOTH)
-                > nea_qfi(v, math.pi, np.exp(u), DetectionMode.BOTH) * (1.0 + 1e-8))
+                > nea_qfi(v, edge, np.exp(u), DetectionMode.BOTH) * (1.0 + 1e-8))
+
+    def test_leaves_an_edge_where_the_surface_curves_up(self):
+        self.leave_the_edge(-0.99999628, math.pi)
+
+    def test_leaves_the_zero_edge_where_the_surface_curves_up(self):
+        # at theta_a = 0 the slope is exactly zero, not rounding noise as at pi
+        self.leave_the_edge(0.99999628, 0.0)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_handful_of_evaluations_per_target(self, mode):
@@ -524,50 +542,53 @@ class TestLocalMaxima:
         assert _local_maxima(flat[:, None], (1, 2)).all()
 
 
-def nea_grid(grid, bracket):
-    """The (theta_a, Omega) nodes ``maximize_nea_batch`` scans on ``grid`` and ``bracket``."""
-    u = np.linspace(math.log(bracket[0]), math.log(bracket[1]), grid[1])
-    return np.linspace(0.0, math.pi, grid[0]), np.exp(u)
+def dense_maximum(v_z, mode, grid=(181, 121), bracket=DEFAULT_OMEGA_BRACKET):
+    """Each target's largest ``nea_qfi`` on a (theta_a, log Omega) grid, at its nodes in the domain.
+
+    The grid spans theta_a in [0, pi] and ``bracket``; only the Omega nodes in
+    DEFAULT_OMEGA_BRACKET are scanned, a few targets at a time.
+    """
+    thetas = np.linspace(0.0, math.pi, grid[0])[:, None]
+    omegas = np.geomspace(*bracket, grid[1])
+    omegas = omegas[(omegas >= DEFAULT_OMEGA_BRACKET[0]) & (omegas <= DEFAULT_OMEGA_BRACKET[1])]
+    return np.concatenate([
+        nea_qfi(v_z[first:first + 16, None, None], thetas, omegas, mode).max(
+            axis=(1, 2), initial=-math.inf)
+        for first in range(0, v_z.size, 16)])
 
 
-def full_grid_seeds(v_z, thetas, omegas, mode):
-    """Grid-local maxima (prob, i, j, value) of a scan of every node, a few targets at a time."""
-    found = []
-    for first in range(0, v_z.size, 16):
-        surface = nea_qfi(v_z[first:first + 16, None, None], thetas[:, None], omegas, mode)
-        prob, i, j = np.nonzero(padded_maxima_nea(surface))
-        found.append((prob + first, i, j, surface[prob, i, j]))
-    return tuple(np.concatenate(x) for x in zip(*found))
-
-
-def assert_seeds_match_full_grid(v_z, grid, bracket, mode):
-    thetas, omegas = nea_grid(grid, bracket)
-    seeds = _nea_seeds(np.asarray(v_z, dtype=float), thetas, omegas, mode)
-    reference = full_grid_seeds(np.asarray(v_z, dtype=float), thetas, omegas, mode)
-    # same (target, i, j) in the same order, and bit-equal values
-    for got, want in zip(seeds, reference):
-        assert np.array_equal(got, want)
+def assert_never_below_the_dense_grid(v_z, mode, grid=(181, 121), bracket=DEFAULT_OMEGA_BRACKET):
+    v_z = np.asarray(v_z, dtype=float)
+    results = maximize_nea_batch(v_z, mode=mode)
+    assert all(res.converged for res in results)
+    value = np.array([res.value for res in results])
+    dense = dense_maximum(v_z, mode, grid, bracket)
+    assert np.all(value >= dense - 1e-12 * np.abs(dense))
 
 
 class TestNeaSeeds:
-    """The seeding finds exactly the grid-local maxima and values of a full-grid scan."""
+    """Seeds from the coarse NEA_GRID scan land in every target's best basin.
+
+    Refined, they are never below the maximum of a denser grid over the
+    domain: a 181 x 121 grid (nine times NEA_GRID's nodes), finer and offset
+    grids, and the nodes in the domain of grids on other brackets.
+    """
 
     @pytest.mark.parametrize("mode", MODES)
     def test_figure_targets(self, mode):
-        for v_z in (np.linspace(-0.95, 0.95, 39), np.linspace(0.0, 0.95, 20)):
-            assert_seeds_match_full_grid(v_z, (181, 121), DEFAULT_OMEGA_BRACKET, mode)
+        v_z = np.concatenate([np.linspace(-0.95, 0.95, 39), np.linspace(0.0, 0.95, 20)])
+        assert_never_below_the_dense_grid(v_z, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_seeded_sweep_on_the_default_grid(self, mode):
         rng = np.random.default_rng(701)
         v_z = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 1000)])
-        assert_seeds_match_full_grid(v_z, (181, 121), DEFAULT_OMEGA_BRACKET, mode)
+        assert_never_below_the_dense_grid(v_z, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_targets_near_the_poles(self, mode):
-        # near-pure targets, on the one grid and bracket maximize_nea_batch uses
-        v_z = np.array([0.9999, -0.9999, 0.99999, -0.99999, 0.999999, -0.999999])
-        assert_seeds_match_full_grid(v_z, NEA_GRID, DEFAULT_OMEGA_BRACKET, mode)
+        v_z = [0.9999, -0.9999, 0.99999, -0.99999, 0.999999, -0.999999]
+        assert_never_below_the_dense_grid(v_z, mode)
 
     @pytest.mark.parametrize("bracket", [DEFAULT_OMEGA_BRACKET, (1e-3, 1e3), (0.5, 2.0)])
     @pytest.mark.parametrize("grid", [(181, 121), (180, 120), (91, 61), (361, 241), (7, 5),
@@ -576,19 +597,15 @@ class TestNeaSeeds:
         rng = np.random.default_rng(grid[0] * grid[1])
         v_z = np.concatenate([[0.0, 0.999, -0.999, 0.5], rng.uniform(-0.999, 0.999, 20)])
         for mode in MODES:
-            assert_seeds_match_full_grid(v_z, grid, bracket, mode)
-
-    def test_no_targets(self):
-        thetas, omegas = nea_grid((181, 121), DEFAULT_OMEGA_BRACKET)
-        for x in _nea_seeds(np.empty(0), thetas, omegas, DetectionMode.BOTH):
-            assert x.size == 0
+            assert_never_below_the_dense_grid(v_z, mode, grid, bracket)
 
 
 class TestNeaDenominators:
     """Every denominator of ``nea_qfi`` is positive on the whole domain.
 
-    So ``nea_qfi`` is finite at every grid node, and the nodes the seeding
-    never evaluates cannot hide a value that the finiteness check would refuse.
+    So ``nea_qfi`` is finite everywhere in it: at every node of the NEA_GRID
+    scan, which checks them all, and at the off-grid points where the Newton
+    refinement evaluates its forms, which are not checked.
     """
 
     @pytest.mark.parametrize("mode", MODES)
@@ -625,6 +642,17 @@ class TestBatchInputChecks:
     def test_nea_batch_rejects(self, v_z):
         with pytest.raises(ValueError):
             maximize_nea_batch([0.2, v_z])
+
+    def test_nea_scan_must_be_finite(self, monkeypatch):
+        import scattertomo.optimize as opt
+
+        def nan_at_one_node(v, theta, omega, mode):
+            y = nea_qfi(v, theta, omega, mode)
+            y[..., 7, 3] = math.nan
+            return y
+        monkeypatch.setattr(opt, "nea_qfi", nan_at_one_node)
+        with pytest.raises(ValueError, match="not finite on the scan grid"):
+            maximize_nea_batch([0.2, 0.4])
 
     @pytest.mark.parametrize("mode", MODES)
     def test_ea_batch_rejects(self, mode):
