@@ -24,8 +24,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
 
-AXIS_TOL = 1e-12  # |vx|, |vy| below this: on the z axis; |g·v| below this: g is across v
-
 MODES = {"t": scatter.DetectionMode.TRANSMISSION,
          "r": scatter.DetectionMode.REFLECTION,
          "both": scatter.DetectionMode.BOTH}
@@ -84,66 +82,22 @@ def _resolve_target(args: argparse.Namespace) -> states.BlochVector:
     return states.BlochVector(args.vx, args.vy, args.vz)
 
 
-def _on_axis(v: states.BlochVector) -> bool:
-    return abs(v.vx) < AXIS_TOL and abs(v.vy) < AXIS_TOL
-
-
-def _nea_target_vz(args: argparse.Namespace) -> float:
-    """v_z of the target, which NEA closed forms need on the z axis."""
-    if not _on_axis(args.target):
-        raise ValueError("NEA closed forms need a target on the z axis (vx = vy = 0)")
-    return args.target.vz
-
-
 def _require_omega(args: argparse.Namespace) -> float:
     if args.strategy != "direct" and args.omega is None:
         raise UsageError(f"--omega is required for strategy {args.strategy}")
     return args.omega if args.omega is not None else 0.0
 
 
-def _branches(strategy: str, v: states.BlochVector, omega: float,
-              mode: scatter.DetectionMode, theta_a: float):
-    if strategy == "direct":
-        return scatter.direct_branches(v)
-    probe = states.ProbeConfig(theta_a=theta_a, entangled=(strategy == "ea"))
-    rho = states.bloch_to_density(v)
-    return (scatter.apply_channel(rho, probe, omega, mode),
-            scatter.channel_derivatives(probe, omega, mode))
-
-
-def _closed_matrix(strategy: str, v: states.BlochVector, omega: float,
-                   mode: scatter.DetectionMode, theta_a: float,
-                   basis: str) -> np.ndarray:
-    """Closed-form matrix where the paper provides one, NaN in the cells it does not.
-
-    NEA has only the cartesian zz entry, and only for a target on the z axis.
-    """
-    if strategy == "direct":
-        if basis == "cartesian":
-            return closedform.direct_cartesian(v).h
-        coeffs = closedform.direct_qfi(v.norm)
-        return coeffs.matrix(states.bloch_to_polar(v).theta).h
-    if strategy == "ea":
-        if basis == "cartesian":
-            return closedform.ea_cartesian(v, omega, mode).h
-        coeffs = closedform.ea_polar(v.norm, omega, mode)
-        return coeffs.matrix(states.bloch_to_polar(v).theta).h
-    h = np.full((3, 3), np.nan)
-    if basis == "cartesian" and _on_axis(v):
-        h[2, 2] = closedform.nea_qfi(v.vz, theta_a, omega, mode)
-    return h
-
-
 def cmd_qfi(args: argparse.Namespace) -> int:
     v = args.target
     omega = _require_omega(args)
     mode = MODES[args.mode]
-    state, derivs = _branches(args.strategy, v, omega, mode, args.theta_a)
-    h_num = qfi.qfi_numeric(state, derivs, eps=args.eps)
+    h_num = qfi.qfi_numeric(*scatter.encoding(args.strategy, v, omega, mode, args.theta_a),
+                            eps=args.eps)
     if args.basis == "polar":
         h_num = qfi.cartesian_to_polar(h_num, states.bloch_to_polar(v))
-    closed = _closed_matrix(args.strategy, v, omega, mode, args.theta_a, args.basis)
-    _check_pure_target(v, None, "the QFI matrix")
+    closed = closedform.closed_matrix(args.strategy, v, omega, mode, args.theta_a, args.basis)
+    qfi.check_pure_target(v, None, "the QFI matrix")
 
     axes = qfi.AXES if args.basis == "cartesian" else qfi.POLAR_AXES
     lines = _header(args, ["entry", "numeric", "closed_form"])
@@ -164,19 +118,6 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_pure_target(v: states.BlochVector, grad: Optional[np.ndarray], what: str) -> None:
-    """Refuse ``what``, the matrix (grad None) or a bound of gradient grad, on a pure target.
-
-    At |v| = 1 the radial QFI diverges, but the numeric QFI drops the
-    zero-weight spectral terms and reports a finite value (the Bures-metric
-    discontinuity), so only gradients across the Bloch vector are reliable.
-    """
-    if abs(v.norm - 1.0) <= states.NORM_TOL and (
-            grad is None or abs(float(grad @ v.as_array())) >= AXIS_TOL):
-        raise ValueError(f"{what} needs the radial QFI, which diverges "
-                         "on a pure target (|v| = 1)")
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
     v = args.target
     grad = None  # --param matrix
@@ -184,11 +125,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         grad = np.eye(3)[qfi.AXES.index(args.param)]
     elif args.param != "matrix":
         grad = qfi.polar_gradient(v, args.param)
-    _check_pure_target(v, grad, f"--param {args.param}")
-    omega = _require_omega(args)
-    mode = MODES[args.mode]
-    state, derivs = _branches(args.strategy, v, omega, mode, args.theta_a)
-    h = qfi.qfi_numeric(state, derivs, eps=args.eps)
+    qfi.check_pure_target(v, grad, f"--param {args.param}")
+    h = qfi.qfi_numeric(*scatter.encoding(args.strategy, v, _require_omega(args),
+                                          MODES[args.mode], args.theta_a), eps=args.eps)
     if grad is None:
         bound = qfi.cr_bound(h, args.m_copies, "matrix")
         lines = _header(args, ["row", "x", "y", "z"])
@@ -218,9 +157,11 @@ def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
     return np.linspace(lo, hi, args.points)
 
 
-def _nea_scan(x: np.ndarray, args: argparse.Namespace, mode) -> list:
-    values = {"omega": args.omega, "theta-a": args.theta_a, "vz": _nea_target_vz(args),
-              args.sweep: x}
+def _zz_scan(x: np.ndarray, args: argparse.Namespace, mode) -> list:
+    values = {"vz": closedform.axis_vz(args.target), "omega": args.omega,
+              "theta-a": args.theta_a, args.sweep: x}
+    if args.strategy == "ea":  # c_r(|v_z|) is the zz entry on the z axis only
+        return [closedform.ea_cr(np.abs(values["vz"]), _require_omega(args), mode)]
     if values["omega"] is None:
         raise UsageError("--omega is required for this scan")
     return [closedform.nea_qfi(values["vz"], values["theta-a"], values["omega"], mode)]
@@ -232,11 +173,10 @@ SCANS = {
                       lambda x, a, m: astuple(closedform.ea_polar(a.target.norm, x, m))),
     ("ea", "r"): (["r", "c_r", "c_theta"],
                   lambda x, a, m: astuple(closedform.ea_polar(x, _require_omega(a), m))),
-    ("ea", "vz"): (["v_z", "qfi_zz"],
-                   lambda x, a, m: [closedform.ea_cr(np.abs(x), _require_omega(a), m)]),
-    ("nea", "omega"): (["omega", "qfi_zz"], _nea_scan),
-    ("nea", "theta-a"): (["theta_a", "qfi_zz"], _nea_scan),
-    ("nea", "vz"): (["vz", "qfi_zz"], _nea_scan),
+    ("ea", "vz"): (["v_z", "qfi_zz"], _zz_scan),
+    ("nea", "omega"): (["omega", "qfi_zz"], _zz_scan),
+    ("nea", "theta-a"): (["theta_a", "qfi_zz"], _zz_scan),
+    ("nea", "vz"): (["vz", "qfi_zz"], _zz_scan),
     ("direct", "r"): (["r", "c_r", "c_theta"], lambda x, a, m: astuple(closedform.direct_qfi(x))),
 }
 
@@ -252,7 +192,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.strategy == "nea":
-        res = optimize.maximize_nea(_nea_target_vz(args), mode=MODES[args.mode], tol=args.tol)
+        res = optimize.maximize_nea(closedform.axis_vz(args.target), mode=MODES[args.mode],
+                                    tol=args.tol)
     elif args.strategy == "ea":
         res = optimize.maximize_ea_batch(args.target.norm, MODES[args.mode],
                                          tol=args.tol)[0]
@@ -341,17 +282,8 @@ def _positive_float(text: str) -> float:
     return x
 
 
-def _add_target_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vx", type=float, default=None, help="target Bloch x component (default 0)")
-    p.add_argument("--vy", type=float, default=None, help="target Bloch y component (default 0)")
-    p.add_argument("--vz", type=float, default=None, help="target Bloch z component (default 0)")
-    p.add_argument("--r", type=float, default=None, help="target Bloch radius (polar)")
-    p.add_argument("--theta", type=float, default=None, help="target polar angle (rad)")
-    p.add_argument("--phi", type=float, default=None, help="target azimuth (rad)")
-
-
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=("direct", "nea", "ea"), required=True)
+    p.add_argument("--strategy", choices=scatter.STRATEGIES, required=True)
     p.add_argument("--mode", choices=tuple(MODES), default="both",
                    help="detection mode (ignored for direct)")
     p.add_argument("--omega", type=float, default=None,
@@ -359,6 +291,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-a", dest="theta_a", type=float, default=0.0,
                    help="probe Bloch polar angle (nea)")
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
+    p.add_argument("--vx", type=float, default=None, help="target Bloch x component (default 0)")
+    p.add_argument("--vy", type=float, default=None, help="target Bloch y component (default 0)")
+    p.add_argument("--vz", type=float, default=None, help="target Bloch z component (default 0)")
+    p.add_argument("--r", type=float, default=None, help="target Bloch radius (polar)")
+    p.add_argument("--theta", type=float, default=None, help="target polar angle (rad)")
+    p.add_argument("--phi", type=float, default=None, help="target azimuth (rad)")
 
 
 @functools.cache
@@ -371,14 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qfi", help="print the QFI matrix (numeric and closed form)")
     _add_common_flags(p)
-    _add_target_flags(p)
     p.add_argument("--basis", choices=("cartesian", "polar"), default="cartesian")
     p.add_argument("--eps", type=_positive_float, default=1e-12)
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("bound", help="print a Cramer-Rao bound")
     _add_common_flags(p)
-    _add_target_flags(p)
     p.add_argument("--m-copies", dest="m_copies", type=_positive_int, default=1)
     p.add_argument("--param", choices=("matrix", "x", "y", "z", "r", "theta", "phi"),
                    default="matrix")
@@ -387,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep omega / theta_a / v_z / r grids")
     _add_common_flags(p)
-    _add_target_flags(p)
     p.add_argument("--sweep", choices=("omega", "theta-a", "vz", "r"), required=True)
     p.add_argument("--from", dest="start", type=float, default=None)
     p.add_argument("--to", dest="stop", type=float, default=None)
@@ -396,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize QFI over probe controls")
     _add_common_flags(p)
-    _add_target_flags(p)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.set_defaults(func=cmd_optimize)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qfi import CARTESIAN, POLAR, QfiMatrix, cr_bound
-from .scatter import DetectionMode
-from .states import BlochVector
+from .scatter import STRATEGIES, DetectionMode
+from .states import AXIS_TOL, BlochVector, bloch_to_polar
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,16 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
     return float(out) if out.ndim == 0 else out
 
 
+def axis_vz(v: BlochVector) -> float:
+    """v_z of a target on the z axis (|vx|, |vy| < AXIS_TOL), which closed forms in v_z need.
+
+    ``nea_qfi`` is a QFI of v_z alone, and so is the EA c_r(|v_z|) as the zz entry.
+    """
+    if abs(v.vx) < AXIS_TOL and abs(v.vy) < AXIS_TOL:
+        return v.vz
+    raise ValueError("closed forms in v_z need a target on the z axis (vx = vy = 0)")
+
+
 def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
     """The factors that ``nea_qfi`` combines in ``mode``, without input checks.
 
@@ -237,6 +247,32 @@ def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix
     if r2 > 0.0:
         h += (_ea_cr(r2, w, mode) - c_perp) * np.outer(vec, vec) / r2
     return QfiMatrix(CARTESIAN, h)
+
+
+def closed_matrix(strategy: str, v: BlochVector, omega: float, mode: DetectionMode,
+                  theta_a: float, basis: str) -> np.ndarray:
+    """The QFI matrix of ``scatter.encoding`` in ``basis``, NaN where no closed form exists.
+
+    Direct and EA have every cell. NEA has only the cartesian zz entry, and
+    only for a target on the z axis (``axis_vz``).
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    if basis not in (CARTESIAN, POLAR):
+        raise ValueError(f"unknown basis {basis!r}")
+    if strategy == "nea":
+        h = np.full((3, 3), np.nan)
+        if basis == CARTESIAN:
+            try:
+                v_z = axis_vz(v)
+            except ValueError:  # off the axis: no closed form
+                return h
+            h[2, 2] = nea_qfi(v_z, theta_a, omega, mode)
+        return h
+    if basis == CARTESIAN:
+        return (direct_cartesian(v) if strategy == "direct" else ea_cartesian(v, omega, mode)).h
+    coeffs = direct_qfi(v.norm) if strategy == "direct" else ea_polar(v.norm, omega, mode)
+    return coeffs.matrix(bloch_to_polar(v).theta).h
 
 
 def purity_bound(r: float, omega: float, m: int,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scatter import BranchDerivatives, BranchState
-from .states import BlochVector, PolarCoords
+from .states import AXIS_TOL, NORM_TOL, BlochVector, PolarCoords
 
 AXES = ("x", "y", "z")
 POLAR_AXES = ("r", "theta", "phi")
@@ -118,6 +118,19 @@ def polar_gradient(v: BlochVector, param: str) -> np.ndarray:
     if param == "theta":
         return np.array([vec[0] * vec[2], vec[1] * vec[2], -rho * rho]) / (r * r * rho)
     return np.array([-vec[1], vec[0], 0.0]) / (rho * rho)
+
+
+def check_pure_target(v: BlochVector, grad: np.ndarray | None, what: str) -> None:
+    """Refuse ``what``, the matrix (grad None) or a bound of gradient grad, on a pure target.
+
+    At |v| = 1 the radial QFI diverges, but the numeric QFI drops the
+    zero-weight spectral terms and reports a finite value (the Bures-metric
+    discontinuity), so only gradients across the Bloch vector are reliable.
+    """
+    if abs(v.norm - 1.0) <= NORM_TOL and (
+            grad is None or abs(float(grad @ v.as_array())) >= AXIS_TOL):
+        raise ValueError(f"{what} needs the radial QFI, which diverges "
+                         "on a pure target (|v| = 1)")
 
 
 def cartesian_to_polar(h: QfiMatrix, p: PolarCoords) -> QfiMatrix:

@@ -253,3 +253,18 @@ def direct_branches(v: BlochVector) -> tuple[BranchState, BranchDerivatives]:
     """Identity-channel encoding for direct (not probe-mediated) estimation."""
     state = BranchState(((BlockLabel.TRANSMITTED_SPIN, bloch_to_density(v)),))
     return state, _DIRECT_DERIVATIVES
+
+
+STRATEGIES = ("direct", "nea", "ea")  # target access; unentangled probe; singlet probe
+
+
+def encoding(strategy: str, v: BlochVector, omega: float, mode: DetectionMode,
+             theta_a: float) -> tuple[BranchState, BranchDerivatives]:
+    """Branch state and derivatives of target v; direct ignores omega and mode, EA theta_a."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    if strategy == "direct":
+        return direct_branches(v)
+    probe = ProbeConfig(theta_a=theta_a, entangled=(strategy == "ea"))
+    return (apply_channel(bloch_to_density(v), probe, omega, mode),
+            channel_derivatives(probe, omega, mode))

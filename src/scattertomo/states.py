@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-12
+AXIS_TOL = 1e-12  # |vx|, |vy| below this: on the z axis; |g·v| below this: g is across v
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

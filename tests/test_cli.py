@@ -350,6 +350,25 @@ class TestScanCommand:
         assert code == 3
         assert out == "" and "z axis" in err
 
+    @pytest.mark.parametrize("target", [("--vx", "0.1"), ("--vy", "-0.2", "--vz", "0.4"),
+                                        ("--r", "0.5", "--theta", "1.0")])
+    def test_ea_vz_off_axis_target_is_domain_error(self, capsys, target):
+        # off the axis c_r(|v_z|) is not the zz entry: at (0.1, 0, 0.4) in t
+        # it would print 0.448399 where the zz entry is 0.449669
+        code, out, err = run(capsys, "scan", "--strategy", "ea", "--sweep", "vz",
+                             "--omega", "0.6", *target)
+        assert code == 3
+        assert out == "" and "z axis" in err
+
+    @pytest.mark.parametrize("mode", ["t", "r", "both"])
+    def test_ea_vz_scan_is_the_zz_entry_on_the_axis(self, capsys, mode):
+        code, out, _ = run(capsys, "scan", "--strategy", "ea", "--mode", mode, "--sweep", "vz",
+                           "--omega", "0.6", "--points", "5")
+        assert code == 0
+        for v_z, zz in ((float(x) for x in row) for row in rows(out)):
+            h = ea_cartesian(BlochVector(0.0, 0.0, v_z), 0.6, MODES[mode]).h
+            assert abs(zz / h[2, 2] - 1.0) < 1e-11
+
     @pytest.mark.parametrize("strategy, sweep, flag", [
         ("nea", "vz", ("--vz", "0.9")), ("ea", "r", ("--r", "0.9"))])
     def test_swept_variable_overrides_its_flag(self, capsys, strategy, sweep, flag):

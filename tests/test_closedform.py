@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from scattertomo.closedform import (
+    axis_vz,
+    closed_matrix,
     direct_cartesian,
     direct_qfi,
     ea_cartesian,
@@ -15,8 +17,8 @@ from scattertomo.closedform import (
 )
 from scattertomo.qfi import cartesian_to_polar, qfi_numeric
 from scattertomo.scatter import DetectionMode, apply_channel, channel_derivatives, direct_branches
-from scattertomo.states import (BlochVector, PolarCoords, ProbeConfig, bloch_to_density,
-                                bloch_to_polar, polar_to_bloch)
+from scattertomo.states import (AXIS_TOL, BlochVector, PolarCoords, ProbeConfig,
+                                bloch_to_density, bloch_to_polar, polar_to_bloch)
 
 from conftest import log_uniform, relerr
 
@@ -174,6 +176,65 @@ class TestNeaQfi:
         out = nea_qfi(0.3, np.linspace(0, math.pi, 5)[:, None],
                       np.array([0.5, 1.0])[None, :], DetectionMode.BOTH)
         assert out.shape == (5, 2)
+
+
+class TestAxisVz:
+    @pytest.mark.parametrize("vz", [0.0, 0.4, -0.95, 1.0])
+    def test_on_the_axis(self, vz):
+        assert axis_vz(BlochVector(0.0, 0.0, vz)) == vz
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_boundary_is_axis_tol(self, sign):
+        inside = sign * 0.999 * AXIS_TOL
+        assert axis_vz(BlochVector(inside, 0.0, 0.4)) == 0.4
+        assert axis_vz(BlochVector(0.0, inside, 0.4)) == 0.4
+        assert axis_vz(BlochVector(inside, inside, 0.4)) == 0.4
+        for v in (BlochVector(sign * AXIS_TOL, 0.0, 0.4), BlochVector(0.0, sign * AXIS_TOL, 0.4),
+                  BlochVector(0.3, 0.0, 0.4), BlochVector(0.0, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="z axis"):
+                axis_vz(v)
+
+
+class TestClosedMatrix:
+    V = BlochVector(0.2, -0.3, 0.4)
+    ON_AXIS = BlochVector(0.0, 0.0, -0.6)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_direct_and_ea_fill_every_cell(self, mode):
+        p = bloch_to_polar(self.V)
+        expected = {
+            ("direct", "cartesian"): direct_cartesian(self.V).h,
+            ("direct", "polar"): direct_qfi(p.r).matrix(p.theta).h,
+            ("ea", "cartesian"): ea_cartesian(self.V, 0.7, mode).h,
+            ("ea", "polar"): ea_polar(p.r, 0.7, mode).matrix(p.theta).h,
+        }
+        for (strategy, basis), h in expected.items():
+            got = closed_matrix(strategy, self.V, 0.7, mode, 0.3, basis)
+            assert not np.isnan(got).any()
+            assert np.array_equal(got, h)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nea_has_zz_on_the_axis_only(self, mode):
+        h = closed_matrix("nea", self.ON_AXIS, 0.7, mode, 0.3, "cartesian")
+        assert h[2, 2] == nea_qfi(-0.6, 0.3, 0.7, mode)
+        assert np.isnan(np.delete(h.ravel(), 8)).all()
+        for v, basis in ((self.V, "cartesian"), (self.ON_AXIS, "polar"), (self.V, "polar"),
+                         (BlochVector(AXIS_TOL, 0.0, -0.6), "cartesian")):
+            assert np.isnan(closed_matrix("nea", v, 0.7, mode, 0.3, basis)).all()
+        near = closed_matrix("nea", BlochVector(0.5 * AXIS_TOL, 0.0, -0.6), 0.7, mode, 0.3,
+                             "cartesian")
+        assert near[2, 2] == h[2, 2]
+
+    def test_nea_on_axis_keeps_the_domain_checks(self):
+        with pytest.raises(ValueError, match=r"\|v_z\| < 1"):
+            closed_matrix("nea", BlochVector(0.0, 0.0, 1.0), 0.7, DetectionMode.BOTH, 0.3,
+                          "cartesian")
+
+    @pytest.mark.parametrize("strategy, basis", [("bogus", "cartesian"), ("ea", "bogus"),
+                                                 ("nea", "spherical")])
+    def test_unknown_strategy_or_basis(self, strategy, basis):
+        with pytest.raises(ValueError, match="unknown"):
+            closed_matrix(strategy, self.V, 0.7, DetectionMode.BOTH, 0.3, basis)
 
 
 class TestInputChecks:

@@ -15,8 +15,8 @@ from hypothesis import strategies as hs  # noqa: E402
 
 from scattertomo.closedform import direct_cartesian, ea_cartesian, nea_qfi  # noqa: E402
 from scattertomo.qfi import qfi_numeric  # noqa: E402
-from scattertomo.scatter import DetectionMode, apply_channel, channel_derivatives  # noqa: E402
-from scattertomo.states import BlochVector, ProbeConfig, bloch_to_density  # noqa: E402
+from scattertomo.scatter import DetectionMode, encoding  # noqa: E402
+from scattertomo.states import BlochVector  # noqa: E402
 
 from conftest import relerr  # noqa: E402
 
@@ -37,29 +37,28 @@ def targets(draw, r_max=0.99):
     return BlochVector.from_array(r * direction / np.linalg.norm(direction))
 
 
-def oracle(v, probe, omega, mode):
-    return qfi_numeric(apply_channel(bloch_to_density(v), probe, omega, mode),
-                       channel_derivatives(probe, omega, mode)).h
+def oracle(strategy, v, omega, mode, theta_a=0.0):
+    return qfi_numeric(*encoding(strategy, v, omega, mode, theta_a)).h
 
 
 @PROPERTY
 @given(targets(), omegas, modes)
 def test_ea_matches_cartesian_closed_form(v, omega, mode):
-    h = oracle(v, ProbeConfig(entangled=True), omega, mode)
+    h = oracle("ea", v, omega, mode)
     assert relerr(h, ea_cartesian(v, omega, mode).h) <= 1e-8
 
 
 @PROPERTY
 @given(hs.floats(-0.99, 0.99), theta_as, omegas, modes)
 def test_nea_on_axis_matches_closed_form(v_z, theta_a, omega, mode):
-    h = oracle(BlochVector(0.0, 0.0, v_z), ProbeConfig(theta_a=theta_a), omega, mode)
+    h = oracle("nea", BlochVector(0.0, 0.0, v_z), omega, mode, theta_a)
     assert relerr(h[2, 2], nea_qfi(v_z, theta_a, omega, mode)) <= 1e-8
 
 
 @PROPERTY
 @given(targets(), theta_as, omegas, modes)
 def test_nea_off_axis_is_bounded_by_direct_access(v, theta_a, omega, mode):
-    h = oracle(v, ProbeConfig(theta_a=theta_a), omega, mode)
+    h = oracle("nea", v, omega, mode, theta_a)
     scale = max(1.0, float(np.max(np.abs(h))))
     assert np.max(np.abs(h - h.T)) <= 1e-10 * scale
     assert np.linalg.eigvalsh(h).min() >= -1e-9 * scale

@@ -9,6 +9,7 @@ from scattertomo.qfi import (
     POLAR,
     QfiMatrix,
     cartesian_to_polar,
+    check_pure_target,
     cr_bound,
     polar_gradient,
     polar_jacobian,
@@ -22,9 +23,10 @@ from scattertomo.scatter import (
     apply_channel,
     channel_derivatives,
     direct_branches,
+    encoding,
 )
-from scattertomo.states import (ID2, BlochVector, PolarCoords, ProbeConfig, bloch_to_density,
-                                bloch_to_polar, polar_to_bloch)
+from scattertomo.states import (AXIS_TOL, ID2, NORM_TOL, BlochVector, PolarCoords, ProbeConfig,
+                                bloch_to_density, bloch_to_polar, polar_to_bloch)
 
 from conftest import log_uniform, rand_bloch, relerr
 
@@ -32,17 +34,11 @@ MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOT
 
 
 def ea_pair(v, omega, mode):
-    probe = ProbeConfig(entangled=True)
-    rho = bloch_to_density(BlochVector.from_array(v))
-    return (apply_channel(rho, probe, omega, mode),
-            channel_derivatives(probe, omega, mode))
+    return encoding("ea", BlochVector.from_array(v), omega, mode, 0.0)
 
 
 def nea_pair(vz, theta_a, omega, mode):
-    probe = ProbeConfig(theta_a=theta_a)
-    rho = bloch_to_density(BlochVector(0.0, 0.0, vz))
-    return (apply_channel(rho, probe, omega, mode),
-            channel_derivatives(probe, omega, mode))
+    return encoding("nea", BlochVector(0.0, 0.0, vz), omega, mode, theta_a)
 
 
 class TestQfiNumeric:
@@ -412,6 +408,43 @@ class TestPolarGradient:
     def test_unknown_coordinate(self):
         with pytest.raises(ValueError):
             polar_gradient(BlochVector(0.1, 0.2, 0.3), "x")
+
+
+class TestCheckPureTarget:
+    PURE = (BlochVector(0.0, 0.0, 1.0), BlochVector(0.6, 0.0, -0.8), BlochVector(0.0, 1.0, 0.0))
+
+    def test_matrix_is_refused_on_a_pure_target(self):
+        for v in self.PURE:
+            with pytest.raises(ValueError, match="^the QFI matrix needs the radial QFI.*pure"):
+                check_pure_target(v, None, "the QFI matrix")
+
+    def test_mixed_targets_pass(self):
+        for v in (BlochVector(0.0, 0.0, 1.0 - 2 * NORM_TOL), BlochVector(0.0, 0.0, 0.999999),
+                  BlochVector(0.0, 0.0, 0.0)):
+            check_pure_target(v, None, "the QFI matrix")
+            check_pure_target(v, np.array([0.0, 0.0, 1.0]), "--param z")
+        # within NORM_TOL of 1 the target counts as pure
+        with pytest.raises(ValueError, match="pure target"):
+            check_pure_target(BlochVector(0.0, 0.0, 1.0 - 0.5 * NORM_TOL), None, "matrix")
+
+    def test_gradient_along_the_bloch_vector_is_refused(self):
+        for v in self.PURE:
+            for grad in (v.as_array(), -2.0 * v.as_array(), v.as_array() + [0.3, 0.0, 0.0]):
+                with pytest.raises(ValueError, match="^--param r needs"):
+                    check_pure_target(v, grad, "--param r")
+
+    def test_gradient_across_the_bloch_vector_passes(self):
+        check_pure_target(BlochVector(0.0, 0.0, 1.0), np.array([1.0, 0.0, 0.0]), "--param x")
+        check_pure_target(BlochVector(0.6, 0.0, 0.8), np.array([0.8, 0.0, -0.6]), "--param theta")
+        check_pure_target(BlochVector(0.6, 0.0, 0.8), np.array([0.0, 5.0, 0.0]), "--param y")
+
+    def test_across_means_below_axis_tol(self):
+        pole = BlochVector(0.0, 0.0, 1.0)
+        check_pure_target(pole, np.array([1.0, 0.0, 0.5 * AXIS_TOL]), "g")
+        check_pure_target(pole, np.array([1.0, 0.0, -0.5 * AXIS_TOL]), "g")
+        for along in (AXIS_TOL, -AXIS_TOL):
+            with pytest.raises(ValueError, match="pure target"):
+                check_pure_target(pole, np.array([1.0, 0.0, along]), "g")
 
 
 class TestCrBound:

@@ -16,10 +16,11 @@ from scattertomo.scatter import (
     apply_channel,
     channel_derivatives,
     direct_branches,
+    encoding,
     s_matrices,
 )
 from scattertomo.states import (ID2, BlochVector, ProbeConfig, bloch_to_density, max_entangled,
-                                singlet)
+                                probe_state, singlet)
 
 from conftest import log_uniform, rand_bloch, rand_unitary, relerr
 
@@ -344,6 +345,44 @@ class TestDirectBranches:
         assert state.labels == (BlockLabel.TRANSMITTED_SPIN,)
         assert derivs.labels == state.labels
         assert abs(np.trace(state.blocks[0][1]) - 1.0) < 1e-15
+
+
+class TestEncoding:
+    V = BlochVector(0.2, -0.1, 0.4)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("strategy, probe", [("ea", ProbeConfig(entangled=True)),
+                                                 ("nea", ProbeConfig(theta_a=0.7))])
+    def test_matches_the_channel_bit_for_bit(self, strategy, probe, mode):
+        state, derivs = encoding(strategy, self.V, 0.43, mode, 0.7)
+        channel = Channel(probe_state(probe), 0.43, mode)
+        ref = channel.state(bloch_to_density(self.V))
+        assert state.labels == derivs.labels == ref.labels
+        assert_identical([[op for _, op in state.blocks]], [[op for _, op in ref.blocks]])
+        assert_identical([derivs.stacks], [channel.derivatives.stacks])
+
+    def test_one_channel_serves_both_calls_of_a_point(self):
+        encoding("nea", self.V, 0.51, DetectionMode.REFLECTION, 1.1)  # fills the cache
+        before = scatter._probe_channel.cache_info()
+        encoding("nea", self.V, 2.3, DetectionMode.REFLECTION, 1.1)
+        after = scatter._probe_channel.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_direct_is_the_identity_channel(self, mode):
+        # direct access reads neither omega nor mode
+        state, derivs = encoding("direct", self.V, 0.0, mode, 0.0)
+        ref_state, ref_derivs = direct_branches(self.V)
+        assert derivs is ref_derivs
+        assert_identical([[op for _, op in state.blocks]], [[op for _, op in ref_state.blocks]])
+
+    @pytest.mark.parametrize("strategy", ["bogus", "EA", ""])
+    def test_unknown_strategy(self, strategy):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            encoding(strategy, self.V, 0.43, DetectionMode.BOTH, 0.7)
+
+    def test_strategies(self):
+        assert scatter.STRATEGIES == ("direct", "nea", "ea")
 
 
 class TestMaxEntangledInvariance:
