@@ -61,8 +61,13 @@ def _header(args: argparse.Namespace, columns: list[str]) -> list[str]:
 
 
 def _table(args: argparse.Namespace, columns: list[str], data: list) -> list[str]:
-    """Header, then one CSV row per index of the equal-length data columns."""
-    return _header(args, columns) + [",".join(map(_fmt, row)) for row in zip(*data)]
+    """Header, then one CSV row per index of the equal-length data columns.
+
+    Each row is one %-format of its floats; '%.12g' prints what ``_fmt`` does.
+    """
+    row = ",".join(["%.12g"] * len(data))
+    cells = np.column_stack(data).ravel().tolist()
+    return _header(args, columns) + [row % cell for cell in zip(*[iter(cells)] * len(data))]
 
 
 def _resolve_target(args: argparse.Namespace) -> states.BlochVector:

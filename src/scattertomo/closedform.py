@@ -78,6 +78,32 @@ def _ea_cr(r2, w, mode: DetectionMode):
     raise ValueError(f"unknown detection mode {mode}")
 
 
+# Critical-point polynomial P = N'D - ND' of c_r = N / ((1 - r^2) D), with N and
+# D as ``_ea_cr`` writes them and ' = d/dW: row i, column j is the coefficient
+# of r^(2i) W^j. sign P = sign dc_r/dW, so the maxima of c_r are where P falls
+# through zero. Derived with sympy.
+_EA_CR_CRITICAL = {
+    DetectionMode.BOTH: ((8, 288, 3416, 14976, 5112, -116640, -204120),),
+    DetectionMode.TRANSMISSION: (
+        (594, 11772, 85644, 223884, -432864, -4402188, -11952684, -15090300, -7676370),
+        (-588, -8832, -39972, 19656, 733932, 2414448, 3105540, 1312200, 0),
+        (144, 1600, 5664, 8640, 6480, 0, 0, 0, 0)),
+    DetectionMode.REFLECTION: (
+        (2, 172, 4764, 62588, 424816, 1338372, 431172, -7287084, -11502162),
+        (0, -8, -340, -6320, -61308, -292104, -416844, 1166400, 2796444),
+        (0, 0, 0, 0, -16, 576, 3168, -46656, -151632)),
+}
+
+
+def _ea_cr_critical(r2, mode: DetectionMode) -> np.ndarray:
+    """Coefficients of W^0, W^1, ... of c_r's critical-point polynomial, one row per r^2."""
+    if mode not in _EA_CR_CRITICAL:
+        raise ValueError(f"unknown detection mode {mode}")
+    table = np.array(_EA_CR_CRITICAL[mode], dtype=float)
+    r2_powers = np.asarray(r2, dtype=float)[..., None, None]**np.arange(len(table))[:, None]
+    return (r2_powers * table).sum(axis=-2)
+
+
 def _ea_cperp(r2, w, mode: DetectionMode):
     """c_perp = c_theta / r^2 at r^2 = r2 and W = Omega^2, without input checks.
 

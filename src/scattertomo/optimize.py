@@ -4,16 +4,18 @@ The objectives are cheap closed forms, so every search is a dense bracket
 scan followed by local refinement of each grid-local maximum; no
 unimodality is assumed. Momentum grids are logarithmic over the one bracket
 DEFAULT_OMEGA_BRACKET: the QFI vanishes at both ends, so optima are interior.
-A 1-D search refines by golden section. The NEA search scans a coarse
-(theta_a, log Omega) grid and refines by a projected, damped Newton ascent
-on exact bivariate forms of the QFI's factors, which give its gradient and
-Hessian; since the forms are exact on any box, a seed need only lie in the
-basin of its maximum.
+A user objective of one variable is refined by golden section. The EA search
+refines by a safeguarded Newton iteration on the critical-point polynomial of
+c_r in W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a
+coarse (theta_a, log Omega) grid and refines by a projected, damped Newton
+ascent on exact bivariate forms of the QFI's factors, which give its gradient
+and Hessian; since the forms are exact on any box, a seed need only lie in
+the basin of its maximum.
 
 Every search solves a batch of independent problems in lockstep: each step
-makes one objective call on arrays over a fixed set of lanes (problem x
-candidate), finished lanes included, and ``iterations`` counts a lane's
-evaluations. The one-problem functions wrap these.
+makes one array call on a fixed set of lanes (problem x candidate), finished
+lanes included, and ``iterations`` counts a lane's evaluations (for EA, its
+Newton steps). The one-problem functions wrap these.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .closedform import _check_radius, _ea_cr, _nea_factors, _nea_ratio, nea_qfi
+from .closedform import (_check_radius, _ea_cr, _ea_cr_critical, _nea_factors,
+                         _nea_ratio, nea_qfi)
 from .scatter import DetectionMode
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_OMEGA_BRACKET = (0.05, 10.0)
 NEA_GRID = (61, 41)  # (theta_a, log Omega) nodes of the NEA seeding scan
-MAX_ITER = 300  # objective evaluations per lane
+EA_GRID = 64  # log Omega nodes of the EA seeding scan
+MAX_ITER = 300  # objective evaluations (EA: Newton steps) per lane
 ROUNDING = 1e-13  # relative change of a value taken as lost in rounding
 
 
@@ -203,6 +207,16 @@ def _first_per_problem(prob: np.ndarray, keys: list, limit: int = 1) -> np.ndarr
     return order[np.arange(order.size) - np.searchsorted(prob, prob) < limit]
 
 
+def _scan_seeds(ys: np.ndarray):
+    """(problem, node) of the best 16 grid-local maxima of each row of a 1-D scan.
+
+    A plateau keeps its first point; ties go to the smaller node.
+    """
+    prob, i = np.nonzero(_local_maxima(ys, (1,), strict_before=True))
+    top = _first_per_problem(prob, [-ys[prob, i], i], 16)
+    return prob[top], i[top]
+
+
 def _results(prob, n, evals, ok, pick, argmax, value) -> list[OptResult]:
     """One OptResult per problem: its picked lane, summed evals, all lanes converged."""
     iterations = np.bincount(prob, weights=evals, minlength=n)
@@ -242,10 +256,7 @@ def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
         return y
 
     ys = f(np.broadcast_to(xs, (n, n_grid)), np.arange(n)[:, None])
-    # grid-local maxima; a plateau keeps its first point
-    prob, i = np.nonzero(_local_maxima(ys, (1,), strict_before=True))
-    top = _first_per_problem(prob, [-ys[prob, i], i], 16)
-    prob, i = prob[top], i[top]
+    prob, i = _scan_seeds(ys)
 
     u, fx, evals, ok = _golden_max(
         lambda uu: f(from_u(uu), prob),
@@ -421,15 +432,67 @@ def maximize_nea(v_z: float, mode: DetectionMode = DetectionMode.BOTH,
     return maximize_nea_batch([v_z], mode, tol)[0]
 
 
+def _newton_root(coef, w, lo, hi, stop):
+    """Safeguarded Newton iteration on polynomials in lockstep, one lane per row of coef.
+
+    coef holds each lane's coefficients of W^0, W^1, ..., w its start and
+    [lo, hi] its bracket. After each evaluation the bracket keeps the side
+    where the polynomial falls through zero: it moves up to a point where the
+    polynomial is positive, else down to it, so w is always one of its ends. A
+    Newton step that leaves the bracket is replaced by its midpoint. A lane
+    finishes once stop(w, w_new) passes for a step, or unconverged after
+    MAX_ITER steps, and the others step on. Returns arrays (w, steps, ok).
+    """
+    powers = np.arange(coef.shape[1])
+    d_coef = coef[:, 1:] * powers[1:]
+    out_w, out_steps = np.empty(w.size), np.empty(w.size, dtype=int)
+    ok, finished = np.empty(w.size, dtype=bool), np.zeros(w.size, dtype=bool)
+    steps = 0
+    while True:
+        w_powers = w[:, None]**powers
+        p, dp = (coef * w_powers).sum(axis=1), (d_coef * w_powers[:, :-1]).sum(axis=1)
+        rising = p > 0.0
+        lo, hi = np.where(rising, w, lo), np.where(rising, hi, w)
+        w_new = w - p / np.where(dp != 0.0, dp, np.nan)  # NaN leaves the bracket
+        w_new = np.where((w_new >= lo) & (w_new <= hi), w_new, 0.5 * (lo + hi))
+        steps += 1
+        done = stop(w, w_new)
+        new = ~finished & (done | (steps >= MAX_ITER))
+        out_w[new], out_steps[new], ok[new] = w_new[new], steps, done[new]
+        finished |= new
+        if finished.all():
+            return out_w, out_steps, ok
+        w = w_new
+
+
 def maximize_ea_batch(v_z, mode: DetectionMode, tol: float = 1e-8) -> list[OptResult]:
     """Best EA QFI over Omega in DEFAULT_OMEGA_BRACKET at each z-axis target, in lockstep.
 
     The z-axis QFI is the radial coefficient c_r at r = |v_z|, so a grid of
-    radii r >= 0 gives the best c_r at each radius.
+    radii r >= 0 gives the best c_r at each radius. One ``_ea_cr`` call scans
+    EA_GRID log-spaced nodes for all radii; each radius's best 16 grid-local
+    maxima seed ``_newton_root`` on c_r's critical-point polynomial in
+    W = Omega^2, inside the seed's +-1-cell bracket, until a step moves Omega
+    by at most tol (1 + Omega). A lane ends at the higher of that point and its
+    bracket's ends, and a radius at its highest lane (ties to the smaller
+    Omega), with the value from ``_ea_cr``. ``iterations`` counts the Newton
+    steps of every lane of the radius.
     """
     r2 = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)**2
-    return maximize_1d_batch(lambda om, k: _ea_cr(r2[k], om**2, mode), r2.size,
-                             DEFAULT_OMEGA_BRACKET, tol=tol, name="omega")
+    ws = np.geomspace(*DEFAULT_OMEGA_BRACKET, EA_GRID)**2
+    prob, i = _scan_seeds(_ea_cr(r2[:, None], ws, mode))
+    lo, hi = ws[np.maximum(i - 1, 0)], ws[np.minimum(i + 1, EA_GRID - 1)]
+
+    w, steps, ok = _newton_root(
+        _ea_cr_critical(r2[prob], mode), ws[i], lo, hi,
+        lambda a, b: np.abs(np.sqrt(b) - np.sqrt(a)) <= tol * (1.0 + np.sqrt(b)))
+    ends = np.stack([w, lo, hi])
+    values = _ea_cr(r2[prob], ends, mode)
+    best = np.argmax(values, axis=0)
+    lanes = np.arange(prob.size)
+    omega, value = np.sqrt(ends[best, lanes]), values[best, lanes]
+    pick = _first_per_problem(prob, [-value, omega])
+    return _results(prob, r2.size, steps, ok, pick, [("omega", omega)], value)
 
 
 def ea_envelope_point(v_z: float, mode: DetectionMode, tol: float = 1e-8) -> EnvelopePoint:

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import shlex
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import scattertomo
-from scattertomo.cli import MODES, main
+from scattertomo.cli import MODES, _fmt, _table, main
 from scattertomo.closedform import (direct_qfi, ea_cartesian, ea_cr, ea_polar, nea_qfi,
                                     phase_bound)
 from scattertomo.scatter import DetectionMode
@@ -504,6 +505,30 @@ class TestFigures:
         assert code == 0
         assert time.monotonic() - started < 60.0
         assert len(rows(out)) == 39
+
+
+class TestTable:
+    """_table formats a row at once; every cell reads as ``_fmt`` prints it."""
+
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             1.7976931348623157e308, 1e-5, 0.1, 123456789012.5, 1e16, 2.5e-300]
+
+    @staticmethod
+    def per_cell(data):
+        return [",".join(_fmt(x) for x in row) for row in zip(*data)]
+
+    def test_edge_values(self):
+        args = argparse.Namespace(command="t")
+        edges = np.array(self.EDGES)
+        for data in ([edges], [edges, edges[::-1], list(edges)], [[1], [2.0], [np.float64(3.5)]]):
+            lines = _table(args, ["c"] * len(data), data)
+            assert lines[2:] == self.per_cell(data)
+
+    def test_seeded_floats(self):
+        rng = np.random.default_rng(233)
+        x = rng.standard_normal(20000) * 10.0**rng.integers(-300, 300, 20000)
+        data = [x[:10000], x[10000:], -x[:10000]]
+        assert _table(argparse.Namespace(), ["a", "b", "c"], data)[2:] == self.per_cell(data)
 
 
 def test_output_file(tmp_path, capsys):

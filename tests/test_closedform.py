@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from scattertomo.closedform import (
+    _EA_CR_CRITICAL,
+    _ea_cr,
+    _ea_cr_critical,
     axis_vz,
     closed_matrix,
     direct_cartesian,
@@ -121,6 +124,66 @@ class TestEaPolar:
                 c_theta_over_r2 = h.h[0, 0]  # c_theta / r^2 in cartesian form
                 assert abs(c_theta_over_r2 * r * r - coeffs.c_theta) \
                     < 1e-9 * max(1, coeffs.c_theta)
+
+
+def ea_cr_slope(r2, w, mode):
+    """dc_r/dW by the complex step, exact to rounding."""
+    h = 1e-20 * w
+    return _ea_cr(r2, w + 1j * h, mode).imag / h
+
+
+def powers_sum(coef, w):
+    return (coef * w[:, None]**np.arange(coef.shape[-1])).sum(axis=-1)
+
+
+# the denominator D of c_r = N / ((1 - r^2) D), as _ea_cr writes it
+EA_CR_DENOMINATOR = {
+    DetectionMode.BOTH: lambda r2, w: (1 + w) * (1 + 5 * w) * (1 + 9 * w)**2,
+    DetectionMode.TRANSMISSION:
+        lambda r2, w: (1 + w) * (1 + 5 * w) * (1 + 9 * w) * (9 * (1 + 3 * w)**2 - 4 * r2),
+    DetectionMode.REFLECTION:
+        lambda r2, w: (1 + w) * (1 + 9 * w)**2 * ((1 + 7 * w)**2 - 4 * r2 * w**2),
+}
+
+
+class TestEaCriticalPolynomial:
+    @staticmethod
+    def points(seed, n=4000):
+        rng = np.random.default_rng(seed)
+        r2 = rng.uniform(0.0, 0.999999, n)**2
+        return r2, np.exp(rng.uniform(math.log(1e-4), math.log(1e4), n))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shape(self, mode):
+        table = np.array(_EA_CR_CRITICAL[mode])
+        assert table.dtype.kind == "i"
+        # degree 6 in W with no r^2 term in both; degree 8 and quadratic in r^2 otherwise
+        assert table.shape == ((1, 7) if mode is DetectionMode.BOTH else (3, 9))
+        assert table[0, -1] != 0
+        assert _ea_cr_critical(np.zeros((4, 5)), mode).shape == (4, 5, table.shape[1])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sign_is_the_slope_sign(self, mode):
+        r2, w = self.points(211)
+        slope = ea_cr_slope(r2, w, mode)
+        away = np.abs(slope) * w > 1e-6 * _ea_cr(r2, w, mode)  # away from the roots
+        assert away.mean() > 0.99
+        p = powers_sum(_ea_cr_critical(r2, mode), w)
+        assert np.array_equal(np.sign(p[away]), np.sign(slope[away]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_is_the_quotient_rule_numerator(self, mode):
+        # P = N'D - ND' = (1 - r^2) D^2 dc_r/dW, to rounding in P's terms
+        r2, w = self.points(223)
+        p = powers_sum(_ea_cr_critical(r2, mode), w)
+        expected = (1 - r2) * EA_CR_DENOMINATOR[mode](r2, w)**2 * ea_cr_slope(r2, w, mode)
+        table = np.abs(np.array(_EA_CR_CRITICAL[mode], dtype=float))
+        terms = r2[:, None, None]**np.arange(len(table))[:, None] * table
+        assert np.all(np.abs(p - expected) <= 1e-12 * powers_sum(terms.sum(axis=1), w))
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown detection mode"):
+            _ea_cr_critical(0.5, "both")
 
 
 class TestNeaQfi:

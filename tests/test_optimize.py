@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from scattertomo.closedform import _nea_factors, ea_cr, nea_qfi, phase_bound
+from scattertomo.closedform import _ea_cr, _nea_factors, ea_cr, nea_qfi, phase_bound
 from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
+    EA_GRID,
+    MAX_ITER,
     NEA_GRID,
     EnvelopePoint,
     OptResult,
@@ -13,6 +15,7 @@ from scattertomo.optimize import (
     _nea_form,
     _nea_refine,
     _newton_max,
+    _newton_root,
     ea_envelope_point,
     ea_optimality_intervals,
     maximize_1d,
@@ -232,9 +235,13 @@ class TestLockstep:
     def test_radial_batch_matches_one_problem_solves(self, mode):
         r_grid = np.linspace(0.0, 0.98, 9)
         for r, res in zip(r_grid, maximize_ea_batch(r_grid, mode)):
-            single = maximize_1d(lambda om: float(ea_cr(float(r), om, mode)),
+            assert_same_solve(res, maximize_ea_batch([r], mode)[0], 1e-8)
+            # golden section on the same objective finds the same optimum
+            golden = maximize_1d(lambda om: float(ea_cr(float(r), om, mode)),
                                  DEFAULT_OMEGA_BRACKET, name="omega")
-            assert_same_solve(res, single, 1e-8)
+            omega = golden.param("omega")
+            assert abs(res.param("omega") - omega) <= 1e-8 * (1 + omega)
+            assert abs(res.value - golden.value) <= 1e-12 * golden.value
 
     @pytest.mark.parametrize("mode", MODES)
     def test_nea_batch_matches_one_problem_solves(self, mode):
@@ -262,6 +269,104 @@ class TestLockstep:
         (res,) = maximize_1d_batch(lambda x, k: -(x - 0.7)**2, 1, (-1.0, 2.0))
         assert res == maximize_1d(lambda x: -(x - 0.7)**2, (-1.0, 2.0))
         assert abs(res.param("x") - 0.7) < 1e-6
+
+
+def ea_radii():
+    """The radii of figures 6 and 8, and 1,000 seeded ones up to 0.999999."""
+    rng = np.random.default_rng(229)
+    return np.concatenate([np.linspace(0.0, 0.98, 50), np.linspace(0.0, 0.95, 20),
+                           rng.uniform(0.0, 0.999999, 999), [0.999999]])
+
+
+class TestEaNewton:
+    """maximize_ea_batch: Newton steps on c_r's critical-point polynomial."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_optimum_is_a_critical_point(self, mode):
+        r = ea_radii()
+        results = maximize_ea_batch(r, mode)
+        w = np.array([res.param("omega") for res in results])**2
+        h = 1e-20 * w
+        log_slope = _ea_cr(r * r, w + 1j * h, mode).imag / h * w / _ea_cr(r * r, w, mode)
+        assert np.all(np.abs(log_slope) <= 1e-9)  # d ln c_r / d ln W
+        assert all(res.converged for res in results)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_never_below_a_dense_scan(self, mode):
+        r = ea_radii()
+        values = np.array([res.value for res in maximize_ea_batch(r, mode)])
+        w = np.geomspace(*DEFAULT_OMEGA_BRACKET, 20001)**2
+        for chunk in np.array_split(np.arange(r.size), 20):
+            scan = _ea_cr(r[chunk, None]**2, w, mode).max(axis=1)
+            assert np.all(values[chunk] >= scan * (1 - 1e-12))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_handful_of_steps(self, mode):
+        results = maximize_ea_batch(ea_radii(), mode)
+        assert max(res.iterations for res in results) <= 6
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tight_tolerance_takes_a_step_or_two_more(self, mode):
+        # a zero step from a bracket end is taken, not mistaken for leaving it
+        results = maximize_ea_batch(ea_radii(), mode, tol=1e-15)
+        assert all(res.converged and res.iterations <= 7 for res in results)
+
+    def test_the_higher_bracket_end_wins(self, monkeypatch):
+        # a polynomial negative everywhere sends each lane to its lower end, yet
+        # the lane ends at the higher end of its bracket
+        import scattertomo.optimize as opt
+        monkeypatch.setattr(opt, "_ea_cr_critical", lambda r2, mode: -np.ones((len(r2), 1)))
+        r = np.array([0.0, 0.5, 0.9])
+        omegas = np.geomspace(*DEFAULT_OMEGA_BRACKET, EA_GRID)
+        for mode in MODES:
+            ys = ea_cr(r[:, None], omegas, mode)
+            i, rows = ys.argmax(axis=1), np.arange(r.size)
+            ends = np.maximum(ys[rows, i - 1], ys[rows, i + 1])
+            values = [res.value for res in maximize_ea_batch(r, mode)]
+            assert values == pytest.approx(ends, rel=1e-7)
+            assert not np.allclose(ys[rows, i - 1], ys[rows, i + 1], rtol=1e-6)
+
+    def test_both_optimum_does_not_depend_on_the_radius(self):
+        # c_r in both is a function of W over (1 - r^2)
+        stars = {res.param("omega") for res in maximize_ea_batch(ea_radii(), DetectionMode.BOTH)}
+        stars |= {maximize_ea_batch([r], DetectionMode.BOTH)[0].param("omega") for r in (0, 0.9)}
+        assert len(stars) == 1
+
+    @staticmethod
+    def root(coef, w, lo, hi, tol=1e-12):
+        return _newton_root(np.array(coef, dtype=float), np.array(w, dtype=float),
+                            np.array(lo, dtype=float), np.array(hi, dtype=float),
+                            lambda a, b: np.abs(b - a) <= tol)
+
+    def test_a_step_leaving_the_bracket_bisects(self):
+        # (w - 1)(w - 2)(w - 3) falls through zero at 2; from 1.45, where its
+        # slope nearly vanishes, Newton jumps to 5.6 and on to the rising root 3
+        w, steps, ok = self.root([[-6, 11, -6, 1]], [1.45], [1.44], [2.56])
+        assert ok[0] and abs(w[0] - 2.0) <= 1e-12 and steps[0] < 60
+
+    def test_no_root_ends_on_the_rising_side(self):
+        # the polynomial keeps its sign: the maximum is the upper end for a
+        # positive one and the lower end for a negative one
+        w, _, ok = self.root([[1.0, 0.5], [-1.0, -0.5]], [0.6, 0.6], [0.5, 0.5], [0.8, 0.8])
+        assert ok.all() and abs(w[0] - 0.8) <= 1e-11 and abs(w[1] - 0.5) <= 1e-11
+
+    def test_lanes_are_independent(self):
+        coef = [[-6, 11, -6, 1], [2, 0, 0, -1], [0.3, -1, 0, 0]]
+        lanes = ([1.45, 1.3, 0.2], [1.44, 1.0, 0.1], [2.56, 1.5, 0.5])
+        w, steps, ok = self.root(coef, *lanes)
+        for k in range(3):
+            one = self.root(coef[k:k + 1], *([x[k]] for x in lanes))
+            assert (w[k], steps[k], ok[k]) == tuple(x[0] for x in one)
+        assert np.allclose(w, [2.0, 2**(1 / 3), 0.3], rtol=0, atol=1e-12)
+
+    def test_capped_lane_does_not_stop_the_others(self):
+        w, steps, ok = _newton_root(np.array([[2.0, 0, 0, -1], [2.0, 0, 0, -1]]),
+                                    np.array([1.3, 1.3]), np.array([1.0, 1.0]),
+                                    np.array([1.5, 1.5]), lambda a, b: np.array([True, False])
+                                    & (np.abs(b - a) <= 1e-12))
+        assert ok.tolist() == [True, False]
+        assert steps[1] == MAX_ITER and steps[0] < 10
+        assert w[0] == pytest.approx(2**(1 / 3), abs=1e-12)
 
 
 class TestObjectiveCalls:
