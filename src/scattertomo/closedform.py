@@ -200,7 +200,7 @@ def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
 
     Each factor is a cosine polynomial of degree <= 4 in theta_a = t and a
     polynomial of degree <= 2 in W = w, so a few samples fix it along either
-    coordinate (the optimizer's per-lane forms rely on this).
+    coordinate (the optimizer's seeding scan and per-lane forms rely on this).
     """
     c1, c2 = np.cos(t), np.cos(2 * t)
     c3, c4 = np.cos(3 * t), np.cos(4 * t)

@@ -7,10 +7,10 @@ DEFAULT_OMEGA_BRACKET: the QFI vanishes at both ends, so optima are interior.
 A user objective of one variable is refined by golden section. The EA search
 refines by a safeguarded Newton iteration on the critical-point polynomial of
 c_r in W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a
-coarse (theta_a, log Omega) grid and refines by a projected, damped Newton
-ascent on exact bivariate forms of the QFI's factors, which give its gradient
-and Hessian; since the forms are exact on any box, a seed need only lie in
-the basin of its maximum.
+coarse (theta_a, log Omega) grid, the QFI's factors fitted in theta_a from
+five nodes, and refines by a projected, damped Newton ascent on exact
+bivariate forms of the factors, which give the QFI's gradient and Hessian;
+since the forms are exact on any box, a seed need only lie in its maximum's basin.
 
 Every search solves a batch of independent problems in lockstep: each step
 makes one array call on a fixed set of lanes (problem x candidate), finished
@@ -330,6 +330,18 @@ _THETA_NODES = _K * (math.pi / 4)
 _THETA_FIT = np.linalg.inv(np.cos(np.outer(_THETA_NODES, _K)))
 
 
+def _at_theta_nodes(v, w, mode: DetectionMode) -> np.ndarray:
+    """Factors of lanes v at the _THETA_NODES and W = w[lane, node], as (factor, lane, j, node)."""
+    return np.stack(np.broadcast_arrays(*_nea_factors(
+        v[:, None, None], _THETA_NODES[:, None], w[:, None, :], mode)))
+
+
+def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
+    """``nea_qfi`` of targets v at every node of thetas x w, from the factors at _THETA_NODES."""
+    at_grid = np.cos(np.outer(thetas, _K)) @ _THETA_FIT @ _at_theta_nodes(v, w[None], mode)
+    return _nea_ratio(at_grid, w, mode)
+
+
 def _nea_form(v, u_lo, u_hi, mode: DetectionMode):
     """NEA QFI of lanes v over (theta_a, log Omega in [u_lo, u_hi]), with its derivatives.
 
@@ -342,9 +354,7 @@ def _nea_form(v, u_lo, u_hi, mode: DetectionMode):
     w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
     mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
     nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
-    at_nodes = np.stack(np.broadcast_arrays(*_nea_factors(
-        v[:, None, None], _THETA_NODES[:, None], nodes[:, None, :], mode)))
-    f_lo, f_mid, f_hi = np.einsum("kj,flji->iflk", _THETA_FIT, at_nodes)
+    f_lo, f_mid, f_hi = np.einsum("kj,flji->iflk", _THETA_FIT, _at_theta_nodes(v, nodes, mode))
     # coefficients of cos(k theta) x^p per (factor, lane, k, p), x = (W - mid) / half
     coef = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid], axis=-1)
 
@@ -392,15 +402,15 @@ def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
                        tol: float = 1e-8) -> list[OptResult]:
     """Best unentangled-probe QFI over (theta_a, Omega) at each z-axis target.
 
-    One ``nea_qfi`` call scans every node of NEA_GRID = (n_theta, n_omega)
-    over theta_a in [0, pi] x log Omega in DEFAULT_OMEGA_BRACKET for all
-    targets. The best six grid-local maxima of every target (by value, then
-    node) are refined together by ``_nea_refine``: a projected, damped
-    Newton ascent in (theta_a, log Omega), one lane per seed, on the lane's
-    exact bivariate form of the QFI (``_nea_form``). Among near-equal optima
-    the smallest theta_a is returned, with its value from ``nea_qfi``.
-    ``iterations`` counts the form evaluations (each a value, gradient and
-    Hessian) of every lane of the target.
+    One ``_nea_scan`` gives every target's QFI at every node of NEA_GRID =
+    (n_theta, n_omega) over theta_a in [0, pi] x log Omega in the bracket,
+    from the factors at five theta_a nodes. The best six grid-local maxima of
+    every target (by value, then node) are refined together by
+    ``_nea_refine``: a projected, damped Newton ascent in (theta_a, log Omega),
+    one lane per seed, on the lane's exact bivariate form of the QFI
+    (``_nea_form``). Among near-equal optima the smallest theta_a is returned,
+    with its value from ``nea_qfi``. ``iterations`` counts the form
+    evaluations (each a value, gradient and Hessian) of every lane of the target.
     """
     v_z = np.asarray(v_z, dtype=float).ravel()
     if not np.all(np.abs(v_z) < 1.0):
@@ -410,7 +420,7 @@ def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
     u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
     us = np.linspace(u_lo, u_hi, n_omega)
 
-    y = nea_qfi(v_z[:, None, None], thetas[:, None], np.exp(us), mode)
+    y = _nea_scan(v_z, thetas, np.exp(us)**2, mode)
     if not np.all(np.isfinite(y)):
         raise ValueError("QFI surface is not finite on the scan grid")
     prob, i, j = np.nonzero(_local_maxima(y, (1, 2)))

@@ -1,8 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scattertomo.optimize as opt
+from scattertomo.cli import main
 from scattertomo.closedform import _ea_cr, _nea_factors, ea_cr, nea_qfi, phase_bound
 from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
@@ -14,6 +17,7 @@ from scattertomo.optimize import (
     _local_maxima,
     _nea_form,
     _nea_refine,
+    _nea_scan,
     _newton_max,
     _newton_root,
     ea_envelope_point,
@@ -205,6 +209,7 @@ FIGURE_8_ROWS = [
     (0.95, DetectionMode.BOTH, 5.13081669461, 6.75443398019),
 ]
 CSV_REL = 1e-10  # the CSV prints 12 significant digits
+DATA = Path(__file__).parent / "data"
 
 
 class TestFrozenFigureRows:
@@ -219,6 +224,25 @@ class TestFrozenFigureRows:
     def test_figure_8(self, vz, mode, nea, ea):
         assert abs(nea_envelope_point(vz, mode, tol=1e-6).best_qfi - nea) <= CSV_REL * nea
         assert abs(ea_envelope_point(vz, mode, tol=1e-8).best_qfi - ea) <= CSV_REL * ea
+
+    @pytest.mark.parametrize("number", ["7", "8"])
+    def test_default_figure_in_full(self, number, tmp_path):
+        # every cell of `scattertomo figure N` against data/figureN.csv: values to
+        # the CSV's digits, theta_a* and Omega* to the figures' optimizer tolerance
+        out = tmp_path / "figure.csv"
+        assert main(["figure", number, "-o", str(out)]) == 0
+        got = out.read_text().splitlines()
+        frozen = (DATA / f"figure{number}.csv").read_text().splitlines()
+        assert got[:2] == frozen[:2] and len(got) == len(frozen)
+        columns = frozen[1].removeprefix("# columns: ").split(",")
+        for line, frozen_line in zip(got[2:], frozen[2:]):
+            row, frozen_row = line.split(","), frozen_line.split(",")
+            assert len(row) == len(frozen_row) == len(columns)
+            for name, x, ref in zip(columns, map(float, row), map(float, frozen_row)):
+                if name.startswith(("theta_a_", "omega_")):
+                    assert abs(x - ref) <= 1e-6 * (1 + ref), (name, line)
+                else:
+                    assert abs(x - ref) <= CSV_REL * abs(ref), (name, line)
 
 
 def assert_same_solve(batched, single, tol):
@@ -314,7 +338,6 @@ class TestEaNewton:
     def test_the_higher_bracket_end_wins(self, monkeypatch):
         # a polynomial negative everywhere sends each lane to its lower end, yet
         # the lane ends at the higher end of its bracket
-        import scattertomo.optimize as opt
         monkeypatch.setattr(opt, "_ea_cr_critical", lambda r2, mode: -np.ones((len(r2), 1)))
         r = np.array([0.0, 0.5, 0.9])
         omegas = np.geomspace(*DEFAULT_OMEGA_BRACKET, EA_GRID)
@@ -705,6 +728,64 @@ class TestNeaSeeds:
             assert_never_below_the_dense_grid(v_z, mode, grid, bracket)
 
 
+class _Seeded(Exception):
+    """Raised in place of the NEA refinement once a solve has chosen its seeds."""
+
+
+def nea_seeds(v_z, mode, monkeypatch, scan=None):
+    """The lanes (v_z, theta_a, log Omega) that seed ``maximize_nea_batch``'s refinement, in order.
+
+    Lanes come per target in rank order, so equal lanes mean equal seeds:
+    problem, theta_a node, Omega node and rank. ``scan`` replaces ``_nea_scan``.
+    """
+    seen = []
+
+    def spy(v, theta, u, mode, tol):
+        seen.append((v, theta, u))
+        raise _Seeded
+    with monkeypatch.context() as patch:
+        patch.setattr(opt, "_nea_refine", spy)
+        if scan is not None:
+            patch.setattr(opt, "_nea_scan", scan)
+        with pytest.raises(_Seeded):
+            maximize_nea_batch(v_z, mode=mode)
+    return seen[0]
+
+
+def direct_scan(v, thetas, w, mode):
+    # the scan's W are squares of floats, whose sqrt is exact, so nea_qfi sees the same W
+    return nea_qfi(v[:, None, None], thetas[:, None], np.sqrt(w), mode)
+
+
+class TestNeaScan:
+    """The seeding scan's factors, fitted in theta_a at five nodes, against ``nea_qfi``."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_nea_qfi_on_the_grid(self, mode):
+        rng = np.random.default_rng(719)
+        v = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 300)])
+        thetas = np.linspace(0.0, math.pi, NEA_GRID[0])
+        w = np.exp(np.linspace(*np.log(DEFAULT_OMEGA_BRACKET), NEA_GRID[1]))**2
+        y = _nea_scan(v, thetas, w, mode)
+        assert y.shape == (v.size,) + NEA_GRID
+        assert relerr_each(y, direct_scan(v, thetas, w, mode)) <= 1e-12
+
+    @pytest.mark.parametrize("targets", ["figures", "seeded", "poles"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_seeds_of_a_direct_scan(self, mode, targets, monkeypatch):
+        # the figure 7 and 8 targets, then those of TestNeaSeeds' sweep and pole list
+        v_z = {"figures": np.concatenate([np.linspace(-0.95, 0.95, 39),
+                                          np.linspace(0.0, 0.95, 20)]),
+               "seeded": np.concatenate([[0.0, 0.999, -0.999],
+                                         np.random.default_rng(701).uniform(-0.999, 0.999, 1000)]),
+               "poles": [0.9999, -0.9999, 0.99999, -0.99999, 0.999999, -0.999999]}[targets]
+        fitted = nea_seeds(v_z, mode, monkeypatch)
+        direct = nea_seeds(v_z, mode, monkeypatch, direct_scan)
+        assert fitted[0].size >= len(v_z)
+        for a, b in zip(fitted, direct):
+            assert np.array_equal(a, b)
+
+
 class TestNeaDenominators:
     """Every denominator of ``nea_qfi`` is positive on the whole domain.
 
@@ -749,13 +830,11 @@ class TestBatchInputChecks:
             maximize_nea_batch([0.2, v_z])
 
     def test_nea_scan_must_be_finite(self, monkeypatch):
-        import scattertomo.optimize as opt
-
-        def nan_at_one_node(v, theta, omega, mode):
-            y = nea_qfi(v, theta, omega, mode)
+        def nan_at_one_node(v, thetas, w, mode):
+            y = _nea_scan(v, thetas, w, mode)
             y[..., 7, 3] = math.nan
             return y
-        monkeypatch.setattr(opt, "nea_qfi", nan_at_one_node)
+        monkeypatch.setattr(opt, "_nea_scan", nan_at_one_node)
         with pytest.raises(ValueError, match="not finite on the scan grid"):
             maximize_nea_batch([0.2, 0.4])
 
