@@ -172,7 +172,8 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
     """Single-parameter QFI for v_z with an unentangled pure probe.
 
     The target Bloch vector lies on the z axis; the probe points at polar
-    angle theta_a in the x-z plane. Broadcasts over array arguments.
+    angle theta_a in the x-z plane. Broadcasts over array arguments; scalar ones
+    run as numpy scalars and give a float, the bits of an array call's element.
     """
     v = np.asarray(v_z, dtype=float)
     if not (np.abs(v) < 1.0).all():  # NaN fails too
@@ -181,7 +182,7 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
     if not np.isfinite(t).all():
         raise ValueError("theta_a must be finite")
     w = _check_omega(omega)**2
-    out = _nea_ratio(_nea_factors(v, t, w, mode), w, mode)
+    out = _nea_ratio(_nea_factors(v[()], t[()], w, mode), w, mode)
     return float(out) if out.ndim == 0 else out
 
 
@@ -204,40 +205,42 @@ def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
     """
     c1, c2 = np.cos(t), np.cos(2 * t)
     c3, c4 = np.cos(3 * t), np.cos(4 * t)
+    # no **: a numpy scalar's ** is C pow, whose rounding differs from the array loop's
+    v2, w2 = v * v, w * w
 
     # shared denominator pieces of the transmitted/reflected branch spectra
-    d_t = (4 * (1 + 5 * w) - v**2 * (1 + 17 * w)
+    d_t = (4 * (1 + 5 * w) - v2 * (1 + 17 * w)
            - v * (1 + w) * (4 * c1 - v * c2))
-    d_r = 4 - v**2 - 4 * v * c1 + v**2 * c2
+    d_r = 4 - v2 - 4 * v * c1 + v2 * c2
     f_t = 3 + 9 * w - 2 * v * c1
     f_r = 1 + 7 * w + 2 * v * w * c1
 
     if mode is DetectionMode.TRANSMISSION:
-        num = (4 * (11 + 96 * w + 181 * w**2)
-               - v**2 * (1 + w) * (1 + 33 * w)
-               - 4 * v * (8 + 43 * w + 3 * w**2) * c1
-               - 4 * (1 - w + 8 * v**2 * w) * (1 + w) * c2
+        num = (4 * (11 + 96 * w + 181 * w2)
+               - v2 * (1 + w) * (1 + 33 * w)
+               - 4 * v * (8 + 43 * w + 3 * w2) * c1
+               - 4 * (1 - w + 8 * v2 * w) * (1 + w) * c2
                - 4 * v * w * (1 + w) * c3
-               + v**2 * (1 + w)**2 * c4)
+               + v2 * ((1 + w) * (1 + w)) * c4)
         return d_t, f_t, f_r, num
     if mode is DetectionMode.REFLECTION:
         num = (4 * (5 + 23 * w)
-               - v**2 * (1 + w)
+               - v2 * (1 + w)
                - 4 * v * (3 - 2 * w) * c1
                + 4 * (1 - 5 * w) * c2
                - 4 * v * (1 + 2 * w) * c3
-               + v**2 * (1 + w) * c4)
-        den = (3 * (1 + 3 * w) * (1 + 7 * w) - 2 * v**2 * w
-               - 2 * v * (1 + 4 * w - 9 * w**2) * c1 - 2 * v**2 * w * c2)
+               + v2 * (1 + w) * c4)
+        den = (3 * (1 + 3 * w) * (1 + 7 * w) - 2 * v2 * w
+               - 2 * v * (1 + 4 * w - 9 * w2) * c1 - 2 * v2 * w * c2)
         return d_r, num, den
     if mode is DetectionMode.BOTH:
-        g_t = (4 * (5 + 27 * w) - v**2 + 4 * (1 - 9 * w) * c2
-               - 16 * v * c1**3 + v**2 * c4)
+        g_t = (4 * (5 + 27 * w) - v2 + 4 * (1 - 9 * w) * c2
+               - 16 * v * np.power(c1, 3) + v2 * c4)
         g_r = 3 * (1 + 3 * w) - 2 * v * c1
-        g_m = (4 * (3 + 48 * w + 181 * w**2)
-               - v**2 * w * (1 + 33 * w)
+        g_m = (4 * (3 + 48 * w + 181 * w2)
+               - v2 * w * (1 + 33 * w)
                - 12 * v * w * (1 + w) * c1
-               - 4 * (1 + 8 * w - w**2 + 8 * v**2 * w**2) * c2
+               - 4 * (1 + 8 * w - w2 + 8 * v2 * w2) * c2
                - v * w * (1 + w) * (4 * c3 - v * c4))
         return d_t, d_r, f_t, f_r, g_t, g_r, g_m
     raise ValueError(f"unknown detection mode {mode}")

@@ -33,7 +33,11 @@ _COND_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QfiMatrix:
-    """3x3 real symmetric PSD Fisher information matrix with a basis tag."""
+    """3x3 real symmetric PSD Fisher information matrix with a basis tag; keeps (h + h^T)/2.
+
+    Refuses complex, non-3x3 or non-finite h, |h_jk - h_kj| > 1e-10 s and eigenvalues
+    below -1e-9 s, s = max(1, largest |entry|); entries are checked as Python floats.
+    """
 
     basis: str
     h: np.ndarray
@@ -42,11 +46,11 @@ class QfiMatrix:
         if self.basis not in (CARTESIAN, POLAR):
             raise ValueError(f"unknown basis {self.basis!r}")
         h = np.asarray(self.h)  # complex is refused, not cast
-        if (np.iscomplexobj(h) or h.shape != (3, 3)
-                or not np.isfinite(h := np.asarray(h, dtype=float)).all()):
+        if (np.iscomplexobj(h) or h.shape != (3, 3) or not all(
+                map(math.isfinite, e := (h := np.asarray(h, dtype=float)).ravel().tolist()))):
             raise ValueError("QFI matrix must be a finite 3x3 real matrix")
-        scale = max(1.0, np.abs(h).max())
-        if np.abs(h - h.T).max() > _SYM_TOL * scale:
+        scale = max(1.0, *map(abs, e))
+        if max(abs(e[1] - e[3]), abs(e[2] - e[6]), abs(e[5] - e[7])) > _SYM_TOL * scale:
             raise ValueError("QFI matrix is not symmetric")
         sym = 0.5 * (h + h.T)
         if np.linalg.eigvalsh(sym)[0] < _PSD_TOL * scale:  # ascending
@@ -157,6 +161,8 @@ def cr_bound(h, m: int, target="matrix") -> np.ndarray | float:
     vector along it, giving the per-component bound (H^-1)_jj/M. Scalar h
     gives the float 1/(M h), +inf when h == 0.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"m_copies must be an integer, got {m!r}")
     m = int(m)
     if m < 1:
         raise ValueError("m_copies must be >= 1")

@@ -99,7 +99,8 @@ class BranchState:
         for lab, op in self.blocks:
             op = as_cmatrix(op).copy()
             herm = 0.5 * (op + op.conj().T)
-            if np.abs(op - herm).max() > HERM_TOL * max(1.0, np.abs(op).max()):
+            skew = np.abs(op - herm).max()
+            if skew > HERM_TOL and skew > HERM_TOL * np.abs(op).max():
                 raise ValueError(f"block {lab} is not Hermitian")
             lam, vec = np.linalg.eigh(herm)
             if lam[0] < PSD_TOL:
@@ -179,8 +180,8 @@ class Channel:
             raise ValueError(f"probe input must be 2x2 or 4x4, got {rho_in.shape}")
         d = rho_in.shape[0]
         s = np.stack(s_matrices(omega))  # transmitted, reflected
-        if d == 4:  # entangled probe: scatter acts on X,A only
-            s = np.stack([np.kron(op, ID2) for op in s])
+        if d == 4:  # entangled probe: scatter acts on X,A only; S x 1 for both S
+            s = (s[:, :, None, :, None] * ID2[:, None, :]).reshape(2, 8, 8)
         # (B_k / 2) x rho_in for every k, scattered, then the target traced out
         full = np.einsum("kab,cd->kacbd", _BASIS, rho_in).reshape(4, 2 * d, 2 * d)
         out = s[:, None] @ full @ np.conj(np.swapaxes(s, 1, 2))[:, None]

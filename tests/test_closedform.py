@@ -240,6 +240,21 @@ class TestNeaQfi:
                       np.array([0.5, 1.0])[None, :], DetectionMode.BOTH)
         assert out.shape == (5, 2)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scalar_call_is_the_array_element_bit_for_bit(self, mode):
+        rng = np.random.default_rng(83)
+        n = 3000
+        v, theta = rng.uniform(-0.999, 0.999, n), rng.uniform(0.0, math.pi, n)
+        omega = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+        array = nea_qfi(v, theta, omega, mode)
+        scalar = [nea_qfi(*args, mode) for args in zip(v.tolist(), theta.tolist(), omega.tolist())]
+        assert all(type(x) is float for x in scalar)
+        assert np.array_equal(scalar, array)
+        # numpy scalars and 0-d arrays are scalars too
+        for args in ((v[0], theta[0], omega[0]), (np.array(v[0]), theta[0], np.array(omega[0]))):
+            got = nea_qfi(*args, mode)
+            assert type(got) is float and got == array[0]
+
 
 class TestAxisVz:
     @pytest.mark.parametrize("vz", [0.0, 0.4, -0.95, 1.0])

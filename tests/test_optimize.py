@@ -581,6 +581,22 @@ class TestNeaRefinement:
         # at theta_a = 0 the slope is exactly zero, not rounding noise as at pi
         self.leave_the_edge(0.99999628, 0.0)
 
+    def test_a_false_best_node_leaves_the_optimum(self, monkeypatch):
+        # one far scan node made each target's best seed: its lane climbs to
+        # another local maximum, and the lower-ranked seeds still find the optimum
+        v_z = np.array([0.3, -0.6, 0.9])
+        expected = maximize_nea_batch(v_z)
+
+        def false_best(v, thetas, w, mode):
+            y = _nea_scan(v, thetas, w, mode)
+            y[:, 30, 2] = 10.0 * y.max(axis=(1, 2))
+            return y
+
+        monkeypatch.setattr(opt, "_nea_scan", false_best)
+        for got, want in zip(maximize_nea_batch(v_z), expected):
+            assert got.value == want.value
+            assert got.argmax == want.argmax
+
     @pytest.mark.parametrize("mode", MODES)
     def test_a_handful_of_evaluations_per_target(self, mode):
         results = maximize_nea_batch(np.linspace(-0.99, 0.99, 199), mode=mode)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scattertomo.closedform import direct_qfi, ea_cartesian, ea_polar, nea_qfi
+from scattertomo.closedform import direct_qfi, ea_cartesian, ea_polar, nea_qfi, purity_bound
 from scattertomo.qfi import (
     CARTESIAN,
     POLAR,
@@ -297,6 +297,35 @@ class TestQfiMatrixChecks:
         h[0, 1] = 0.999 * limit
         assert QfiMatrix(CARTESIAN, h).h[1, 0] == 0.5 * h[0, 1]
 
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("diag", [(0.5, 0.2, 0.1), (4.0, 2.0, 1.0)])
+    def test_symmetry_is_checked_on_every_pair(self, diag, pair):
+        # the boundary of test_symmetry_tolerance_scales_with_the_largest_entry, per entry
+        limit = 1e-10 * max(1.0, *diag)
+        h = np.diag(diag)
+        h[pair] = 1.001 * limit
+        with pytest.raises(ValueError, match="not symmetric"):
+            QfiMatrix(CARTESIAN, h)
+        h[pair] = 0.999 * limit
+        assert QfiMatrix(CARTESIAN, h).h[pair[::-1]] == 0.5 * h[pair]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 1)])
+    def test_rejects_a_nonfinite_off_diagonal(self, bad, pair):
+        for both in (False, True):
+            h = np.eye(3)
+            h[pair] = bad
+            if both:  # symmetric, so only the finiteness test can refuse it
+                h[pair[::-1]] = bad
+            with pytest.raises(ValueError, match="finite 3x3 real matrix"):
+                QfiMatrix(CARTESIAN, h)
+
+    def test_accepts_integer_input(self):
+        q = QfiMatrix(CARTESIAN, [[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+        assert q.h.dtype == float
+        assert np.array_equal(q.h, [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(QfiMatrix(CARTESIAN, np.eye(3, dtype=np.int64)).h, np.eye(3))
+
     @pytest.mark.parametrize("diag", [(0.5, 0.2), (4.0, 2.0)])
     def test_psd_tolerance_scales_with_the_largest_entry(self, diag):
         limit = 1e-9 * max(1.0, *diag)
@@ -522,6 +551,22 @@ class TestCrBound:
     def test_m_copies_validation(self):
         with pytest.raises(ValueError):
             cr_bound(1.0, 0)
+
+    @pytest.mark.parametrize("m", [2.7, True, "3", 3.0])
+    def test_m_copies_must_be_an_integer(self, m):
+        # not truncated or cast: 2.7 copies is not the bound of 2
+        h = QfiMatrix(CARTESIAN, np.eye(3))
+        for args in ((1.0, m), (h, m, "x"), (h, m, "matrix")):
+            with pytest.raises(ValueError, match="m_copies must be an integer"):
+                cr_bound(*args)
+        with pytest.raises(ValueError, match="m_copies must be an integer"):
+            purity_bound(0.3, 0.6, m)
+
+    def test_numpy_integer_m_copies(self):
+        bound = cr_bound(4.0, np.int64(3))
+        assert type(bound) is float and bound == cr_bound(4.0, 3) == 1.0 / 12.0
+        with pytest.raises(ValueError, match="m_copies must be >= 1"):
+            cr_bound(4.0, np.int64(0))
 
 
 class TestOracleEquivalenceSweep:

@@ -19,8 +19,8 @@ from scattertomo.scatter import (
     encoding,
     s_matrices,
 )
-from scattertomo.states import (ID2, BlochVector, ProbeConfig, bloch_to_density, max_entangled,
-                                probe_state, singlet)
+from scattertomo.states import (ID2, PAULIS, BlochVector, ProbeConfig, bloch_to_density,
+                                max_entangled, probe_state, singlet)
 
 from conftest import log_uniform, rand_bloch, rand_unitary, relerr
 
@@ -478,6 +478,39 @@ class TestChannel:
                 out = s @ np.kron(rho, rho_in) @ s.conj().T
                 expected = np.einsum("xixj->ij", out.reshape(2, d, 2, d))
                 assert np.max(np.abs(state.block(label) - expected)) < 1e-15
+
+    @staticmethod
+    def reference_maps(rho_in, omega, mode):
+        # the maps from their definition, one basis input at a time: np.kron for
+        # S x 1 and B_k/2 x rho_in, S (.) S^dag, the target and then the probe traced out
+        d = rho_in.shape[0]
+        s_t, s_r = s_matrices(omega)
+        if d == 4:
+            s_t, s_r = np.kron(s_t, ID2), np.kron(s_r, ID2)
+
+        def spin(s):
+            return np.stack([np.einsum("xixj->ij", (s @ np.kron(b, rho_in) @ s.conj().T)
+                                       .reshape(2, d, 2, d))
+                             for b in 0.5 * np.stack([ID2, *PAULIS])])
+
+        def lost(m):
+            return np.stack([np.einsum("aiaj->ij", b.reshape(2, d // 2, 2, d // 2)) for b in m])
+
+        t, r = spin(s_t), spin(s_r)
+        return {DetectionMode.BOTH: (t, r), DetectionMode.TRANSMISSION: (t, lost(r)),
+                DetectionMode.REFLECTION: (r, lost(t))}[mode]
+
+    def test_maps_equal_the_kron_reference_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        for i in range(60):
+            probe = (singlet(), max_entangled(rand_unitary(rng), rand_unitary(rng)),
+                     probe_state(ProbeConfig(theta_a=float(rng.uniform(0.0, math.pi)))))[i % 3]
+            omega, mode = log_uniform(rng, 1e-3, 1e3), MODES[(i // 3) % 3]
+            maps = Channel(probe, omega, mode).maps
+            expected = self.reference_maps(probe, omega, mode)
+            assert len(maps) == len(expected)
+            for got, want in zip(maps, expected):
+                assert np.array_equal(got, want)
 
     def test_max_entangled_input_matches_singlet_closed_form(self):
         rng = np.random.default_rng(67)
