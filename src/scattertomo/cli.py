@@ -73,17 +73,17 @@ def _table(args: argparse.Namespace, columns: list[str], data: list) -> list[str
 def _resolve_target(args: argparse.Namespace) -> states.BlochVector:
     """The target of the --vx/--vy/--vz or --r/--theta/--phi flags, which must not be mixed.
 
-    Unset components read 0; unset cartesian ones are set to 0.0 for the header.
+    Unset components read 0. A cartesian target's unset components are set to
+    0.0 for the header; a polar target leaves the cartesian flags unset.
     """
     polar = [getattr(args, k) for k in ("r", "theta", "phi")]
-    polar_given = any(x is not None for x in polar)
     unset = [k for k in ("vx", "vy", "vz") if getattr(args, k) is None]
-    if polar_given and len(unset) < 3:
-        raise UsageError("give the target by --vx/--vy/--vz or by --r/--theta/--phi, not both")
+    if any(x is not None for x in polar):
+        if len(unset) < 3:
+            raise UsageError("give the target by --vx/--vy/--vz or by --r/--theta/--phi, not both")
+        return states.polar_to_bloch(states.PolarCoords(*(x or 0.0 for x in polar)))
     for key in unset:
         setattr(args, key, 0.0)
-    if polar_given:
-        return states.polar_to_bloch(states.PolarCoords(*(x or 0.0 for x in polar)))
     return states.BlochVector(args.vx, args.vy, args.vz)
 
 
@@ -195,6 +195,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _converged(results: list, strategy: str) -> list:
+    """The optimizer's results, if every one converged; else ConvergenceError (exit 4)."""
+    if not all(res.converged for res in results):
+        raise optimize.ConvergenceError(f"{strategy.upper()} optimization did not converge")
+    return results
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.strategy == "nea":
         res = optimize.maximize_nea(closedform.axis_vz(args.target), mode=MODES[args.mode],
@@ -204,8 +211,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                                          tol=args.tol)[0]
     else:
         raise UsageError("optimize supports strategies nea and ea")
-    if not res.converged:
-        raise optimize.ConvergenceError(f"{args.strategy.upper()} optimization did not converge")
+    _converged([res], args.strategy)
     lines = _header(args, [f"{name}_star" for name, _ in res.argmax]
                     + ["value", "iterations", "converged"])
     lines.append(",".join([_fmt(x) for _, x in res.argmax] + [
@@ -231,17 +237,25 @@ def _figure_surface(args, mode: scatter.DetectionMode) -> list[str]:
 
 def _figure_6(args) -> list[str]:
     r = np.linspace(0.0, 0.98, args.points or 50)
-    m_var = [[1.0 / res.value for res in optimize.maximize_ea_batch(r, MODES[key])]
+    m_var = [[1.0 / res.value
+              for res in _converged(optimize.maximize_ea_batch(r, MODES[key]), "ea")]
              for key in ("both", "t", "r")]
     return _table(args, ["r", "m_var_direct", "m_var_both",
                          "m_var_transmission", "m_var_reflection"], [r, 1.0 - r * r] + m_var)
 
 
+def _nea_per_mode(v_z: np.ndarray) -> list[list]:
+    """The NEA optima at every target in each mode of MODE_ORDER, from one solve."""
+    best = _converged(optimize.maximize_nea_batch(
+        np.tile(v_z, len(MODE_ORDER)), [MODES[key] for key in MODE_ORDER for _ in v_z],
+        tol=1e-6), "nea")
+    return [best[k * v_z.size:(k + 1) * v_z.size] for k in range(len(MODE_ORDER))]
+
+
 def _figure_7(args) -> list[str]:
     v_z = np.linspace(-0.95, 0.95, args.points or 39)
     columns, data = ["v_z"], [v_z]
-    for key in MODE_ORDER:
-        best = optimize.maximize_nea_batch(v_z, mode=MODES[key], tol=1e-6)
+    for key, best in zip(MODE_ORDER, _nea_per_mode(v_z)):
         columns += [f"qfi_{key}", f"theta_a_{key}", f"omega_{key}"]
         data += [[res.value for res in best], [res.param("theta_a") for res in best],
                  [res.param("omega") for res in best]]
@@ -251,10 +265,11 @@ def _figure_7(args) -> list[str]:
 def _figure_8(args) -> list[str]:
     v_z = np.linspace(0.0, 0.95, args.points or 20)
     columns, data = ["v_z"], [v_z]
-    for key in MODE_ORDER:
+    for key, best in zip(MODE_ORDER, _nea_per_mode(v_z)):
         columns += [f"nea_{key}", f"ea_{key}"]
-        data += [[res.value for res in optimize.maximize_nea_batch(v_z, mode=MODES[key], tol=1e-6)],
-                 [res.value for res in optimize.maximize_ea_batch(v_z, MODES[key], tol=1e-8)]]
+        data += [[res.value for res in best],
+                 [res.value for res in _converged(
+                     optimize.maximize_ea_batch(v_z, MODES[key], tol=1e-8), "ea")]]
     return _table(args, columns, data)
 
 

@@ -15,7 +15,11 @@ since the forms are exact on any box, a seed need only lie in its maximum's basi
 Every search solves a batch of independent problems in lockstep: each step
 makes one array call on a fixed set of lanes (problem x candidate), finished
 lanes included, and ``iterations`` counts a lane's evaluations (for EA, its
-Newton steps). The one-problem functions wrap these.
+Newton steps). The NEA search takes one detection mode for the batch or one
+per problem: each mode is scanned and seeded on its own, and one lockstep
+refines the lanes of every mode, each on its own mode's forms, so a problem's
+result is that of a batch of its mode alone. Figures 7 and 8 solve all three
+modes in one call. The one-problem functions wrap these.
 """
 
 from __future__ import annotations
@@ -337,9 +341,28 @@ def _at_theta_nodes(v, w, mode: DetectionMode) -> np.ndarray:
 
 
 def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
-    """``nea_qfi`` of targets v at every node of thetas x w, from the factors at _THETA_NODES."""
-    at_grid = np.cos(np.outer(thetas, _K)) @ _THETA_FIT @ _at_theta_nodes(v, w[None], mode)
-    return _nea_ratio(at_grid, w, mode)
+    """``nea_qfi`` of targets v at every node of thetas x w, from the factors at _THETA_NODES.
+
+    The W-only factors of ``_nea_ratio`` scale the node tables before the
+    cosine expansion: w/(1 + W) the numerator, and in both mode
+    w/((1 + W)(1 + 9W)) g_t and g_m. So the full grid takes only the products
+    of factors that depend on theta_a: 3 (t), 2 (r) or 9 (both) array operations.
+    """
+    nodes = _at_theta_nodes(v, w[None], mode)
+    scale = w / (1.0 + w)
+    if mode is DetectionMode.BOTH:
+        nodes[[4, 6]] *= scale / (1.0 + 9.0 * w)
+    else:
+        nodes[3 if mode is DetectionMode.TRANSMISSION else 1] *= scale
+    at_grid = np.cos(np.outer(thetas, _K)) @ _THETA_FIT @ nodes
+    if mode is DetectionMode.TRANSMISSION:
+        d_t, f_t, f_r, num = at_grid
+        return num / (d_t * f_t * f_r)
+    if mode is DetectionMode.REFLECTION:
+        d_r, num, den = at_grid
+        return num / (den * d_r)
+    d_t, d_r, f_t, f_r, g_t, g_r, g_m = at_grid
+    return (f_r * d_t * g_t + d_r * g_r * g_m) / (d_t * d_r * f_t * f_r)
 
 
 def _nea_form(v, u_lo, u_hi, mode: DetectionMode):
@@ -378,57 +401,110 @@ def _nea_form(v, u_lo, u_hi, mode: DetectionMode):
     return q
 
 
-def _nea_refine(v, theta, u, mode: DetectionMode, tol: float):
+def _nea_refine(v, theta, u, mode, tol: float):
     """Refine NEA lanes (v, theta_a, log Omega) from grid nodes by ``_newton_max``.
 
-    Each lane's box is its node's +-2-cell neighbourhood on the coarse
-    NEA_GRID, clipped to [0, pi] x log DEFAULT_OMEGA_BRACKET, on which the
-    lane's ``_nea_form`` is exact to rounding; the lane stops once a step
-    moves theta_a by at most tol and Omega by at most tol (1 + Omega).
-    Returns arrays (theta, u, evals, ok).
+    ``mode`` is one DetectionMode for every lane, or a sequence of
+    (DetectionMode, lanes) pairs, lanes a slice: one lockstep then refines
+    every mode, each lane on its own mode's ``_nea_form``. Each lane's box is
+    its node's +-2-cell neighbourhood on the coarse NEA_GRID, clipped to
+    [0, pi] x log DEFAULT_OMEGA_BRACKET, on which the lane's form is exact to
+    rounding; the lane stops once a step moves theta_a by at most tol and
+    Omega by at most tol (1 + Omega). Returns arrays (theta, u, evals, ok).
     """
     u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
     width = (2.0 * math.pi / (NEA_GRID[0] - 1), 2.0 * (u_hi - u_lo) / (NEA_GRID[1] - 1))
     lo = np.stack([np.maximum(0.0, theta - width[0]), np.maximum(u_lo, u - width[1])])
     hi = np.stack([np.minimum(math.pi, theta + width[0]), np.minimum(u_hi, u + width[1])])
+    if isinstance(mode, DetectionMode):
+        q = _nea_form(v, lo[1], hi[1], mode)
+    else:
+        forms = [(lanes, _nea_form(v[lanes], lo[1, lanes], hi[1, lanes], m)) for m, lanes in mode]
+
+        def q(theta, u):
+            jet = np.empty((6, theta.size))
+            for lanes, form in forms:
+                jet[:, lanes] = form(theta[lanes], u[lanes])
+            return jet
     (theta, u), evals, ok = _newton_max(
-        _nea_form(v, lo[1], hi[1], mode), np.stack([theta, u]), lo, hi, width,
+        q, np.stack([theta, u]), lo, hi, width,
         lambda x, y: np.maximum(np.abs(y[0] - x[0]), np.abs(np.exp(y[1]) - np.exp(x[1]))
                                 / (1.0 + np.exp(y[1]))) <= tol)
     return theta, u, evals, ok
 
 
-def maximize_nea_batch(v_z, mode: DetectionMode = DetectionMode.BOTH,
-                       tol: float = 1e-8) -> list[OptResult]:
+def _grid_maxima(y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(problem, theta_a node, Omega node) of the grid-local maxima of a finite NEA scan.
+
+    The points of ``np.nonzero(_local_maxima(y, (1, 2)))``, in its order: the
+    maxima along theta_a, then of those only the ones at least as high as
+    their two Omega neighbours, looked up by flat index.
+    """
+    flat = np.flatnonzero(_local_maxima(y, (1,)))
+    y_flat, j, last = y.ravel(), flat % y.shape[2], y.shape[2] - 1
+    at = y_flat[flat]
+    keep = (((j == 0) | (at >= y_flat.take(flat - 1, mode="clip")))
+            & ((j == last) | (at >= y_flat.take(flat + 1, mode="clip"))))
+    return np.unravel_index(flat[keep], y.shape)
+
+
+def _mode_groups(mode, n: int) -> list[tuple[DetectionMode, np.ndarray]]:
+    """(mode, its targets) for one DetectionMode or a sequence of one per target."""
+    if isinstance(mode, DetectionMode):
+        return [(mode, np.arange(n))]
+    modes = list(mode)
+    if len(modes) != n:
+        raise ValueError(f"need one detection mode per target: {len(modes)} for {n} targets")
+    for m in modes:
+        if not isinstance(m, DetectionMode):
+            raise ValueError(f"a detection mode must be a DetectionMode, got {m!r}")
+    return [(m, np.flatnonzero([x is m for x in modes])) for m in dict.fromkeys(modes)]
+
+
+def maximize_nea_batch(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> list[OptResult]:
     """Best unentangled-probe QFI over (theta_a, Omega) at each z-axis target.
 
-    One ``_nea_scan`` gives every target's QFI at every node of NEA_GRID =
-    (n_theta, n_omega) over theta_a in [0, pi] x log Omega in the bracket,
-    from the factors at five theta_a nodes. The best six grid-local maxima of
-    every target (by value, then node) are refined together by
-    ``_nea_refine``: a projected, damped Newton ascent in (theta_a, log Omega),
-    one lane per seed, on the lane's exact bivariate form of the QFI
-    (``_nea_form``). Among near-equal optima the smallest theta_a is returned,
-    with its value from ``nea_qfi``. ``iterations`` counts the form
-    evaluations (each a value, gradient and Hessian) of every lane of the target.
+    ``mode`` is one DetectionMode for all targets or a sequence of one per
+    target. For each mode, one ``_nea_scan`` gives its targets' QFI at every
+    node of NEA_GRID = (n_theta, n_omega) over theta_a in [0, pi] x log
+    Omega in the bracket, from the factors at five theta_a nodes. The best six
+    grid-local maxima of every target (by value, then node) are refined
+    together, all modes in one ``_nea_refine``: a projected, damped Newton
+    ascent in (theta_a, log Omega), one lane per seed, on the lane's exact
+    bivariate form of the QFI (``_nea_form``). Among near-equal optima the
+    smallest theta_a is returned, with its value from ``nea_qfi``. Each
+    target's result is that of a call with its mode alone. ``iterations``
+    counts the form evaluations (each a value, gradient and Hessian) of every
+    lane of the target.
     """
     v_z = np.asarray(v_z, dtype=float).ravel()
     if not np.all(np.abs(v_z) < 1.0):
         raise ValueError("v_z must satisfy |v_z| < 1")
+    groups = _mode_groups(mode, v_z.size)
+    if v_z.size == 0:
+        return []
     n_theta, n_omega = NEA_GRID
     thetas = np.linspace(0.0, math.pi, n_theta)
     u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
     us = np.linspace(u_lo, u_hi, n_omega)
 
-    y = _nea_scan(v_z, thetas, np.exp(us)**2, mode)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("QFI surface is not finite on the scan grid")
-    prob, i, j = np.nonzero(_local_maxima(y, (1, 2)))
-    top = _first_per_problem(prob, [-y[prob, i, j], i, j], 6)
-    prob, theta, u = prob[top], thetas[i[top]], us[j[top]]
-    theta, u, evals, ok = _nea_refine(v_z[prob], theta, u, mode, tol)
+    seeds, lanes, start = [], [], 0
+    for m, targets in groups:
+        y = _nea_scan(v_z[targets], thetas, np.exp(us)**2, m)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("QFI surface is not finite on the scan grid")
+        prob, i, j = _grid_maxima(y)
+        top = _first_per_problem(prob, [-y[prob, i, j], i, j], 6)
+        seeds.append((targets[prob[top]], i[top], j[top]))
+        lanes.append((m, slice(start, start + top.size)))
+        start += top.size
+    prob, i, j = (np.concatenate(x) for x in zip(*seeds))
+    theta, u, evals, ok = _nea_refine(v_z[prob], thetas[i], us[j],
+                                      lanes if len(lanes) > 1 else lanes[0][0], tol)
 
-    value = nea_qfi(v_z[prob], theta, np.exp(u), mode)
+    value = np.empty(prob.size)
+    for m, at in lanes:
+        value[at] = nea_qfi(v_z[prob[at]], theta[at], np.exp(u[at]), m)
     best = value[_first_per_problem(prob, [-value])][prob]
     near = np.flatnonzero(value >= best - 1e-9 * (1.0 + np.abs(best)))
     pick = near[_first_per_problem(prob[near], [theta[near]])]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import scattertomo
+import scattertomo.optimize as opt
 from scattertomo.cli import MODES, _fmt, _table, main
 from scattertomo.closedform import (direct_qfi, ea_cartesian, ea_cr, ea_polar, nea_qfi,
                                     phase_bound)
@@ -131,7 +132,8 @@ class TestNumericFlags:
         assert code == 0 and "m_copies=4 " in out
         assert abs(float(rows(out)[0][1]) - 0.75 / 4) < 1e-12
         code, out, _ = run(capsys, "optimize", "--strategy", "ea", "--r", "0.3", "--tol", "1e-6")
-        assert code == 0 and "tol=1e-06 " in out
+        # a polar target leaves vx/vy/vz out of the header, so tol is its last flag
+        assert code == 0 and "tol=1e-06" in out.splitlines()[0].split()
 
 
 class TestTargetFlags:
@@ -160,6 +162,17 @@ class TestTargetFlags:
         assert "vx=0.0 vy=0.5 vz=0.0" in out.splitlines()[0]
         table = {r[0]: float(r[1]) for r in rows(out)}
         assert abs(table["yy"] - 1.0 / 0.75) < 1e-10
+
+    def test_polar_target_header_has_no_cartesian_flags(self, capsys):
+        code, out, _ = run(capsys, "bound", "--strategy", "ea", "--r", "0.5", "--theta", "1",
+                           "--phi", "2", "--omega", "0.6", "--param", "theta")
+        assert code == 0
+        header = out.splitlines()[0].split()
+        assert {"r=0.5", "theta=1.0", "phi=2.0", "omega=0.6"} <= set(header)
+        assert not [part for part in header if part.startswith(("vx=", "vy=", "vz="))]
+        # the target is the polar one, not the origin
+        polar = ea_polar(0.5, 0.6, DetectionMode.BOTH)
+        assert abs(float(rows(out)[0][1]) * polar.c_theta - 1.0) < 1e-8
 
     @pytest.mark.parametrize("argv", [
         ("scan", "--strategy", "direct", "--sweep", "r", "--vx", "2"),
@@ -452,6 +465,25 @@ class TestOptimizeCommand:
         code, out, err = run(capsys, "optimize", "--strategy", "nea", *target)
         assert code == 3
         assert out == "" and "z axis" in err
+
+
+class TestConvergenceFailure:
+    """Every command that prints an optimum exits 4, printing nothing, if one did not converge."""
+
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--strategy", "nea", "--mode", "t", "--vz", "0.9"),
+        ("optimize", "--strategy", "ea", "--mode", "r", "--r", "0.5"),
+        ("figure", "6"),
+        ("figure", "7"),
+        ("figure", "8"),
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_capped_optimizer_exits_4(self, capsys, monkeypatch, argv):
+        # two evaluations (EA: Newton steps) per lane are too few for any optimum here
+        monkeypatch.setattr(opt, "MAX_ITER", 2)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == "" and "did not converge" in err
+
 
 class TestFigures:
     def test_figure_three_minimizing_row(self, capsys):

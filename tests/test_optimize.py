@@ -14,6 +14,7 @@ from scattertomo.optimize import (
     NEA_GRID,
     EnvelopePoint,
     OptResult,
+    _grid_maxima,
     _local_maxima,
     _nea_form,
     _nea_refine,
@@ -684,6 +685,111 @@ class TestLocalMaxima:
         flat = np.ones((1, 5))
         assert _local_maxima(flat, (1,), strict_before=True).tolist() == [[1, 0, 0, 0, 0]]
         assert _local_maxima(flat[:, None], (1, 2)).all()
+
+
+class TestGridMaxima:
+    """The theta_a-first seeding picks the points of the 2-D neighbour test, in its order."""
+
+    @staticmethod
+    def assert_as_nonzero(y):
+        want = np.nonzero(_local_maxima(y, (1, 2)))
+        got = _grid_maxima(y)
+        assert len(got) == 3
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        return want
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_figure_scans(self, mode):
+        v_z = np.concatenate([np.linspace(-0.95, 0.95, 39), np.linspace(0.0, 0.95, 20)])
+        thetas = np.linspace(0.0, math.pi, NEA_GRID[0])
+        w = np.geomspace(*DEFAULT_OMEGA_BRACKET, NEA_GRID[1])**2
+        self.assert_as_nonzero(_nea_scan(v_z, thetas, w, mode))
+
+    def test_plateaus_ties_and_edges(self):
+        rng = np.random.default_rng(337)
+        for shape in [(6, 23, 17), (5, 4, 3), (3, 2, 2), (2, 1, 7), (2, 7, 1), (1, 9, 6)]:
+            # few levels: many ties and plateaus, and maxima on every edge
+            prob, i, j = self.assert_as_nonzero(rng.integers(0, 3, size=shape).astype(float))
+            if min(shape[1:]) > 2:
+                assert {0, shape[1] - 1} <= set(i.tolist())
+                assert {0, shape[2] - 1} <= set(j.tolist())
+
+    def test_maxima_in_the_corners(self):
+        # one peak per target, in each corner in turn, on a slope towards it
+        i, j = np.ogrid[:7, :5]
+        y = np.stack([-(abs(i - a) + abs(j - b)) for a in (0, 6) for b in (0, 4)]).astype(float)
+        prob, i_max, j_max = self.assert_as_nonzero(y)
+        assert list(zip(prob, i_max, j_max)) == [(0, 0, 0), (1, 0, 4), (2, 6, 0), (3, 6, 4)]
+
+    def test_one_target(self):
+        thetas = np.linspace(0.0, math.pi, NEA_GRID[0])
+        w = np.geomspace(*DEFAULT_OMEGA_BRACKET, NEA_GRID[1])**2
+        for mode in MODES:
+            self.assert_as_nonzero(_nea_scan(np.array([0.4]), thetas, w, mode))
+        self.assert_as_nonzero(np.random.default_rng(339).normal(size=(1, 12, 8)))
+
+    def test_constant_surface(self):
+        y = np.full((2, 5, 4), 0.7)
+        prob, i, j = self.assert_as_nonzero(y)
+        assert prob.size == y.size
+
+    def test_no_targets(self):
+        assert [x.size for x in self.assert_as_nonzero(np.empty((0,) + NEA_GRID))] == [0, 0, 0]
+
+
+class TestModePerTarget:
+    """One mode per target: each result equals that of a call with its mode alone."""
+
+    @staticmethod
+    def assert_as_per_mode(v_z, modes, tol=1e-8):
+        merged = maximize_nea_batch(v_z, modes, tol)
+        assert len(merged) == v_z.size
+        for mode in MODES:
+            at = [k for k, m in enumerate(modes) if m is mode]
+            assert [merged[k] for k in at] == maximize_nea_batch(v_z[at], mode, tol)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_figure_targets(self, tol):
+        # the one solve of figure 7 and of figure 8: every target in every mode
+        for v_z in (np.linspace(-0.95, 0.95, 39), np.linspace(0.0, 0.95, 20)):
+            self.assert_as_per_mode(np.tile(v_z, 3), [m for m in MODES for _ in v_z], tol)
+
+    def test_seeded_targets_with_shuffled_modes(self):
+        rng = np.random.default_rng(733)
+        v_z = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 297)])
+        modes = [MODES[k] for k in rng.permutation(np.arange(v_z.size) % 3)]
+        self.assert_as_per_mode(v_z, modes)
+
+    def test_one_refinement_for_all_modes(self, monkeypatch):
+        calls, refine = [], opt._nea_refine
+
+        def count(v, theta, u, mode, tol):
+            calls.append(v.size)
+            return refine(v, theta, u, mode, tol)
+        monkeypatch.setattr(opt, "_nea_refine", count)
+        maximize_nea_batch([0.3, -0.6, 0.9], [DetectionMode.REFLECTION, DetectionMode.BOTH,
+                                               DetectionMode.TRANSMISSION])
+        assert len(calls) == 1 and calls[0] >= 3
+
+    def test_one_mode_as_a_sequence(self):
+        v_z = np.array([0.3, -0.6, 0.9])
+        for mode in MODES:
+            assert maximize_nea_batch(v_z, [mode] * 3) == maximize_nea_batch(v_z, mode)
+
+    def test_no_targets(self):
+        assert maximize_nea_batch([], []) == []
+
+    @pytest.mark.parametrize("modes", [[DetectionMode.BOTH], [DetectionMode.BOTH] * 3, []],
+                             ids=["short", "long", "empty"])
+    def test_one_mode_per_target(self, modes):
+        with pytest.raises(ValueError, match="one detection mode per target"):
+            maximize_nea_batch([0.2, 0.4], modes)
+
+    @pytest.mark.parametrize("entry", ["t", None, 0])
+    def test_entries_are_detection_modes(self, entry):
+        with pytest.raises(ValueError, match="must be a DetectionMode"):
+            maximize_nea_batch([0.2, 0.4], [DetectionMode.TRANSMISSION, entry])
 
 
 def dense_maximum(v_z, mode, grid=(181, 121), bracket=DEFAULT_OMEGA_BRACKET):
