@@ -44,6 +44,7 @@ from .scatter import (
     channel_derivatives,
     direct_branches,
     s_matrices,
+    scattering_channel,
 )
 from .states import (
     BlochVector,
@@ -98,5 +99,6 @@ __all__ = [
     "purity_bound",
     "qfi_numeric",
     "s_matrices",
+    "scattering_channel",
     "singlet",
 ]

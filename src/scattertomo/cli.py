@@ -48,7 +48,15 @@ def _write(lines: list[str], path: Optional[str]) -> None:
 
 
 def _header(args: argparse.Namespace, columns: list[str]) -> list[str]:
+    """The flags a command read, then its column names: direct reads no mode, and
+    only NEA's qfi, bound and scans other than over theta_a read theta_a."""
+    strategy = getattr(args, "strategy", None)
     skip = {"func", "output", "target"}
+    if strategy == "direct":
+        skip.add("mode")
+    if (strategy != "nea" or args.command == "optimize"
+            or getattr(args, "sweep", None) == "theta-a"):
+        skip.add("theta_a")
     parts = []
     for key in sorted(vars(args)):
         if key in skip:

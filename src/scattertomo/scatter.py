@@ -1,9 +1,10 @@
-"""Heisenberg-coupling 1D scattering channel and its post-scattering states.
+"""Channels on the target qubit, affine in its Bloch vector, and their output states.
 
-The probe momentum enters only through the dimensionless Omega = m*g/(hbar|k|).
-The channel output is kept as a list of labeled positive blocks living on
-mutually orthogonal sectors (spin sectors plus no-click vacuum flags); total
-trace is 1 and the Fisher information is additive over blocks.
+Direct access is ``IDENTITY``; ``scattering_channel`` builds the Heisenberg-coupling
+1D scattering channel, where the probe momentum enters only through the
+dimensionless Omega = m*g/(hbar|k|). The output is a list of labeled positive
+blocks on mutually orthogonal sectors (spin sectors plus no-click vacuum flags);
+total trace is 1 and the Fisher information is additive over blocks.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .states import (ID2, PAULIS, BlochVector, ProbeConfig, as_cmatrix, bloch_to_density,
-                     probe_state)
+from .states import ID2, PAULIS, BlochVector, ProbeConfig, as_cmatrix, probe_state
 
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-12
@@ -129,24 +129,22 @@ class BranchState:
 
 @dataclass(frozen=True)
 class BranchDerivatives:
-    """Per-axis block derivatives aligned with a BranchState's labels.
+    """Block derivatives aligned with a BranchState's labels.
 
-    ``per_axis[j][i]`` is the derivative of block i with respect to v_j,
-    j running over (x, y, z). Each block is Hermitian (to HERM_TOL, as in
-    BranchState) and each axis's block traces sum to zero.
-    ``stacks[i]`` holds block i's three derivatives as one read-only complex (3, d, d) array.
+    ``stacks[i]`` holds block i's derivatives with respect to v_x, v_y, v_z as
+    one read-only complex (3, d, d) copy. Each block is Hermitian (to
+    HERM_TOL, as in BranchState) and each axis's block traces sum to zero.
     """
 
     labels: tuple[BlockLabel, ...]
-    per_axis: tuple[tuple[np.ndarray, ...], ...]
-    stacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    stacks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.per_axis) != 3:
+        stacks = tuple(np.array(a, dtype=complex) for a in self.stacks)
+        if any(a.ndim != 3 or len(a) != 3 for a in stacks):
             raise ValueError("expected derivative blocks for the three axes")
-        if any(len(axis_blocks) != len(self.labels) for axis_blocks in self.per_axis):
+        if len(stacks) != len(self.labels):
             raise ValueError("derivative blocks misaligned with labels")
-        stacks = tuple(np.array(d_block, dtype=complex) for d_block in zip(*self.per_axis))
         for total in sum((a.trace(axis1=1, axis2=2).real for a in stacks), np.zeros(3)):
             if abs(total) > TRACE_TOL:
                 raise ValueError(f"derivative traces sum to {total}, expected 0")
@@ -165,76 +163,87 @@ _BASIS = 0.5 * np.stack([ID2, *PAULIS])
 
 
 class Channel:
-    """The channel at one (probe input, Omega, mode), held as four basis block maps.
+    """A channel on the target qubit, held as the block maps of its output.
 
-    Any 2x2 rho_x equals sum_k Tr(rho_x B_k) B_k / 2 with B = (I, sigma_x,
-    sigma_y, sigma_z), so output block i is sum_k Tr(rho_x B_k) maps[i][k],
-    where maps[i] is the read-only (4, d, d) stack of block i applied to the
-    B_k / 2. The derivative blocks are the symmetrized sigma maps; they do not
-    depend on the target and are built once, read-only, with the channel.
+    ``maps[i]`` is the read-only (4, d, d) stack of output block i applied to
+    B_k / 2, B = (I, sigma_x, sigma_y, sigma_z). The target rho(v) is
+    sum_k c_k B_k / 2 with c = (1, v_x, v_y, v_z), so block i is
+    sum_k c_k maps[i][k]. The derivative blocks are the symmetrized sigma maps;
+    they do not depend on the target and are built once, read-only, with the channel.
     """
 
-    def __init__(self, rho_in, omega: float, mode: DetectionMode):
-        rho_in = as_cmatrix(rho_in)
-        if rho_in.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"probe input must be 2x2 or 4x4, got {rho_in.shape}")
-        d = rho_in.shape[0]
-        s = np.stack(s_matrices(omega))  # transmitted, reflected
-        if d == 4:  # entangled probe: scatter acts on X,A only; S x 1 for both S
-            s = (s[:, :, None, :, None] * ID2[:, None, :]).reshape(2, 8, 8)
-        # (B_k / 2) x rho_in for every k, scattered, then the target traced out
-        full = np.einsum("kab,cd->kacbd", _BASIS, rho_in).reshape(4, 2 * d, 2 * d)
-        out = s[:, None] @ full @ np.conj(np.swapaxes(s, 1, 2))[:, None]
-        transmitted, reflected = np.einsum("skxixj->skij", out.reshape(2, 4, 2, d, 2, d))
+    def __init__(self, labels, maps):
+        self.labels = tuple(labels)
+        self.maps = tuple(np.array(m, dtype=complex) for m in maps)
+        for m in self.maps:
+            m.flags.writeable = False
+        self.derivatives = BranchDerivatives(self.labels, tuple(
+            0.5 * (m[1:] + np.conj(np.swapaxes(m[1:], 1, 2))) for m in self.maps))
 
-        def lose_probe(block: np.ndarray) -> np.ndarray:
-            # the particle missed this detector: trace out the probe spin, keeping
-            # the ancilla marginal (EA) or just the no-click probability (NEA)
-            return np.einsum("kaiaj->kij", block.reshape(4, 2, d // 2, 2, d // 2))
+    def state(self, v: BlochVector) -> BranchState:
+        """Output blocks of the target with Bloch vector v."""
+        return self._blocks(np.array([1.0, v.vx, v.vy, v.vz]))
 
-        if mode is DetectionMode.BOTH:
-            blocks = ((BlockLabel.TRANSMITTED_SPIN, transmitted),
-                      (BlockLabel.REFLECTED_SPIN, reflected))
-        elif mode is DetectionMode.TRANSMISSION:
-            blocks = ((BlockLabel.TRANSMITTED_SPIN, transmitted),
-                      (BlockLabel.VACUUM_RHS, lose_probe(reflected)))
-        elif mode is DetectionMode.REFLECTION:
-            blocks = ((BlockLabel.REFLECTED_SPIN, reflected),
-                      (BlockLabel.VACUUM_LHS, lose_probe(transmitted)))
-        else:
-            raise ValueError(f"unknown detection mode {mode}")
-        self.labels = tuple(lab for lab, _ in blocks)
-        self.maps = tuple(m for _, m in blocks)
-        sym = [0.5 * (m[1:] + np.conj(np.swapaxes(m[1:], 1, 2))) for m in self.maps]
-        for a in (*self.maps, *sym):
-            a.flags.writeable = False
-        self.derivatives = BranchDerivatives(self.labels, tuple(zip(*sym)))
-
-    def state(self, rho_x) -> BranchState:
-        """Post-scattering blocks of a Hermitian unit-trace 2x2 target state."""
-        rho_x = as_cmatrix(rho_x)
-        if rho_x.shape != (2, 2):
-            raise ValueError("target state must be 2x2")
-        if np.abs(rho_x - rho_x.conj().T).max() > 1e-10 or abs(rho_x.trace() - 1.0) > 1e-10:
-            raise ValueError("target state must be Hermitian with unit trace")
-        # Tr(rho_x B_k) of the Hermitian part: a skew the check above allows
-        # must not reach the blocks, whose Hermitian test is tighter
-        c = 2.0 * np.einsum("ab,kba->k", rho_x, _BASIS).real
+    def _blocks(self, c: np.ndarray) -> BranchState:
         return BranchState(tuple((lab, np.einsum("k,kij->ij", c, m))
                                  for lab, m in zip(self.labels, self.maps)))
+
+
+# direct access to the target: one block, the target state itself
+IDENTITY = Channel((BlockLabel.TRANSMITTED_SPIN,), (_BASIS,))
+
+
+def scattering_channel(rho_in, omega: float, mode: DetectionMode) -> Channel:
+    """The scattering channel at one (probe input, Omega, mode)."""
+    rho_in = as_cmatrix(rho_in)
+    if rho_in.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"probe input must be 2x2 or 4x4, got {rho_in.shape}")
+    d = rho_in.shape[0]
+    s = np.stack(s_matrices(omega))  # transmitted, reflected
+    if d == 4:  # entangled probe: scatter acts on X,A only; S x 1 for both S
+        s = (s[:, :, None, :, None] * ID2[:, None, :]).reshape(2, 8, 8)
+    # (B_k / 2) x rho_in for every k, scattered, then the target traced out
+    full = np.einsum("kab,cd->kacbd", _BASIS, rho_in).reshape(4, 2 * d, 2 * d)
+    out = s[:, None] @ full @ np.conj(np.swapaxes(s, 1, 2))[:, None]
+    transmitted, reflected = np.einsum("skxixj->skij", out.reshape(2, 4, 2, d, 2, d))
+
+    def lose_probe(block: np.ndarray) -> np.ndarray:
+        # the particle missed this detector: trace out the probe spin, keeping
+        # the ancilla marginal (EA) or just the no-click probability (NEA)
+        return np.einsum("kaiaj->kij", block.reshape(4, 2, d // 2, 2, d // 2))
+
+    if mode is DetectionMode.BOTH:
+        return Channel((BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN),
+                       (transmitted, reflected))
+    if mode is DetectionMode.TRANSMISSION:
+        return Channel((BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS),
+                       (transmitted, lose_probe(reflected)))
+    if mode is DetectionMode.REFLECTION:
+        return Channel((BlockLabel.REFLECTED_SPIN, BlockLabel.VACUUM_LHS),
+                       (reflected, lose_probe(transmitted)))
+    raise ValueError(f"unknown detection mode {mode}")
 
 
 @functools.lru_cache(maxsize=1)
 def _probe_channel(probe: ProbeConfig, omega: float, mode: DetectionMode) -> Channel:
     # one entry: the calls that share a channel (a sweep over targets, and the
     # apply_channel / channel_derivatives pair of a point) come one after another
-    return Channel(probe_state(probe), omega, mode)
+    return scattering_channel(probe_state(probe), omega, mode)
 
 
 def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
                   mode: DetectionMode) -> BranchState:
-    """Post-scattering branch state for the configured probe strategy."""
-    return _probe_channel(probe, float(omega), mode).state(rho_x)
+    """Post-scattering branch state of a Hermitian unit-trace 2x2 target state."""
+    rho_x = as_cmatrix(rho_x)
+    if rho_x.shape != (2, 2):
+        raise ValueError("target state must be 2x2")
+    if np.abs(rho_x - rho_x.conj().T).max() > 1e-10 or abs(rho_x.trace() - 1.0) > 1e-10:
+        raise ValueError("target state must be Hermitian with unit trace")
+    # c = (1, Re Tr(rho_x sigma_j)) of the Hermitian part: a skew the check above
+    # allows must not reach the blocks, whose Hermitian test is tighter
+    c = 2.0 * np.einsum("ab,kba->k", rho_x, _BASIS).real
+    c[0] = 1.0
+    return _probe_channel(probe, float(omega), mode)._blocks(c)
 
 
 def channel_derivatives(probe: ProbeConfig, omega: float,
@@ -243,17 +252,9 @@ def channel_derivatives(probe: ProbeConfig, omega: float,
     return _probe_channel(probe, float(omega), mode).derivatives
 
 
-# the identity channel's derivative blocks sigma_j / 2, the same at every target
-_HALF_PAULIS = 0.5 * np.stack(PAULIS)
-_HALF_PAULIS.flags.writeable = False
-_DIRECT_DERIVATIVES = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,),
-                                        tuple((sigma,) for sigma in _HALF_PAULIS))
-
-
 def direct_branches(v: BlochVector) -> tuple[BranchState, BranchDerivatives]:
     """Identity-channel encoding for direct (not probe-mediated) estimation."""
-    state = BranchState(((BlockLabel.TRANSMITTED_SPIN, bloch_to_density(v)),))
-    return state, _DIRECT_DERIVATIVES
+    return IDENTITY.state(v), IDENTITY.derivatives
 
 
 STRATEGIES = ("direct", "nea", "ea")  # target access; unentangled probe; singlet probe
@@ -264,8 +265,6 @@ def encoding(strategy: str, v: BlochVector, omega: float, mode: DetectionMode,
     """Branch state and derivatives of target v; direct ignores omega and mode, EA theta_a."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if strategy == "direct":
-        return direct_branches(v)
-    probe = ProbeConfig(theta_a=theta_a, entangled=(strategy == "ea"))
-    return (apply_channel(bloch_to_density(v), probe, omega, mode),
-            channel_derivatives(probe, omega, mode))
+    channel = IDENTITY if strategy == "direct" else _probe_channel(
+        ProbeConfig(theta_a=theta_a, entangled=(strategy == "ea")), float(omega), mode)
+    return channel.state(v), channel.derivatives

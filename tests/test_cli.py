@@ -184,6 +184,40 @@ class TestTargetFlags:
         assert out == "" and "domain error" in err
 
 
+class TestHeader:
+    """The header records mode only where a probe is scattered, and theta_a only
+    where NEA reads it; their defaults are not recorded for other commands."""
+
+    @pytest.mark.parametrize("argv, recorded, left_out", [
+        (("optimize", "--strategy", "nea", "--mode", "t", "--vz", "0.9"),
+         {"mode=t"}, {"theta_a"}),
+        (("optimize", "--strategy", "ea", "--mode", "r", "--r", "0.5"), {"mode=r"}, {"theta_a"}),
+        (("bound", "--strategy", "direct", "--r", "0.5", "--param", "r"),
+         set(), {"mode", "theta_a"}),
+        (("qfi", "--strategy", "direct", "--vz", "0.4", "--mode", "t"),
+         set(), {"mode", "theta_a"}),
+        (("scan", "--strategy", "direct", "--sweep", "r"), set(), {"mode", "theta_a"}),
+        (("scan", "--strategy", "ea", "--r", "0.5", "--sweep", "omega"),
+         {"mode=both"}, {"theta_a"}),
+        (("qfi", "--strategy", "ea", "--vz", "0.4", "--omega", "0.6", "--theta-a", "0.7"),
+         {"mode=both"}, {"theta_a"}),
+        (("scan", "--strategy", "nea", "--vz", "0.4", "--omega", "0.6", "--sweep", "theta-a"),
+         {"mode=both"}, {"theta_a"}),
+        (("qfi", "--strategy", "nea", "--vz", "0.4", "--omega", "0.6", "--theta-a", "0.7"),
+         {"mode=both", "theta_a=0.7"}, set()),
+        (("bound", "--strategy", "nea", "--vz", "0.4", "--omega", "0.6", "--param", "z"),
+         {"mode=both", "theta_a=0.0"}, set()),
+        (("scan", "--strategy", "nea", "--vz", "0.4", "--theta-a", "0.3", "--sweep", "omega"),
+         {"mode=both", "theta_a=0.3"}, set()),
+    ])
+    def test_flags_the_command_reads(self, capsys, argv, recorded, left_out):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        header = out.splitlines()[0].split()
+        assert recorded <= set(header)
+        assert not [part for part in header if part.split("=")[0] in left_out]
+
+
 class TestBoundCommand:
     def test_direct_radial(self, capsys):
         code, out, _ = run(capsys, "bound", "--strategy", "direct", "--r", "0.5",

@@ -60,8 +60,7 @@ class TestQfiNumeric:
     def test_zero_derivative_block_contributes_nothing(self):
         state = BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2),))
         zero = np.zeros((2, 2), dtype=complex)
-        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,),
-                                   ((zero,), (zero,), (zero,)))
+        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), (np.stack([zero] * 3),))
         assert np.max(np.abs(qfi_numeric(state, derivs).h)) == 0.0
 
     def test_ea_both_matches_closed_form_at_quoted_point(self):
@@ -79,7 +78,7 @@ class TestQfiNumeric:
     def test_slightly_non_hermitian_block_raises(self):
         # an anti-Hermitian part of 5e-12 is above 1e-12 relative to the largest entry
         zero = np.zeros((2, 2), dtype=complex)
-        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), ((zero,), (zero,), (zero,)))
+        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), (np.stack([zero] * 3),))
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
             qfi_numeric(BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2 + 1e-11 * skew),)),
@@ -174,9 +173,10 @@ class TestQfiSingle:
         # the family along one axis has that axis's derivative blocks and no others
         state, derivs = ea_pair([0.2, -0.1, 0.4], 0.9, DetectionMode.TRANSMISSION)
         h = qfi_numeric(state, derivs)
-        zeros = tuple(np.zeros_like(b) for b in derivs.per_axis[0])
         for idx, axis in enumerate("xyz"):
-            alone = BranchDerivatives(derivs.labels, (derivs.per_axis[idx], zeros, zeros))
+            alone = BranchDerivatives(derivs.labels, tuple(
+                np.stack([stack[idx], np.zeros_like(stack[idx]), np.zeros_like(stack[idx])])
+                for stack in derivs.stacks))
             assert abs(qfi_numeric(state, alone).entry("x", "x") - h.entry(axis, axis)) < 1e-12
 
     def test_ea_both_equals_radial_coefficient_on_axis(self):

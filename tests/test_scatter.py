@@ -18,6 +18,7 @@ from scattertomo.scatter import (
     direct_branches,
     encoding,
     s_matrices,
+    scattering_channel,
 )
 from scattertomo.states import (ID2, PAULIS, BlochVector, ProbeConfig, bloch_to_density,
                                 max_entangled, probe_state, singlet)
@@ -152,7 +153,7 @@ class TestApplyChannel:
 
     def test_rejects_bad_probe_dimension(self):
         with pytest.raises(ValueError):
-            Channel(np.eye(3) / 3, 1.0, DetectionMode.BOTH)
+            scattering_channel(np.eye(3) / 3, 1.0, DetectionMode.BOTH)
 
 
 class TestChannelDerivatives:
@@ -163,8 +164,8 @@ class TestChannelDerivatives:
                 probe = ProbeConfig(theta_a=rng.uniform(0, math.pi),
                                     entangled=(strategy == "ea"))
                 derivs = channel_derivatives(probe, log_uniform(rng, 0.05, 20), mode)
-                for axis_blocks in derivs.per_axis:
-                    total = sum(np.trace(b).real for b in axis_blocks)
+                for j in range(3):
+                    total = sum(np.trace(stack[j]).real for stack in derivs.stacks)
                     assert abs(total) < 1e-12
 
     def test_matches_finite_differences(self):
@@ -187,17 +188,17 @@ class TestChannelDerivatives:
                                       probe, om, mode)
                 for i in range(len(derivs.labels)):
                     fd = (plus.blocks[i][1] - minus.blocks[i][1]) / (2 * h)
-                    assert np.max(np.abs(fd - derivs.per_axis[j][i])) < 1e-8
+                    assert np.max(np.abs(fd - derivs.stacks[i][j])) < 1e-8
 
     def test_z_derivative_hermitian_and_traceless(self):
         derivs = channel_derivatives(ProbeConfig(entangled=True), 0.9,
                                      DetectionMode.BOTH)
-        d_z = derivs.per_axis[2][0]
+        d_z = derivs.stacks[0][2]
         assert np.allclose(d_z, d_z.conj().T)
         # with a singlet input the transmitted derivative block alone is
         # traceless (the probe marginal carries no polarization)
         assert abs(np.trace(d_z)) < 1e-13
-        total = sum(np.trace(b).real for b in derivs.per_axis[2])
+        total = sum(np.trace(stack[2]).real for stack in derivs.stacks)
         assert abs(total) < 1e-13
 
 
@@ -229,7 +230,7 @@ class TestBranchStateValidation:
     def test_derivative_alignment(self):
         with pytest.raises(ValueError):
             BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,),
-                              ((ID2,), (ID2,)))  # only two axes
+                              (np.stack([ID2, ID2]),))  # only two axes
 
     @staticmethod
     def skewed(diag, skew):
@@ -254,15 +255,16 @@ class TestBranchStateValidation:
 
 
 class TestDerivativeStacks:
-    def test_read_only_stacks_of_the_per_axis_blocks(self):
-        every = [direct_branches(BlochVector(0.2, -0.1, 0.4))[1]]
-        every += [channel_derivatives(probe, 0.7, mode) for mode in MODES
+    def test_read_only_stacks_of_the_symmetrized_sigma_maps(self):
+        every = [scatter.IDENTITY]
+        every += [scattering_channel(probe_state(probe), 0.7, mode) for mode in MODES
                   for probe in (ProbeConfig(entangled=True), ProbeConfig(theta_a=0.9))]
-        for derivs in every:
+        for channel in every:
+            derivs = channel.derivatives
             assert len(derivs.stacks) == len(derivs.labels)
-            for i, stack in enumerate(derivs.stacks):
+            for stack, m in zip(derivs.stacks, channel.maps):
                 assert stack.dtype == complex
-                assert np.array_equal(stack, np.stack([axis[i] for axis in derivs.per_axis]))
+                assert np.array_equal(stack, 0.5 * (m[1:] + m[1:].conj().swapaxes(1, 2)))
                 with pytest.raises(ValueError):
                     stack[0, 0, 0] = 5.0
 
@@ -271,17 +273,16 @@ class TestDerivativeStacks:
                               bloch_to_density(BlochVector(0.3, -0.2, 0.4))),))
         real = (np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([[0.3, 0.2], [0.2, -0.3]]),
                 np.array([[0.5, 0.0], [0.0, -0.5]]))
-        as_real = BranchDerivatives(state.labels, tuple((b,) for b in real))
-        as_complex = BranchDerivatives(state.labels, tuple((b.astype(complex),) for b in real))
+        as_real = BranchDerivatives(state.labels, (np.stack(real),))
+        as_complex = BranchDerivatives(state.labels, (np.stack(real).astype(complex),))
         assert as_real.stacks[0].dtype == complex
         assert np.array_equal(qfi_numeric(state, as_real).h, qfi_numeric(state, as_complex).h)
 
     def test_caller_arrays_stay_writable_and_apart(self):
-        given = (np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.5, -0.5]))
-        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), tuple((b,) for b in given))
-        for b in given:
-            assert b.flags.writeable
-            b[0, 1] = 9.0
+        given = np.stack([np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.5, -0.5])])
+        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), (given,))
+        assert given.flags.writeable
+        given[:, 0, 1] = 9.0
         assert np.array_equal(derivs.stacks[0][:, 0, 1], np.zeros(3))
 
 
@@ -290,7 +291,7 @@ class TestDerivativeChecks:
 
     def derivs(self, along_x, labels=None):
         zero = np.zeros_like(along_x)
-        return BranchDerivatives(labels or (self.X,), ((along_x,), (zero,), (zero,)))
+        return BranchDerivatives(labels or (self.X,), (np.stack([along_x, zero, zero]),))
 
     def test_rejects_a_non_hermitian_block(self):
         # qfi_numeric would read H_xx = 2 at diag(0.7, 0.3); the Hermitian part gives 1
@@ -302,22 +303,21 @@ class TestDerivativeChecks:
 
     def test_every_block_and_axis_is_checked(self):
         vacuum = BlockLabel.VACUUM_RHS
-        spin = np.zeros((2, 2))
-        per_axis = ((spin, np.array([[0.0]])), (spin, np.array([[0.0]])),
-                    (spin, np.array([[1e-9j]])))
+        stacks = (np.zeros((3, 2, 2)), np.array([[[0.0]], [[0.0]], [[1e-9j]]]))
         with pytest.raises(ValueError, match="VACUUM_RHS.* not Hermitian"):
-            BranchDerivatives((self.X, vacuum), per_axis)
+            BranchDerivatives((self.X, vacuum), stacks)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_traces_sum_to_zero_on_every_axis(self, axis):
         # per axis the traces may cancel across blocks, up to TRACE_TOL
         vacuum = BlockLabel.VACUUM_RHS
-        per_axis = [(np.zeros((2, 2)), np.zeros((1, 1))) for _ in range(3)]
-        per_axis[axis] = (np.diag([0.3, 0.2]), np.array([[-0.5 - 0.9 * scatter.TRACE_TOL]]))
-        BranchDerivatives((self.X, vacuum), tuple(per_axis))
-        per_axis[axis] = (np.diag([0.3, 0.2]), np.array([[-0.5 - 2.0 * scatter.TRACE_TOL]]))
+        spin, lost = np.zeros((3, 2, 2)), np.zeros((3, 1, 1))
+        spin[axis] = np.diag([0.3, 0.2])
+        lost[axis] = -0.5 - 0.9 * scatter.TRACE_TOL
+        BranchDerivatives((self.X, vacuum), (spin, lost))
+        lost[axis] = -0.5 - 2.0 * scatter.TRACE_TOL
         with pytest.raises(ValueError, match="derivative traces sum to"):
-            BranchDerivatives((self.X, vacuum), tuple(per_axis))
+            BranchDerivatives((self.X, vacuum), (spin, lost))
 
     @pytest.mark.parametrize("scale", [0.75, 2.0])
     def test_hermitian_threshold_scales_with_the_largest_entry(self, scale):
@@ -333,10 +333,10 @@ class TestDerivativeChecks:
     def test_direct_derivatives_are_shared_and_read_only(self):
         first = direct_branches(BlochVector(0.2, -0.1, 0.4))[1]
         assert direct_branches(BlochVector(0.0, 0.0, -0.9))[1] is first
-        for (block,), sigma in zip(first.per_axis, (scatter.PAULIS)):
-            assert np.array_equal(block, 0.5 * sigma)
-            with pytest.raises(ValueError):
-                block[0, 0] = 1.0
+        (stack,) = first.stacks
+        assert np.array_equal(stack, 0.5 * np.stack(scatter.PAULIS))
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
 
 
 class TestDirectBranches:
@@ -355,26 +355,29 @@ class TestEncoding:
                                                  ("nea", ProbeConfig(theta_a=0.7))])
     def test_matches_the_channel_bit_for_bit(self, strategy, probe, mode):
         state, derivs = encoding(strategy, self.V, 0.43, mode, 0.7)
-        channel = Channel(probe_state(probe), 0.43, mode)
-        ref = channel.state(bloch_to_density(self.V))
+        channel = scattering_channel(probe_state(probe), 0.43, mode)
+        ref = channel.state(self.V)
         assert state.labels == derivs.labels == ref.labels
         assert_identical([[op for _, op in state.blocks]], [[op for _, op in ref.blocks]])
         assert_identical([derivs.stacks], [channel.derivatives.stacks])
 
-    def test_one_channel_serves_both_calls_of_a_point(self):
+    def test_one_probe_channel_lookup_per_encoded_point(self):
         encoding("nea", self.V, 0.51, DetectionMode.REFLECTION, 1.1)  # fills the cache
-        before = scatter._probe_channel.cache_info()
-        encoding("nea", self.V, 2.3, DetectionMode.REFLECTION, 1.1)
-        after = scatter._probe_channel.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        counts = [scatter._probe_channel.cache_info()]
+        for v in (self.V, BlochVector(-0.3, 0.5, 0.1)):  # two targets on one channel
+            encoding("nea", v, 2.3, DetectionMode.REFLECTION, 1.1)
+            counts.append(scatter._probe_channel.cache_info())
+        steps = [(b.misses - a.misses, b.hits - a.hits) for a, b in zip(counts, counts[1:])]
+        assert steps == [(1, 0), (0, 1)]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_direct_is_the_identity_channel(self, mode):
         # direct access reads neither omega nor mode
         state, derivs = encoding("direct", self.V, 0.0, mode, 0.0)
-        ref_state, ref_derivs = direct_branches(self.V)
-        assert derivs is ref_derivs
-        assert_identical([[op for _, op in state.blocks]], [[op for _, op in ref_state.blocks]])
+        assert derivs is scatter.IDENTITY.derivatives
+        ref = scatter.IDENTITY.state(self.V)
+        assert state.labels == ref.labels == (BlockLabel.TRANSMITTED_SPIN,)
+        assert_identical([[op for _, op in state.blocks]], [[op for _, op in ref.blocks]])
 
     @pytest.mark.parametrize("strategy", ["bogus", "EA", ""])
     def test_unknown_strategy(self, strategy):
@@ -385,6 +388,33 @@ class TestEncoding:
         assert scatter.STRATEGIES == ("direct", "nea", "ea")
 
 
+class TestIdentityChannel:
+    def test_maps_and_derivatives(self):
+        identity = scatter.IDENTITY
+        assert identity.labels == (BlockLabel.TRANSMITTED_SPIN,)
+        (maps,) = identity.maps
+        assert np.array_equal(maps, scatter._BASIS)
+        (stack,) = identity.derivatives.stacks
+        assert np.array_equal(stack, 0.5 * np.stack(PAULIS))
+        for a in (maps, stack):
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+
+    def test_state_is_the_density_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(83)
+        targets = [rand_bloch(rng) for _ in range(2000)]
+        near_pure = 1.0 - 1e-9
+        for axis in np.eye(3):  # the axes, at both ends and next to the pure state
+            targets += [0.5 * axis, -0.5 * axis, near_pure * axis, -near_pure * axis]
+        targets += [np.zeros(3), np.array([0.0, -0.3, 0.4]), np.array([-0.6, 0.0, -0.0]),
+                    near_pure * np.array([0.6, -0.8, 0.0])]
+        for target in targets:
+            v = BlochVector.from_array(target)
+            (label, block), = scatter.IDENTITY.state(v).blocks
+            assert label is BlockLabel.TRANSMITTED_SPIN
+            assert block.tobytes() == bloch_to_density(v).tobytes()
+
+
 class TestMaxEntangledInvariance:
     def test_qfi_independent_of_entangled_input(self):
         # any maximally entangled probe-ancilla input gives the singlet's QFI
@@ -392,12 +422,13 @@ class TestMaxEntangledInvariance:
         for _ in range(5):
             v = rand_bloch(rng, r_max=0.9)
             om = log_uniform(rng, 0.05, 20)
-            rho = bloch_to_density(BlochVector.from_array(v))
+            target = BlochVector.from_array(v)
             rho_me = max_entangled(rand_unitary(rng), rand_unitary(rng))
             for mode in MODES:
-                ref, other = Channel(singlet(), om, mode), Channel(rho_me, om, mode)
-                h_singlet = qfi_numeric(ref.state(rho), ref.derivatives)
-                h_other = qfi_numeric(other.state(rho), other.derivatives)
+                ref = scattering_channel(singlet(), om, mode)
+                other = scattering_channel(rho_me, om, mode)
+                h_singlet = qfi_numeric(ref.state(target), ref.derivatives)
+                h_other = qfi_numeric(other.state(target), other.derivatives)
                 assert np.max(np.abs(h_singlet.h - h_other.h)) < 1e-9
 
 
@@ -405,7 +436,7 @@ def point(probe, omega, mode, v=(0.1, -0.2, 0.3)):
     """(blocks, derivative blocks) of one oracle point, as lists of arrays."""
     state = apply_channel(bloch_to_density(BlochVector(*v)), probe, omega, mode)
     derivs = channel_derivatives(probe, omega, mode)
-    return [op for _, op in state.blocks], [b for axis in derivs.per_axis for b in axis]
+    return [op for _, op in state.blocks], list(derivs.stacks)
 
 
 def assert_identical(a, b):
@@ -440,8 +471,8 @@ class TestChannel:
         derivs = channel_derivatives(self.EA, 0.8, DetectionMode.BOTH)
         before = point(self.EA, 0.8, DetectionMode.BOTH)
         with pytest.raises(ValueError):
-            derivs.per_axis[2][0][0, 0] = 5.0
-        channel = Channel(singlet(), 0.8, DetectionMode.BOTH)
+            derivs.stacks[0][2, 0, 0] = 5.0
+        channel = scattering_channel(singlet(), 0.8, DetectionMode.BOTH)
         for m in channel.maps:
             with pytest.raises(ValueError):
                 m[0, 0, 0] = 5.0
@@ -467,13 +498,14 @@ class TestChannel:
     def test_state_matches_direct_channel_application(self):
         # the affine sum over the basis maps equals S (rho_x x rho_in) S^dag, traced
         rng = np.random.default_rng(61)
-        rho = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
+        v = BlochVector.from_array(rand_bloch(rng))
+        rho = bloch_to_density(v)
         for rho_in in (singlet(), bloch_to_density(BlochVector(0.6, 0.0, 0.8))):
             d = rho_in.shape[0]
             s_t, s_r = s_matrices(1.3)
             if d == 4:
                 s_t, s_r = np.kron(s_t, ID2), np.kron(s_r, ID2)
-            state = Channel(rho_in, 1.3, DetectionMode.BOTH).state(rho)
+            state = scattering_channel(rho_in, 1.3, DetectionMode.BOTH).state(v)
             for s, label in ((s_t, BlockLabel.TRANSMITTED_SPIN), (s_r, BlockLabel.REFLECTED_SPIN)):
                 out = s @ np.kron(rho, rho_in) @ s.conj().T
                 expected = np.einsum("xixj->ij", out.reshape(2, d, 2, d))
@@ -506,7 +538,7 @@ class TestChannel:
             probe = (singlet(), max_entangled(rand_unitary(rng), rand_unitary(rng)),
                      probe_state(ProbeConfig(theta_a=float(rng.uniform(0.0, math.pi)))))[i % 3]
             omega, mode = log_uniform(rng, 1e-3, 1e3), MODES[(i // 3) % 3]
-            maps = Channel(probe, omega, mode).maps
+            maps = scattering_channel(probe, omega, mode).maps
             expected = self.reference_maps(probe, omega, mode)
             assert len(maps) == len(expected)
             for got, want in zip(maps, expected):
@@ -518,8 +550,8 @@ class TestChannel:
             v = BlochVector.from_array(rand_bloch(rng, r_max=0.9))
             om = log_uniform(rng, 0.05, 20)
             rho_me = max_entangled(rand_unitary(rng), rand_unitary(rng))
-            channel = Channel(rho_me, om, mode)
-            h = qfi_numeric(channel.state(bloch_to_density(v)), channel.derivatives)
+            channel = scattering_channel(rho_me, om, mode)
+            h = qfi_numeric(channel.state(v), channel.derivatives)
             assert relerr(h.h, ea_cartesian(v, om, mode).h) < 1e-8
 
     @pytest.mark.parametrize("rho_x", [
@@ -528,10 +560,10 @@ class TestChannel:
         np.eye(3) / 3,                        # not 2x2
     ])
     def test_rejects_bad_target_on_both_paths(self, rho_x):
-        with pytest.raises(ValueError):
-            apply_channel(rho_x, self.EA, 0.5, DetectionMode.BOTH)
-        with pytest.raises(ValueError):
-            Channel(singlet(), 0.5, DetectionMode.BOTH).state(rho_x)
+        # apply_channel is the one entry that takes a density matrix
+        for probe in (self.EA, self.NEA):
+            with pytest.raises(ValueError):
+                apply_channel(rho_x, probe, 0.5, DetectionMode.BOTH)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_skewed_target_maps_like_its_hermitian_part(self, mode):
@@ -549,10 +581,48 @@ class TestChannel:
                 with pytest.raises(ValueError, match="target state must be Hermitian"):
                     apply_channel(rho, probe, 0.7, mode)
 
+    def test_bloch_and_density_entries_agree(self):
+        # scattering_channel(...).state(v) reads c = (1, v) exactly; apply_channel
+        # reads v back from the density matrix, so the two differ by rounding only
+        rng = np.random.default_rng(89)
+        for i in range(60):
+            probe = (self.EA, ProbeConfig(theta_a=float(rng.uniform(0.0, math.pi))))[i % 2]
+            omega, mode = log_uniform(rng, 1e-3, 1e3), MODES[(i // 2) % 3]
+            v = BlochVector.from_array(rand_bloch(rng))
+            by_v = scattering_channel(probe_state(probe), omega, mode).state(v)
+            by_rho = apply_channel(bloch_to_density(v), probe, omega, mode)
+            assert by_v.labels == by_rho.labels
+            for (_, a), (_, b) in zip(by_v.blocks, by_rho.blocks):
+                assert np.abs(a - b).max() <= 1e-15
+
+    def test_built_from_labels_and_maps(self):
+        ref = scattering_channel(singlet(), 0.8, DetectionMode.TRANSMISSION)
+        given = [np.array(m) for m in ref.maps]
+        channel = Channel(ref.labels, given)
+        v = BlochVector(0.1, -0.2, 0.3)
+        assert_identical([[op for _, op in channel.state(v).blocks]],
+                         [[op for _, op in ref.state(v).blocks]])
+        assert_identical([channel.derivatives.stacks], [ref.derivatives.stacks])
+        for m in given:  # the channel keeps read-only copies
+            assert m.flags.writeable
+            m[:] = 0.0
+        assert_identical([channel.maps], [ref.maps])
+
+    def test_rejects_misaligned_labels_and_maps_without_four_inputs(self):
+        maps = scattering_channel(singlet(), 0.8, DetectionMode.BOTH).maps
+        with pytest.raises(ValueError, match="misaligned"):
+            Channel((BlockLabel.TRANSMITTED_SPIN,), maps)
+        with pytest.raises(ValueError, match="misaligned"):
+            Channel((BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN,
+                     BlockLabel.VACUUM_RHS), maps)
+        for bad in (maps[0][:3], np.concatenate([maps[0], maps[0][:1]])):
+            with pytest.raises(ValueError, match="three axes"):
+                Channel((BlockLabel.TRANSMITTED_SPIN,), (bad,))
+
     def test_rejects_bad_probe_input(self):
         for rho_in in (np.eye(3) / 3, np.ones((2, 4)) / 4):
             with pytest.raises(ValueError):
-                Channel(rho_in, 0.5, DetectionMode.BOTH)
+                scattering_channel(rho_in, 0.5, DetectionMode.BOTH)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

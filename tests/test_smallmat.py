@@ -10,13 +10,15 @@ spectrum of every block it validates.
 import numpy as np
 import pytest
 
-from scattertomo.scatter import SIGMA_DOT_SIGMA, BlockLabel, BranchState, Channel, DetectionMode
+from scattertomo.scatter import (SIGMA_DOT_SIGMA, BlockLabel, BranchState, DetectionMode,
+                                 apply_channel, scattering_channel)
 from scattertomo.states import (
     ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     BlochVector,
+    ProbeConfig,
     bloch_to_density,
     max_entangled,
     singlet,
@@ -61,9 +63,9 @@ class TestTensor:
         for mode in MODES:
             rho_a = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
             tau = rand_density(rng, 2)
-            rho_x = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
-            joint = Channel(np.kron(rho_a, tau), 0.8, mode).state(rho_x)
-            alone = Channel(rho_a, 0.8, mode).state(rho_x)
+            x = BlochVector.from_array(rand_bloch(rng))
+            joint = scattering_channel(np.kron(rho_a, tau), 0.8, mode).state(x)
+            alone = scattering_channel(rho_a, 0.8, mode).state(x)
             for label in alone.labels:
                 assert np.max(np.abs(joint.block(label) - np.kron(alone.block(label), tau))) \
                     <= 1e-14
@@ -79,9 +81,9 @@ class TestPartialTrace:
         rng = np.random.default_rng(3)
         rho_a = bloch_to_density(BlochVector(0.0, 0.6, 0.0))
         tau = rand_density(rng, 2)
-        rho_x = bloch_to_density(BlochVector(0.1, 0.2, -0.3))
-        joint = Channel(np.kron(rho_a, tau), 1.7, DetectionMode.TRANSMISSION).state(rho_x)
-        alone = Channel(rho_a, 1.7, DetectionMode.TRANSMISSION).state(rho_x)
+        x = BlochVector(0.1, 0.2, -0.3)
+        joint = scattering_channel(np.kron(rho_a, tau), 1.7, DetectionMode.TRANSMISSION).state(x)
+        alone = scattering_channel(rho_a, 1.7, DetectionMode.TRANSMISSION).state(x)
         p_miss = alone.block(BlockLabel.VACUUM_RHS)[0, 0]
         assert np.allclose(joint.block(BlockLabel.VACUUM_RHS), p_miss * tau, atol=1e-14)
 
@@ -92,7 +94,8 @@ class TestPartialTrace:
     def test_transmitted_block_at_omega_one(self):
         # S^t (1/2 x |0><0|) S^t+ at Omega = 1, traced over the target, equals
         # diag(0.3, 0.1) with the transmission probability 0.4 as its trace
-        state = Channel(np.diag([1.0, 0.0]), 1.0, DetectionMode.BOTH).state(ID2 / 2)
+        state = scattering_channel(np.diag([1.0, 0.0]), 1.0, DetectionMode.BOTH).state(
+            BlochVector(0.0, 0.0, 0.0))
         out = state.block(T)
         assert np.allclose(out, np.diag([0.3, 0.1]), atol=1e-14)
         assert abs(np.trace(out) - 0.4) < 1e-14
@@ -102,20 +105,20 @@ class TestPartialTrace:
         # tracing out the probe of a lost particle keeps its probability
         rng = np.random.default_rng(5)
         for rho_in in (singlet(), bloch_to_density(BlochVector(0.6, 0.0, 0.8))):
-            rho_x = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
-            both = Channel(rho_in, 0.9, DetectionMode.BOTH).state(rho_x)
+            x = BlochVector.from_array(rand_bloch(rng))
+            both = scattering_channel(rho_in, 0.9, DetectionMode.BOTH).state(x)
             lost = {
-                BlockLabel.VACUUM_RHS: Channel(rho_in, 0.9, DetectionMode.TRANSMISSION),
-                BlockLabel.VACUUM_LHS: Channel(rho_in, 0.9, DetectionMode.REFLECTION),
+                BlockLabel.VACUUM_RHS: scattering_channel(rho_in, 0.9, DetectionMode.TRANSMISSION),
+                BlockLabel.VACUUM_LHS: scattering_channel(rho_in, 0.9, DetectionMode.REFLECTION),
             }
             for (label, channel), kept in zip(lost.items(), (R, T)):
-                vacuum = channel.state(rho_x).block(label)
+                vacuum = channel.state(x).block(label)
                 assert abs(np.trace(vacuum) - np.trace(both.block(kept))) <= 1e-14
 
     def test_dimension_mismatch(self):
-        channel = Channel(singlet(), 0.5, DetectionMode.BOTH)
+        # the target is a qubit even where the probe input is 4x4
         with pytest.raises(ValueError):
-            channel.state(np.eye(4) / 4)
+            apply_channel(np.eye(4) / 4, ProbeConfig(entangled=True), 0.5, DetectionMode.BOTH)
 
 
 class TestHermEig:
