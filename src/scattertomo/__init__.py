@@ -19,10 +19,10 @@ from .closedform import (
 )
 from .optimize import (
     ConvergenceError,
-    EnvelopePoint,
     OptResult,
     ea_optimality_intervals,
     maximize_1d,
+    maximize_ea,
     maximize_nea,
 )
 from .qfi import (
@@ -68,7 +68,6 @@ __all__ = [
     "Channel",
     "ConvergenceError",
     "DetectionMode",
-    "EnvelopePoint",
     "OptResult",
     "PolarCoords",
     "ProbeConfig",
@@ -90,6 +89,7 @@ __all__ = [
     "ea_polar",
     "max_entangled",
     "maximize_1d",
+    "maximize_ea",
     "maximize_nea",
     "nea_qfi",
     "phase_bound",

@@ -48,15 +48,19 @@ def _write(lines: list[str], path: Optional[str]) -> None:
 
 
 def _header(args: argparse.Namespace, columns: list[str]) -> list[str]:
-    """The flags a command read, then its column names: direct reads no mode, and
-    only NEA's qfi, bound and scans other than over theta_a read theta_a."""
-    strategy = getattr(args, "strategy", None)
-    skip = {"func", "output", "target"}
+    """The flags a command read, then its column names. A scan does not read the
+    flag of the variable it sweeps, and an r-sweep reads no target; direct reads
+    no mode or omega, optimize searches omega, and only NEA reads theta_a."""
+    command, strategy, sweep = (getattr(args, k, None) for k in ("command", "strategy", "sweep"))
+    skip = {"func", "output", "target", (sweep or "").replace("-", "_")}
     if strategy == "direct":
-        skip.add("mode")
-    if (strategy != "nea" or args.command == "optimize"
-            or getattr(args, "sweep", None) == "theta-a"):
+        skip |= {"mode", "omega"}
+    if command == "optimize":
+        skip |= {"omega", "theta_a"}
+    if strategy != "nea":
         skip.add("theta_a")
+    if sweep == "r":
+        skip |= {"vx", "vy", "vz", "theta", "phi"}
     parts = []
     for key in sorted(vars(args)):
         if key in skip:
@@ -177,6 +181,8 @@ def _zz_scan(x: np.ndarray, args: argparse.Namespace, mode) -> list:
         return [closedform.ea_cr(np.abs(values["vz"]), _require_omega(args), mode)]
     if values["omega"] is None:
         raise UsageError("--omega is required for this scan")
+    for theta_a in (np.min(values["theta-a"]), np.max(values["theta-a"])):
+        states.ProbeConfig(float(theta_a))  # refuses a theta_a outside [0, pi]
     return [closedform.nea_qfi(values["vz"], values["theta-a"], values["omega"], mode)]
 
 
@@ -212,11 +218,9 @@ def _converged(results: list, strategy: str) -> list:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.strategy == "nea":
-        res = optimize.maximize_nea(closedform.axis_vz(args.target), mode=MODES[args.mode],
-                                    tol=args.tol)
+        res = optimize.maximize_nea(closedform.axis_vz(args.target), MODES[args.mode], args.tol)
     elif args.strategy == "ea":
-        res = optimize.maximize_ea_batch(args.target.norm, MODES[args.mode],
-                                         tol=args.tol)[0]
+        res = optimize.maximize_ea(args.target.norm, MODES[args.mode], args.tol)
     else:
         raise UsageError("optimize supports strategies nea and ea")
     _converged([res], args.strategy)
@@ -246,7 +250,7 @@ def _figure_surface(args, mode: scatter.DetectionMode) -> list[str]:
 def _figure_6(args) -> list[str]:
     r = np.linspace(0.0, 0.98, args.points or 50)
     m_var = [[1.0 / res.value
-              for res in _converged(optimize.maximize_ea_batch(r, MODES[key]), "ea")]
+              for res in _converged(optimize.maximize_ea(r, MODES[key]), "ea")]
              for key in ("both", "t", "r")]
     return _table(args, ["r", "m_var_direct", "m_var_both",
                          "m_var_transmission", "m_var_reflection"], [r, 1.0 - r * r] + m_var)
@@ -254,7 +258,7 @@ def _figure_6(args) -> list[str]:
 
 def _nea_per_mode(v_z: np.ndarray) -> list[list]:
     """The NEA optima at every target in each mode of MODE_ORDER, from one solve."""
-    best = _converged(optimize.maximize_nea_batch(
+    best = _converged(optimize.maximize_nea(
         np.tile(v_z, len(MODE_ORDER)), [MODES[key] for key in MODE_ORDER for _ in v_z],
         tol=1e-6), "nea")
     return [best[k * v_z.size:(k + 1) * v_z.size] for k in range(len(MODE_ORDER))]
@@ -277,7 +281,7 @@ def _figure_8(args) -> list[str]:
         columns += [f"nea_{key}", f"ea_{key}"]
         data += [[res.value for res in best],
                  [res.value for res in _converged(
-                     optimize.maximize_ea_batch(v_z, MODES[key], tol=1e-8), "ea")]]
+                     optimize.maximize_ea(v_z, MODES[key], tol=1e-8), "ea")]]
     return _table(args, columns, data)
 
 

@@ -15,18 +15,20 @@ since the forms are exact on any box, a seed need only lie in its maximum's basi
 Every search solves a batch of independent problems in lockstep: each step
 makes one array call on a fixed set of lanes (problem x candidate), finished
 lanes included, and ``iterations`` counts a lane's evaluations (for EA, its
-Newton steps). The NEA search takes one detection mode for the batch or one
-per problem: each mode is scanned and seeded on its own, and one lockstep
-refines the lanes of every mode, each on its own mode's forms, so a problem's
-result is that of a batch of its mode alone. Figures 7 and 8 solve all three
-modes in one call. The one-problem functions wrap these.
+Newton steps). ``maximize_nea`` and ``maximize_ea`` broadcast as the closed
+forms do: one OptResult for a scalar target, a list of one per target for an
+array. The NEA search takes one detection mode for the batch or one per
+problem: each mode is scanned and seeded on its own, and one lockstep refines
+the lanes of every mode, each on its own mode's forms, so a problem's result
+is that of a batch of its mode alone. Figures 7 and 8 solve all three modes
+in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -61,16 +63,6 @@ class OptResult:
             if key == name:
                 return val
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class EnvelopePoint:
-    """Best QFI over the probe controls at one target parameter value."""
-
-    v_z: float
-    best_qfi: float
-    omega_star: float
-    theta_a_star: Optional[float] = None
 
 
 def _golden_max(f, lo, hi, stop):
@@ -401,13 +393,12 @@ def _nea_form(v, u_lo, u_hi, mode: DetectionMode):
     return q
 
 
-def _nea_refine(v, theta, u, mode, tol: float):
+def _nea_refine(v, theta, u, groups, tol: float):
     """Refine NEA lanes (v, theta_a, log Omega) from grid nodes by ``_newton_max``.
 
-    ``mode`` is one DetectionMode for every lane, or a sequence of
-    (DetectionMode, lanes) pairs, lanes a slice: one lockstep then refines
-    every mode, each lane on its own mode's ``_nea_form``. Each lane's box is
-    its node's +-2-cell neighbourhood on the coarse NEA_GRID, clipped to
+    ``groups`` lists (DetectionMode, lanes) pairs, lanes a slice: one lockstep
+    refines every mode, each lane on its own mode's ``_nea_form``. Each lane's
+    box is its node's +-2-cell neighbourhood on the coarse NEA_GRID, clipped to
     [0, pi] x log DEFAULT_OMEGA_BRACKET, on which the lane's form is exact to
     rounding; the lane stops once a step moves theta_a by at most tol and
     Omega by at most tol (1 + Omega). Returns arrays (theta, u, evals, ok).
@@ -416,16 +407,13 @@ def _nea_refine(v, theta, u, mode, tol: float):
     width = (2.0 * math.pi / (NEA_GRID[0] - 1), 2.0 * (u_hi - u_lo) / (NEA_GRID[1] - 1))
     lo = np.stack([np.maximum(0.0, theta - width[0]), np.maximum(u_lo, u - width[1])])
     hi = np.stack([np.minimum(math.pi, theta + width[0]), np.minimum(u_hi, u + width[1])])
-    if isinstance(mode, DetectionMode):
-        q = _nea_form(v, lo[1], hi[1], mode)
-    else:
-        forms = [(lanes, _nea_form(v[lanes], lo[1, lanes], hi[1, lanes], m)) for m, lanes in mode]
+    forms = [(lanes, _nea_form(v[lanes], lo[1, lanes], hi[1, lanes], m)) for m, lanes in groups]
 
-        def q(theta, u):
-            jet = np.empty((6, theta.size))
-            for lanes, form in forms:
-                jet[:, lanes] = form(theta[lanes], u[lanes])
-            return jet
+    def q(theta, u):
+        jet = np.empty((6, theta.size))
+        for lanes, form in forms:
+            jet[:, lanes] = form(theta[lanes], u[lanes])
+        return jet
     (theta, u), evals, ok = _newton_max(
         q, np.stack([theta, u]), lo, hi, width,
         lambda x, y: np.maximum(np.abs(y[0] - x[0]), np.abs(np.exp(y[1]) - np.exp(x[1]))
@@ -461,22 +449,23 @@ def _mode_groups(mode, n: int) -> list[tuple[DetectionMode, np.ndarray]]:
     return [(m, np.flatnonzero([x is m for x in modes])) for m in dict.fromkeys(modes)]
 
 
-def maximize_nea_batch(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> list[OptResult]:
-    """Best unentangled-probe QFI over (theta_a, Omega) at each z-axis target.
+def maximize_nea(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> OptResult | list[OptResult]:
+    """Best unentangled-probe QFI over (theta_a, Omega) at z-axis targets v_z.
 
-    ``mode`` is one DetectionMode for all targets or a sequence of one per
-    target. For each mode, one ``_nea_scan`` gives its targets' QFI at every
-    node of NEA_GRID = (n_theta, n_omega) over theta_a in [0, pi] x log
-    Omega in the bracket, from the factors at five theta_a nodes. The best six
-    grid-local maxima of every target (by value, then node) are refined
-    together, all modes in one ``_nea_refine``: a projected, damped Newton
-    ascent in (theta_a, log Omega), one lane per seed, on the lane's exact
-    bivariate form of the QFI (``_nea_form``). Among near-equal optima the
-    smallest theta_a is returned, with its value from ``nea_qfi``. Each
-    target's result is that of a call with its mode alone. ``iterations``
-    counts the form evaluations (each a value, gradient and Hessian) of every
-    lane of the target.
+    One OptResult for a scalar v_z, else a list of one per target. ``mode`` is
+    one DetectionMode for all targets or a sequence of one per target. For
+    each mode, one ``_nea_scan`` gives its targets' QFI at every node of
+    NEA_GRID = (n_theta, n_omega) over theta_a in [0, pi] x log Omega in the
+    bracket, from the factors at five theta_a nodes. The best six grid-local
+    maxima of every target (by value, then node) are refined together, all
+    modes in one ``_nea_refine``: a projected, damped Newton ascent in
+    (theta_a, log Omega), one lane per seed, on the lane's exact bivariate
+    form of the QFI (``_nea_form``). Among near-equal optima the smallest
+    theta_a is returned, with its value from ``nea_qfi``. Each target's result
+    is that of a call with its mode alone. ``iterations`` counts the form
+    evaluations (each a value, gradient and Hessian) of every lane of the target.
     """
+    scalar = np.ndim(v_z) == 0
     v_z = np.asarray(v_z, dtype=float).ravel()
     if not np.all(np.abs(v_z) < 1.0):
         raise ValueError("v_z must satisfy |v_z| < 1")
@@ -499,8 +488,7 @@ def maximize_nea_batch(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> list[
         lanes.append((m, slice(start, start + top.size)))
         start += top.size
     prob, i, j = (np.concatenate(x) for x in zip(*seeds))
-    theta, u, evals, ok = _nea_refine(v_z[prob], thetas[i], us[j],
-                                      lanes if len(lanes) > 1 else lanes[0][0], tol)
+    theta, u, evals, ok = _nea_refine(v_z[prob], thetas[i], us[j], lanes, tol)
 
     value = np.empty(prob.size)
     for m, at in lanes:
@@ -508,14 +496,9 @@ def maximize_nea_batch(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> list[
     best = value[_first_per_problem(prob, [-value])][prob]
     near = np.flatnonzero(value >= best - 1e-9 * (1.0 + np.abs(best)))
     pick = near[_first_per_problem(prob[near], [theta[near]])]
-    return _results(prob, v_z.size, evals, ok, pick,
-                    [("theta_a", theta), ("omega", np.exp(u))], value)
-
-
-def maximize_nea(v_z: float, mode: DetectionMode = DetectionMode.BOTH,
-                 tol: float = 1e-8) -> OptResult:
-    """Best unentangled-probe QFI at one z-axis target (``maximize_nea_batch`` of one)."""
-    return maximize_nea_batch([v_z], mode, tol)[0]
+    results = _results(prob, v_z.size, evals, ok, pick,
+                       [("theta_a", theta), ("omega", np.exp(u))], value)
+    return results[0] if scalar else results
 
 
 def _newton_root(coef, w, lo, hi, stop):
@@ -551,18 +534,19 @@ def _newton_root(coef, w, lo, hi, stop):
         w = w_new
 
 
-def maximize_ea_batch(v_z, mode: DetectionMode, tol: float = 1e-8) -> list[OptResult]:
-    """Best EA QFI over Omega in DEFAULT_OMEGA_BRACKET at each z-axis target, in lockstep.
+def maximize_ea(v_z, mode: DetectionMode, tol: float = 1e-8) -> OptResult | list[OptResult]:
+    """Best EA QFI over Omega in DEFAULT_OMEGA_BRACKET at z-axis targets v_z, in lockstep.
 
-    The z-axis QFI is the radial coefficient c_r at r = |v_z|, so a grid of
-    radii r >= 0 gives the best c_r at each radius. One ``_ea_cr`` call scans
-    EA_GRID log-spaced nodes for all radii; each radius's best 16 grid-local
-    maxima seed ``_newton_root`` on c_r's critical-point polynomial in
-    W = Omega^2, inside the seed's +-1-cell bracket, until a step moves Omega
-    by at most tol (1 + Omega). A lane ends at the higher of that point and its
-    bracket's ends, and a radius at its highest lane (ties to the smaller
-    Omega), with the value from ``_ea_cr``. ``iterations`` counts the Newton
-    steps of every lane of the radius.
+    One OptResult for a scalar v_z, else a list of one per target. The z-axis
+    QFI is the radial coefficient c_r at r = |v_z|, so a grid of radii r >= 0
+    gives the best c_r at each radius. One ``_ea_cr`` call scans EA_GRID
+    log-spaced nodes for all radii; each radius's best 16 grid-local maxima
+    seed ``_newton_root`` on c_r's critical-point polynomial in W = Omega^2,
+    inside the seed's +-1-cell bracket, until a step moves Omega by at most
+    tol (1 + Omega). A lane ends at the higher of that point and its bracket's
+    ends, and a radius at its highest lane (ties to the smaller Omega), with
+    the value from ``_ea_cr``. ``iterations`` counts the Newton steps of every
+    lane of the radius.
     """
     r2 = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)**2
     ws = np.geomspace(*DEFAULT_OMEGA_BRACKET, EA_GRID)**2
@@ -578,23 +562,12 @@ def maximize_ea_batch(v_z, mode: DetectionMode, tol: float = 1e-8) -> list[OptRe
     lanes = np.arange(prob.size)
     omega, value = np.sqrt(ends[best, lanes]), values[best, lanes]
     pick = _first_per_problem(prob, [-value, omega])
-    return _results(prob, r2.size, steps, ok, pick, [("omega", omega)], value)
-
-
-def ea_envelope_point(v_z: float, mode: DetectionMode, tol: float = 1e-8) -> EnvelopePoint:
-    """Best EA QFI over Omega at one z-axis target value."""
-    res = maximize_ea_batch([v_z], mode, tol)[0]
-    return EnvelopePoint(v_z, res.value, res.param("omega"))
-
-
-def nea_envelope_point(v_z: float, mode: DetectionMode, tol: float = 1e-8) -> EnvelopePoint:
-    """Best NEA QFI over (theta_a, Omega) at one z-axis target value."""
-    res = maximize_nea(v_z, mode, tol)
-    return EnvelopePoint(v_z, res.value, res.param("omega"), res.param("theta_a"))
+    results = _results(prob, r2.size, steps, ok, pick, [("omega", omega)], value)
+    return results[0] if np.ndim(v_z) == 0 else results
 
 
 def ea_optimality_intervals(mode: DetectionMode, tol: float = 1e-8) -> tuple[float, float]:
     """Range spanned by the optimal momentum of the radial QFI over radii 0 to 0.99."""
-    best = maximize_ea_batch(np.linspace(0.0, 0.99, 50), mode, tol)
+    best = maximize_ea(np.linspace(0.0, 0.99, 50), mode, tol)
     stars = [res.param("omega") for res in best]
     return (min(stars), max(stars))

@@ -32,10 +32,10 @@ from scattertomo.closedform import (
 )
 from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
-    ea_envelope_point,
     ea_optimality_intervals,
     maximize_1d,
-    nea_envelope_point,
+    maximize_ea,
+    maximize_nea,
 )
 from scattertomo.qfi import cartesian_to_polar, qfi_numeric
 from scattertomo.scatter import (
@@ -204,13 +204,13 @@ def test_criterion_8_dominance():
         ea_vals = {}
         nea_vals = {}
         for mode in MODES:
-            ea_pt = ea_envelope_point(vz, mode)
-            nea_pt = nea_envelope_point(vz, mode, tol=1e-7)
-            ea_vals[mode] = ea_pt.best_qfi
-            nea_vals[mode] = nea_pt.best_qfi
-            assert ea_pt.best_qfi >= nea_pt.best_qfi - 1e-9, (vz, mode)
-            assert ea_pt.best_qfi <= direct_value + 1e-9, (vz, mode)
-            margins.append(ea_pt.best_qfi - nea_pt.best_qfi)
+            ea_pt = maximize_ea(vz, mode)
+            nea_pt = maximize_nea(vz, mode, tol=1e-7)
+            ea_vals[mode] = ea_pt.value
+            nea_vals[mode] = nea_pt.value
+            assert ea_pt.value >= nea_pt.value - 1e-9, (vz, mode)
+            assert ea_pt.value <= direct_value + 1e-9, (vz, mode)
+            margins.append(ea_pt.value - nea_pt.value)
         for vals in (ea_vals, nea_vals):
             assert vals[DetectionMode.BOTH] >= vals[DetectionMode.TRANSMISSION] - 1e-9
             assert vals[DetectionMode.BOTH] >= vals[DetectionMode.REFLECTION] - 1e-9

@@ -209,6 +209,30 @@ class TestHeader:
          {"mode=both", "theta_a=0.0"}, set()),
         (("scan", "--strategy", "nea", "--vz", "0.4", "--theta-a", "0.3", "--sweep", "omega"),
          {"mode=both", "theta_a=0.3"}, set()),
+        # omega only where NEA/EA qfi, bound and scans read it; a scan not the
+        # swept variable's flag, and an r-sweep no target
+        (("qfi", "--strategy", "direct", "--vz", "0.5", "--omega", "0.6"),
+         {"vz=0.5"}, {"omega"}),
+        (("bound", "--strategy", "direct", "--vz", "0.5", "--omega", "3"),
+         {"vz=0.5"}, {"omega"}),
+        (("optimize", "--strategy", "ea", "--mode", "t", "--vz", "0.5", "--omega", "0.6"),
+         {"mode=t", "vz=0.5"}, {"omega", "theta_a"}),
+        (("optimize", "--strategy", "nea", "--mode", "t", "--vz", "0.5", "--omega", "0.6"),
+         {"mode=t", "vz=0.5"}, {"omega", "theta_a"}),
+        (("scan", "--strategy", "nea", "--vz", "0.4", "--omega", "0.6", "--sweep", "omega"),
+         {"vz=0.4", "theta_a=0.0"}, {"omega"}),
+        (("scan", "--strategy", "ea", "--r", "0.4", "--omega", "0.6", "--sweep", "omega"),
+         {"r=0.4"}, {"omega", "theta_a"}),
+        (("scan", "--strategy", "nea", "--vz", "0.3", "--omega", "0.6", "--sweep", "vz"),
+         {"vx=0.0", "vy=0.0", "omega=0.6", "theta_a=0.0"}, {"vz"}),
+        (("scan", "--strategy", "ea", "--vz", "0.3", "--omega", "0.6", "--sweep", "vz"),
+         {"vx=0.0", "vy=0.0", "omega=0.6"}, {"vz"}),
+        (("scan", "--strategy", "nea", "--omega", "0.6", "--sweep", "vz"),
+         {"vx=0.0", "vy=0.0"}, {"vz"}),
+        (("scan", "--strategy", "direct", "--sweep", "r"),
+         set(), {"vx", "vy", "vz", "r", "omega"}),
+        (("scan", "--strategy", "ea", "--sweep", "r", "--omega", "0.6", "--vz", "0.2"),
+         {"mode=both", "omega=0.6"}, {"vx", "vy", "vz", "r"}),
     ])
     def test_flags_the_command_reads(self, capsys, argv, recorded, left_out):
         code, out, _ = run(capsys, *argv)
@@ -423,6 +447,23 @@ class TestScanCommand:
         argv = ("scan", "--strategy", strategy, "--sweep", sweep, "--omega", "0.7",
                 "--points", "5")
         assert rows(run(capsys, *argv, *flag)[1]) == rows(run(capsys, *argv)[1])
+
+    @pytest.mark.parametrize("flags", [
+        ("--sweep", "theta-a", "--from", "-1"), ("--sweep", "theta-a", "--to", "4"),
+        ("--sweep", "omega", "--theta-a", "5"), ("--sweep", "vz", "--theta-a", "-0.1")])
+    def test_nea_theta_a_outside_zero_to_pi_is_domain_error(self, capsys, flags):
+        # as qfi and bound refuse it; the bound is ProbeConfig's
+        code, out, err = run(capsys, "scan", "--strategy", "nea", "--vz", "0.4",
+                             "--omega", "0.6", *flags)
+        assert code == 3
+        assert out == "" and "theta_a" in err
+
+    def test_nea_theta_a_sweep_to_pi_in_twelve_digits(self, capsys):
+        # pi printed to 12 digits lies within ProbeConfig's rounding margin
+        code, out, _ = run(capsys, "scan", "--strategy", "nea", "--vz", "0.4", "--omega", "0.6",
+                           "--sweep", "theta-a", "--to", "3.14159265359", "--points", "3")
+        assert code == 0
+        assert len(rows(out)) == 3
 
     def test_unsupported_sweep_usage_error(self, capsys):
         code, _, _ = run(capsys, "scan", "--strategy", "direct", "--sweep", "omega")

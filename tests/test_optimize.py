@@ -12,7 +12,6 @@ from scattertomo.optimize import (
     EA_GRID,
     MAX_ITER,
     NEA_GRID,
-    EnvelopePoint,
     OptResult,
     _grid_maxima,
     _local_maxima,
@@ -21,14 +20,11 @@ from scattertomo.optimize import (
     _nea_scan,
     _newton_max,
     _newton_root,
-    ea_envelope_point,
     ea_optimality_intervals,
     maximize_1d,
     maximize_1d_batch,
-    maximize_ea_batch,
+    maximize_ea,
     maximize_nea,
-    maximize_nea_batch,
-    nea_envelope_point,
 )
 from scattertomo.scatter import DetectionMode
 
@@ -119,8 +115,8 @@ class TestMaximizeNea:
         # the surface is even under (v_z, theta_a) -> (-v_z, pi - theta_a); here the
         # optimum lies within a cell of theta_a = 0 for v_z > 0 and of pi for v_z < 0
         v = 1.0 - np.geomspace(1e-6, 1e-3)
-        plus = np.array([res.value for res in maximize_nea_batch(v, mode=mode)])
-        minus = np.array([res.value for res in maximize_nea_batch(-v, mode=mode)])
+        plus = np.array([res.value for res in maximize_nea(v, mode=mode)])
+        minus = np.array([res.value for res in maximize_nea(-v, mode=mode)])
         assert relerr_each(plus, minus) <= 1e-9
 
     def test_degenerate_orientation_at_origin(self):
@@ -159,29 +155,28 @@ class TestOptimalMomentumStructure:
 
 class TestEnvelopes:
     def test_ea_envelope_point(self):
-        pt = ea_envelope_point(0.4, DetectionMode.BOTH)
-        assert isinstance(pt, EnvelopePoint)
-        assert pt.theta_a_star is None
-        assert pt.best_qfi >= float(ea_cr(0.4, 0.5, DetectionMode.BOTH))
+        pt = maximize_ea(0.4, DetectionMode.BOTH)
+        assert isinstance(pt, OptResult)
+        assert [name for name, _ in pt.argmax] == ["omega"]
+        assert pt.value >= float(ea_cr(0.4, 0.5, DetectionMode.BOTH))
         # both-mode optimum is r independent
-        assert abs(pt.omega_star - 0.6165) < 1e-3
+        assert abs(pt.param("omega") - 0.6165) < 1e-3
 
     def test_nea_envelope_point(self):
-        pt = nea_envelope_point(0.4, DetectionMode.BOTH, tol=1e-7)
-        assert pt.theta_a_star is not None
-        assert pt.v_z == 0.4
+        pt = maximize_nea(0.4, DetectionMode.BOTH, tol=1e-7)
+        assert [name for name, _ in pt.argmax] == ["theta_a", "omega"]
 
     def test_ea_dominates_nea(self):
         for mode in MODES:
             for vz in (0.0, 0.45, 0.9):
-                ea = ea_envelope_point(vz, mode)
-                nea = nea_envelope_point(vz, mode, tol=1e-7)
-                assert ea.best_qfi >= nea.best_qfi - 1e-9
+                ea = maximize_ea(vz, mode)
+                nea = maximize_nea(vz, mode, tol=1e-7)
+                assert ea.value >= nea.value - 1e-9
 
     def test_both_mode_collects_most_information(self):
         for vz in (0.2, 0.7):
-            ea_vals = {mode: ea_envelope_point(vz, mode).best_qfi for mode in MODES}
-            nea_vals = {mode: nea_envelope_point(vz, mode, tol=1e-7).best_qfi
+            ea_vals = {mode: maximize_ea(vz, mode).value for mode in MODES}
+            nea_vals = {mode: maximize_nea(vz, mode, tol=1e-7).value
                         for mode in MODES}
             for vals in (ea_vals, nea_vals):
                 assert vals[DetectionMode.BOTH] >= vals[DetectionMode.TRANSMISSION] - 1e-9
@@ -216,15 +211,15 @@ DATA = Path(__file__).parent / "data"
 class TestFrozenFigureRows:
     @pytest.mark.parametrize("vz, mode, qfi, theta_star, omega_star", FIGURE_7_ROWS)
     def test_figure_7(self, vz, mode, qfi, theta_star, omega_star):
-        pt = nea_envelope_point(vz, mode, tol=1e-6)
-        assert abs(pt.best_qfi - qfi) <= CSV_REL * qfi
-        assert abs(pt.theta_a_star - theta_star) <= 1e-6 * (1 + theta_star)
-        assert abs(pt.omega_star - omega_star) <= 1e-6 * (1 + omega_star)
+        pt = maximize_nea(vz, mode, tol=1e-6)
+        assert abs(pt.value - qfi) <= CSV_REL * qfi
+        assert abs(pt.param("theta_a") - theta_star) <= 1e-6 * (1 + theta_star)
+        assert abs(pt.param("omega") - omega_star) <= 1e-6 * (1 + omega_star)
 
     @pytest.mark.parametrize("vz, mode, nea, ea", FIGURE_8_ROWS)
     def test_figure_8(self, vz, mode, nea, ea):
-        assert abs(nea_envelope_point(vz, mode, tol=1e-6).best_qfi - nea) <= CSV_REL * nea
-        assert abs(ea_envelope_point(vz, mode, tol=1e-8).best_qfi - ea) <= CSV_REL * ea
+        assert abs(maximize_nea(vz, mode, tol=1e-6).value - nea) <= CSV_REL * nea
+        assert abs(maximize_ea(vz, mode, tol=1e-8).value - ea) <= CSV_REL * ea
 
     @pytest.mark.parametrize("number", ["7", "8"])
     def test_default_figure_in_full(self, number, tmp_path):
@@ -259,8 +254,8 @@ class TestLockstep:
     @pytest.mark.parametrize("mode", MODES)
     def test_radial_batch_matches_one_problem_solves(self, mode):
         r_grid = np.linspace(0.0, 0.98, 9)
-        for r, res in zip(r_grid, maximize_ea_batch(r_grid, mode)):
-            assert_same_solve(res, maximize_ea_batch([r], mode)[0], 1e-8)
+        for r, res in zip(r_grid, maximize_ea(r_grid, mode)):
+            assert_same_solve(res, maximize_ea(r, mode), 1e-8)
             # golden section on the same objective finds the same optimum
             golden = maximize_1d(lambda om: float(ea_cr(float(r), om, mode)),
                                  DEFAULT_OMEGA_BRACKET, name="omega")
@@ -271,7 +266,7 @@ class TestLockstep:
     @pytest.mark.parametrize("mode", MODES)
     def test_nea_batch_matches_one_problem_solves(self, mode):
         vz_grid = np.linspace(-0.9, 0.9, 7)
-        for vz, res in zip(vz_grid, maximize_nea_batch(vz_grid, mode=mode, tol=1e-7)):
+        for vz, res in zip(vz_grid, maximize_nea(vz_grid, mode=mode, tol=1e-7)):
             assert_same_solve(res, maximize_nea(float(vz), mode=mode, tol=1e-7), 1e-7)
 
     def test_capped_lane_does_not_stop_the_others(self):
@@ -287,13 +282,37 @@ class TestLockstep:
 
     def test_batch_sizes_zero_and_one(self):
         assert maximize_1d_batch(lambda x, k: -x * x, 0, (-1.0, 2.0)) == []
-        assert maximize_nea_batch([], mode=DetectionMode.BOTH) == []
-        assert maximize_ea_batch([], DetectionMode.BOTH) == []
-        (res,) = maximize_nea_batch([0.3], mode=DetectionMode.BOTH, tol=1e-7)
+        assert maximize_nea([], mode=DetectionMode.BOTH) == []
+        assert maximize_ea([], DetectionMode.BOTH) == []
+        (res,) = maximize_nea([0.3], mode=DetectionMode.BOTH, tol=1e-7)
         assert res == maximize_nea(0.3, mode=DetectionMode.BOTH, tol=1e-7)
         (res,) = maximize_1d_batch(lambda x, k: -(x - 0.7)**2, 1, (-1.0, 2.0))
         assert res == maximize_1d(lambda x: -(x - 0.7)**2, (-1.0, 2.0))
         assert abs(res.param("x") - 0.7) < 1e-6
+
+
+class TestBroadcasting:
+    """A scalar target gives one OptResult, equal to that of a batch of one."""
+
+    @staticmethod
+    def targets():
+        # python floats, numpy scalars and 0-d arrays, in turn
+        v_z = np.random.default_rng(419).uniform(-0.99, 0.99, 201)
+        return [(float, np.float64, np.array)[k % 3](v) for k, v in enumerate(v_z)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nea_scalar_is_a_batch_of_one(self, mode):
+        for v in self.targets():
+            res = maximize_nea(v, mode)
+            assert isinstance(res, OptResult)
+            assert res == maximize_nea([v], mode)[0]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ea_scalar_is_a_batch_of_one(self, mode):
+        for v in self.targets():
+            res = maximize_ea(v, mode)
+            assert isinstance(res, OptResult)
+            assert res == maximize_ea([v], mode)[0]
 
 
 def ea_radii():
@@ -304,12 +323,12 @@ def ea_radii():
 
 
 class TestEaNewton:
-    """maximize_ea_batch: Newton steps on c_r's critical-point polynomial."""
+    """maximize_ea: Newton steps on c_r's critical-point polynomial."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_optimum_is_a_critical_point(self, mode):
         r = ea_radii()
-        results = maximize_ea_batch(r, mode)
+        results = maximize_ea(r, mode)
         w = np.array([res.param("omega") for res in results])**2
         h = 1e-20 * w
         log_slope = _ea_cr(r * r, w + 1j * h, mode).imag / h * w / _ea_cr(r * r, w, mode)
@@ -319,7 +338,7 @@ class TestEaNewton:
     @pytest.mark.parametrize("mode", MODES)
     def test_never_below_a_dense_scan(self, mode):
         r = ea_radii()
-        values = np.array([res.value for res in maximize_ea_batch(r, mode)])
+        values = np.array([res.value for res in maximize_ea(r, mode)])
         w = np.geomspace(*DEFAULT_OMEGA_BRACKET, 20001)**2
         for chunk in np.array_split(np.arange(r.size), 20):
             scan = _ea_cr(r[chunk, None]**2, w, mode).max(axis=1)
@@ -327,13 +346,13 @@ class TestEaNewton:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_handful_of_steps(self, mode):
-        results = maximize_ea_batch(ea_radii(), mode)
+        results = maximize_ea(ea_radii(), mode)
         assert max(res.iterations for res in results) <= 6
 
     @pytest.mark.parametrize("mode", MODES)
     def test_tight_tolerance_takes_a_step_or_two_more(self, mode):
         # a zero step from a bracket end is taken, not mistaken for leaving it
-        results = maximize_ea_batch(ea_radii(), mode, tol=1e-15)
+        results = maximize_ea(ea_radii(), mode, tol=1e-15)
         assert all(res.converged and res.iterations <= 7 for res in results)
 
     def test_the_higher_bracket_end_wins(self, monkeypatch):
@@ -346,14 +365,14 @@ class TestEaNewton:
             ys = ea_cr(r[:, None], omegas, mode)
             i, rows = ys.argmax(axis=1), np.arange(r.size)
             ends = np.maximum(ys[rows, i - 1], ys[rows, i + 1])
-            values = [res.value for res in maximize_ea_batch(r, mode)]
+            values = [res.value for res in maximize_ea(r, mode)]
             assert values == pytest.approx(ends, rel=1e-7)
             assert not np.allclose(ys[rows, i - 1], ys[rows, i + 1], rtol=1e-6)
 
     def test_both_optimum_does_not_depend_on_the_radius(self):
         # c_r in both is a function of W over (1 - r^2)
-        stars = {res.param("omega") for res in maximize_ea_batch(ea_radii(), DetectionMode.BOTH)}
-        stars |= {maximize_ea_batch([r], DetectionMode.BOTH)[0].param("omega") for r in (0, 0.9)}
+        stars = {res.param("omega") for res in maximize_ea(ea_radii(), DetectionMode.BOTH)}
+        stars |= {maximize_ea(r, DetectionMode.BOTH).param("omega") for r in (0, 0.9)}
         assert len(stars) == 1
 
     @staticmethod
@@ -530,7 +549,7 @@ class TestNeaRefinement:
         scan = nea_qfi(v_z[:, None, None], thetas[:, None], np.exp(us), mode)
         prob, i, j = np.nonzero(_local_maxima(scan, (1, 2)))
         seed_value, v = scan[prob, i, j], v_z[prob]
-        theta, u, evals, ok = _nea_refine(v, thetas[i], us[j], mode, 1e-8)
+        theta, u, evals, ok = _nea_refine(v, thetas[i], us[j], [(mode, slice(None))], 1e-8)
         assert ok.all() and evals.max() <= 12
         jet = _nea_form(v, u - 0.01, u + 0.01, mode)(theta, u)
         value = nea_qfi(v, theta, np.exp(u), mode)
@@ -555,7 +574,7 @@ class TestNeaRefinement:
         x, g, lo, hi = x[:, face], jet[1:3, face], lo[:, face], hi[:, face]
         assert np.all(np.where(x <= lo, g <= 0.0,
                                np.where(x >= hi, g >= 0.0, np.abs(g) <= 1e-10 * value[face])))
-        best = np.array([res.value for res in maximize_nea_batch(v_z, mode=mode)])
+        best = np.array([res.value for res in maximize_nea(v_z, mode=mode)])
         assert np.all(value[face] < best[prob[face]] * (1.0 - 1e-8))
 
     @staticmethod
@@ -569,7 +588,7 @@ class TestNeaRefinement:
                             DetectionMode.BOTH)(np.array([edge]), np.array([u0]))
         assert at_edge[1, 0] == pytest.approx(0.0, abs=1e-12 * at_edge[0, 0]) and at_edge[3, 0] > 0.0
         theta, u, evals, ok = _nea_refine(v, np.array([edge]), np.array([u0]),
-                                          DetectionMode.BOTH, 1e-8)
+                                          [(DetectionMode.BOTH, slice(None))], 1e-8)
         assert ok[0] and evals[0] <= 20
         assert abs(theta[0] - edge) > 1e-3
         assert (nea_qfi(v, theta, np.exp(u), DetectionMode.BOTH)
@@ -586,7 +605,7 @@ class TestNeaRefinement:
         # one far scan node made each target's best seed: its lane climbs to
         # another local maximum, and the lower-ranked seeds still find the optimum
         v_z = np.array([0.3, -0.6, 0.9])
-        expected = maximize_nea_batch(v_z)
+        expected = maximize_nea(v_z)
 
         def false_best(v, thetas, w, mode):
             y = _nea_scan(v, thetas, w, mode)
@@ -594,20 +613,20 @@ class TestNeaRefinement:
             return y
 
         monkeypatch.setattr(opt, "_nea_scan", false_best)
-        for got, want in zip(maximize_nea_batch(v_z), expected):
+        for got, want in zip(maximize_nea(v_z), expected):
             assert got.value == want.value
             assert got.argmax == want.argmax
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_handful_of_evaluations_per_target(self, mode):
-        results = maximize_nea_batch(np.linspace(-0.99, 0.99, 199), mode=mode)
+        results = maximize_nea(np.linspace(-0.99, 0.99, 199), mode=mode)
         assert all(res.converged for res in results)
         assert max(res.iterations for res in results) <= 20
 
     @pytest.mark.parametrize("mode", MODES)
     def test_interior_optima_are_critical_points(self, mode):
         v_z = self.targets(23)
-        results = maximize_nea_batch(v_z, mode=mode)
+        results = maximize_nea(v_z, mode=mode)
         theta = np.array([res.param("theta_a") for res in results])
         u = np.log([res.param("omega") for res in results])
         jet = _nea_form(v_z, u - 0.01, u + 0.01, mode)(theta, u)
@@ -743,11 +762,11 @@ class TestModePerTarget:
 
     @staticmethod
     def assert_as_per_mode(v_z, modes, tol=1e-8):
-        merged = maximize_nea_batch(v_z, modes, tol)
+        merged = maximize_nea(v_z, modes, tol)
         assert len(merged) == v_z.size
         for mode in MODES:
             at = [k for k, m in enumerate(modes) if m is mode]
-            assert [merged[k] for k in at] == maximize_nea_batch(v_z[at], mode, tol)
+            assert [merged[k] for k in at] == maximize_nea(v_z[at], mode, tol)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     def test_figure_targets(self, tol):
@@ -764,32 +783,32 @@ class TestModePerTarget:
     def test_one_refinement_for_all_modes(self, monkeypatch):
         calls, refine = [], opt._nea_refine
 
-        def count(v, theta, u, mode, tol):
+        def count(v, theta, u, groups, tol):
             calls.append(v.size)
-            return refine(v, theta, u, mode, tol)
+            return refine(v, theta, u, groups, tol)
         monkeypatch.setattr(opt, "_nea_refine", count)
-        maximize_nea_batch([0.3, -0.6, 0.9], [DetectionMode.REFLECTION, DetectionMode.BOTH,
+        maximize_nea([0.3, -0.6, 0.9], [DetectionMode.REFLECTION, DetectionMode.BOTH,
                                                DetectionMode.TRANSMISSION])
         assert len(calls) == 1 and calls[0] >= 3
 
     def test_one_mode_as_a_sequence(self):
         v_z = np.array([0.3, -0.6, 0.9])
         for mode in MODES:
-            assert maximize_nea_batch(v_z, [mode] * 3) == maximize_nea_batch(v_z, mode)
+            assert maximize_nea(v_z, [mode] * 3) == maximize_nea(v_z, mode)
 
     def test_no_targets(self):
-        assert maximize_nea_batch([], []) == []
+        assert maximize_nea([], []) == []
 
     @pytest.mark.parametrize("modes", [[DetectionMode.BOTH], [DetectionMode.BOTH] * 3, []],
                              ids=["short", "long", "empty"])
     def test_one_mode_per_target(self, modes):
         with pytest.raises(ValueError, match="one detection mode per target"):
-            maximize_nea_batch([0.2, 0.4], modes)
+            maximize_nea([0.2, 0.4], modes)
 
     @pytest.mark.parametrize("entry", ["t", None, 0])
     def test_entries_are_detection_modes(self, entry):
         with pytest.raises(ValueError, match="must be a DetectionMode"):
-            maximize_nea_batch([0.2, 0.4], [DetectionMode.TRANSMISSION, entry])
+            maximize_nea([0.2, 0.4], [DetectionMode.TRANSMISSION, entry])
 
 
 def dense_maximum(v_z, mode, grid=(181, 121), bracket=DEFAULT_OMEGA_BRACKET):
@@ -809,7 +828,7 @@ def dense_maximum(v_z, mode, grid=(181, 121), bracket=DEFAULT_OMEGA_BRACKET):
 
 def assert_never_below_the_dense_grid(v_z, mode, grid=(181, 121), bracket=DEFAULT_OMEGA_BRACKET):
     v_z = np.asarray(v_z, dtype=float)
-    results = maximize_nea_batch(v_z, mode=mode)
+    results = maximize_nea(v_z, mode=mode)
     assert all(res.converged for res in results)
     value = np.array([res.value for res in results])
     dense = dense_maximum(v_z, mode, grid, bracket)
@@ -855,14 +874,14 @@ class _Seeded(Exception):
 
 
 def nea_seeds(v_z, mode, monkeypatch, scan=None):
-    """The lanes (v_z, theta_a, log Omega) that seed ``maximize_nea_batch``'s refinement, in order.
+    """The lanes (v_z, theta_a, log Omega) that seed ``maximize_nea``'s refinement, in order.
 
     Lanes come per target in rank order, so equal lanes mean equal seeds:
     problem, theta_a node, Omega node and rank. ``scan`` replaces ``_nea_scan``.
     """
     seen = []
 
-    def spy(v, theta, u, mode, tol):
+    def spy(v, theta, u, groups, tol):
         seen.append((v, theta, u))
         raise _Seeded
     with monkeypatch.context() as patch:
@@ -870,7 +889,7 @@ def nea_seeds(v_z, mode, monkeypatch, scan=None):
         if scan is not None:
             patch.setattr(opt, "_nea_scan", scan)
         with pytest.raises(_Seeded):
-            maximize_nea_batch(v_z, mode=mode)
+            maximize_nea(v_z, mode=mode)
     return seen[0]
 
 
@@ -949,7 +968,7 @@ class TestBatchInputChecks:
     @pytest.mark.parametrize("v_z", [math.nan, 1.0, -1.5])
     def test_nea_batch_rejects(self, v_z):
         with pytest.raises(ValueError):
-            maximize_nea_batch([0.2, v_z])
+            maximize_nea([0.2, v_z])
 
     def test_nea_scan_must_be_finite(self, monkeypatch):
         def nan_at_one_node(v, thetas, w, mode):
@@ -958,14 +977,14 @@ class TestBatchInputChecks:
             return y
         monkeypatch.setattr(opt, "_nea_scan", nan_at_one_node)
         with pytest.raises(ValueError, match="not finite on the scan grid"):
-            maximize_nea_batch([0.2, 0.4])
+            maximize_nea([0.2, 0.4])
 
     @pytest.mark.parametrize("mode", MODES)
     def test_ea_batch_rejects(self, mode):
         # the messages of ea_cr, which checks the same radii
         with pytest.raises(ValueError, match="pure-state boundary r = 1"):
-            maximize_ea_batch([1.0], mode)
+            maximize_ea([1.0], mode)
         with pytest.raises(ValueError, match="pure-state boundary r = 1"):
-            maximize_ea_batch([0.2, -1.0], mode)
+            maximize_ea([0.2, -1.0], mode)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            maximize_ea_batch([math.nan], mode)
+            maximize_ea([math.nan], mode)
