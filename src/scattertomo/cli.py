@@ -24,10 +24,8 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
 
-MODES = {"t": scatter.DetectionMode.TRANSMISSION,
-         "r": scatter.DetectionMode.REFLECTION,
-         "both": scatter.DetectionMode.BOTH}
-MODE_ORDER = ("t", "r", "both")
+MODES = {m.value: m for m in scatter.DetectionMode}
+MODE_ORDER = tuple(MODES)
 
 
 class UsageError(Exception):

@@ -1,27 +1,28 @@
 """Maximization of QFI over probe momentum Omega and orientation theta_a.
 
-The objectives are cheap closed forms, so every search is a dense bracket
-scan followed by local refinement of each grid-local maximum; no
-unimodality is assumed. Momentum grids are logarithmic over the one bracket
+The objectives are cheap closed forms, so every search is a dense bracket scan
+followed by local refinement of each grid-local maximum; no unimodality is
+assumed. Momentum grids are logarithmic over the one bracket
 DEFAULT_OMEGA_BRACKET: the QFI vanishes at both ends, so optima are interior.
-A user objective of one variable is refined by golden section. The EA search
-refines by a safeguarded Newton iteration on the critical-point polynomial of
-c_r in W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a
-coarse (theta_a, log Omega) grid, the QFI's factors fitted in theta_a from
-five nodes, and refines by a projected, damped Newton ascent on exact
-bivariate forms of the factors, which give the QFI's gradient and Hessian;
-since the forms are exact on any box, a seed need only lie in its maximum's basin.
+A user objective of one variable is called once per point, and each of its
+seeds is refined by golden section in turn. The EA search refines by a
+safeguarded Newton iteration on the critical-point polynomial of c_r in
+W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a coarse
+(theta_a, log Omega) grid, the QFI's factors fitted in theta_a from five
+nodes, and refines by a projected, damped Newton ascent on exact bivariate
+forms of the factors, which give the QFI's gradient and Hessian; since the
+forms are exact on any box, a seed need only lie in its maximum's basin.
 
-Every search solves a batch of independent problems in lockstep: each step
-makes one array call on a fixed set of lanes (problem x candidate), finished
-lanes included, and ``iterations`` counts a lane's evaluations (for EA, its
-Newton steps). ``maximize_nea`` and ``maximize_ea`` broadcast as the closed
-forms do: one OptResult for a scalar target, a list of one per target for an
-array. The NEA search takes one detection mode for the batch or one per
+The EA and NEA searches solve batches of independent problems in lockstep:
+each step makes one array call on a fixed set of lanes (problem x candidate),
+finished lanes included, and ``iterations`` counts a lane's evaluations (for
+EA, its Newton steps). ``maximize_nea`` and ``maximize_ea`` broadcast as the
+closed forms do: one OptResult for a scalar target, a list of one per target
+for an array. The NEA search takes one detection mode for the batch or one per
 problem: each mode is scanned and seeded on its own, and one lockstep refines
 the lanes of every mode, each on its own mode's forms, so a problem's result
-is that of a batch of its mode alone. Figures 7 and 8 solve all three modes
-in one call.
+is that of a batch of its mode alone. Figures 7 and 8 solve all three modes in
+one call.
 """
 
 from __future__ import annotations
@@ -65,41 +66,22 @@ class OptResult:
         raise KeyError(name)
 
 
-def _golden_max(f, lo, hi, stop):
-    """Golden-section maximization in lockstep, one lane per bracket [lo[k], hi[k]].
-
-    f(x) and the convergence test stop(lo, hi) take arrays over all lanes.
-    Each lane runs the scalar algorithm; its result is recorded when its test
-    first passes, or unconverged after MAX_ITER evaluations, and it keeps
-    stepping until every lane has finished. Returns arrays (x, f(x), evals, ok).
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    out = [np.empty(lo.size), np.empty(lo.size), np.empty(lo.size, dtype=int),
-           np.empty(lo.size, dtype=bool)]
-    finished = np.zeros(lo.size, dtype=bool)
-    c = hi - INV_PHI * (hi - lo)
-    d = lo + INV_PHI * (hi - lo)
-    fc, fd = np.asarray(f(c), dtype=float), np.asarray(f(d), dtype=float)
-    evals = 2  # every lane has spent the same number
-    while True:
-        ok = stop(lo, hi)
-        new = ~finished & (ok | (evals >= MAX_ITER))
-        if new.any():
-            pick_c = fc >= fd
-            for res, val in zip(out, (np.where(pick_c, c, d), np.where(pick_c, fc, fd),
-                                      np.full(lo.size, evals), ok)):
-                res[new] = val[new]
-            finished |= new
-        if finished.all():
-            return tuple(out)
-        left = fc >= fd
-        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
-        step = INV_PHI * (hi - lo)
-        x = np.where(left, hi - step, lo + step)
-        y = np.asarray(f(x), dtype=float)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, y, fd), np.where(left, fc, y)
+def _golden_section(f, lo: float, hi: float, stop):
+    """Golden-section maximum of f on [lo, hi]: (x, f(x), evals, whether stop(lo, hi) passed)."""
+    c, d = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    evals = 2
+    while not (ok := bool(stop(lo, hi))) and evals < MAX_ITER:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + INV_PHI * (hi - lo)
+            fd = f(d)
         evals += 1
+    return (c, fc, evals, ok) if fc >= fd else (d, fd, evals, ok)
 
 
 def _quadratic(h, d):
@@ -222,17 +204,15 @@ def _results(prob, n, evals, ok, pick, argmax, value) -> list[OptResult]:
             for k, p in enumerate(pick)]
 
 
-def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
-                      bracket: tuple[float, float], tol: float = 1e-8, n_grid: int = 64,
-                      name: str = "x") -> list[OptResult]:
-    """Maximize n independent objectives on one bracket, in lockstep.
+def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float],
+                tol: float = 1e-8, n_grid: int = 64, name: str = "x") -> OptResult:
+    """Maximize an objective of one float on a bracket, calling it once per point.
 
-    objective(x, k) evaluates problems k at points x: on the scan x has shape
-    (n, n_grid) and k (n, 1), on each golden-section step both have one entry
-    per lane, and the result is broadcast to x's shape. Each problem gets a
-    dense scan (log-spaced when the bracket is positive); its best 16
-    grid-local maxima are refined by golden section and the best refined
-    candidate is returned. Ties go to the smaller argument.
+    A dense scan (log-spaced when the bracket is positive) gives the best 16
+    grid-local maxima. Each is refined by ``_golden_section`` in its +-1-cell
+    bracket until that is at most tol (1 + |x|) wide or MAX_ITER evaluations
+    are spent; the best candidate wins, ties to the smaller argument. The
+    objective is called n_grid + ``iterations`` times.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
@@ -243,31 +223,23 @@ def maximize_1d_batch(objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     xs = np.geomspace(lo, hi, n_grid) if use_log else np.linspace(lo, hi, n_grid)
     to_u, from_u = (np.log, np.exp) if use_log else (np.asarray, np.asarray)
 
-    def f(x, k):
-        y = np.asarray(objective(x, k), dtype=float)
-        if y.shape != x.shape:
-            y = np.broadcast_to(y, x.shape)
-        if not np.isfinite(y).all():
-            raise ValueError(f"objective is not finite at {name}={x[~np.isfinite(y)][0]}")
+    def f(x: float) -> float:
+        y = float(objective(x))
+        if not math.isfinite(y):
+            raise ValueError(f"objective is not finite at {name}={x}")
         return y
 
-    ys = f(np.broadcast_to(xs, (n, n_grid)), np.arange(n)[:, None])
-    prob, i = _scan_seeds(ys)
+    def stop(a, b):
+        return from_u(b) - from_u(a) <= tol * (1.0 + abs(from_u(0.5 * (a + b))))
 
-    u, fx, evals, ok = _golden_max(
-        lambda uu: f(from_u(uu), prob),
-        to_u(xs[np.maximum(i - 1, 0)]), to_u(xs[np.minimum(i + 1, n_grid - 1)]),
-        lambda a, b: from_u(b) - from_u(a) <= tol * (1.0 + np.abs(from_u(0.5 * (a + b)))))
+    prob, i = _scan_seeds(np.array([[f(x) for x in xs.tolist()]]))
+    brackets = zip(to_u(xs[np.maximum(i - 1, 0)]).tolist(),
+                   to_u(xs[np.minimum(i + 1, n_grid - 1)]).tolist())
+    u, fx, evals, ok = map(np.array, zip(*(
+        _golden_section(lambda uu: f(float(from_u(uu))), a, b, stop) for a, b in brackets)))
     x = from_u(u)
     pick = _first_per_problem(prob, [-fx, x])
-    return _results(prob, n, evals, ok, pick, [(name, x)], fx)
-
-
-def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float],
-                tol: float = 1e-8, n_grid: int = 64, name: str = "x") -> OptResult:
-    """Maximize an objective of one float, called once per point (a batch of one)."""
-    mapped = np.vectorize(lambda x: float(objective(x)), otypes=[float])
-    return maximize_1d_batch(lambda x, k: mapped(x), 1, bracket, tol, n_grid, name)[0]
+    return _results(prob, 1, evals, ok, pick, [(name, x)], fx)[0]
 
 
 class _Jet:

@@ -266,5 +266,6 @@ def encoding(strategy: str, v: BlochVector, omega: float, mode: DetectionMode,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     channel = IDENTITY if strategy == "direct" else _probe_channel(
-        ProbeConfig(theta_a=theta_a, entangled=(strategy == "ea")), float(omega), mode)
+        ProbeConfig(entangled=True) if strategy == "ea" else ProbeConfig(theta_a=theta_a),
+        float(omega), mode)
     return channel.state(v), channel.derivatives

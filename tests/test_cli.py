@@ -87,6 +87,23 @@ class TestQfiCommand:
         assert table["xx"][2] == ""      # and only for the zz entry
         assert abs(float(table["zz"][1]) - float(table["zz"][2])) < 1e-9
 
+    @pytest.mark.parametrize("strategy", ["ea", "direct"])
+    @pytest.mark.parametrize("command", [("qfi",), ("bound", "--param", "z")])
+    @pytest.mark.parametrize("theta_a", ["5", "-1", "nan"])
+    def test_theta_a_is_ignored_unless_nea(self, capsys, strategy, command, theta_a):
+        # the singlet probe and direct access have no orientation to check
+        argv = (*command, "--strategy", strategy, "--vz", "0.3", "--omega", "0.6")
+        code, out, err = run(capsys, *argv, "--theta-a", theta_a)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("command", [("qfi",), ("bound", "--param", "z")])
+    def test_nea_theta_a_outside_zero_to_pi_is_domain_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--strategy", "nea", "--vz", "0.3",
+                             "--omega", "0.6", "--theta-a", "5")
+        assert code == 3
+        assert out == "" and "theta_a=5.0 outside [0, pi]" in err
+
     def test_missing_omega_is_usage_error(self, capsys):
         code, _, err = run(capsys, "qfi", "--strategy", "ea", "--vz", "0.2")
         assert code == 2

@@ -6,7 +6,8 @@ import pytest
 
 import scattertomo.optimize as opt
 from scattertomo.cli import main
-from scattertomo.closedform import _ea_cr, _nea_factors, ea_cr, nea_qfi, phase_bound
+from scattertomo.closedform import (_ea_cr, _nea_factors, ea_cartesian, ea_cr, nea_qfi,
+                                    phase_bound)
 from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
     EA_GRID,
@@ -22,11 +23,11 @@ from scattertomo.optimize import (
     _newton_root,
     ea_optimality_intervals,
     maximize_1d,
-    maximize_1d_batch,
     maximize_ea,
     maximize_nea,
 )
 from scattertomo.scatter import DetectionMode
+from scattertomo.states import BlochVector
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 
@@ -74,6 +75,28 @@ class TestMaximize1d:
             maximize_1d(lambda x: x, (1.0, 1.0))
         with pytest.raises(ValueError):
             maximize_1d(lambda x: math.inf, (0.1, 1.0))
+
+    def test_purity_optimum_to_the_bit(self):
+        # the optimum of acceptance criterion 3, pinned to the bit
+        res = maximize_1d(lambda om: float(ea_cartesian(BlochVector(0, 0, 0), om,
+                                                         DetectionMode.BOTH).h[0, 0]),
+                          DEFAULT_OMEGA_BRACKET, name="omega")
+        assert res == OptResult((("omega", 0.6164609689081711),), 0.6585573130684343, 35, True)
+
+    @pytest.mark.parametrize("objective, bracket, calls", [
+        (lambda x: math.sin(5.0 * x) * x, (0.1, 10.0), 352),
+        (lambda x: -(x - 1.3)**2, (-2.0, 4.0), None)], ids=["log", "linear"])
+    def test_one_float_per_call(self, objective, bracket, calls):
+        # the scan's nodes, then each golden-section evaluation, one Python float at a time
+        seen = []
+
+        def record(x):
+            seen.append(type(x))
+            return objective(x)
+        res = maximize_1d(record, bracket)
+        assert len(seen) == 64 + res.iterations
+        assert calls is None or len(seen) == calls
+        assert set(seen) == {float}
 
 
 class TestMaximizeNea:
@@ -270,25 +293,22 @@ class TestLockstep:
             assert_same_solve(res, maximize_nea(float(vz), mode=mode, tol=1e-7), 1e-7)
 
     def test_capped_lane_does_not_stop_the_others(self):
-        # tol * (1 + 1e4) is below the float spacing at 1e4, so the second
-        # problem's bracket can never shrink enough; the first converges near 0
-        centers = np.array([0.0, 1e4, 0.0])
-        results = maximize_1d_batch(lambda x, k: -(x - centers[k])**2, 3, (-1e5, 1e5),
-                                    tol=1e-16)
-        assert [res.converged for res in results] == [True, False, True]
-        assert results[1].iterations == 300
-        assert results[0] == results[2]
-        assert abs(results[1].param("x") - 1e4) < 1e-6
+        # tol * (1 + 1e4) is below the float spacing at 1e4, so the seed at the
+        # lower peak there is capped; the seed at 0 converges as it does alone
+        def two_peaks(x):
+            return -min(x * x, (x - 1e4)**2 + 1.0)
+        alone = maximize_1d(lambda x: -x * x, (-1e5, 1e5), tol=1e-16)
+        res = maximize_1d(two_peaks, (-1e5, 1e5), tol=1e-16)
+        assert alone.converged and not res.converged
+        assert res.iterations == alone.iterations + MAX_ITER
+        assert (res.argmax, res.value) == (alone.argmax, alone.value)
+        assert abs(res.param("x")) < 1e-6
 
     def test_batch_sizes_zero_and_one(self):
-        assert maximize_1d_batch(lambda x, k: -x * x, 0, (-1.0, 2.0)) == []
         assert maximize_nea([], mode=DetectionMode.BOTH) == []
         assert maximize_ea([], DetectionMode.BOTH) == []
         (res,) = maximize_nea([0.3], mode=DetectionMode.BOTH, tol=1e-7)
         assert res == maximize_nea(0.3, mode=DetectionMode.BOTH, tol=1e-7)
-        (res,) = maximize_1d_batch(lambda x, k: -(x - 0.7)**2, 1, (-1.0, 2.0))
-        assert res == maximize_1d(lambda x: -(x - 0.7)**2, (-1.0, 2.0))
-        assert abs(res.param("x") - 0.7) < 1e-6
 
 
 class TestBroadcasting:
@@ -410,42 +430,6 @@ class TestEaNewton:
         assert ok.tolist() == [True, False]
         assert steps[1] == MAX_ITER and steps[0] < 10
         assert w[0] == pytest.approx(2**(1 / 3), abs=1e-12)
-
-
-class TestObjectiveCalls:
-    """After the scan, every golden-section step calls the objective on arrays over all lanes."""
-
-    @staticmethod
-    def recorded(n, bracket, objective, **kwargs):
-        calls = []
-
-        def record(x, k):
-            calls.append((np.shape(x), np.shape(k), isinstance(x, np.ndarray)
-                          and isinstance(k, np.ndarray)))
-            return objective(x, k)
-        results = maximize_1d_batch(record, n, bracket, **kwargs)
-        assert calls[0][:2] == ((n, 64), (n, 1))
-        steps = calls[1:]
-        assert steps and all(step == steps[0] for step in steps)
-        x_shape, k_shape, arrays = steps[0]
-        assert arrays and x_shape == k_shape and len(x_shape) == 1
-        return results
-
-    def test_one_problem_one_maximum(self):
-        (res,) = self.recorded(1, (-1.0, 2.0), lambda x, k: -(x - 0.7)**2)
-        assert res.converged and abs(res.param("x") - 0.7) < 1e-6
-
-    def test_lanes_finishing_at_different_steps(self):
-        # the stop test scales with 1 + |x|, so the lane near 900 stops first
-        centers = np.array([0.1, 900.0, -50.0])
-        results = self.recorded(3, (-1e5, 1e5), lambda x, k: -(x - centers[k])**2, tol=1e-13)
-        assert len({res.iterations for res in results}) == 3
-        for c, res in zip(centers, results):
-            assert res.converged and abs(res.param("x") - c) <= 1e-6 * (1 + abs(c))
-
-    def test_constant_objective_is_broadcast(self):
-        results = self.recorded(2, (0.1, 1.0), lambda x, k: 1.0)
-        assert [res.value for res in results] == [1.0, 1.0]
 
 
 def relerr_each(a, b):

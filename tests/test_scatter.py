@@ -370,6 +370,15 @@ class TestEncoding:
         steps = [(b.misses - a.misses, b.hits - a.hits) for a, b in zip(counts, counts[1:])]
         assert steps == [(1, 0), (0, 1)]
 
+    def test_ea_shares_one_channel_for_every_theta_a(self):
+        # the singlet probe has no orientation: theta_a is neither read nor checked
+        encoding("ea", self.V, 0.57, DetectionMode.TRANSMISSION, 0.0)  # fills the cache
+        before = scatter._probe_channel.cache_info()
+        for theta_a in (0.7, 5.0, -1.0, math.nan):
+            encoding("ea", self.V, 0.57, DetectionMode.TRANSMISSION, theta_a)
+        after = scatter._probe_channel.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 4)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_direct_is_the_identity_channel(self, mode):
         # direct access reads neither omega nor mode
