@@ -1,14 +1,17 @@
 """Command-line front end: deterministic CSV for every computation and figure.
 
-All numeric output uses 12 significant digits and fixed row order, so
-identical flags produce byte-identical CSV. Exit codes: 0 success, 2 usage
-error, 3 domain error, 4 optimizer non-convergence.
+Every command returns its (columns, rows) and does no I/O; ``main`` writes the
+header and the rows once, and maps errors to exit codes, so a failing command
+writes nothing. All numeric output uses 12 significant digits and fixed row
+order, so identical flags produce byte-identical CSV. Exit codes: 0 success,
+2 usage error, 3 domain error, 4 optimizer non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import re
 import sys
@@ -70,14 +73,14 @@ def _header(args: argparse.Namespace, columns: list[str]) -> list[str]:
             f"# columns: {','.join(columns)}"]
 
 
-def _table(args: argparse.Namespace, columns: list[str], data: list) -> list[str]:
-    """Header, then one CSV row per index of the equal-length data columns.
+def _rows(data: list) -> list[str]:
+    """One CSV row per index of the equal-length data columns.
 
     Each row is one %-format of its floats; '%.12g' prints what ``_fmt`` does.
     """
     row = ",".join(["%.12g"] * len(data))
     cells = np.column_stack(data).ravel().tolist()
-    return _header(args, columns) + [row % cell for cell in zip(*[iter(cells)] * len(data))]
+    return [row % cell for cell in zip(*[iter(cells)] * len(data))]
 
 
 def _resolve_target(args: argparse.Namespace) -> states.BlochVector:
@@ -103,7 +106,7 @@ def _require_omega(args: argparse.Namespace) -> float:
     return args.omega if args.omega is not None else 0.0
 
 
-def cmd_qfi(args: argparse.Namespace) -> int:
+def cmd_qfi(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     v = args.target
     omega = _require_omega(args)
     mode = MODES[args.mode]
@@ -115,25 +118,17 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     qfi.check_pure_target(v, None, "the QFI matrix")
 
     axes = qfi.AXES if args.basis == "cartesian" else qfi.POLAR_AXES
-    lines = _header(args, ["entry", "numeric", "closed_form"])
-    diffs, refs = [], []
-    for i, row in enumerate(axes):
-        for j, col in enumerate(axes):
-            num = h_num.h[i, j]
-            closed_cell = ""
-            if not math.isnan(closed[i, j]):
-                closed_cell = _fmt(closed[i, j])
-                diffs.append(abs(num - closed[i, j]))
-                refs.append(abs(closed[i, j]))
-            lines.append(f"{row}{col},{_fmt(num)},{closed_cell}")
-    if diffs:
-        lines.append(f"# max_abs_diff: {_fmt(max(diffs))}")
-        lines.append(f"# max_rel_diff: {_fmt(max(diffs) / max(max(refs), 1e-300))}")
-    _write(lines, args.output)
-    return EXIT_OK
+    known = ~np.isnan(closed)
+    rows = [f"{a}{b},{_fmt(num)},{_fmt(ref) if has else ''}" for (a, b), num, ref, has
+            in zip(itertools.product(axes, axes), h_num.h.flat, closed.flat, known.flat)]
+    if known.any():
+        diff, ref = np.abs([h_num.h - closed, closed])[:, known].max(axis=1)
+        rows += [f"# max_abs_diff: {_fmt(diff)}",
+                 f"# max_rel_diff: {_fmt(diff / max(ref, 1e-300))}"]
+    return ["entry", "numeric", "closed_form"], rows
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     v = args.target
     grad = None  # --param matrix
     if args.param in qfi.AXES:
@@ -143,21 +138,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
     qfi.check_pure_target(v, grad, f"--param {args.param}")
     h = qfi.qfi_numeric(*scatter.encoding(args.strategy, v, _require_omega(args),
                                           MODES[args.mode], args.theta_a), eps=args.eps)
+    bound = qfi.cr_bound(h, args.m_copies, "matrix" if grad is None else grad)
     if grad is None:
-        bound = qfi.cr_bound(h, args.m_copies, "matrix")
-        lines = _header(args, ["row", "x", "y", "z"])
-        for i, row in enumerate(qfi.AXES):
-            lines.append(",".join([row] + [_fmt(bound[i, j]) for j in range(3)]))
-    else:
-        lines = _header(args, ["param", "variance_bound"])
-        lines.append(f"{args.param},{_fmt(qfi.cr_bound(h, args.m_copies, grad))}")
-    _write(lines, args.output)
-    return EXIT_OK
+        return ["row", "x", "y", "z"], [",".join([row, *map(_fmt, cells)])
+                                        for row, cells in zip(qfi.AXES, bound)]
+    return ["param", "variance_bound"], [f"{args.param},{_fmt(bound)}"]
 
 
 def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
     defaults = {
-        "omega": (0.05, 10.0, True),
+        "omega": (*optimize.DEFAULT_OMEGA_BRACKET, True),
         "theta-a": (0.0, math.pi, False),
         "vz": (-0.95, 0.95, False),
         "r": (0.0, 0.99, False),
@@ -198,13 +188,12 @@ SCANS = {
 }
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     if (args.strategy, args.sweep) not in SCANS:
         raise UsageError(f"sweep {args.sweep!r} not supported for strategy {args.strategy}")
     columns, compute = SCANS[args.strategy, args.sweep]
     grid = _sweep_grid(args)
-    _write(_table(args, columns, [grid, *compute(grid, args, MODES[args.mode])]), args.output)
-    return EXIT_OK
+    return columns, _rows([grid, *compute(grid, args, MODES[args.mode])])
 
 
 def _converged(results: list, strategy: str) -> list:
@@ -214,7 +203,7 @@ def _converged(results: list, strategy: str) -> list:
     return results
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     if args.strategy == "nea":
         res = optimize.maximize_nea(closedform.axis_vz(args.target), MODES[args.mode], args.tol)
     elif args.strategy == "ea":
@@ -222,36 +211,32 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         raise UsageError("optimize supports strategies nea and ea")
     _converged([res], args.strategy)
-    lines = _header(args, [f"{name}_star" for name, _ in res.argmax]
-                    + ["value", "iterations", "converged"])
-    lines.append(",".join([_fmt(x) for _, x in res.argmax] + [
-        _fmt(res.value), str(res.iterations), str(res.converged).lower()]))
-    _write(lines, args.output)
-    return EXIT_OK
+    return ([f"{name}_star" for name, _ in res.argmax] + ["value", "iterations", "converged"],
+            [",".join([_fmt(x) for _, x in res.argmax] + [
+                _fmt(res.value), str(res.iterations), str(res.converged).lower()])])
 
 
-def _figure_3(args) -> list[str]:
-    omegas = np.geomspace(0.05, 10.0, args.points or 601)
+def _figure_3(args) -> tuple[list[str], list[str]]:
+    omegas = np.geomspace(*optimize.DEFAULT_OMEGA_BRACKET, args.points or 601)
     qfi_both = closedform.ea_cr(0.0, omegas, scatter.DetectionMode.BOTH)
-    return _table(args, ["omega", "rescaled_qfi", "m_var_rescaled"],
-                  [omegas, qfi_both, 1.0 / qfi_both])
+    return ["omega", "rescaled_qfi", "m_var_rescaled"], _rows([omegas, qfi_both, 1.0 / qfi_both])
 
 
-def _figure_surface(args, mode: scatter.DetectionMode) -> list[str]:
+def _figure_surface(args, mode: scatter.DetectionMode) -> tuple[list[str], list[str]]:
     r = np.linspace(0.0, 0.98, 15)[:, None]
-    omegas = np.geomspace(0.05, 10.0, args.points or 121)[None, :]
+    omegas = np.geomspace(*optimize.DEFAULT_OMEGA_BRACKET, args.points or 121)[None, :]
     rescaled = (1.0 - r * r) * closedform.ea_cr(r, omegas, mode)
-    return _table(args, ["r", "omega", "rescaled_c_r"],
-                  [a.ravel() for a in np.broadcast_arrays(r, omegas, rescaled)])
+    data = [a.ravel() for a in np.broadcast_arrays(r, omegas, rescaled)]
+    return ["r", "omega", "rescaled_c_r"], _rows(data)
 
 
-def _figure_6(args) -> list[str]:
+def _figure_6(args) -> tuple[list[str], list[str]]:
     r = np.linspace(0.0, 0.98, args.points or 50)
     m_var = [[1.0 / res.value
               for res in _converged(optimize.maximize_ea(r, MODES[key]), "ea")]
              for key in ("both", "t", "r")]
-    return _table(args, ["r", "m_var_direct", "m_var_both",
-                         "m_var_transmission", "m_var_reflection"], [r, 1.0 - r * r] + m_var)
+    return (["r", "m_var_direct", "m_var_both", "m_var_transmission", "m_var_reflection"],
+            _rows([r, 1.0 - r * r] + m_var))
 
 
 def _nea_per_mode(v_z: np.ndarray) -> list[list]:
@@ -262,17 +247,17 @@ def _nea_per_mode(v_z: np.ndarray) -> list[list]:
     return [best[k * v_z.size:(k + 1) * v_z.size] for k in range(len(MODE_ORDER))]
 
 
-def _figure_7(args) -> list[str]:
+def _figure_7(args) -> tuple[list[str], list[str]]:
     v_z = np.linspace(-0.95, 0.95, args.points or 39)
     columns, data = ["v_z"], [v_z]
     for key, best in zip(MODE_ORDER, _nea_per_mode(v_z)):
         columns += [f"qfi_{key}", f"theta_a_{key}", f"omega_{key}"]
         data += [[res.value for res in best], [res.param("theta_a") for res in best],
                  [res.param("omega") for res in best]]
-    return _table(args, columns, data)
+    return columns, _rows(data)
 
 
-def _figure_8(args) -> list[str]:
+def _figure_8(args) -> tuple[list[str], list[str]]:
     v_z = np.linspace(0.0, 0.95, args.points or 20)
     columns, data = ["v_z"], [v_z]
     for key, best in zip(MODE_ORDER, _nea_per_mode(v_z)):
@@ -280,10 +265,10 @@ def _figure_8(args) -> list[str]:
         data += [[res.value for res in best],
                  [res.value for res in _converged(
                      optimize.maximize_ea(v_z, MODES[key], tol=1e-8), "ea")]]
-    return _table(args, columns, data)
+    return columns, _rows(data)
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
+def cmd_figure(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     builders = {
         3: _figure_3,
         4: lambda a: _figure_surface(a, scatter.DetectionMode.TRANSMISSION),
@@ -294,8 +279,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     }
     if args.number not in builders:
         raise UsageError("figure number must be one of 3, 4, 5, 6, 7, 8")
-    _write(builders[args.number](args), args.output)
-    return EXIT_OK
+    return builders[args.number](args)
 
 
 def _positive_int(text: str) -> int:
@@ -383,7 +367,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if hasattr(args, "vx"):
             args.target = _resolve_target(args)
-        return args.func(args)
+        columns, rows = args.func(args)
+        _write(_header(args, columns) + rows, args.output)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -412,6 +412,8 @@ def _mode_groups(mode, n: int) -> list[tuple[DetectionMode, np.ndarray]]:
     """(mode, its targets) for one DetectionMode or a sequence of one per target."""
     if isinstance(mode, DetectionMode):
         return [(mode, np.arange(n))]
+    if isinstance(mode, str) or not np.iterable(mode):
+        raise ValueError(f"a detection mode must be a DetectionMode, got {mode!r}")
     modes = list(mode)
     if len(modes) != n:
         raise ValueError(f"need one detection mode per target: {len(modes)} for {n} targets")

@@ -159,7 +159,8 @@ def cr_bound(h, m: int, target="matrix") -> np.ndarray | float:
     the gradient g of a scalar function f of H's parameters for the bound on
     f, the float g^T H^-1 g / M. An axis name of H's basis stands for the unit
     vector along it, giving the per-component bound (H^-1)_jj/M. Scalar h
-    gives the float 1/(M h), +inf when h == 0.
+    gives the float 1/(M h): +inf when h == 0, 0.0 when h == +inf; a negative
+    or NaN h is refused.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise ValueError(f"m_copies must be an integer, got {m!r}")
@@ -168,8 +169,8 @@ def cr_bound(h, m: int, target="matrix") -> np.ndarray | float:
         raise ValueError("m_copies must be >= 1")
     if not isinstance(h, QfiMatrix):
         value = float(h)
-        if value < 0.0:
-            raise ValueError("scalar QFI must be nonnegative")
+        if not value >= 0.0:  # also refuses NaN
+            raise ValueError(f"scalar QFI must be nonnegative, got {value}")
         return math.inf if value == 0.0 else 1.0 / (m * value)
     if isinstance(target, str):
         if target == "matrix":

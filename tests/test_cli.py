@@ -1,4 +1,3 @@
-import argparse
 import math
 import os
 import shlex
@@ -11,7 +10,7 @@ import pytest
 
 import scattertomo
 import scattertomo.optimize as opt
-from scattertomo.cli import MODES, _fmt, _table, main
+from scattertomo.cli import MODES, _fmt, _resolve_target, _rows, build_parser, main
 from scattertomo.closedform import (direct_qfi, ea_cartesian, ea_cr, ea_polar, nea_qfi,
                                     phase_bound)
 from scattertomo.scatter import DetectionMode
@@ -577,6 +576,47 @@ class TestConvergenceFailure:
         assert out == "" and "did not converge" in err
 
 
+class TestOutputPath:
+    """Commands return (columns, rows) and print nothing; main writes them, and only on success."""
+
+    @pytest.mark.parametrize("argv", [
+        ("qfi", "--strategy", "ea", "--mode", "t", "--vx", "0.2", "--vz", "0.3", "--omega", "0.6"),
+        ("bound", "--strategy", "nea", "--vz", "0.4", "--omega", "0.7", "--theta-a", "1.1"),
+        ("scan", "--strategy", "ea", "--r", "0.3", "--sweep", "omega", "--points", "4"),
+        ("optimize", "--strategy", "ea", "--mode", "r", "--r", "0.5"),
+        ("figure", "7", "--points", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_command_returns_what_main_writes(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        args = build_parser().parse_args(list(argv))
+        if hasattr(args, "vx"):
+            args.target = _resolve_target(args)
+        assert args.func.__name__ == f"cmd_{argv[0]}"
+        columns, lines = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        written = out.splitlines()
+        assert written[1] == "# columns: " + ",".join(columns)
+        assert written[2:] == lines
+        assert len(rows(out)) >= 1
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("scan", "--strategy", "direct", "--sweep", "omega"), 2),
+        (("figure", "9"), 2),
+        (("qfi", "--strategy", "ea", "--mode", "t", "--vz", "0.3", "--omega", "-1"), 3),
+        (("bound", "--strategy", "direct", "--vz", "0.5", "--param", "phi"), 3),
+        (("optimize", "--strategy", "nea", "--mode", "t", "--vz", "0.9"), 4),
+        (("figure", "8", "--points", "3"), 4),
+    ], ids=["usage-scan", "usage-figure", "domain-qfi", "domain-bound", "convergence-optimize",
+            "convergence-figure"])
+    def test_failed_command_creates_no_file(self, capsys, monkeypatch, tmp_path, argv, expected):
+        monkeypatch.setattr(opt, "MAX_ITER", 2)  # too few for the optima of the exit-4 cases
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "-o", str(target))
+        assert code == expected
+        assert out == "" and err and not target.exists()
+
+
 class TestFigures:
     def test_figure_three_minimizing_row(self, capsys):
         code, out, _ = run(capsys, "figure", "3")
@@ -632,7 +672,7 @@ class TestFigures:
 
 
 class TestTable:
-    """_table formats a row at once; every cell reads as ``_fmt`` prints it."""
+    """_rows formats a row at once; every cell reads as ``_fmt`` prints it."""
 
     EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
              1.7976931348623157e308, 1e-5, 0.1, 123456789012.5, 1e16, 2.5e-300]
@@ -642,17 +682,15 @@ class TestTable:
         return [",".join(_fmt(x) for x in row) for row in zip(*data)]
 
     def test_edge_values(self):
-        args = argparse.Namespace(command="t")
         edges = np.array(self.EDGES)
         for data in ([edges], [edges, edges[::-1], list(edges)], [[1], [2.0], [np.float64(3.5)]]):
-            lines = _table(args, ["c"] * len(data), data)
-            assert lines[2:] == self.per_cell(data)
+            assert _rows(data) == self.per_cell(data)
 
     def test_seeded_floats(self):
         rng = np.random.default_rng(233)
         x = rng.standard_normal(20000) * 10.0**rng.integers(-300, 300, 20000)
         data = [x[:10000], x[10000:], -x[:10000]]
-        assert _table(argparse.Namespace(), ["a", "b", "c"], data)[2:] == self.per_cell(data)
+        assert _rows(data) == self.per_cell(data)
 
 
 def test_output_file(tmp_path, capsys):

@@ -794,6 +794,12 @@ class TestModePerTarget:
         with pytest.raises(ValueError, match="must be a DetectionMode"):
             maximize_nea([0.2, 0.4], [DetectionMode.TRANSMISSION, entry])
 
+    @pytest.mark.parametrize("v_z", [0.3, [0.1, 0.2, 0.3, 0.4]])
+    @pytest.mark.parametrize("mode", ["both", None])
+    def test_mode_is_not_iterated(self, v_z, mode):
+        with pytest.raises(ValueError, match=f"must be a DetectionMode, got {mode!r}$"):
+            maximize_nea(v_z, mode)
+
 
 def dense_maximum(v_z, mode, grid=(181, 121), bracket=DEFAULT_OMEGA_BRACKET):
     """Each target's largest ``nea_qfi`` on a (theta_a, log Omega) grid, at its nodes in the domain.

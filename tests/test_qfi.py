@@ -526,6 +526,13 @@ class TestCrBound:
         with pytest.raises(ValueError):
             cr_bound(-1.0, 5)
 
+    def test_scalar_nan_is_refused(self):
+        for value in (math.nan, np.float64("nan")):
+            with pytest.raises(ValueError, match="nonnegative, got nan"):
+                cr_bound(value, 3)
+        assert cr_bound(math.inf, 3) == 0.0
+        assert purity_bound(1.0, 0.6, 3) == 0.0
+
     def test_function_target(self):
         h = QfiMatrix(CARTESIAN, np.diag([4.0, 1.0, 1.0]))
         # estimating f = 2*v_x: gradient (2, 0, 0)
