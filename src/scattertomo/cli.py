@@ -44,7 +44,11 @@ def _write(lines: list[str], path: Optional[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:  # an unwritable --output is a usage error
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        with fh:
             fh.write(text)
 
 

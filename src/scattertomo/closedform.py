@@ -147,13 +147,25 @@ def direct_qfi(r) -> QfiPolarCoeffs:
         return _polar_coeffs(1.0 / (1.0 - r**2), r**2)
 
 
+def _radial_form(c: float, g: float, den: float, vec) -> QfiMatrix:
+    """Cartesian QFI c I + g v v^T / den, built entry by entry from the three floats of v.
+
+    Entry jk is (c if j == k else 0.0) + g (v_j v_k) / den: the bits of numpy's
+    ``c * np.eye(3) + g * np.outer(v, v) / den``, with no array temporaries.
+    """
+    x, y, z = vec
+    xy, xz, yz = 0.0 + g * (x * y) / den, 0.0 + g * (x * z) / den, 0.0 + g * (y * z) / den
+    return QfiMatrix(CARTESIAN, np.array([[c + g * (x * x) / den, xy, xz],
+                                          [xy, c + g * (y * y) / den, yz],
+                                          [xz, yz, c + g * (z * z) / den]]))
+
+
 def direct_cartesian(v: BlochVector) -> QfiMatrix:
     """Cartesian QFI of direct access to the target: I + v v^T / (1 - |v|^2)."""
     den = 1.0 - v.norm**2
     if den <= 0.0:
         raise ValueError("cartesian direct QFI requires |v| < 1")
-    vec = v.as_array()
-    return QfiMatrix(CARTESIAN, np.eye(3) + np.outer(vec, vec) / den)
+    return _radial_form(1.0, 1.0, den, v.as_array().tolist())
 
 
 def ea_polar(r, omega, mode: DetectionMode) -> QfiPolarCoeffs:
@@ -266,16 +278,20 @@ def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix
     matrix is c_perp I + (c_r - c_perp) n n^T with n = v/|v|: c_r along the
     Bloch vector and c_perp = c_theta/r^2 across it (c_perp I at v = 0).
     """
-    w = float(_check_omega(omega))**2
+    omega = float(omega)
+    if not 0.0 < omega < math.inf:  # NaN fails both
+        raise ValueError("omega must be positive and finite")
+    w = omega**2
     vec = v.as_array()
-    r2 = float(vec @ vec)  # not |v|**2: 1 - r^2 cancels badly near the boundary
+    # numpy's dot, not |v|**2 (1 - r^2 cancels badly near the boundary) nor
+    # x*x + y*y + z*z, which rounds otherwise
+    r2 = float(vec @ vec)
     if r2 >= 1.0:
         raise ValueError("cartesian EA QFI requires |v| < 1")
     c_perp = _ea_cperp(r2, w, mode)
-    h = c_perp * np.eye(3)
-    if r2 > 0.0:
-        h += (_ea_cr(r2, w, mode) - c_perp) * np.outer(vec, vec) / r2
-    return QfiMatrix(CARTESIAN, h)
+    if r2 == 0.0:  # c_perp I: the radial term vanishes
+        return _radial_form(c_perp, 0.0, 1.0, (0.0, 0.0, 0.0))
+    return _radial_form(c_perp, _ea_cr(r2, w, mode) - c_perp, r2, vec.tolist())
 
 
 def closed_matrix(strategy: str, v: BlochVector, omega: float, mode: DetectionMode,

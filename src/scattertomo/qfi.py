@@ -27,8 +27,20 @@ CARTESIAN = "cartesian"
 POLAR = "polar"
 
 _SYM_TOL = 1e-10
-_PSD_TOL = -1e-9
+_PSD_TOL = 1e-9
 _COND_TOL = 1e-12
+
+
+def _positive_definite(a00, a01, a02, a11, a12, a22) -> bool:
+    """Whether the symmetric 3x3 matrix of these entries has three positive LDL^T pivots."""
+    if not a00 > 0.0:  # NaN fails too
+        return False
+    l10, l20 = a01 / a00, a02 / a00
+    d1 = a11 - l10 * a01
+    if not d1 > 0.0:
+        return False
+    b21 = a12 - l20 * a01
+    return a22 - l20 * a02 - b21 * b21 / d1 > 0.0
 
 
 @dataclass(frozen=True)
@@ -37,6 +49,8 @@ class QfiMatrix:
 
     Refuses complex, non-3x3 or non-finite h, |h_jk - h_kj| > 1e-10 s and eigenvalues
     below -1e-9 s, s = max(1, largest |entry|); entries are checked as Python floats.
+    The eigenvalue test is an LDL^T of (h + h^T)/2 + 1e-9 s I, which must have three
+    positive pivots: the same condition, decided without an eigensolve.
     """
 
     basis: str
@@ -47,15 +61,20 @@ class QfiMatrix:
             raise ValueError(f"unknown basis {self.basis!r}")
         h = np.asarray(self.h)  # complex is refused, not cast
         if (np.iscomplexobj(h) or h.shape != (3, 3) or not all(
-                map(math.isfinite, e := (h := np.asarray(h, dtype=float)).ravel().tolist()))):
+                map(math.isfinite, e := np.asarray(h, dtype=float).ravel().tolist()))):
             raise ValueError("QFI matrix must be a finite 3x3 real matrix")
         scale = max(1.0, *map(abs, e))
-        if max(abs(e[1] - e[3]), abs(e[2] - e[6]), abs(e[5] - e[7])) > _SYM_TOL * scale:
+        h00, h01, h02, h10, h11, h12, h20, h21, h22 = e
+        if max(abs(h01 - h10), abs(h02 - h20), abs(h12 - h21)) > _SYM_TOL * scale:
             raise ValueError("QFI matrix is not symmetric")
-        sym = 0.5 * (h + h.T)
-        if np.linalg.eigvalsh(sym)[0] < _PSD_TOL * scale:  # ascending
+        # (h + h^T)/2 entry by entry
+        a00, a11, a22 = 0.5 * (h00 + h00), 0.5 * (h11 + h11), 0.5 * (h22 + h22)
+        a01, a02, a12 = 0.5 * (h01 + h10), 0.5 * (h02 + h20), 0.5 * (h12 + h21)
+        tau = _PSD_TOL * scale
+        if not _positive_definite(a00 + tau, a01, a02, a11 + tau, a12, a22 + tau):
             raise ValueError("QFI matrix is not positive semidefinite")
-        object.__setattr__(self, "h", sym)
+        object.__setattr__(self, "h", np.array(
+            [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]))
 
     def entry(self, row: str, col: str) -> float:
         axes = AXES if self.basis == CARTESIAN else POLAR_AXES

@@ -616,6 +616,15 @@ class TestOutputPath:
         assert code == expected
         assert out == "" and err and not target.exists()
 
+    @pytest.mark.parametrize("where", ["missing/out.csv", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        code, out, err = run(capsys, "figure", "3", "--points", "2", "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot write {target}: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestFigures:
     def test_figure_three_minimizing_row(self, capsys):

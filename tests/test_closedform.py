@@ -5,6 +5,7 @@ import pytest
 
 from scattertomo.closedform import (
     _EA_CR_CRITICAL,
+    _ea_cperp,
     _ea_cr,
     _ea_cr_critical,
     axis_vz,
@@ -464,6 +465,43 @@ class TestEaCartesianPins:
         for mode in MODES:
             h = ea_cartesian(BlochVector(0.0, 0.0, 0.0), omega, mode).h
             assert relerr(h, ea_cr(0.0, omega, mode) * np.eye(3)) < 1e-14
+
+
+def bit_targets(rng, n):
+    """The origin, zeros of both signs, both ends of each axis at |v| = 0.999999, then n
+    seeded targets whose radii reach from 1e-8 to the same 0.999999."""
+    targets = [np.zeros(3), np.array([-0.0, 0.0, -0.5]), np.array([0.4, -0.0, 0.0])]
+    for axis in np.eye(3):
+        targets += [0.999999 * axis, -0.999999 * axis, 0.3 * axis]
+    for _ in range(n):
+        d = rng.normal(size=3)
+        r = (rng.uniform(), 1.0 - 10.0**rng.uniform(-6.0, -1.0), 10.0**rng.uniform(-8.0, 0.0))
+        targets.append(d / np.linalg.norm(d) * min(r[rng.integers(3)], 0.999999))
+    return targets
+
+
+class TestCartesianBits:
+    """The closed-form matrices are built from Python floats, with the bits of the numpy
+    expressions they replace, kept here as the reference."""
+
+    def test_ea_cartesian_equals_the_numpy_expression(self):
+        rng = np.random.default_rng(2311)
+        for i, vec in enumerate(bit_targets(rng, 3000)):
+            omega, mode = 10.0**rng.uniform(-3.0, 3.0), MODES[i % 3]
+            r2, w = float(vec @ vec), omega**2
+            c_perp = _ea_cperp(r2, w, mode)
+            expected = c_perp * np.eye(3)
+            if r2 > 0.0:
+                expected += (_ea_cr(r2, w, mode) - c_perp) * np.outer(vec, vec) / r2
+            h = ea_cartesian(BlochVector.from_array(vec), omega, mode).h
+            assert h.tobytes() == expected.tobytes(), (vec, omega, mode)
+
+    def test_direct_cartesian_equals_the_numpy_expression(self):
+        rng = np.random.default_rng(2312)
+        for vec in bit_targets(rng, 3000):
+            v = BlochVector.from_array(vec)
+            expected = np.eye(3) + np.outer(vec, vec) / (1.0 - v.norm**2)
+            assert direct_cartesian(v).h.tobytes() == expected.tobytes(), vec
 
 
 class TestPurityBound:

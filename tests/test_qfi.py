@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scattertomo.qfi as qfi_module
 from scattertomo.closedform import direct_qfi, ea_cartesian, ea_polar, nea_qfi, purity_bound
 from scattertomo.qfi import (
     CARTESIAN,
@@ -28,7 +29,7 @@ from scattertomo.scatter import (
 from scattertomo.states import (AXIS_TOL, ID2, NORM_TOL, BlochVector, PolarCoords, ProbeConfig,
                                 bloch_to_density, bloch_to_polar, polar_to_bloch)
 
-from conftest import log_uniform, rand_bloch, relerr
+from conftest import log_uniform, rand_ball, rand_bloch, relerr
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 
@@ -87,7 +88,8 @@ class TestQfiNumeric:
         assert np.max(np.abs(qfi_numeric(state, derivs).h)) == 0.0
 
     def test_no_eigensolve_of_an_output_block(self, monkeypatch):
-        # building a state solves each block once; qfi_numeric only checks its 3x3 result
+        # building a state solves each block once; qfi_numeric solves no eigenproblem at
+        # all, since QfiMatrix decides its PSD test by an LDL^T on Python floats
         solved = []
 
         def counted(name):
@@ -98,7 +100,7 @@ class TestQfiNumeric:
                 return solve(a, *args, **kwargs)
             return wrapper
 
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         for build in (lambda: ea_pair([0.1, -0.2, 0.3], 0.6, DetectionMode.BOTH),
                       lambda: ea_pair([0.0, 0.0, 0.0], 0.6, DetectionMode.REFLECTION),
@@ -107,8 +109,27 @@ class TestQfiNumeric:
             assert solved == [("eigh", op.shape) for _, op in state.blocks]
             solved.clear()
             qfi_numeric(state, derivs)
-            assert solved == [("eigvalsh", (3, 3))]
+            assert solved == []
             solved.clear()
+
+    def test_output_is_the_symmetrized_spectral_sum(self, monkeypatch):
+        # QfiMatrix keeps 0.5 (h + h^T) of the spectral sum bit for bit, the numpy
+        # expression it used to evaluate; 600 seeded points per strategy and mode
+        sums = []
+
+        def recorded(basis, h, matrix=QfiMatrix):
+            sums.append(h.copy())
+            return matrix(basis, h)
+        monkeypatch.setattr(qfi_module, "QfiMatrix", recorded)
+        rng = np.random.default_rng(17)
+        for strategy in ("ea", "nea"):
+            for mode in MODES:
+                for _ in range(600):
+                    v = BlochVector.from_array(rand_ball(rng, r_max=0.999))
+                    omega, theta_a = log_uniform(rng, 1e-3, 1e3), rng.uniform(0.0, math.pi)
+                    h = qfi_numeric(*encoding(strategy, v, omega, mode, theta_a)).h
+                    raw = sums.pop()
+                    assert h.tobytes() == (0.5 * (raw + raw.T)).tobytes()
 
     def test_label_misalignment_rejected(self):
         state, _ = ea_pair([0.1, 0.0, 0.2], 0.7, DetectionMode.BOTH)
@@ -332,6 +353,58 @@ class TestQfiMatrixChecks:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             QfiMatrix(CARTESIAN, np.diag([*diag, -1.001 * limit]))
         assert QfiMatrix(CARTESIAN, np.diag([*diag, -0.999 * limit])).h[2, 2] < 0.0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_psd_boundary_along_a_rotated_eigenvector(self, scale):
+        q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(3, 3)))
+
+        def form(lam):
+            return (q * lam) @ q.T
+        tau = 1e-9 * max(1.0, np.abs(form([3.0 * scale, 1.5 * scale, 0.0])).max())
+        QfiMatrix(CARTESIAN, form([3.0 * scale, 1.5 * scale, -0.5 * tau]))  # accepted
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            QfiMatrix(CARTESIAN, form([3.0 * scale, 1.5 * scale, -2.0 * tau]))
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e6])
+    def test_psd_accepts_singular_forms(self, c):
+        rng = np.random.default_rng(32)
+        n, m = (u / np.linalg.norm(u) for u in rng.normal(size=(2, 3)))
+        for h in (np.zeros((3, 3)), c * np.outer(n, n), c * np.outer(np.eye(3)[1], np.eye(3)[1]),
+                  c * np.outer(n, n) + 0.3 * c * np.outer(m, m),  # rank 2
+                  0.2 * c * np.eye(3) + 0.8 * c * np.outer(n, n)):  # the EA form
+            assert np.array_equal(QfiMatrix(CARTESIAN, h).h, 0.5 * (h + h.T))
+
+    def test_psd_decision_agrees_with_eigvalsh(self):
+        # eigvalsh, the test the LDL^T replaced, is the reference; matrices whose smallest
+        # eigenvalue lies within 1e-12 s of the threshold -1e-9 s are not decided by it
+        rng = np.random.default_rng(33)
+        count = 12000
+        q, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)))
+        scale = 10.0**rng.uniform(-3.0, 6.0, size=count)
+        lam = scale[:, None] * rng.uniform(size=(count, 3))
+        tau = 1e-9 * np.maximum(1.0, scale)
+        lam[:, 2] = rng.uniform(-10.0, 10.0, size=count) * tau
+        kind = rng.integers(10, size=count)
+        lam[kind == 0, 1:] = 0.0  # rank 1
+        lam[kind == 1, 2] = 0.0  # rank 2
+        indefinite = kind == 2
+        lam[indefinite, 2] = -rng.uniform(size=indefinite.sum()) * scale[indefinite]
+        mats = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+        sym = 0.5 * (mats + np.swapaxes(mats, 1, 2))
+        s = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+        lam_min = np.linalg.eigvalsh(sym)[:, 0]
+        decided = np.abs(lam_min + 1e-9 * s) > 1e-12 * s
+        assert decided.sum() >= 0.99 * count
+        accepted = []
+        for h, ok in zip(mats[decided], lam_min[decided] >= -1e-9 * s[decided]):
+            try:
+                QfiMatrix(CARTESIAN, h)
+                accepted.append(True)
+            except ValueError as exc:
+                assert "not positive semidefinite" in str(exc)
+                accepted.append(False)
+            assert accepted[-1] == ok, (h, ok)
+        assert 0.3 * count < sum(accepted) < 0.8 * count
 
     def test_stores_the_symmetrized_matrix(self):
         h = np.array([[4.0, 1.0 + 3e-10, 0.5], [1.0, 3.0, 0.2 - 1e-10], [0.5, 0.2, 2.0]])
