@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qfi import CARTESIAN, POLAR, QfiMatrix, cr_bound
-from .scatter import STRATEGIES, DetectionMode
+from .scatter import OMEGA_DOMAIN, OMEGA_MAX, STRATEGIES, DetectionMode
 from .states import AXIS_TOL, BlochVector, bloch_to_polar
 
 
@@ -40,8 +40,8 @@ class QfiPolarCoeffs:
 
 def _check_omega(omega):
     omega = np.asarray(omega, dtype=float)
-    if not ((omega > 0.0) & (omega < math.inf)).all():  # NaN fails both
-        raise ValueError("omega must be positive and finite")
+    if not ((omega > 0.0) & (omega <= OMEGA_MAX)).all():  # NaN fails both
+        raise ValueError(OMEGA_DOMAIN)
     return omega
 
 
@@ -279,8 +279,8 @@ def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix
     Bloch vector and c_perp = c_theta/r^2 across it (c_perp I at v = 0).
     """
     omega = float(omega)
-    if not 0.0 < omega < math.inf:  # NaN fails both
-        raise ValueError("omega must be positive and finite")
+    if not 0.0 < omega <= OMEGA_MAX:  # NaN fails both
+        raise ValueError(OMEGA_DOMAIN)
     w = omega**2
     vec = v.as_array()
     # numpy's dot, not |v|**2 (1 - r^2 cancels badly near the boundary) nor

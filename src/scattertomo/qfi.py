@@ -4,10 +4,12 @@
 QFI on the labeled block decomposition, using matrix elements of the state
 derivative instead of eigenvector derivatives (the two forms are algebraically
 identical, and this one stays conditioned near spectral degeneracies). It
-reads each block's spectrum from the ``BranchState``, which computed it while
-validating the block, and each block's (3, d, d) derivative stack from the
-``BranchDerivatives``, built once per channel; it solves no eigenproblem of a
-block itself.
+makes one array pass over all blocks at once: the padded spectra (lam (n, d),
+vec (n, d, d)) of the ``BranchState``, which one ``eigh`` of its (n, d, d)
+block stack gave while validating it, and the padded (n, 3, d, d) derivative
+stack of the ``BranchDerivatives``, built once per channel. It solves no
+eigenproblem itself. A block of size d_i < d is zero in its padding, so the
+padding adds only zero terms to the sum.
 """
 
 from __future__ import annotations
@@ -85,28 +87,31 @@ class QfiMatrix:
 
 def qfi_numeric(state: BranchState, derivs: BranchDerivatives,
                 eps: float = 1e-12) -> QfiMatrix:
-    """Cartesian 3x3 QFI of a branch state via per-block spectral sums.
+    """Cartesian 3x3 QFI of a branch state: the spectral sum of every block in one pass.
 
     Vanishing spectral weights are dropped: lam_n + lam_m <= eps * lam_max, with
     lam_max the largest eigenvalue of the same block, so a block that is small
     as a whole keeps its weights. 1x1 vacuum blocks reduce to the classical
-    (dp_j dp_k)/p contribution automatically.
+    (dp_j dp_k)/p contribution automatically. The state and the derivatives
+    must have the same labels and block sizes.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be a positive finite number, got {eps}")
     if state.labels != derivs.labels:
         raise ValueError(
             f"state labels {state.labels} do not match derivative labels {derivs.labels}")
-    h = np.zeros((3, 3))
-    for (lam, vec), d_stack in zip(state.spectra, derivs.stacks):
-        weights = lam[:, None] + lam[None, :]
-        mask = weights > eps * lam[0]  # lam is descending
-        if not mask.any():
-            continue
-        rotated = vec.conj().T @ d_stack @ vec
-        inv_w = np.divide(1.0, weights, out=np.zeros_like(weights), where=mask)
-        h += 2.0 * np.einsum("anm,bnm,nm->ab", rotated, np.conj(rotated), inv_w).real
-    return QfiMatrix(CARTESIAN, h)
+    if state.sizes != derivs.sizes:
+        raise ValueError(f"state block sizes {state.sizes} do not match derivative "
+                         f"block sizes {derivs.sizes}")
+    lam, vec = state.spectra
+    rotated = vec.conj().swapaxes(1, 2)[:, None] @ derivs.padded @ vec[:, None]  # V^H D V
+    weights = lam[:, :, None] + lam[:, None, :]
+    mask = weights > eps * lam[:, :1, None]  # lam is descending
+    inv_w = np.divide(1.0, weights, out=np.zeros_like(weights), where=mask)
+    # contracted block by block, then the blocks added in order onto 0.0: the
+    # rounding of a running sum over the blocks
+    blocks = 2.0 * np.einsum("kanm,kbnm,knm->kab", rotated, np.conj(rotated), inv_w).real
+    return QfiMatrix(CARTESIAN, blocks.sum(axis=0, initial=0.0))
 
 
 def polar_jacobian(p: PolarCoords) -> np.ndarray:

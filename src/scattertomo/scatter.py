@@ -10,7 +10,6 @@ total trace is 1 and the Fisher information is additive over blocks.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,6 +20,10 @@ from .states import ID2, PAULIS, BlochVector, ProbeConfig, as_cmatrix, probe_sta
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-12
 HERM_TOL = 1e-12  # anti-Hermitian part allowed, relative to max(1, largest entry)
+# largest Omega accepted anywhere: the closed forms' degree-6 denominators in Omega^2
+# overflow near Omega = 3e25, and their values underflow to 0 from about 1e30
+OMEGA_MAX = 1e20
+OMEGA_DOMAIN = f"omega must be positive and finite, at most OMEGA_MAX = {OMEGA_MAX:g}"
 
 # sigma.sigma on target x probe: the Heisenberg coupling, twice the swap operator minus 1
 SIGMA_DOT_SIGMA = sum(np.kron(s, s) for s in PAULIS)
@@ -53,10 +56,10 @@ class ScatteringAmplitudes:
 
 
 def amplitudes(omega: float) -> ScatteringAmplitudes:
-    """Amplitudes alpha_t, beta_t, alpha_r, beta_r (= beta_t) at Omega > 0."""
+    """Amplitudes alpha_t, beta_t, alpha_r, beta_r (= beta_t) at 0 < Omega <= OMEGA_MAX."""
     omega = float(omega)
-    if not math.isfinite(omega) or omega <= 0.0:
-        raise ValueError(f"omega must be a positive finite number, got {omega}")
+    if not 0.0 < omega <= OMEGA_MAX:  # NaN fails both
+        raise ValueError(f"{OMEGA_DOMAIN}, got {omega}")
     den = (1.0 - 3.0j * omega) * (1.0 + 1.0j * omega)
     alpha_t = (1.0 - 2.0j * omega) / den
     beta_t = -1.0j * omega / den
@@ -77,44 +80,79 @@ def s_matrices(omega: float) -> tuple[np.ndarray, np.ndarray]:
     return s_t, s_r
 
 
+def _pad(arrays: list[np.ndarray], lead: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Arrays of shape (*lead, d_i, d_i) as one zero-padded complex (n, *lead, d, d) stack.
+
+    d is the largest d_i; returns the stack and the sizes d_i.
+    """
+    sizes = tuple(a.shape[-1] for a in arrays)
+    d = max(sizes, default=0)
+    stack = np.zeros((len(arrays), *lead, d, d), dtype=complex)
+    for out, a, size in zip(stack, arrays, sizes):
+        out[..., :size, :size] = a
+    return stack, sizes
+
+
+def _skewed(stack: np.ndarray, skew: np.ndarray, tol: float) -> int | None:
+    """Index of the first block (axis 0) whose skew exceeds tol * max(1, its largest entry).
+
+    ``skew`` holds the entries' distances from Hermitian, in the shape of ``stack``;
+    the padding is zero in both, so it changes no block's maxima.
+    """
+    if not skew.max(initial=0.0) > tol:  # no block can fail: the common case
+        return None
+    axes = tuple(range(1, stack.ndim))
+    block_skew = skew.max(axis=axes)
+    bad = (block_skew > tol) & (block_skew > tol * np.abs(stack).max(axis=axes))
+    return int(bad.argmax()) if bad.any() else None
+
+
 @dataclass(frozen=True)
 class BranchState:
     """Post-scattering state as labeled positive blocks with total trace 1.
 
-    Validation diagonalizes every block once and keeps the result:
-    ``spectra[i]`` is (eigenvalues, descending and clipped at 0; matching
-    eigenvectors as columns) of block i. Blocks and spectra are read-only
-    copies, so a spectrum always belongs to its block.
+    Validation pads the blocks into one (n, d, d) stack, d the largest block
+    size, checks it and diagonalizes it with one ``eigh``. ``spectra`` is the
+    pair (lam (n, d), vec (n, d, d)): lam[i] holds block i's eigenvalues,
+    descending and clipped at 0, and vec[i] the matching eigenvectors as
+    columns; a block of size d_i < d has d - d_i more zero eigenvalues, whose
+    eigenvectors span its null space and its padding. ``blocks`` keeps each
+    block as a read-only (d_i, d_i) view of the stack, a copy of what was
+    passed in, so a spectrum always belongs to its block.
     """
 
     blocks: tuple[tuple[BlockLabel, np.ndarray], ...]
-    spectra: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False,
-                                                               compare=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    spectra: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [lab for lab, _ in self.blocks]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate block labels")
-        blocks, spectra, total = [], [], 0.0
-        for lab, op in self.blocks:
-            op = as_cmatrix(op).copy()
-            herm = 0.5 * (op + op.conj().T)
-            skew = np.abs(op - herm).max()
-            if skew > HERM_TOL and skew > HERM_TOL * np.abs(op).max():
-                raise ValueError(f"block {lab} is not Hermitian")
-            lam, vec = np.linalg.eigh(herm)
-            if lam[0] < PSD_TOL:
-                raise ValueError(f"block {lab} has negative eigenvalue {lam[0]:.3e}")
-            total += op.trace().real
-            spectrum = (lam[::-1].clip(0.0, None), vec[:, ::-1].copy())
-            for a in (op, *spectrum):
-                a.flags.writeable = False
-            blocks.append((lab, op))
-            spectra.append(spectrum)
+        ops = [np.asarray(op, dtype=complex) for _, op in self.blocks]
+        if any(op.ndim != 2 or op.shape[0] != op.shape[1] for op in ops):
+            raise ValueError(f"blocks must be square matrices, got shapes "
+                             f"{[op.shape for op in ops]}")
+        stack, sizes = _pad(ops, ())
+        if not np.isfinite(stack).all():  # complex: both parts
+            raise ValueError("matrix entries must be finite")
+        herm = 0.5 * (stack + stack.conj().swapaxes(1, 2))
+        if (i := _skewed(stack, np.abs(stack - herm), HERM_TOL)) is not None:
+            raise ValueError(f"block {labels[i]} is not Hermitian")
+        lam, vec = np.linalg.eigh(herm)  # ascending
+        if lam.min(initial=0.0) < PSD_TOL:
+            i = lam[:, 0].argmin()
+            raise ValueError(f"block {labels[i]} has negative eigenvalue {lam[i, 0]:.3e}")
+        total = stack.trace(axis1=1, axis2=2).real.sum()
         if abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"block traces sum to {total}, expected 1")
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "spectra", tuple(spectra))
+        spectra = (np.maximum(lam[:, ::-1], 0.0), vec[:, :, ::-1].copy())
+        for a in (stack, *spectra):
+            a.flags.writeable = False
+        object.__setattr__(self, "blocks", tuple(
+            (lab, op[:size, :size]) for lab, op, size in zip(labels, stack, sizes)))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def labels(self) -> tuple[BlockLabel, ...]:
@@ -131,31 +169,38 @@ class BranchState:
 class BranchDerivatives:
     """Block derivatives aligned with a BranchState's labels.
 
-    ``stacks[i]`` holds block i's derivatives with respect to v_x, v_y, v_z as
-    one read-only complex (3, d, d) copy. Each block is Hermitian (to
-    HERM_TOL, as in BranchState) and each axis's block traces sum to zero.
+    ``padded`` holds every block's derivatives with respect to v_x, v_y, v_z
+    as one read-only complex (n, 3, d, d) copy, zero-padded as a BranchState
+    pads its blocks, and ``stacks[i]`` is block i's (3, d_i, d_i) view of it.
+    Each block is Hermitian (to HERM_TOL, as in BranchState) and each axis's
+    block traces sum to zero.
     """
 
     labels: tuple[BlockLabel, ...]
     stacks: tuple[np.ndarray, ...]
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        stacks = tuple(np.array(a, dtype=complex) for a in self.stacks)
-        if any(a.ndim != 3 or len(a) != 3 for a in stacks):
+        arrays = [np.asarray(a) for a in self.stacks]
+        if any(a.ndim != 3 or len(a) != 3 or a.shape[1] != a.shape[2] for a in arrays):
             raise ValueError("expected derivative blocks for the three axes")
-        if len(stacks) != len(self.labels):
+        if len(arrays) != len(self.labels):
             raise ValueError("derivative blocks misaligned with labels")
-        for total in sum((a.trace(axis1=1, axis2=2).real for a in stacks), np.zeros(3)):
+        padded, sizes = _pad(arrays, (3,))
+        for total in padded.trace(axis1=2, axis2=3).real.sum(axis=0).tolist():
             if abs(total) > TRACE_TOL:
                 raise ValueError(f"derivative traces sum to {total}, expected 0")
-        for lab, a in zip(self.labels, stacks):
-            # the anti-Hermitian part is half of a - a^dagger, and may reach
-            # HERM_TOL * max(1, largest entry): the entries matter only above 1
-            skew = np.abs(a - a.conj().swapaxes(1, 2)).max()
-            if skew > 2.0 * HERM_TOL and skew > 2.0 * HERM_TOL * np.abs(a).max():
-                raise ValueError(f"derivative block {lab} is not Hermitian")
-            a.flags.writeable = False
-        object.__setattr__(self, "stacks", stacks)
+        # the anti-Hermitian part is half of a - a^dagger, and may reach
+        # HERM_TOL * max(1, largest entry): the entries matter only above 1
+        skew = np.abs(padded - padded.conj().swapaxes(2, 3))
+        if (i := _skewed(padded, skew, 2.0 * HERM_TOL)) is not None:
+            raise ValueError(f"derivative block {self.labels[i]} is not Hermitian")
+        padded.flags.writeable = False
+        object.__setattr__(self, "stacks", tuple(
+            a[:, :size, :size] for a, size in zip(padded, sizes)))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "padded", padded)
 
 
 # I/2, sigma_x/2, sigma_y/2, sigma_z/2: the target inputs the block maps are built on
@@ -168,25 +213,40 @@ class Channel:
     ``maps[i]`` is the read-only (4, d, d) stack of output block i applied to
     B_k / 2, B = (I, sigma_x, sigma_y, sigma_z). The target rho(v) is
     sum_k c_k B_k / 2 with c = (1, v_x, v_y, v_z), so block i is
-    sum_k c_k maps[i][k]. The derivative blocks are the symmetrized sigma maps;
-    they do not depend on the target and are built once, read-only, with the channel.
+    sum_k c_k maps[i][k]. The maps are views of one zero-padded (n, 4, d, d)
+    copy, d the largest block size, from which one einsum gives every block.
+    The derivative blocks are the symmetrized sigma maps; they do not depend on
+    the target and are built once, read-only, with the channel.
     """
 
     def __init__(self, labels, maps):
         self.labels = tuple(labels)
-        self.maps = tuple(np.array(m, dtype=complex) for m in maps)
-        for m in self.maps:
-            m.flags.writeable = False
+        maps = [np.asarray(m) for m in maps]
+        for m in maps:
+            if m.ndim != 3 or len(m) != 4 or m.shape[1] != m.shape[2]:
+                raise ValueError(f"a block map is a (4, d, d) stack, the outputs of I/2 and "
+                                 f"of the three axes' sigma/2, got shape {m.shape}")
+        self._stack, sizes = _pad(maps, (4,))
+        self._stack.flags.writeable = False
+        sigma = self._stack[:, 1:]
+        symmetrized = 0.5 * (sigma + sigma.conj().swapaxes(2, 3))
         self.derivatives = BranchDerivatives(self.labels, tuple(
-            0.5 * (m[1:] + np.conj(np.swapaxes(m[1:], 1, 2))) for m in self.maps))
+            a[:, :size, :size] for a, size in zip(symmetrized, sizes)))
+
+    @property
+    def maps(self) -> tuple[np.ndarray, ...]:
+        return tuple(m[:, :size, :size] for m, size in zip(self._stack, self.derivatives.sizes))
 
     def state(self, v: BlochVector) -> BranchState:
         """Output blocks of the target with Bloch vector v."""
         return self._blocks(np.array([1.0, v.vx, v.vy, v.vz]))
 
     def _blocks(self, c: np.ndarray) -> BranchState:
-        return BranchState(tuple((lab, np.einsum("k,kij->ij", c, m))
-                                 for lab, m in zip(self.labels, self.maps)))
+        # einsum, not c @ the flattened stack: the same sums, bit for bit, as one
+        # einsum("k,kij->ij") per block
+        stack = np.einsum("k,bkij->bij", c, self._stack)
+        return BranchState(tuple((lab, op[:size, :size]) for lab, op, size
+                                 in zip(self.labels, stack, self.derivatives.sizes)))
 
 
 # direct access to the target: one block, the target state itself

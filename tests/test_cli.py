@@ -114,6 +114,24 @@ class TestQfiCommand:
         assert code == 3
         assert err.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ("qfi", "--strategy", "ea", "--vz", "0.3"),
+        ("qfi", "--strategy", "nea", "--vz", "0.3", "--theta-a", "0.7"),
+        ("bound", "--strategy", "ea", "--vz", "0.3", "--param", "z"),
+        ("bound", "--strategy", "nea", "--vz", "0.3", "--theta-a", "0.7", "--param", "z"),
+        ("scan", "--strategy", "nea", "--vz", "0.4", "--sweep", "theta-a"),
+        ("scan", "--strategy", "nea", "--vz", "0.4", "--sweep", "vz"),
+        ("scan", "--strategy", "ea", "--vz", "0.4", "--sweep", "r"),
+    ], ids=["qfi-ea", "qfi-nea", "bound-ea", "bound-nea", "scan-nea-theta-a", "scan-nea-vz",
+            "scan-ea-r"])
+    @pytest.mark.parametrize("omega", ["1e200", "1.0000000000001e20"])
+    def test_omega_above_the_limit_is_domain_error(self, capsys, tmp_path, argv, omega):
+        # no traceback, no NaN rows: every command refuses Omega above OMEGA_MAX
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--omega", omega, "-o", str(target))
+        assert code == 3
+        assert out == "" and "at most OMEGA_MAX = 1e+20" in err and not target.exists()
+
     def test_unparseable_flags_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["qfi", "--strategy", "bogus"])

@@ -20,7 +20,8 @@ from scattertomo.closedform import (
     purity_bound,
 )
 from scattertomo.qfi import cartesian_to_polar, qfi_numeric
-from scattertomo.scatter import DetectionMode, apply_channel, channel_derivatives, direct_branches
+from scattertomo.scatter import (OMEGA_MAX, DetectionMode, apply_channel, channel_derivatives,
+                                 direct_branches)
 from scattertomo.states import (AXIS_TOL, BlochVector, PolarCoords, ProbeConfig,
                                 bloch_to_density, bloch_to_polar, polar_to_bloch)
 
@@ -328,6 +329,35 @@ class TestInputChecks:
                          lambda: nea_qfi(0.3, 0.6, arr, mode)):
                 with pytest.raises(ValueError, match="omega must be positive and finite"):
                     call()
+
+    @pytest.mark.parametrize("omega", [np.nextafter(OMEGA_MAX, math.inf), 1e30, 1e200])
+    def test_omega_above_the_limit_is_refused(self, omega):
+        v, arr = BlochVector(0.1, 0.2, 0.3), np.array([0.5, omega])
+        for mode in MODES:
+            for call in (lambda: ea_cartesian(v, omega, mode),
+                         lambda: ea_cr(0.5, omega, mode),
+                         lambda: ea_polar(0.5, arr, mode),
+                         lambda: nea_qfi(0.3, 0.6, omega, mode),
+                         lambda: nea_qfi(0.3, 0.6, arr, mode)):
+                with pytest.raises(ValueError, match="at most OMEGA_MAX"):
+                    call()
+        with pytest.raises(ValueError, match="at most OMEGA_MAX"):
+            phase_bound(omega, 1)
+
+    def test_every_closed_form_is_finite_and_positive_at_the_limit(self):
+        r = np.linspace(0.0, 0.999999, 301)
+        vz = np.linspace(-0.999999, 0.999999, 201)[:, None]
+        theta_a = np.linspace(0.0, math.pi, 181)[None, :]
+        v = BlochVector(0.3, -0.2, 0.5)
+        for mode in MODES:
+            coeffs = ea_polar(r, OMEGA_MAX, mode)
+            for values in (ea_cr(r, OMEGA_MAX, mode), coeffs.c_r, coeffs.c_theta[1:],
+                           nea_qfi(vz, theta_a, OMEGA_MAX, mode)):
+                assert np.isfinite(values).all() and (values > 0.0).all()
+            h = ea_cartesian(v, OMEGA_MAX, mode).h
+            assert np.isfinite(h).all() and np.linalg.eigvalsh(h).min() > 0.0
+        assert 0.0 < phase_bound(OMEGA_MAX, 1) < math.inf
+        assert 0.0 < purity_bound(0.5, OMEGA_MAX, 1) < math.inf
 
     @pytest.mark.parametrize("vz", [math.nan, math.inf, -math.inf, 1.0, -1.0])
     def test_nea_vz_inside_the_ball(self, vz):

@@ -34,6 +34,34 @@ from conftest import log_uniform, rand_ball, rand_bloch, relerr
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 
 
+def reference_qfi(state, derivs, eps=1e-12):
+    """The spectral sum block by block, one eigh per block: the oracle before its blocks
+    were stacked, kept as the reference for the padded sum."""
+    h = np.zeros((3, 3))
+    for (_, op), stack in zip(state.blocks, derivs.stacks):
+        lam, vec = np.linalg.eigh(0.5 * (op + op.conj().T))
+        lam, vec = lam[::-1].clip(0.0, None), vec[:, ::-1].copy()
+        weights = lam[:, None] + lam[None, :]
+        mask = weights > eps * lam[0]
+        if not mask.any():
+            continue
+        rotated = vec.conj().T @ stack @ vec
+        inv_w = np.divide(1.0, weights, out=np.zeros_like(weights), where=mask)
+        h += 2.0 * np.einsum("anm,bnm,nm->ab", rotated, np.conj(rotated), inv_w).real
+    return 0.5 * (h + h.T)
+
+
+def rand_hermitian(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (g + g.conj().T)
+
+
+def traceless_stack(rng, dim):
+    """(3, dim, dim) random Hermitian derivative blocks of zero trace."""
+    blocks = [rand_hermitian(rng, dim) for _ in range(3)]
+    return np.stack([b - np.trace(b).real / dim * np.eye(dim) for b in blocks])
+
+
 def ea_pair(v, omega, mode):
     return encoding("ea", BlochVector.from_array(v), omega, mode, 0.0)
 
@@ -87,9 +115,10 @@ class TestQfiNumeric:
         state = BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2 + 1e-13 * skew),))
         assert np.max(np.abs(qfi_numeric(state, derivs).h)) == 0.0
 
-    def test_no_eigensolve_of_an_output_block(self, monkeypatch):
-        # building a state solves each block once; qfi_numeric solves no eigenproblem at
-        # all, since QfiMatrix decides its PSD test by an LDL^T on Python floats
+    def test_one_eigensolve_per_state(self, monkeypatch):
+        # building a state solves its padded (n, d, d) block stack with one eigh;
+        # qfi_numeric solves no eigenproblem at all, since QfiMatrix decides its PSD
+        # test by an LDL^T on Python floats
         solved = []
 
         def counted(name):
@@ -106,7 +135,8 @@ class TestQfiNumeric:
                       lambda: ea_pair([0.0, 0.0, 0.0], 0.6, DetectionMode.REFLECTION),
                       lambda: nea_pair(0.3, 0.4, 0.6, DetectionMode.TRANSMISSION)):
             state, derivs = build()
-            assert solved == [("eigh", op.shape) for _, op in state.blocks]
+            d = max(state.sizes)
+            assert solved == [("eigh", (len(state.blocks), d, d))]
             solved.clear()
             qfi_numeric(state, derivs)
             assert solved == []
@@ -130,6 +160,74 @@ class TestQfiNumeric:
                     h = qfi_numeric(*encoding(strategy, v, omega, mode, theta_a)).h
                     raw = sums.pop()
                     assert h.tobytes() == (0.5 * (raw + raw.T)).tobytes()
+
+    def test_matches_the_per_block_reference(self):
+        # one stacked pass equals the per-block sum bit for bit where every block has
+        # one size (direct, NEA, EA both); EA t/r pads its 2x2 ancilla block to 4x4,
+        # and its eigenvectors differ in rounding only
+        rng = np.random.default_rng(29)
+        for strategy in ("ea", "nea", "direct"):
+            for mode in MODES:
+                for _ in range(150):
+                    v = BlochVector.from_array(rand_ball(rng, r_max=0.999))
+                    omega, theta_a = log_uniform(rng, 1e-3, 1e3), rng.uniform(0.0, math.pi)
+                    state, derivs = encoding(strategy, v, omega, mode, theta_a)
+                    h, ref = qfi_numeric(state, derivs).h, reference_qfi(state, derivs)
+                    if len(set(state.sizes)) == 1:
+                        assert h.tobytes() == ref.tobytes()
+                    else:
+                        assert relerr(h, ref) <= 4.4e-16
+
+    def test_mixed_block_sizes(self):
+        # blocks of 3, 1 and 2 rows, padded to 3x3
+        labels = (BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS, BlockLabel.REFLECTED_SPIN)
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            ops = []
+            for dim in (3, 1, 2):
+                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                ops.append(g @ g.conj().T)
+            total = sum(np.trace(op).real for op in ops)
+            state = BranchState(tuple((lab, op / total) for lab, op in zip(labels, ops)))
+            derivs = BranchDerivatives(labels, tuple(traceless_stack(rng, d) for d in (3, 1, 2)))
+            assert state.sizes == derivs.sizes == (3, 1, 2)
+            assert relerr(qfi_numeric(state, derivs).h, reference_qfi(state, derivs)) <= 4.4e-16
+
+    def test_zero_eigenvalue_degenerate_with_the_padding(self):
+        # the 2x2 block diag(0, 0.3) is padded to 3x3: its eigenvalue 0 shares a
+        # two-dimensional eigenspace with the padding, and only the null vector
+        # couples to the weight 0.3 (the classical term |d_01|^2 / 0.3)
+        labels = (BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN)
+        state = BranchState(((labels[0], np.diag([0.4, 0.2, 0.1])),
+                             (labels[1], np.diag([0.0, 0.3]))))
+        coupling = np.array([[0.0, 0.25 - 0.5j], [0.25 + 0.5j, 0.0]])
+        big = np.zeros((3, 3, 3), dtype=complex)
+        derivs = BranchDerivatives(labels, (big, np.stack([coupling, 0 * coupling, coupling])))
+        h = qfi_numeric(state, derivs).h
+        assert np.array_equal(reference_qfi(state, derivs), h)
+        assert abs(h[0, 0] - 4.0 * 0.3125 / 0.3) < 1e-15 and h[1, 1] == 0.0
+
+    def test_small_block_keeps_its_weights(self):
+        # every eigenvalue of the vacuum block is below eps = 1e-12, yet its own
+        # largest eigenvalue sets its cutoff: the 1x1 block p gives dp^2 / p
+        labels = (BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS)
+        p, dp = 4e-14, 2e-14
+        state = BranchState(((labels[0], np.diag([0.75 - p, 0.25])), (labels[1], [[p]])))
+        spin = np.zeros((3, 2, 2), dtype=complex)
+        spin[2] = np.diag([-dp, 0.0])
+        derivs = BranchDerivatives(labels, (spin, np.array([[[0.0]], [[0.0]], [[dp]]])))
+        h = qfi_numeric(state, derivs).h
+        assert np.array_equal(reference_qfi(state, derivs), h)
+        assert abs(h[2, 2] / (dp**2 / (0.75 - p) + dp**2 / p) - 1.0) < 1e-14
+
+    def test_block_size_mismatch_rejected(self):
+        # same labels, the 2x2 and 1x1 blocks swapped in the derivatives
+        labels = (BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS)
+        state = BranchState(((labels[0], np.diag([0.5, 0.3])), (labels[1], [[0.2]])))
+        derivs = BranchDerivatives(labels, (np.zeros((3, 1, 1)), np.zeros((3, 2, 2))))
+        with pytest.raises(ValueError, match=r"state block sizes \(2, 1\) do not match "
+                                             r"derivative block sizes \(1, 2\)"):
+            qfi_numeric(state, derivs)
 
     def test_label_misalignment_rejected(self):
         state, _ = ea_pair([0.1, 0.0, 0.2], 0.7, DetectionMode.BOTH)

@@ -62,9 +62,16 @@ class TestAmplitudes:
                 assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) < 1e-12
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, math.nan, math.inf, np.nextafter(scatter.OMEGA_MAX, math.inf),
+                    1e155, 1e200):
+            with pytest.raises(ValueError, match="omega must be positive and finite, at most"):
                 amplitudes(bad)
+
+    def test_finite_at_the_limit(self):
+        a = amplitudes(scatter.OMEGA_MAX)
+        assert all(map(math.isfinite, (a.alpha_t.real, a.alpha_t.imag, a.beta_t.real,
+                                       a.beta_t.imag, a.alpha_r.real, a.alpha_r.imag)))
+        assert abs(a.alpha_r + 1.0) < 1e-15
 
 
 class TestSMatrices:
@@ -221,11 +228,42 @@ class TestBranchStateValidation:
         state = BranchState(((BlockLabel.TRANSMITTED_SPIN, given),))
         with pytest.raises(ValueError):
             state.block(BlockLabel.TRANSMITTED_SPIN)[0, 0] = 0.5
-        for a in state.spectra[0]:
+        for a in state.spectra:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         given[0, 0] = 0.5  # the caller's array stays writable, and apart from the state
         assert state.block(BlockLabel.TRANSMITTED_SPIN)[0, 0] == 0.75
+
+    def test_spectra_are_one_padded_stack(self):
+        # a 2x2 and a 1x1 block: lam (2, 2) and vec (2, 2, 2), descending and clipped,
+        # the 1x1 block's padding an extra zero eigenvalue along its padding axis
+        t, vac = BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS
+        spin = np.array([[0.5, 0.1j], [-0.1j, 0.2]])
+        state = BranchState(((t, spin), (vac, [[0.3]])))
+        assert state.sizes == (2, 1)
+        lam, vec = state.spectra
+        assert lam.shape == (2, 2) and vec.shape == (2, 2, 2)
+        assert np.array_equal(lam[1], [0.3, 0.0]) and np.array_equal(np.abs(vec[1]), np.eye(2))
+        assert np.all(np.diff(lam[0]) <= 0.0)
+        assert np.allclose((vec[0] * lam[0]) @ vec[0].conj().T, spin, atol=1e-15)
+        assert [op.shape for _, op in state.blocks] == [(2, 2), (1, 1)]
+        assert state.block(vac)[0, 0] == 0.3
+        for a in (lam, vec, *(op for _, op in state.blocks)):
+            assert not a.flags.writeable
+
+    def test_every_block_is_checked_and_named(self):
+        t, r = BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN
+        good = np.diag([0.3, 0.2])
+        with pytest.raises(ValueError, match="block BlockLabel.REFLECTED_SPIN is not Hermitian"):
+            BranchState(((t, good), (r, np.array([[0.3, 1e-9], [0.0, 0.2]]))))
+        with pytest.raises(ValueError, match="block BlockLabel.REFLECTED_SPIN has negative "
+                                             "eigenvalue -1.000e-01"):
+            BranchState(((t, good), (r, np.diag([0.6, -0.1]))))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            BranchState(((t, good), (r, np.diag([0.5, math.nan]))))
+        for bad in (np.ones((2, 3)) / 4, np.ones(2) / 2):
+            with pytest.raises(ValueError, match="square matrices"):
+                BranchState(((t, good), (r, bad)))
 
     def test_derivative_alignment(self):
         with pytest.raises(ValueError):
@@ -267,6 +305,20 @@ class TestDerivativeStacks:
                 assert np.array_equal(stack, 0.5 * (m[1:] + m[1:].conj().swapaxes(1, 2)))
                 with pytest.raises(ValueError):
                     stack[0, 0, 0] = 5.0
+
+    def test_padded_stack_and_its_views(self):
+        # a (3, 2, 2) and a (3, 1, 1) block: one (2, 3, 2, 2) copy, zero in the padding
+        spin = np.stack([np.diag([0.1, -0.1]), np.zeros((2, 2)), np.diag([0.3, 0.1])])
+        lost = np.array([[[0.0]], [[0.0]], [[-0.4]]])
+        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS),
+                                   (spin, lost))
+        assert derivs.sizes == (2, 1) and derivs.padded.shape == (2, 3, 2, 2)
+        assert np.array_equal(derivs.padded[0], spin)
+        assert np.array_equal(derivs.padded[1, :, :1, :1], lost)
+        assert not derivs.padded[1, :, 1:].any() and not derivs.padded[1, :, :, 1:].any()
+        for stack, given in zip(derivs.stacks, (spin, lost)):
+            assert stack.base is derivs.padded and np.array_equal(stack, given)
+        assert not derivs.padded.flags.writeable
 
     def test_real_blocks_give_the_complex_result(self):
         state = BranchState(((BlockLabel.TRANSMITTED_SPIN,
@@ -616,6 +668,19 @@ class TestChannel:
             assert m.flags.writeable
             m[:] = 0.0
         assert_identical([channel.maps], [ref.maps])
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("probe", [EA, NEA], ids=["ea", "nea"])
+    def test_stacked_blocks_equal_the_per_block_sums_bit_for_bit(self, probe, mode):
+        # one einsum over the padded map stack gives each block as its own map would
+        rng = np.random.default_rng(97)
+        channel = scattering_channel(probe_state(probe), log_uniform(rng, 1e-3, 1e3), mode)
+        for _ in range(50):
+            v = BlochVector.from_array(rand_bloch(rng))
+            c = np.array([1.0, v.vx, v.vy, v.vz])
+            state = channel.state(v)
+            for (_, op), m in zip(state.blocks, channel.maps):
+                assert op.tobytes() == np.einsum("k,kij->ij", c, m).tobytes()
 
     def test_rejects_misaligned_labels_and_maps_without_four_inputs(self):
         maps = scattering_channel(singlet(), 0.8, DetectionMode.BOTH).maps

@@ -38,7 +38,8 @@ def rand_density(rng, dim):
 
 def spectrum(block):
     """(eigenvalues, eigenvectors) a one-block BranchState keeps for ``block``."""
-    return BranchState(((T, block),)).spectra[0]
+    lam, vec = BranchState(((T, block),)).spectra
+    return lam[0], vec[0]
 
 
 class TestTensor:
