@@ -278,10 +278,7 @@ def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix
     matrix is c_perp I + (c_r - c_perp) n n^T with n = v/|v|: c_r along the
     Bloch vector and c_perp = c_theta/r^2 across it (c_perp I at v = 0).
     """
-    omega = float(omega)
-    if not 0.0 < omega <= OMEGA_MAX:  # NaN fails both
-        raise ValueError(OMEGA_DOMAIN)
-    w = omega**2
+    w = float(_check_omega(omega))**2
     vec = v.as_array()
     # numpy's dot, not |v|**2 (1 - r^2 cancels badly near the boundary) nor
     # x*x + y*y + z*z, which rounds otherwise

@@ -5,12 +5,16 @@ Direct access is ``IDENTITY``; ``scattering_channel`` builds the Heisenberg-coup
 dimensionless Omega = m*g/(hbar|k|). The output is a list of labeled positive
 blocks on mutually orthogonal sectors (spin sectors plus no-click vacuum flags);
 total trace is 1 and the Fisher information is additive over blocks.
+
+Block arrays enter only through ``Channel(labels, maps)``, which checks and pads
+them once; a ``BranchState`` (one target) and the ``BranchDerivatives`` are
+built from the channel's padded stack as it is.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -80,83 +84,62 @@ def s_matrices(omega: float) -> tuple[np.ndarray, np.ndarray]:
     return s_t, s_r
 
 
-def _pad(arrays: list[np.ndarray], lead: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Arrays of shape (*lead, d_i, d_i) as one zero-padded complex (n, *lead, d, d) stack.
+def _pad(maps: list[np.ndarray]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(4, d_i, d_i) block maps as one zero-padded complex (n, 4, d, d) copy.
 
     d is the largest d_i; returns the stack and the sizes d_i.
     """
-    sizes = tuple(a.shape[-1] for a in arrays)
+    sizes = tuple(m.shape[-1] for m in maps)
     d = max(sizes, default=0)
-    stack = np.zeros((len(arrays), *lead, d, d), dtype=complex)
-    for out, a, size in zip(stack, arrays, sizes):
-        out[..., :size, :size] = a
+    stack = np.zeros((len(maps), 4, d, d), dtype=complex)
+    for out, m, size in zip(stack, maps, sizes):
+        out[:, :size, :size] = m
     return stack, sizes
 
 
-def _skewed(stack: np.ndarray, skew: np.ndarray, tol: float) -> int | None:
-    """Index of the first block (axis 0) whose skew exceeds tol * max(1, its largest entry).
-
-    ``skew`` holds the entries' distances from Hermitian, in the shape of ``stack``;
-    the padding is zero in both, so it changes no block's maxima.
-    """
-    if not skew.max(initial=0.0) > tol:  # no block can fail: the common case
-        return None
-    axes = tuple(range(1, stack.ndim))
-    block_skew = skew.max(axis=axes)
-    bad = (block_skew > tol) & (block_skew > tol * np.abs(stack).max(axis=axes))
-    return int(bad.argmax()) if bad.any() else None
-
-
-@dataclass(frozen=True)
 class BranchState:
-    """Post-scattering state as labeled positive blocks with total trace 1.
+    """Post-scattering state of one target: a channel's labeled positive blocks, trace 1.
 
-    Validation pads the blocks into one (n, d, d) stack, d the largest block
-    size, checks it and diagonalizes it with one ``eigh``. ``spectra`` is the
+    The blocks are sum_k c_k maps[i][k] with c = (1, v_x, v_y, v_z), one
+    (n, d, d) stack made by one einsum over the channel's padded map stack, d
+    the largest block size. Validation checks the stack and diagonalizes it
+    with one ``eigh``, naming the block of every refusal. ``spectra`` is the
     pair (lam (n, d), vec (n, d, d)): lam[i] holds block i's eigenvalues,
     descending and clipped at 0, and vec[i] the matching eigenvectors as
     columns; a block of size d_i < d has d - d_i more zero eigenvalues, whose
     eigenvectors span its null space and its padding. ``blocks`` keeps each
-    block as a read-only (d_i, d_i) view of the stack, a copy of what was
-    passed in, so a spectrum always belongs to its block.
+    block as a read-only (d_i, d_i) view of the stack, so a spectrum always
+    belongs to its block.
     """
 
-    blocks: tuple[tuple[BlockLabel, np.ndarray], ...]
-    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    spectra: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        labels = [lab for lab, _ in self.blocks]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate block labels")
-        ops = [np.asarray(op, dtype=complex) for _, op in self.blocks]
-        if any(op.ndim != 2 or op.shape[0] != op.shape[1] for op in ops):
-            raise ValueError(f"blocks must be square matrices, got shapes "
-                             f"{[op.shape for op in ops]}")
-        stack, sizes = _pad(ops, ())
+    def __init__(self, channel: Channel, c: np.ndarray):
+        # einsum, not c @ the flattened stack: the same sums, bit for bit, as one
+        # einsum("k,kij->ij") per block
+        stack = np.einsum("k,bkij->bij", c, channel._stack)
+        self.labels, self.sizes = channel.labels, channel.sizes
         if not np.isfinite(stack).all():  # complex: both parts
             raise ValueError("matrix entries must be finite")
         herm = 0.5 * (stack + stack.conj().swapaxes(1, 2))
-        if (i := _skewed(stack, np.abs(stack - herm), HERM_TOL)) is not None:
-            raise ValueError(f"block {labels[i]} is not Hermitian")
+        # a block's anti-Hermitian part may reach HERM_TOL * max(1, its largest entry);
+        # the padding is zero, so it changes no block's maxima
+        skew = np.abs(stack - herm)
+        if skew.max(initial=0.0) > HERM_TOL:  # else no block can fail: the common case
+            worst = skew.max(axis=(1, 2))
+            bad = (worst > HERM_TOL) & (worst > HERM_TOL * np.abs(stack).max(axis=(1, 2)))
+            if bad.any():
+                raise ValueError(f"block {self.labels[bad.argmax()]} is not Hermitian")
         lam, vec = np.linalg.eigh(herm)  # ascending
         if lam.min(initial=0.0) < PSD_TOL:
             i = lam[:, 0].argmin()
-            raise ValueError(f"block {labels[i]} has negative eigenvalue {lam[i, 0]:.3e}")
+            raise ValueError(f"block {self.labels[i]} has negative eigenvalue {lam[i, 0]:.3e}")
         total = stack.trace(axis1=1, axis2=2).real.sum()
         if abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"block traces sum to {total}, expected 1")
-        spectra = (np.maximum(lam[:, ::-1], 0.0), vec[:, :, ::-1].copy())
-        for a in (stack, *spectra):
+        self.spectra = (np.maximum(lam[:, ::-1], 0.0), vec[:, :, ::-1].copy())
+        for a in (stack, *self.spectra):
             a.flags.writeable = False
-        object.__setattr__(self, "blocks", tuple(
-            (lab, op[:size, :size]) for lab, op, size in zip(labels, stack, sizes)))
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "spectra", spectra)
-
-    @property
-    def labels(self) -> tuple[BlockLabel, ...]:
-        return tuple(lab for lab, _ in self.blocks)
+        self.blocks = tuple((lab, op[:size, :size])
+                            for lab, op, size in zip(self.labels, stack, self.sizes))
 
     def block(self, label: BlockLabel) -> np.ndarray:
         for lab, op in self.blocks:
@@ -165,42 +148,23 @@ class BranchState:
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
 class BranchDerivatives:
-    """Block derivatives aligned with a BranchState's labels.
+    """Block derivatives of a channel's states, aligned with its labels.
 
-    ``padded`` holds every block's derivatives with respect to v_x, v_y, v_z
-    as one read-only complex (n, 3, d, d) copy, zero-padded as a BranchState
-    pads its blocks, and ``stacks[i]`` is block i's (3, d_i, d_i) view of it.
-    Each block is Hermitian (to HERM_TOL, as in BranchState) and each axis's
-    block traces sum to zero.
+    ``padded`` holds every block's derivatives with respect to v_x, v_y, v_z,
+    the symmetrized sigma maps 0.5 (sigma + sigma^dagger) of the channel's
+    padded stack, as one read-only complex (n, 3, d, d) array, and
+    ``stacks[i]`` is block i's (3, d_i, d_i) view of it. Each block is
+    Hermitian bit for bit, and the channel has checked that each axis's block
+    traces sum to zero.
     """
 
-    labels: tuple[BlockLabel, ...]
-    stacks: tuple[np.ndarray, ...]
-    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    padded: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arrays = [np.asarray(a) for a in self.stacks]
-        if any(a.ndim != 3 or len(a) != 3 or a.shape[1] != a.shape[2] for a in arrays):
-            raise ValueError("expected derivative blocks for the three axes")
-        if len(arrays) != len(self.labels):
-            raise ValueError("derivative blocks misaligned with labels")
-        padded, sizes = _pad(arrays, (3,))
-        for total in padded.trace(axis1=2, axis2=3).real.sum(axis=0).tolist():
-            if abs(total) > TRACE_TOL:
-                raise ValueError(f"derivative traces sum to {total}, expected 0")
-        # the anti-Hermitian part is half of a - a^dagger, and may reach
-        # HERM_TOL * max(1, largest entry): the entries matter only above 1
-        skew = np.abs(padded - padded.conj().swapaxes(2, 3))
-        if (i := _skewed(padded, skew, 2.0 * HERM_TOL)) is not None:
-            raise ValueError(f"derivative block {self.labels[i]} is not Hermitian")
-        padded.flags.writeable = False
-        object.__setattr__(self, "stacks", tuple(
-            a[:, :size, :size] for a, size in zip(padded, sizes)))
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "padded", padded)
+    def __init__(self, channel: Channel):
+        sigma = channel._stack[:, 1:]
+        self.padded = 0.5 * (sigma + sigma.conj().swapaxes(2, 3))
+        self.padded.flags.writeable = False
+        self.labels, self.sizes = channel.labels, channel.sizes
+        self.stacks = tuple(a[:, :size, :size] for a, size in zip(self.padded, self.sizes))
 
 
 # I/2, sigma_x/2, sigma_y/2, sigma_z/2: the target inputs the block maps are built on
@@ -210,13 +174,16 @@ _BASIS = 0.5 * np.stack([ID2, *PAULIS])
 class Channel:
     """A channel on the target qubit, held as the block maps of its output.
 
-    ``maps[i]`` is the read-only (4, d, d) stack of output block i applied to
-    B_k / 2, B = (I, sigma_x, sigma_y, sigma_z). The target rho(v) is
+    ``maps[i]`` is the read-only (4, d_i, d_i) stack of output block i applied
+    to B_k / 2, B = (I, sigma_x, sigma_y, sigma_z). The target rho(v) is
     sum_k c_k B_k / 2 with c = (1, v_x, v_y, v_z), so block i is
-    sum_k c_k maps[i][k]. The maps are views of one zero-padded (n, 4, d, d)
-    copy, d the largest block size, from which one einsum gives every block.
-    The derivative blocks are the symmetrized sigma maps; they do not depend on
-    the target and are built once, read-only, with the channel.
+    sum_k c_k maps[i][k]. The constructor is the one entry for block arrays:
+    it checks the maps once (one (4, d_i, d_i) map per label, distinct labels,
+    finite entries, each axis's derivative traces summing to zero) and copies
+    them into one zero-padded (n, 4, d, d) stack, d the largest block size, of
+    which the maps are views. A ``BranchState`` is one einsum over that stack;
+    the derivative blocks do not depend on the target and are built once,
+    read-only, with the channel.
     """
 
     def __init__(self, labels, maps):
@@ -226,27 +193,28 @@ class Channel:
             if m.ndim != 3 or len(m) != 4 or m.shape[1] != m.shape[2]:
                 raise ValueError(f"a block map is a (4, d, d) stack, the outputs of I/2 and "
                                  f"of the three axes' sigma/2, got shape {m.shape}")
-        self._stack, sizes = _pad(maps, (4,))
+        if len(maps) != len(self.labels):
+            raise ValueError(f"{len(maps)} block maps misaligned with labels {self.labels}")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"duplicate block labels {self.labels}")
+        self._stack, self.sizes = _pad(maps)
+        finite = np.isfinite(self._stack).all(axis=(1, 2, 3))  # complex: both parts
+        if not finite.all():
+            raise ValueError(f"block map {self.labels[finite.argmin()]} has a non-finite entry")
+        # the real part of a trace is the trace of the symmetrized map, bit for bit
+        for total in self._stack[:, 1:].trace(axis1=2, axis2=3).real.sum(axis=0).tolist():
+            if abs(total) > TRACE_TOL:
+                raise ValueError(f"derivative traces sum to {total}, expected 0")
         self._stack.flags.writeable = False
-        sigma = self._stack[:, 1:]
-        symmetrized = 0.5 * (sigma + sigma.conj().swapaxes(2, 3))
-        self.derivatives = BranchDerivatives(self.labels, tuple(
-            a[:, :size, :size] for a, size in zip(symmetrized, sizes)))
+        self.derivatives = BranchDerivatives(self)
 
     @property
     def maps(self) -> tuple[np.ndarray, ...]:
-        return tuple(m[:, :size, :size] for m, size in zip(self._stack, self.derivatives.sizes))
+        return tuple(m[:, :size, :size] for m, size in zip(self._stack, self.sizes))
 
     def state(self, v: BlochVector) -> BranchState:
         """Output blocks of the target with Bloch vector v."""
-        return self._blocks(np.array([1.0, v.vx, v.vy, v.vz]))
-
-    def _blocks(self, c: np.ndarray) -> BranchState:
-        # einsum, not c @ the flattened stack: the same sums, bit for bit, as one
-        # einsum("k,kij->ij") per block
-        stack = np.einsum("k,bkij->bij", c, self._stack)
-        return BranchState(tuple((lab, op[:size, :size]) for lab, op, size
-                                 in zip(self.labels, stack, self.derivatives.sizes)))
+        return BranchState(self, np.array([1.0, v.vx, v.vy, v.vz]))
 
 
 # direct access to the target: one block, the target state itself
@@ -303,7 +271,7 @@ def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
     # allows must not reach the blocks, whose Hermitian test is tighter
     c = 2.0 * np.einsum("ab,kba->k", rho_x, _BASIS).real
     c[0] = 1.0
-    return _probe_channel(probe, float(omega), mode)._blocks(c)
+    return BranchState(_probe_channel(probe, float(omega), mode), c)
 
 
 def channel_derivatives(probe: ProbeConfig, omega: float,

@@ -1,5 +1,8 @@
 import numpy as np
 
+from scattertomo.scatter import Channel
+from scattertomo.states import BlochVector
+
 
 def rand_bloch(rng, r_max=0.95, r_min=0.0):
     """Bloch vector with uniform direction and radius uniform in [r_min, r_max]."""
@@ -37,3 +40,17 @@ def relerr(a, b):
     b = np.asarray(b, dtype=float)
     scale = max(float(np.max(np.abs(b))), 1e-300)
     return float(np.max(np.abs(a - b))) / scale
+
+
+def branches(labels, blocks, derivatives=None):
+    """(state, derivatives) with blocks B_i and derivative stacks D_i (zero if None).
+
+    They are built as Channel(labels, [stack((B_i, *D_i))]).state(v = 0) and its
+    channel's derivatives: the state is B_i exactly, and the derivatives are
+    0.5 (D_i + D_i^H), which is D_i bit for bit where D_i is Hermitian.
+    """
+    blocks = [np.asarray(b) for b in blocks]
+    if derivatives is None:
+        derivatives = [np.zeros((3, *b.shape)) for b in blocks]
+    channel = Channel(labels, [np.stack((b, *d)) for b, d in zip(blocks, derivatives)])
+    return channel.state(BlochVector(0.0, 0.0, 0.0)), channel.derivatives

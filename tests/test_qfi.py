@@ -18,8 +18,6 @@ from scattertomo.qfi import (
 )
 from scattertomo.scatter import (
     BlockLabel,
-    BranchDerivatives,
-    BranchState,
     DetectionMode,
     apply_channel,
     channel_derivatives,
@@ -29,7 +27,7 @@ from scattertomo.scatter import (
 from scattertomo.states import (AXIS_TOL, ID2, NORM_TOL, BlochVector, PolarCoords, ProbeConfig,
                                 bloch_to_density, bloch_to_polar, polar_to_bloch)
 
-from conftest import log_uniform, rand_ball, rand_bloch, relerr
+from conftest import branches, log_uniform, rand_ball, rand_bloch, relerr
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 
@@ -87,9 +85,7 @@ class TestQfiNumeric:
             assert relerr(h_polar.h, expected) < 1e-10
 
     def test_zero_derivative_block_contributes_nothing(self):
-        state = BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2),))
-        zero = np.zeros((2, 2), dtype=complex)
-        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), (np.stack([zero] * 3),))
+        state, derivs = branches((BlockLabel.TRANSMITTED_SPIN,), (ID2 / 2,))
         assert np.max(np.abs(qfi_numeric(state, derivs).h)) == 0.0
 
     def test_ea_both_matches_closed_form_at_quoted_point(self):
@@ -106,13 +102,10 @@ class TestQfiNumeric:
 
     def test_slightly_non_hermitian_block_raises(self):
         # an anti-Hermitian part of 5e-12 is above 1e-12 relative to the largest entry
-        zero = np.zeros((2, 2), dtype=complex)
-        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), (np.stack([zero] * 3),))
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
-            qfi_numeric(BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2 + 1e-11 * skew),)),
-                        derivs)
-        state = BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2 + 1e-13 * skew),))
+            qfi_numeric(*branches((BlockLabel.TRANSMITTED_SPIN,), (ID2 / 2 + 1e-11 * skew,)))
+        state, derivs = branches((BlockLabel.TRANSMITTED_SPIN,), (ID2 / 2 + 1e-13 * skew,))
         assert np.max(np.abs(qfi_numeric(state, derivs).h)) == 0.0
 
     def test_one_eigensolve_per_state(self, monkeypatch):
@@ -188,8 +181,8 @@ class TestQfiNumeric:
                 g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 ops.append(g @ g.conj().T)
             total = sum(np.trace(op).real for op in ops)
-            state = BranchState(tuple((lab, op / total) for lab, op in zip(labels, ops)))
-            derivs = BranchDerivatives(labels, tuple(traceless_stack(rng, d) for d in (3, 1, 2)))
+            state, derivs = branches(labels, [op / total for op in ops],
+                                     [traceless_stack(rng, d) for d in (3, 1, 2)])
             assert state.sizes == derivs.sizes == (3, 1, 2)
             assert relerr(qfi_numeric(state, derivs).h, reference_qfi(state, derivs)) <= 4.4e-16
 
@@ -198,11 +191,10 @@ class TestQfiNumeric:
         # two-dimensional eigenspace with the padding, and only the null vector
         # couples to the weight 0.3 (the classical term |d_01|^2 / 0.3)
         labels = (BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN)
-        state = BranchState(((labels[0], np.diag([0.4, 0.2, 0.1])),
-                             (labels[1], np.diag([0.0, 0.3]))))
         coupling = np.array([[0.0, 0.25 - 0.5j], [0.25 + 0.5j, 0.0]])
         big = np.zeros((3, 3, 3), dtype=complex)
-        derivs = BranchDerivatives(labels, (big, np.stack([coupling, 0 * coupling, coupling])))
+        state, derivs = branches(labels, (np.diag([0.4, 0.2, 0.1]), np.diag([0.0, 0.3])),
+                                 (big, np.stack([coupling, 0 * coupling, coupling])))
         h = qfi_numeric(state, derivs).h
         assert np.array_equal(reference_qfi(state, derivs), h)
         assert abs(h[0, 0] - 4.0 * 0.3125 / 0.3) < 1e-15 and h[1, 1] == 0.0
@@ -212,10 +204,10 @@ class TestQfiNumeric:
         # largest eigenvalue sets its cutoff: the 1x1 block p gives dp^2 / p
         labels = (BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS)
         p, dp = 4e-14, 2e-14
-        state = BranchState(((labels[0], np.diag([0.75 - p, 0.25])), (labels[1], [[p]])))
         spin = np.zeros((3, 2, 2), dtype=complex)
         spin[2] = np.diag([-dp, 0.0])
-        derivs = BranchDerivatives(labels, (spin, np.array([[[0.0]], [[0.0]], [[dp]]])))
+        state, derivs = branches(labels, (np.diag([0.75 - p, 0.25]), [[p]]),
+                                 (spin, np.array([[[0.0]], [[0.0]], [[dp]]])))
         h = qfi_numeric(state, derivs).h
         assert np.array_equal(reference_qfi(state, derivs), h)
         assert abs(h[2, 2] / (dp**2 / (0.75 - p) + dp**2 / p) - 1.0) < 1e-14
@@ -223,8 +215,8 @@ class TestQfiNumeric:
     def test_block_size_mismatch_rejected(self):
         # same labels, the 2x2 and 1x1 blocks swapped in the derivatives
         labels = (BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS)
-        state = BranchState(((labels[0], np.diag([0.5, 0.3])), (labels[1], [[0.2]])))
-        derivs = BranchDerivatives(labels, (np.zeros((3, 1, 1)), np.zeros((3, 2, 2))))
+        state, _ = branches(labels, (np.diag([0.5, 0.3]), [[0.2]]))
+        _, derivs = branches(labels, ([[0.5]], np.diag([0.3, 0.2])))
         with pytest.raises(ValueError, match=r"state block sizes \(2, 1\) do not match "
                                              r"derivative block sizes \(1, 2\)"):
             qfi_numeric(state, derivs)
@@ -293,10 +285,10 @@ class TestQfiSingle:
         state, derivs = ea_pair([0.2, -0.1, 0.4], 0.9, DetectionMode.TRANSMISSION)
         h = qfi_numeric(state, derivs)
         for idx, axis in enumerate("xyz"):
-            alone = BranchDerivatives(derivs.labels, tuple(
+            alone = branches(derivs.labels, [op for _, op in state.blocks], [
                 np.stack([stack[idx], np.zeros_like(stack[idx]), np.zeros_like(stack[idx])])
-                for stack in derivs.stacks))
-            assert abs(qfi_numeric(state, alone).entry("x", "x") - h.entry(axis, axis)) < 1e-12
+                for stack in derivs.stacks])
+            assert abs(qfi_numeric(*alone).entry("x", "x") - h.entry(axis, axis)) < 1e-12
 
     def test_ea_both_equals_radial_coefficient_on_axis(self):
         for vz in (0.1, 0.45, 0.8):

@@ -8,7 +8,6 @@ from scattertomo.closedform import ea_cartesian
 from scattertomo.qfi import qfi_numeric
 from scattertomo.scatter import (
     BlockLabel,
-    BranchDerivatives,
     BranchState,
     Channel,
     DetectionMode,
@@ -23,7 +22,7 @@ from scattertomo.scatter import (
 from scattertomo.states import (ID2, PAULIS, BlochVector, ProbeConfig, bloch_to_density,
                                 max_entangled, probe_state, singlet)
 
-from conftest import log_uniform, rand_bloch, rand_unitary, relerr
+from conftest import branches, log_uniform, rand_bloch, rand_unitary, relerr
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 
@@ -210,36 +209,37 @@ class TestChannelDerivatives:
 
 
 class TestBranchStateValidation:
+    T = BlockLabel.TRANSMITTED_SPIN
+
     def test_duplicate_labels(self):
-        with pytest.raises(ValueError):
-            BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2 / 2),
-                         (BlockLabel.TRANSMITTED_SPIN, ID2 / 2)))
+        with pytest.raises(ValueError, match="duplicate block labels"):
+            branches((self.T, self.T), (ID2 / 4, ID2 / 4))
 
     def test_trace_must_be_one(self):
-        with pytest.raises(ValueError):
-            BranchState(((BlockLabel.TRANSMITTED_SPIN, ID2),))
+        with pytest.raises(ValueError, match="block traces sum to 2"):
+            branches((self.T,), (ID2,))
 
     def test_negative_block(self):
-        with pytest.raises(ValueError):
-            BranchState(((BlockLabel.TRANSMITTED_SPIN, np.diag([1.5, -0.5])),))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            branches((self.T,), (np.diag([1.5, -0.5]),))
 
     def test_blocks_and_spectra_are_read_only_copies(self):
         given = np.diag([0.75, 0.25]).astype(complex)
-        state = BranchState(((BlockLabel.TRANSMITTED_SPIN, given),))
+        state, _ = branches((self.T,), (given,))
         with pytest.raises(ValueError):
-            state.block(BlockLabel.TRANSMITTED_SPIN)[0, 0] = 0.5
+            state.block(self.T)[0, 0] = 0.5
         for a in state.spectra:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         given[0, 0] = 0.5  # the caller's array stays writable, and apart from the state
-        assert state.block(BlockLabel.TRANSMITTED_SPIN)[0, 0] == 0.75
+        assert state.block(self.T)[0, 0] == 0.75
 
     def test_spectra_are_one_padded_stack(self):
         # a 2x2 and a 1x1 block: lam (2, 2) and vec (2, 2, 2), descending and clipped,
         # the 1x1 block's padding an extra zero eigenvalue along its padding axis
         t, vac = BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS
         spin = np.array([[0.5, 0.1j], [-0.1j, 0.2]])
-        state = BranchState(((t, spin), (vac, [[0.3]])))
+        state, _ = branches((t, vac), (spin, [[0.3]]))
         assert state.sizes == (2, 1)
         lam, vec = state.spectra
         assert lam.shape == (2, 2) and vec.shape == (2, 2, 2)
@@ -255,41 +255,52 @@ class TestBranchStateValidation:
         t, r = BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN
         good = np.diag([0.3, 0.2])
         with pytest.raises(ValueError, match="block BlockLabel.REFLECTED_SPIN is not Hermitian"):
-            BranchState(((t, good), (r, np.array([[0.3, 1e-9], [0.0, 0.2]]))))
+            branches((t, r), (good, np.array([[0.3, 1e-9], [0.0, 0.2]])))
         with pytest.raises(ValueError, match="block BlockLabel.REFLECTED_SPIN has negative "
                                              "eigenvalue -1.000e-01"):
-            BranchState(((t, good), (r, np.diag([0.6, -0.1]))))
+            branches((t, r), (good, np.diag([0.6, -0.1])))
+        channel = Channel((t, r), [np.stack([good, *np.zeros((3, 2, 2))])] * 2)
         with pytest.raises(ValueError, match="matrix entries must be finite"):
-            BranchState(((t, good), (r, np.diag([0.5, math.nan]))))
+            BranchState(channel, np.array([1.0, 0.0, math.nan, 0.0]))
         for bad in (np.ones((2, 3)) / 4, np.ones(2) / 2):
-            with pytest.raises(ValueError, match="square matrices"):
-                BranchState(((t, good), (r, bad)))
+            with pytest.raises(ValueError, match=r"a block map is a \(4, d, d\) stack"):
+                branches((t, r), (good, bad))
+
+    def test_a_malformed_c_fails_loudly(self):
+        # c is (1, v_x, v_y, v_z): a bad shape fails in the einsum, a bad value in the
+        # finite and trace checks
+        channel = scatter.IDENTITY
+        for c in (np.ones(3), np.ones((2, 4)), np.ones(5)):
+            with pytest.raises(ValueError):
+                BranchState(channel, c)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            BranchState(channel, np.array([1.0, math.inf, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="block traces sum to 2"):
+            BranchState(channel, np.array([2.0, 0.0, 0.0, 0.0]))
 
     def test_derivative_alignment(self):
-        with pytest.raises(ValueError):
-            BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,),
-                              (np.stack([ID2, ID2]),))  # only two axes
+        with pytest.raises(ValueError, match="three axes"):
+            Channel((self.T,), (np.stack([ID2, ID2, ID2]),))  # I/2 and only two axes
 
     @staticmethod
     def skewed(diag, skew):
-        """Blocks of one 2x2 block whose anti-Hermitian part is i*skew off the diagonal."""
-        op = np.array([[diag[0], 0.1 + 1j * skew], [0.1 + 1j * skew, diag[1]]])
-        return ((BlockLabel.TRANSMITTED_SPIN, op),)
+        """One 2x2 block whose anti-Hermitian part is i*skew off the diagonal."""
+        return (np.array([[diag[0], 0.1 + 1j * skew], [0.1 + 1j * skew, diag[1]]]),)
 
     def test_hermitian_threshold_below_unit_scale(self):
         # largest entry 0.75 < 1: the anti-Hermitian part may reach HERM_TOL itself
         with pytest.raises(ValueError, match="not Hermitian"):
-            BranchState(self.skewed((0.75, 0.25), 1.001 * scatter.HERM_TOL))
-        state = BranchState(self.skewed((0.75, 0.25), 0.999 * scatter.HERM_TOL))
+            branches((self.T,), self.skewed((0.75, 0.25), 1.001 * scatter.HERM_TOL))
+        state, _ = branches((self.T,), self.skewed((0.75, 0.25), 0.999 * scatter.HERM_TOL))
         assert state.spectra[0][0][0] > 0.75
 
     def test_hermitian_threshold_scales_with_the_largest_entry(self):
         # largest entry 2: the limit is 2 * HERM_TOL, and a block just below it
         # passes the Hermitian test and fails only on its trace of 3
         with pytest.raises(ValueError, match="not Hermitian"):
-            BranchState(self.skewed((2.0, 1.0), 2.002 * scatter.HERM_TOL))
+            branches((self.T,), self.skewed((2.0, 1.0), 2.002 * scatter.HERM_TOL))
         with pytest.raises(ValueError, match="block traces sum to 3"):
-            BranchState(self.skewed((2.0, 1.0), 1.998 * scatter.HERM_TOL))
+            branches((self.T,), self.skewed((2.0, 1.0), 1.998 * scatter.HERM_TOL))
 
 
 class TestDerivativeStacks:
@@ -307,11 +318,11 @@ class TestDerivativeStacks:
                     stack[0, 0, 0] = 5.0
 
     def test_padded_stack_and_its_views(self):
-        # a (3, 2, 2) and a (3, 1, 1) block: one (2, 3, 2, 2) copy, zero in the padding
+        # a (3, 2, 2) and a (3, 1, 1) block: one (2, 3, 2, 2) array, zero in the padding
         spin = np.stack([np.diag([0.1, -0.1]), np.zeros((2, 2)), np.diag([0.3, 0.1])])
         lost = np.array([[[0.0]], [[0.0]], [[-0.4]]])
-        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS),
-                                   (spin, lost))
+        _, derivs = branches((BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS),
+                             (np.diag([0.5, 0.3]), [[0.2]]), (spin, lost))
         assert derivs.sizes == (2, 1) and derivs.padded.shape == (2, 3, 2, 2)
         assert np.array_equal(derivs.padded[0], spin)
         assert np.array_equal(derivs.padded[1, :, :1, :1], lost)
@@ -321,66 +332,61 @@ class TestDerivativeStacks:
         assert not derivs.padded.flags.writeable
 
     def test_real_blocks_give_the_complex_result(self):
-        state = BranchState(((BlockLabel.TRANSMITTED_SPIN,
-                              bloch_to_density(BlochVector(0.3, -0.2, 0.4))),))
-        real = (np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([[0.3, 0.2], [0.2, -0.3]]),
-                np.array([[0.5, 0.0], [0.0, -0.5]]))
-        as_real = BranchDerivatives(state.labels, (np.stack(real),))
-        as_complex = BranchDerivatives(state.labels, (np.stack(real).astype(complex),))
-        assert as_real.stacks[0].dtype == complex
-        assert np.array_equal(qfi_numeric(state, as_real).h, qfi_numeric(state, as_complex).h)
+        real = np.stack([np.diag([0.7, 0.3]), np.array([[0.0, 0.5], [0.5, 0.0]]),
+                         np.array([[0.3, 0.2], [0.2, -0.3]]), np.array([[0.5, 0.0], [0.0, -0.5]])])
+        as_real = Channel((BlockLabel.TRANSMITTED_SPIN,), (real,))
+        as_complex = Channel((BlockLabel.TRANSMITTED_SPIN,), (real.astype(complex),))
+        assert as_real.derivatives.stacks[0].dtype == complex
+        v = BlochVector(0.3, -0.2, 0.4)
+        assert np.array_equal(qfi_numeric(as_real.state(v), as_real.derivatives).h,
+                              qfi_numeric(as_complex.state(v), as_complex.derivatives).h)
 
     def test_caller_arrays_stay_writable_and_apart(self):
-        given = np.stack([np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.5, -0.5])])
-        derivs = BranchDerivatives((BlockLabel.TRANSMITTED_SPIN,), (given,))
+        given = np.stack([ID2 / 2, np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.5, -0.5])])
+        channel = Channel((BlockLabel.TRANSMITTED_SPIN,), (given,))
         assert given.flags.writeable
         given[:, 0, 1] = 9.0
-        assert np.array_equal(derivs.stacks[0][:, 0, 1], np.zeros(3))
+        assert np.array_equal(channel.derivatives.stacks[0][:, 0, 1], np.zeros(3))
+        assert np.array_equal(channel.maps[0][:, 0, 1], np.zeros(4))
 
 
 class TestDerivativeChecks:
     X = BlockLabel.TRANSMITTED_SPIN
 
-    def derivs(self, along_x, labels=None):
-        zero = np.zeros_like(along_x)
-        return BranchDerivatives(labels or (self.X,), (np.stack([along_x, zero, zero]),))
+    def test_non_hermitian_maps_give_their_hermitian_part(self):
+        # 0.5 (a + a^dagger) is Hermitian bit for bit: a derivative can never be read
+        # as its non-Hermitian map, which would give H_xx = 2 at diag(0.7, 0.3)
+        state, derivs = branches((self.X,), (np.diag([0.7, 0.3]),),
+                                 (np.stack([[[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)),
+                                            np.zeros((2, 2))]),))
+        assert np.array_equal(derivs.stacks[0][0], [[0.0, 0.5], [0.5, 0.0]])
+        assert abs(qfi_numeric(state, derivs).h[0, 0] - 1.0) < 1e-15
 
-    def test_rejects_a_non_hermitian_block(self):
-        # qfi_numeric would read H_xx = 2 at diag(0.7, 0.3); the Hermitian part gives 1
-        with pytest.raises(ValueError, match="derivative block .*SPIN.* not Hermitian"):
-            self.derivs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        state = BranchState(((self.X, np.diag([0.7, 0.3])),))
-        hermitian = self.derivs(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        assert abs(qfi_numeric(state, hermitian).h[0, 0] - 1.0) < 1e-15
-
-    def test_every_block_and_axis_is_checked(self):
-        vacuum = BlockLabel.VACUUM_RHS
-        stacks = (np.zeros((3, 2, 2)), np.array([[[0.0]], [[0.0]], [[1e-9j]]]))
-        with pytest.raises(ValueError, match="VACUUM_RHS.* not Hermitian"):
-            BranchDerivatives((self.X, vacuum), stacks)
+    def test_derivatives_of_random_maps_equal_their_conjugate_transpose(self):
+        rng = np.random.default_rng(101)
+        labels = (self.X, BlockLabel.VACUUM_RHS, BlockLabel.REFLECTED_SPIN)
+        for _ in range(200):
+            maps = []
+            for d in (4, 1, 2):
+                m = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+                m[1:] -= np.trace(m[1:], axis1=1, axis2=2).real[:, None, None] * np.eye(d) / d
+                maps.append(m * 10.0 ** rng.uniform(-6, 2))
+            padded = Channel(labels, maps).derivatives.padded
+            # every entry equal: only the zero imaginary parts of the diagonal differ
+            # in sign, +0.0 against -0.0
+            assert np.array_equal(padded, padded.conj().swapaxes(2, 3))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_traces_sum_to_zero_on_every_axis(self, axis):
         # per axis the traces may cancel across blocks, up to TRACE_TOL
-        vacuum = BlockLabel.VACUUM_RHS
-        spin, lost = np.zeros((3, 2, 2)), np.zeros((3, 1, 1))
-        spin[axis] = np.diag([0.3, 0.2])
-        lost[axis] = -0.5 - 0.9 * scatter.TRACE_TOL
-        BranchDerivatives((self.X, vacuum), (spin, lost))
-        lost[axis] = -0.5 - 2.0 * scatter.TRACE_TOL
+        labels = (self.X, BlockLabel.VACUUM_RHS)
+        spin, lost = np.zeros((4, 2, 2)), np.zeros((4, 1, 1))
+        spin[1 + axis] = np.diag([0.3, 0.2])
+        lost[1 + axis] = -0.5 - 0.9 * scatter.TRACE_TOL
+        Channel(labels, (spin, lost))
+        lost[1 + axis] = -0.5 - 2.0 * scatter.TRACE_TOL
         with pytest.raises(ValueError, match="derivative traces sum to"):
-            BranchDerivatives((self.X, vacuum), (spin, lost))
-
-    @pytest.mark.parametrize("scale", [0.75, 2.0])
-    def test_hermitian_threshold_scales_with_the_largest_entry(self, scale):
-        # the anti-Hermitian part may reach HERM_TOL * max(1, largest entry)
-        limit = scatter.HERM_TOL * max(1.0, scale)
-        block = np.array([[scale, 0.0], [0.0, -scale]], dtype=complex)
-        block[0, 1] = 2.002 * limit  # anti-Hermitian part 1.001 * limit
-        with pytest.raises(ValueError, match="not Hermitian"):
-            self.derivs(block)
-        block[0, 1] = 1.998 * limit
-        assert self.derivs(block).stacks[0][0, 0, 1] == 1.998 * limit
+            Channel(labels, (spin, lost))
 
     def test_direct_derivatives_are_shared_and_read_only(self):
         first = direct_branches(BlochVector(0.2, -0.1, 0.4))[1]
@@ -692,6 +698,44 @@ class TestChannel:
         for bad in (maps[0][:3], np.concatenate([maps[0], maps[0][:1]])):
             with pytest.raises(ValueError, match="three axes"):
                 Channel((BlockLabel.TRANSMITTED_SPIN,), (bad,))
+
+    def test_refuses_non_finite_maps_and_repeated_labels_when_built(self):
+        # each fails at construction with its own message, before any state is made
+        labels = (BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS)
+        maps = [np.array(m) for m in scattering_channel(
+            probe_state(self.NEA), 0.8, DetectionMode.TRANSMISSION).maps]
+        nan_sigma, inf_identity = [m.copy() for m in maps], [m.copy() for m in maps]
+        nan_sigma[1][2, 0, 0] = complex(0.0, math.nan)  # complex: both parts count
+        inf_identity[0][0, 1, 0] = math.inf
+        with pytest.raises(ValueError, match="block map BlockLabel.VACUUM_RHS has a "
+                                             "non-finite entry"):
+            Channel(labels, nan_sigma)
+        with pytest.raises(ValueError, match="block map BlockLabel.TRANSMITTED_SPIN has a "
+                                             "non-finite entry"):
+            Channel(labels, inf_identity)
+        with pytest.raises(ValueError, match="duplicate block labels"):
+            Channel((BlockLabel.TRANSMITTED_SPIN,) * 2, maps)
+
+    def test_pads_once_per_channel_and_never_per_target(self, monkeypatch):
+        calls = []
+        pad = scatter._pad
+
+        def counted(maps):
+            calls.append(len(maps))
+            return pad(maps)
+
+        monkeypatch.setattr(scatter, "_pad", counted)
+        scatter._probe_channel.cache_clear()
+        channel = scattering_channel(singlet(), 0.7, DetectionMode.TRANSMISSION)
+        assert calls == [2]
+        apply_channel(ID2 / 2, self.NEA, 0.7, DetectionMode.BOTH)  # builds the probe channel
+        assert calls == [2, 2]
+        rng = np.random.default_rng(103)
+        for _ in range(100):
+            v = BlochVector.from_array(rand_bloch(rng))
+            channel.state(v)
+            apply_channel(bloch_to_density(v), self.NEA, 0.7, DetectionMode.BOTH)
+        assert calls == [2, 2]
 
     def test_rejects_bad_probe_input(self):
         for rho_in in (np.eye(3) / 3, np.ones((2, 4)) / 4):

@@ -10,8 +10,8 @@ spectrum of every block it validates.
 import numpy as np
 import pytest
 
-from scattertomo.scatter import (SIGMA_DOT_SIGMA, BlockLabel, BranchState, DetectionMode,
-                                 apply_channel, scattering_channel)
+from scattertomo.scatter import (SIGMA_DOT_SIGMA, BlockLabel, DetectionMode, apply_channel,
+                                 scattering_channel)
 from scattertomo.states import (
     ID2,
     SIGMA_X,
@@ -24,7 +24,7 @@ from scattertomo.states import (
     singlet,
 )
 
-from conftest import marginals, rand_bloch, rand_unitary
+from conftest import branches, marginals, rand_bloch, rand_unitary
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 T, R = BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN
@@ -38,7 +38,7 @@ def rand_density(rng, dim):
 
 def spectrum(block):
     """(eigenvalues, eigenvectors) a one-block BranchState keeps for ``block``."""
-    lam, vec = BranchState(((T, block),)).spectra
+    lam, vec = branches((T,), (block,))[0].spectra
     return lam[0], vec[0]
 
 
@@ -155,11 +155,11 @@ class TestHermEig:
         block = np.diag([1.0, -1e-13])
         lam, _ = spectrum(block)
         assert np.array_equal(lam, [1.0, 0.0])
-        assert BranchState(((T, block),)).block(T)[1, 1] == -1e-13
+        assert branches((T,), (block,))[0].block(T)[1, 1] == -1e-13
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            BranchState(((T, np.array([[0.5, 1.0], [0.0, 0.5]])),))
+            branches((T,), (np.array([[0.5, 1.0], [0.0, 0.5]]),))
 
 
 def test_swap_identity():
