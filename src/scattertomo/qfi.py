@@ -5,12 +5,12 @@ QFI on the labeled block decomposition, using matrix elements of the state
 derivative instead of eigenvector derivatives (the two forms are algebraically
 identical, and this one stays conditioned near spectral degeneracies). It
 makes one array pass over all blocks at once. Both of its inputs come from
-one ``Channel``'s zero-padded (n, 4, d, d) map stack, with no copy per block:
-the padded spectra (lam (n, d), vec (n, d, d)) of the ``BranchState``, which
-one ``eigh`` of its (n, d, d) block stack gave while validating it, and the
-symmetrized (n, 3, d, d) sigma maps of the ``BranchDerivatives``, built once
-per channel. It solves no eigenproblem itself. A block of size d_i < d is zero
-in its padding, so the padding adds only zero terms to the sum.
+one ``Channel``'s zero-padded (n, 4, d, d) stack of Hermitian maps, with no
+copy per block: the padded spectra (lam (n, d), vec (n, d, d)) of the
+``BranchState``, which one ``eigh`` of its (n, d, d) block stack gave while
+validating it, and the (n, 3, d, d) sigma maps of the ``BranchDerivatives``, a
+view of that stack. It solves no eigenproblem itself. A block of size d_i < d
+is zero in its padding, so the padding adds only zero terms to the sum.
 """
 
 from __future__ import annotations

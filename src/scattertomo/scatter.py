@@ -6,9 +6,9 @@ dimensionless Omega = m*g/(hbar|k|). The output is a list of labeled positive
 blocks on mutually orthogonal sectors (spin sectors plus no-click vacuum flags);
 total trace is 1 and the Fisher information is additive over blocks.
 
-Block arrays enter only through ``Channel(labels, maps)``, which checks and pads
-them once; a ``BranchState`` (one target) and the ``BranchDerivatives`` are
-built from the channel's padded stack as it is.
+Block arrays enter only through ``Channel(labels, maps)``, which checks them and
+pads their Hermitian parts once; a ``BranchState`` (one target) and the
+``BranchDerivatives`` are built from the channel's padded stack as it is.
 """
 
 from __future__ import annotations
@@ -102,14 +102,14 @@ class BranchState:
 
     The blocks are sum_k c_k maps[i][k] with c = (1, v_x, v_y, v_z), one
     (n, d, d) stack made by one einsum over the channel's padded map stack, d
-    the largest block size. Validation checks the stack and diagonalizes it
-    with one ``eigh``, naming the block of every refusal. ``spectra`` is the
-    pair (lam (n, d), vec (n, d, d)): lam[i] holds block i's eigenvalues,
-    descending and clipped at 0, and vec[i] the matching eigenvectors as
-    columns; a block of size d_i < d has d - d_i more zero eigenvalues, whose
-    eigenvectors span its null space and its padding. ``blocks`` keeps each
-    block as a read-only (d_i, d_i) view of the stack, so a spectrum always
-    belongs to its block.
+    the largest block size; the maps are Hermitian bit for bit, so the stack
+    is too. Validation checks it is finite, diagonalizes it with one ``eigh``
+    (naming the block of every refusal) and checks c against the channel's
+    trace sums. ``spectra`` is the pair (lam (n, d), vec (n, d, d)): lam[i]
+    holds block i's eigenvalues, descending and clipped at 0, and vec[i] the
+    matching eigenvectors as columns; a block of size d_i < d has d - d_i more
+    zero eigenvalues, whose eigenvectors span its null space and its padding.
+    ``blocks`` gives each block as a read-only (d_i, d_i) view of the stack.
     """
 
     def __init__(self, channel: Channel, c: np.ndarray):
@@ -119,50 +119,38 @@ class BranchState:
         self.labels, self.sizes = channel.labels, channel.sizes
         if not np.isfinite(stack).all():  # complex: both parts
             raise ValueError("matrix entries must be finite")
-        herm = 0.5 * (stack + stack.conj().swapaxes(1, 2))
-        # a block's anti-Hermitian part may reach HERM_TOL * max(1, its largest entry);
-        # the padding is zero, so it changes no block's maxima
-        skew = np.abs(stack - herm)
-        if skew.max(initial=0.0) > HERM_TOL:  # else no block can fail: the common case
-            worst = skew.max(axis=(1, 2))
-            bad = (worst > HERM_TOL) & (worst > HERM_TOL * np.abs(stack).max(axis=(1, 2)))
-            if bad.any():
-                raise ValueError(f"block {self.labels[bad.argmax()]} is not Hermitian")
-        lam, vec = np.linalg.eigh(herm)  # ascending
+        lam, vec = np.linalg.eigh(stack)  # ascending
         if lam.min(initial=0.0) < PSD_TOL:
             i = lam[:, 0].argmin()
             raise ValueError(f"block {self.labels[i]} has negative eigenvalue {lam[i, 0]:.3e}")
-        total = stack.trace(axis1=1, axis2=2).real.sum()
+        total = float(c @ channel._traces)
         if abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"block traces sum to {total}, expected 1")
         self.spectra = (np.maximum(lam[:, ::-1], 0.0), vec[:, :, ::-1].copy())
         for a in (stack, *self.spectra):
             a.flags.writeable = False
-        self.blocks = tuple((lab, op[:size, :size])
-                            for lab, op, size in zip(self.labels, stack, self.sizes))
+        self._stack = stack
+
+    @property
+    def blocks(self) -> tuple[tuple[BlockLabel, np.ndarray], ...]:
+        return tuple((lab, op[:size, :size])
+                     for lab, op, size in zip(self.labels, self._stack, self.sizes))
 
     def block(self, label: BlockLabel) -> np.ndarray:
-        for lab, op in self.blocks:
-            if lab is label:
-                return op
-        raise KeyError(label)
+        return dict(self.blocks)[label]
 
 
 class BranchDerivatives:
     """Block derivatives of a channel's states, aligned with its labels.
 
-    ``padded`` holds every block's derivatives with respect to v_x, v_y, v_z,
-    the symmetrized sigma maps 0.5 (sigma + sigma^dagger) of the channel's
-    padded stack, as one read-only complex (n, 3, d, d) array, and
-    ``stacks[i]`` is block i's (3, d_i, d_i) view of it. Each block is
-    Hermitian bit for bit, and the channel has checked that each axis's block
-    traces sum to zero.
+    ``padded`` holds every block's derivatives with respect to v_x, v_y, v_z:
+    the (n, 3, d, d) sigma maps of the channel's padded stack, a read-only
+    view, Hermitian bit for bit, whose block traces sum to zero on each axis.
+    ``stacks[i]`` is block i's (3, d_i, d_i) view of it.
     """
 
     def __init__(self, channel: Channel):
-        sigma = channel._stack[:, 1:]
-        self.padded = 0.5 * (sigma + sigma.conj().swapaxes(2, 3))
-        self.padded.flags.writeable = False
+        self.padded = channel._stack[:, 1:]
         self.labels, self.sizes = channel.labels, channel.sizes
         self.stacks = tuple(a[:, :size, :size] for a, size in zip(self.padded, self.sizes))
 
@@ -179,11 +167,10 @@ class Channel:
     sum_k c_k B_k / 2 with c = (1, v_x, v_y, v_z), so block i is
     sum_k c_k maps[i][k]. The constructor is the one entry for block arrays:
     it checks the maps once (one (4, d_i, d_i) map per label, distinct labels,
-    finite entries, each axis's derivative traces summing to zero) and copies
-    them into one zero-padded (n, 4, d, d) stack, d the largest block size, of
-    which the maps are views. A ``BranchState`` is one einsum over that stack;
-    the derivative blocks do not depend on the target and are built once,
-    read-only, with the channel.
+    finite and Hermitian entries, each axis's derivative traces summing to
+    zero) and keeps their Hermitian parts 0.5 (M + M^dagger) in one
+    zero-padded (n, 4, d, d) stack, d the largest block size, of which the
+    maps and the derivatives are views. A ``BranchState`` is one einsum over it.
     """
 
     def __init__(self, labels, maps):
@@ -197,12 +184,22 @@ class Channel:
             raise ValueError(f"{len(maps)} block maps misaligned with labels {self.labels}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate block labels {self.labels}")
-        self._stack, self.sizes = _pad(maps)
-        finite = np.isfinite(self._stack).all(axis=(1, 2, 3))  # complex: both parts
+        stack, self.sizes = _pad(maps)
+        finite = np.isfinite(stack).all(axis=(1, 2, 3))  # complex: both parts
         if not finite.all():
             raise ValueError(f"block map {self.labels[finite.argmin()]} has a non-finite entry")
-        # the real part of a trace is the trace of the symmetrized map, bit for bit
-        for total in self._stack[:, 1:].trace(axis1=2, axis2=3).real.sum(axis=0).tolist():
+        self._stack = 0.5 * (stack + stack.conj().swapaxes(2, 3))
+        # a block's anti-Hermitian part may reach HERM_TOL * max(1, its largest entry);
+        # the padding is zero, so it changes no block's maxima
+        skew = np.abs(stack - self._stack)
+        if skew.max(initial=0.0) > HERM_TOL:  # else no block can fail: the common case
+            worst = skew.max(axis=(1, 2, 3))
+            bad = (worst > HERM_TOL) & (worst > HERM_TOL * np.abs(stack).max(axis=(1, 2, 3)))
+            if bad.any():
+                raise ValueError(f"block {self.labels[bad.argmax()]} is not Hermitian")
+        # sum_i Tr maps[i][k]: a state's trace sum is c against these
+        self._traces = self._stack.trace(axis1=2, axis2=3).real.sum(axis=0)
+        for total in self._traces[1:].tolist():
             if abs(total) > TRACE_TOL:
                 raise ValueError(f"derivative traces sum to {total}, expected 0")
         self._stack.flags.writeable = False
@@ -265,12 +262,13 @@ def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
     rho_x = as_cmatrix(rho_x)
     if rho_x.shape != (2, 2):
         raise ValueError("target state must be 2x2")
-    if np.abs(rho_x - rho_x.conj().T).max() > 1e-10 or abs(rho_x.trace() - 1.0) > 1e-10:
+    r00, r01, r10, r11 = rho_x.ravel().tolist()
+    if (max(abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()),
+            abs(r11 - r11.conjugate())) > 1e-10 or abs(r00 + r11 - 1.0) > 1e-10):
         raise ValueError("target state must be Hermitian with unit trace")
     # c = (1, Re Tr(rho_x sigma_j)) of the Hermitian part: a skew the check above
-    # allows must not reach the blocks, whose Hermitian test is tighter
-    c = 2.0 * np.einsum("ab,kba->k", rho_x, _BASIS).real
-    c[0] = 1.0
+    # allows must not reach the blocks
+    c = np.array([1.0, r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real])
     return BranchState(_probe_channel(probe, float(omega), mode), c)
 
 

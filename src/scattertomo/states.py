@@ -49,6 +49,9 @@ class BlochVector:
         v = (self.vx, self.vy, self.vz)
         if not all(math.isfinite(c) for c in v):
             raise ValueError("Bloch components must be finite")
+        # a component above 1 is refused before the norm, whose squares can overflow
+        if max(map(abs, v)) > 1.0 + NORM_TOL:
+            raise ValueError(f"Bloch component {max(v, key=abs)} exceeds 1 in magnitude")
         if self.norm > 1.0 + NORM_TOL:
             raise ValueError(f"Bloch vector norm {self.norm} exceeds 1")
 

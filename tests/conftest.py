@@ -46,8 +46,8 @@ def branches(labels, blocks, derivatives=None):
     """(state, derivatives) with blocks B_i and derivative stacks D_i (zero if None).
 
     They are built as Channel(labels, [stack((B_i, *D_i))]).state(v = 0) and its
-    channel's derivatives: the state is B_i exactly, and the derivatives are
-    0.5 (D_i + D_i^H), which is D_i bit for bit where D_i is Hermitian.
+    channel's derivatives: the state is 0.5 (B_i + B_i^H) and the derivatives are
+    0.5 (D_i + D_i^H), which are B_i and D_i bit for bit where they are Hermitian.
     """
     blocks = [np.asarray(b) for b in blocks]
     if derivatives is None:

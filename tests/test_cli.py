@@ -132,6 +132,18 @@ class TestQfiCommand:
         assert code == 3
         assert out == "" and "at most OMEGA_MAX = 1e+20" in err and not target.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("qfi", "--strategy", "ea", "--vx", "1e200", "--omega", "0.6"),
+        ("qfi", "--strategy", "direct", "--vz", "1e155"),
+        ("bound", "--strategy", "nea", "--vz", "-1e155", "--omega", "0.6", "--param", "z"),
+    ], ids=["qfi-ea", "qfi-direct", "bound-nea"])
+    def test_huge_bloch_component_is_domain_error(self, capsys, tmp_path, argv):
+        # refused before the norm squares it: no OverflowError traceback, no file
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "-o", str(target))
+        assert code == 3
+        assert out == "" and "exceeds 1 in magnitude" in err and not target.exists()
+
     def test_unparseable_flags_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["qfi", "--strategy", "bogus"])

@@ -319,16 +319,19 @@ class TestDerivativeStacks:
 
     def test_padded_stack_and_its_views(self):
         # a (3, 2, 2) and a (3, 1, 1) block: one (2, 3, 2, 2) array, zero in the padding
+        # and a view of the channel's own stack, with no copy
         spin = np.stack([np.diag([0.1, -0.1]), np.zeros((2, 2)), np.diag([0.3, 0.1])])
         lost = np.array([[[0.0]], [[0.0]], [[-0.4]]])
-        _, derivs = branches((BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS),
-                             (np.diag([0.5, 0.3]), [[0.2]]), (spin, lost))
+        channel = Channel((BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS),
+                          (np.stack((np.diag([0.5, 0.3]), *spin)), np.stack(([[0.2]], *lost))))
+        derivs = channel.derivatives
         assert derivs.sizes == (2, 1) and derivs.padded.shape == (2, 3, 2, 2)
         assert np.array_equal(derivs.padded[0], spin)
         assert np.array_equal(derivs.padded[1, :, :1, :1], lost)
         assert not derivs.padded[1, :, 1:].any() and not derivs.padded[1, :, :, 1:].any()
+        assert np.shares_memory(derivs.padded, channel._stack)
         for stack, given in zip(derivs.stacks, (spin, lost)):
-            assert stack.base is derivs.padded and np.array_equal(stack, given)
+            assert np.shares_memory(stack, channel._stack) and np.array_equal(stack, given)
         assert not derivs.padded.flags.writeable
 
     def test_real_blocks_give_the_complex_result(self):
@@ -354,27 +357,61 @@ class TestDerivativeChecks:
     X = BlockLabel.TRANSMITTED_SPIN
 
     def test_non_hermitian_maps_give_their_hermitian_part(self):
-        # 0.5 (a + a^dagger) is Hermitian bit for bit: a derivative can never be read
-        # as its non-Hermitian map, which would give H_xx = 2 at diag(0.7, 0.3)
+        # a skew within HERM_TOL is kept as 0.5 (a + a^dagger), Hermitian bit for bit,
+        # which gives H_xx = 1 at diag(0.7, 0.3)
+        skew = 0.5 * scatter.HERM_TOL
+        sigma_x = np.array([[0.0, 0.5 + 1j * skew], [0.5 + 1j * skew, 0.0]])
         state, derivs = branches((self.X,), (np.diag([0.7, 0.3]),),
-                                 (np.stack([[[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)),
-                                            np.zeros((2, 2))]),))
+                                 (np.stack([sigma_x, np.zeros((2, 2)), np.zeros((2, 2))]),))
         assert np.array_equal(derivs.stacks[0][0], [[0.0, 0.5], [0.5, 0.0]])
         assert abs(qfi_numeric(state, derivs).h[0, 0] - 1.0) < 1e-15
+        # a larger one refuses the channel when it is built, naming the block. This
+        # sigma_x map once gave H_xx = 1.0 at v = 0 and a refusal at v = (0.1, 0, 0);
+        # now no channel holds it, so no target gets an answer that depends on v
+        skewed = np.stack([np.diag([0.7, 0.3]), [[0.0, 1.0], [0.0, 0.0]],
+                           np.zeros((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="block BlockLabel.TRANSMITTED_SPIN is not Hermitian"):
+            Channel((self.X,), (skewed,))
+        with pytest.raises(ValueError, match="block BlockLabel.REFLECTED_SPIN is not Hermitian"):
+            Channel((self.X, BlockLabel.REFLECTED_SPIN), (np.zeros((4, 2, 2)), skewed))
+
+    @staticmethod
+    def random_hermitian(rng, d):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return 0.5 * (z + z.conj().T)
 
     def test_derivatives_of_random_maps_equal_their_conjugate_transpose(self):
+        # random Hermitian maps, each with an anti-Hermitian part below HERM_TOL: the
+        # channel's padded stack, and every state built from it, is Hermitian bit for bit
         rng = np.random.default_rng(101)
         labels = (self.X, BlockLabel.VACUUM_RHS, BlockLabel.REFLECTED_SPIN)
         for _ in range(200):
             maps = []
             for d in (4, 1, 2):
-                m = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
-                m[1:] -= np.trace(m[1:], axis1=1, axis2=2).real[:, None, None] * np.eye(d) / d
-                maps.append(m * 10.0 ** rng.uniform(-6, 2))
-            padded = Channel(labels, maps).derivatives.padded
+                a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                rho = a @ a.conj().T + np.eye(d)
+                sigma = np.stack([self.random_hermitian(rng, d) for _ in range(3)])
+                sigma -= np.trace(sigma, axis1=1, axis2=2).real[:, None, None] * np.eye(d) / d
+                # |sum_j v_j sigma_j| stays below rho's smallest eigenvalue for |v| <= 1:
+                # a sum of |entries| bounds a spectral norm
+                norm = np.abs(sigma).sum(axis=(1, 2)).max()
+                sigma *= np.linalg.eigvalsh(rho)[0] / (3.0 * max(norm, 1.0))
+                m = np.stack([rho, *sigma]) / 3.0
+                k = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+                m += (k - k.conj().swapaxes(1, 2)) * 0.2 * scatter.HERM_TOL / np.abs(k).max()
+                maps.append(m)
+            traces = [np.trace(m[0]).real for m in maps]
+            maps = [m / sum(traces) for m in maps]
+            channel = Channel(labels, maps)
+            stack = channel._stack
             # every entry equal: only the zero imaginary parts of the diagonal differ
             # in sign, +0.0 against -0.0
-            assert np.array_equal(padded, padded.conj().swapaxes(2, 3))
+            assert np.array_equal(stack, stack.conj().swapaxes(2, 3))
+            assert np.array_equal(channel.derivatives.padded, stack[:, 1:])
+            for _ in range(5):
+                state = channel.state(BlochVector.from_array(rand_bloch(rng, r_max=1.0)))
+                for _, op in state.blocks:
+                    assert np.array_equal(op, op.conj().T)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_traces_sum_to_zero_on_every_axis(self, axis):
@@ -609,7 +646,7 @@ class TestChannel:
             expected = self.reference_maps(probe, omega, mode)
             assert len(maps) == len(expected)
             for got, want in zip(maps, expected):
-                assert np.array_equal(got, want)
+                assert np.array_equal(got, 0.5 * (want + want.conj().swapaxes(1, 2)))
 
     def test_max_entangled_input_matches_singlet_closed_form(self):
         rng = np.random.default_rng(67)
@@ -661,6 +698,54 @@ class TestChannel:
             assert by_v.labels == by_rho.labels
             for (_, a), (_, b) in zip(by_v.blocks, by_rho.blocks):
                 assert np.abs(a - b).max() <= 1e-15
+
+    def test_state_stacks_equal_their_conjugate_transpose_bit_for_bit(self):
+        # eigh reads the stack as it is, with no Hermitian part taken per target
+        rng = np.random.default_rng(107)
+        omega = log_uniform(rng, 1e-3, 1e3)
+        channels = [scatter.IDENTITY] + [
+            scattering_channel(rho_in, omega, mode) for mode in MODES
+            for rho_in in (singlet(), probe_state(self.NEA),
+                           max_entangled(rand_unitary(rng), rand_unitary(rng)))]
+        for channel in channels:
+            for _ in range(20):
+                stack = channel.state(BlochVector.from_array(rand_bloch(rng, r_max=1.0)))._stack
+                assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+
+    @pytest.mark.parametrize("probe", [EA, NEA], ids=["ea", "nea"])
+    def test_density_entry_equals_the_bloch_entry_bit_for_bit(self, probe):
+        # apply_channel reads c = (1, v) off rho with the Pauli traces 2 Re Tr(rho B_k / 2);
+        # where 1 + v_z and 1 - v_z are exact, rho(v) gives back v and so the blocks
+        # of channel.state(v). Elsewhere rho(v) has rounded them, and the blocks are
+        # those of the v that rho holds
+        rng = np.random.default_rng(109)
+        for i in range(90):
+            omega, mode = log_uniform(rng, 1e-3, 1e3), MODES[i % 3]
+            channel = scattering_channel(probe_state(probe), omega, mode)
+            v = BlochVector.from_array(rand_bloch(rng))
+            rho = bloch_to_density(v)
+            c = 2.0 * np.einsum("ab,kba->k", rho, 0.5 * np.stack([ID2, *PAULIS])).real
+            c[0] = 1.0
+            by_rho = apply_channel(rho, probe, omega, mode)
+            assert by_rho._stack.tobytes() == BranchState(channel, c)._stack.tobytes()
+            exact = BlochVector(v.vx, v.vy, round(v.vz * 2**20) / 2**20)
+            by_rho = apply_channel(bloch_to_density(exact), probe, omega, mode)
+            assert by_rho._stack.tobytes() == channel.state(exact)._stack.tobytes()
+
+    def test_a_target_skew_never_reaches_the_blocks(self):
+        # any skew the 1e-10 target check allows gives the blocks of the target's
+        # Hermitian part, bit for bit, on every channel
+        rng = np.random.default_rng(113)
+        for mode in MODES:
+            for probe in (self.EA, self.NEA):
+                for _ in range(30):
+                    rho = bloch_to_density(BlochVector.from_array(rand_bloch(rng)))
+                    k = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                    skewed = rho + (k - k.conj().T) * 2.4e-11 / np.abs(k).max()
+                    herm = 0.5 * (skewed + skewed.conj().T)
+                    a = apply_channel(skewed, probe, 0.7, mode)._stack
+                    assert a.tobytes() == apply_channel(herm, probe, 0.7, mode)._stack.tobytes()
+                    assert np.array_equal(a, a.conj().swapaxes(1, 2))
 
     def test_built_from_labels_and_maps(self):
         ref = scattering_channel(singlet(), 0.8, DetectionMode.TRANSMISSION)

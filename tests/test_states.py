@@ -5,6 +5,7 @@ import pytest
 
 from scattertomo.states import (
     ID2,
+    NORM_TOL,
     SIGMA_X,
     BlochVector,
     PolarCoords,
@@ -35,6 +36,19 @@ class TestBlochToDensity:
     def test_rejects_outside_ball(self):
         with pytest.raises(ValueError):
             BlochVector(1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("v", [(1e200, 0.0, 0.0), (0.0, -1e155, 0.0), (0.0, 0.0, 1e155),
+                                   (1.0 + 2e-12, 0.0, 0.0)])
+    def test_refuses_a_component_above_one_before_the_norm(self, v):
+        # squaring 1e155 overflows a Python float: the component check comes first
+        with pytest.raises(ValueError, match="Bloch component .* exceeds 1 in magnitude"):
+            BlochVector(*v)
+
+    def test_keeps_a_component_within_norm_tol_of_one(self):
+        v = BlochVector(0.0, -(1.0 + 0.5e-12), 0.0)
+        assert 1.0 < v.norm <= 1.0 + NORM_TOL
+        with pytest.raises(ValueError, match="Bloch vector norm .* exceeds 1"):
+            BlochVector(0.8, 0.8, 0.0)
 
     def test_density_properties_random(self):
         rng = np.random.default_rng(21)
