@@ -10,8 +10,9 @@ safeguarded Newton iteration on the critical-point polynomial of c_r in
 W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a coarse
 (theta_a, log Omega) grid, the QFI's factors fitted in theta_a from five
 nodes, and refines by a projected, damped Newton ascent on exact bivariate
-forms of the factors, which give the QFI's gradient and Hessian; since the
-forms are exact on any box, a seed need only lie in its maximum's basin.
+forms of the factors, whose log-derivatives give the QFI's gradient and
+Hessian; since the forms are exact on any box, a seed need only lie in its
+maximum's basin. Every search refuses a tol that is not positive and finite.
 
 The EA and NEA searches solve batches of independent problems in lockstep:
 each step makes one array call on a fixed set of lanes (problem x candidate),
@@ -20,9 +21,9 @@ EA, its Newton steps). ``maximize_nea`` and ``maximize_ea`` broadcast as the
 closed forms do: one OptResult for a scalar target, a list of one per target
 for an array. The NEA search takes one detection mode for the batch or one per
 problem: each mode is scanned and seeded on its own, and one lockstep refines
-the lanes of every mode, each on its own mode's forms, so a problem's result
-is that of a batch of its mode alone. Figures 7 and 8 solve all three modes in
-one call.
+the lanes of every mode, one form evaluating them all in one pass, each lane
+on its own mode's terms, so a problem's result is that of a batch of its mode
+alone. Figures 7 and 8 solve all three modes in one call.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closedform import (_check_radius, _ea_cr, _ea_cr_critical, _nea_factors,
-                         _nea_ratio, nea_qfi)
+from .closedform import _check_radius, _ea_cr, _ea_cr_critical, _nea_factors, nea_qfi
 from .scatter import DetectionMode
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -64,6 +64,11 @@ class OptResult:
             if key == name:
                 return val
         raise KeyError(name)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
 def _golden_section(f, lo: float, hi: float, stop):
@@ -125,12 +130,13 @@ def _ascent_step(jet, x, lo, hi, width):
 def _newton_max(q, x, lo, hi, width, stop):
     """Projected, damped Newton ascent in lockstep, one lane per column of x (2, lane).
 
-    q(x0, x1) gives the objective's jet (``_Jet.d``) at every lane, and each
-    lane stays in its box [lo, hi]. A lane tries ``_ascent_step``, clipped to
-    its box, and halves it until the objective does not decrease. A lane
-    finishes once stop(x, x_try) passes for a trial point it evaluated (taking
-    the point if it is not lower), or unconverged after MAX_ITER evaluations,
-    and then no longer moves while the others step. Returns arrays (x, evals, ok).
+    q(x0, x1) gives the (6, lane) stack (f, f_t, f_u, f_tt, f_tu, f_uu) of the
+    objective and its derivatives at every lane, and each lane stays in its box
+    [lo, hi]. A lane tries ``_ascent_step``, clipped to its box, and halves it
+    until the objective does not decrease. A lane finishes once stop(x, x_try)
+    passes for a trial point it evaluated (taking the point if it is not
+    lower), or unconverged after MAX_ITER evaluations, and then no longer moves
+    while the others step. Returns arrays (x, evals, ok).
     """
     n = x.shape[1]
     out_evals, ok = np.empty(n, dtype=int), np.empty(n, dtype=bool)
@@ -214,6 +220,7 @@ def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float
     are spent; the best candidate wins, ties to the smaller argument. The
     objective is called n_grid + ``iterations`` times.
     """
+    _check_tol(tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"degenerate bracket ({lo}, {hi})")
@@ -242,55 +249,6 @@ def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float
     return _results(prob, 1, evals, ok, pick, [(name, x)], fx)[0]
 
 
-class _Jet:
-    """Value, gradient and Hessian over (theta_a, log Omega), one column per lane.
-
-    ``d`` stacks (f, f_t, f_u, f_tt, f_tu, f_uu) on axis 0. Jets add and
-    multiply with each other and with numbers, and divide by jets: the
-    operations of ``_nea_ratio``, so that one expression serves values and
-    jets alike.
-    """
-
-    __slots__ = ("d",)
-
-    def __init__(self, d: np.ndarray):
-        self.d = d
-
-    @staticmethod
-    def _cross(a, b):
-        # second-order terms of a product: a_i b_j + a_j b_i for (tt, tu, uu)
-        return a[[1, 1, 2]] * b[[1, 2, 2]] + a[[1, 2, 2]] * b[[1, 1, 2]]
-
-    def __add__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.d + other.d)
-        d = self.d.copy()
-        d[0] += other
-        return _Jet(d)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, _Jet):
-            return _Jet(self.d * other)
-        a, b = self.d, other.d
-        d = a[0] * b + b[0] * a
-        d[0] = a[0] * b[0]
-        d[3:] += self._cross(a, b)
-        return _Jet(d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # the quotient rule, solved from q b = a term by term
-        a, b = self.d, other.d
-        d = np.empty_like(a)
-        d[0] = a[0] / b[0]
-        d[1:] = (a[1:] - d[0] * b[1:]) / b[0]
-        d[3:] -= self._cross(d, b) / b[0]
-        return _Jet(d)
-
-
 # cos(k theta) at the nodes theta = j pi/4 (rows j, columns k = 0..4): a cosine
 # polynomial of degree <= 4 is fixed by its values there
 _K = np.arange(5)
@@ -307,7 +265,7 @@ def _at_theta_nodes(v, w, mode: DetectionMode) -> np.ndarray:
 def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
     """``nea_qfi`` of targets v at every node of thetas x w, from the factors at _THETA_NODES.
 
-    The W-only factors of ``_nea_ratio`` scale the node tables before the
+    The W-only factors of ``nea_qfi`` scale the node tables before the
     cosine expansion: w/(1 + W) the numerator, and in both mode
     w/((1 + W)(1 + 9W)) g_t and g_m. So the full grid takes only the products
     of factors that depend on theta_a: 3 (t), 2 (r) or 9 (both) array operations.
@@ -329,65 +287,98 @@ def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
     return (f_r * d_t * g_t + d_r * g_r * g_m) / (d_t * d_r * f_t * f_r)
 
 
-def _nea_form(v, u_lo, u_hi, mode: DetectionMode):
+# Each mode's QFI is s(W) sum_terms prod_i x_i^e_i over its ``_nea_factors`` x,
+# padded to both's seven with factors 1, and s = W/((1 + W)(1 + a W)): (a, e)
+_NEA_TERMS = {
+    DetectionMode.TRANSMISSION: (0.0, ((-1, -1, -1, 1, 0, 0, 0),)),  # num/(d_t f_t f_r)
+    DetectionMode.REFLECTION: (0.0, ((-1, 1, -1, 0, 0, 0, 0),)),  # num/(den d_r)
+    DetectionMode.BOTH: (9.0, ((0, -1, -1, 0, 1, 0, 0),  # g_t/(d_r f_t)
+                               (-1, 0, -1, -1, 0, 1, 1))),  # g_r g_m/(d_t f_t f_r)
+}
+
+
+def _nea_form(v, u_lo, u_hi, mode):
     """NEA QFI of lanes v over (theta_a, log Omega in [u_lo, u_hi]), with its derivatives.
 
+    ``mode`` is one DetectionMode, or (mode, lanes) pairs that cover the lanes.
     Every factor of ``nea_qfi`` is a cosine polynomial of degree <= 4 in
     theta_a times a quadratic in W = Omega^2, fitted once per lane from its
     values at the five ``_THETA_NODES`` and at the two ends and the centre of
-    the lane's W range. Returns q(theta, u): the (6, lane) stack of the QFI
-    and its derivatives as in ``_Jet.d``, at theta_a = theta, Omega = exp(u).
+    the lane's W range. The QFI's derivatives follow from the factors'
+    log-derivatives through ``_NEA_TERMS``; every factor is positive on the
+    domain. Returns q(theta, u): the (6, lane) stack (f, f_t, f_u, f_tt, f_tu,
+    f_uu) of the QFI at theta_a = theta, Omega = exp(u), each lane by its own
+    mode's terms and reading no other lane.
     """
+    groups = [(mode, slice(None))] if isinstance(mode, DetectionMode) else mode
     w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
     mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
     nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
-    f_lo, f_mid, f_hi = np.einsum("kj,flji->iflk", _THETA_FIT, _at_theta_nodes(v, nodes, mode))
-    # coefficients of cos(k theta) x^p per (factor, lane, k, p), x = (W - mid) / half
-    coef = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid], axis=-1)
+    table = np.ones((7, v.size, _K.size, 3))
+    a, e, live = np.zeros(v.size), np.zeros((2, 7, v.size)), np.zeros((2, v.size))
+    for m, lanes in groups:
+        at = _at_theta_nodes(v[lanes], nodes[lanes], m)
+        table[:len(at), lanes] = at
+        a[lanes], terms = _NEA_TERMS[m]
+        e[:len(terms), :, lanes] = np.array(terms)[..., None]
+        live[:len(terms), lanes] = 1.0
+    f_lo, f_mid, f_hi = np.einsum("kj,flji->iflk", _THETA_FIT, table)
+    # coefficients of cos(k theta) x^p per (k, factor, p, lane), x = (W - mid) / half
+    coef = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid])
+    coef = np.ascontiguousarray(coef.transpose(3, 1, 0, 2))
+    above, below = e > 0.0, e < 0.0
 
     def q(theta, u):
-        kt = np.multiply.outer(theta, _K)
+        kt = np.multiply.outer(_K, theta)
         cos_kt = np.cos(kt)
-        # d^o/dtheta^o cos(k theta), o = 0, 1, 2, then the x-polynomials' coefficients
-        c = np.einsum("olk,flkp->oflp", np.stack([cos_kt, -_K * np.sin(kt), -_K**2 * cos_kt]),
-                      coef)
+        # d^o/dtheta^o cos(k theta), o = 0, 1, 2, as (k, o, 1, 1, lane)
+        trig = np.stack([cos_kt, -_K[:, None] * np.sin(kt), -_K[:, None]**2 * cos_kt],
+                        axis=1)[:, :, None, None]
+        # the x-polynomials' coefficients (o, factor, p, lane), summed in order k = 0..4
+        # (not by matmul): near the pure state d_t and d_r are small sums of O(1)
+        # terms, and the order shows in the steps
+        c = trig[0] * coef[0]
+        for k in _K[1:]:
+            c += trig[k] * coef[k]
         w = np.exp(u)**2
         x = (w - mid) / half
         x_u = 2.0 * w / half  # dx/du; d2x/du2 = 2 x_u
-        val = c[..., 0] + x * (c[..., 1] + x * c[..., 2])  # (o, factor, lane)
-        d_x = c[:2, ..., 1] + 2.0 * x * c[:2, ..., 2]
-        d_xx = 2.0 * c[0, ..., 2]
-        factors = np.stack([val[0], val[1], d_x[0] * x_u, val[2], d_x[1] * x_u,
-                            (d_xx * x_u + 2.0 * d_x[0]) * x_u], axis=1)
-        zero = np.zeros_like(w)
-        return _nea_ratio([_Jet(f) for f in factors], _Jet(np.stack(
-            [w, zero, 2.0 * w, zero, zero, 4.0 * w])), mode).d
+        val = c[:, :, 0] + x * (c[:, :, 1] + x * c[:, :, 2])  # (o, factor, lane)
+        d_x = c[:2, :, 1] + 2.0 * x * c[:2, :, 2]
+        d_xx = 2.0 * c[0, :, 2]
+        f = val[0]
+        # log-derivatives (t, u, tt, tu, uu) of each factor, then of each term
+        r = np.stack([val[1], d_x[0] * x_u, val[2], d_x[1] * x_u,
+                      (d_xx * x_u + 2.0 * d_x[0]) * x_u], axis=1) / f[:, None]
+        r[:, 2:] -= r[:, [0, 0, 1]] * r[:, [0, 1, 1]]
+        g = (e[:, :, None] * r).sum(axis=1)
+        # and those of s(W): d/du log W = 2, d/du log(1 + b W) = 2 b W/(1 + b W)
+        aw = a * w
+        g[:, 1] += 2.0 / (1.0 + w) - 2.0 * aw / (1.0 + aw)
+        g[:, 4] -= 4.0 * w / (1.0 + w)**2 + 4.0 * aw / (1.0 + aw)**2
+        term = (live * w / ((1.0 + w) * (1.0 + aw)) * np.where(above, f, 1.0).prod(axis=1)
+                / np.where(below, f, 1.0).prod(axis=1))
+        g[:, 2:] += g[:, [0, 0, 1]] * g[:, [0, 1, 1]]
+        return np.concatenate([term[:, None], term[:, None] * g], axis=1).sum(axis=0)
     return q
 
 
 def _nea_refine(v, theta, u, groups, tol: float):
     """Refine NEA lanes (v, theta_a, log Omega) from grid nodes by ``_newton_max``.
 
-    ``groups`` lists (DetectionMode, lanes) pairs, lanes a slice: one lockstep
-    refines every mode, each lane on its own mode's ``_nea_form``. Each lane's
-    box is its node's +-2-cell neighbourhood on the coarse NEA_GRID, clipped to
-    [0, pi] x log DEFAULT_OMEGA_BRACKET, on which the lane's form is exact to
-    rounding; the lane stops once a step moves theta_a by at most tol and
-    Omega by at most tol (1 + Omega). Returns arrays (theta, u, evals, ok).
+    ``groups`` lists (DetectionMode, lanes) pairs, lanes a slice: one
+    ``_nea_form`` evaluates every lane, each on its own mode's terms. Each
+    lane's box is its node's +-2-cell neighbourhood on the coarse NEA_GRID,
+    clipped to [0, pi] x log DEFAULT_OMEGA_BRACKET, on which the lane's form is
+    exact to rounding; the lane stops once a step moves theta_a by at most tol
+    and Omega by at most tol (1 + Omega). Returns arrays (theta, u, evals, ok).
     """
     u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
     width = (2.0 * math.pi / (NEA_GRID[0] - 1), 2.0 * (u_hi - u_lo) / (NEA_GRID[1] - 1))
     lo = np.stack([np.maximum(0.0, theta - width[0]), np.maximum(u_lo, u - width[1])])
     hi = np.stack([np.minimum(math.pi, theta + width[0]), np.minimum(u_hi, u + width[1])])
-    forms = [(lanes, _nea_form(v[lanes], lo[1, lanes], hi[1, lanes], m)) for m, lanes in groups]
-
-    def q(theta, u):
-        jet = np.empty((6, theta.size))
-        for lanes, form in forms:
-            jet[:, lanes] = form(theta[lanes], u[lanes])
-        return jet
     (theta, u), evals, ok = _newton_max(
-        q, np.stack([theta, u]), lo, hi, width,
+        _nea_form(v, lo[1], hi[1], groups), np.stack([theta, u]), lo, hi, width,
         lambda x, y: np.maximum(np.abs(y[0] - x[0]), np.abs(np.exp(y[1]) - np.exp(x[1]))
                                 / (1.0 + np.exp(y[1]))) <= tol)
     return theta, u, evals, ok
@@ -439,6 +430,7 @@ def maximize_nea(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> OptResult |
     is that of a call with its mode alone. ``iterations`` counts the form
     evaluations (each a value, gradient and Hessian) of every lane of the target.
     """
+    _check_tol(tol)
     scalar = np.ndim(v_z) == 0
     v_z = np.asarray(v_z, dtype=float).ravel()
     if not np.all(np.abs(v_z) < 1.0):
@@ -522,6 +514,7 @@ def maximize_ea(v_z, mode: DetectionMode, tol: float = 1e-8) -> OptResult | list
     the value from ``_ea_cr``. ``iterations`` counts the Newton steps of every
     lane of the radius.
     """
+    _check_tol(tol)
     r2 = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)**2
     ws = np.geomspace(*DEFAULT_OMEGA_BRACKET, EA_GRID)**2
     prob, i = _scan_seeds(_ea_cr(r2[:, None], ws, mode))

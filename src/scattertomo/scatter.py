@@ -193,6 +193,11 @@ class Channel:
         # the padding is zero, so it changes no block's maxima
         skew = np.abs(stack - self._stack)
         if skew.max(initial=0.0) > HERM_TOL:  # else no block can fail: the common case
+            # near the largest float, M + M^dagger overflows and the skew reads inf
+            huge = ~np.isfinite(self._stack).all(axis=(1, 2, 3))
+            if huge.any():
+                raise ValueError(f"block map {self.labels[huge.argmax()]} has entries too "
+                                 f"large for its Hermitian part 0.5 (M + M^dagger)")
             worst = skew.max(axis=(1, 2, 3))
             bad = (worst > HERM_TOL) & (worst > HERM_TOL * np.abs(stack).max(axis=(1, 2, 3)))
             if bad.any():
