@@ -45,6 +45,15 @@ def _check_omega(omega):
     return omega
 
 
+def _omega_float(omega) -> float:
+    """``_check_omega`` for one Omega, as a float; a Python float is checked as it is."""
+    if type(omega) is not float:
+        return float(_check_omega(omega))
+    if not 0.0 < omega <= OMEGA_MAX:  # NaN fails both
+        raise ValueError(OMEGA_DOMAIN)
+    return omega
+
+
 def _check_radius(r, *, strict: bool):
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)) or np.any(r < 0.0):
@@ -184,9 +193,20 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
     """Single-parameter QFI for v_z with an unentangled pure probe.
 
     The target Bloch vector lies on the z axis; the probe points at polar
-    angle theta_a in the x-z plane. Broadcasts over array arguments; scalar ones
-    run as numpy scalars and give a float, the bits of an array call's element.
+    angle theta_a in the x-z plane. Broadcasts over array arguments. Three Python
+    floats are checked and combined as floats, after one ``np.cos`` of theta_a,
+    2 theta_a, 3 theta_a and 4 theta_a; other scalars run as numpy scalars.
+    Either gives a float, the bits of an array call's element.
     """
+    if type(v_z) is float and type(theta_a) is float and type(omega) is float:
+        if not abs(v_z) < 1.0:  # NaN fails too
+            raise ValueError("v_z must satisfy |v_z| < 1")
+        if not math.isfinite(theta_a):
+            raise ValueError("theta_a must be finite")
+        w = _omega_float(omega)
+        w = w * w  # the bits of numpy squaring an array; C pow rounds otherwise
+        cosines = np.cos(np.array([theta_a, 2 * theta_a, 3 * theta_a, 4 * theta_a])).tolist()
+        return float(_nea_ratio(_nea_terms(v_z, cosines, w, mode), w, mode))
     v = np.asarray(v_z, dtype=float)
     if not (np.abs(v) < 1.0).all():  # NaN fails too
         raise ValueError("v_z must satisfy |v_z| < 1")
@@ -215,8 +235,12 @@ def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
     polynomial of degree <= 2 in W = w, so a few samples fix it along either
     coordinate (the optimizer's seeding scan and per-lane forms rely on this).
     """
-    c1, c2 = np.cos(t), np.cos(2 * t)
-    c3, c4 = np.cos(3 * t), np.cos(4 * t)
+    return _nea_terms(v, (np.cos(t), np.cos(2 * t), np.cos(3 * t), np.cos(4 * t)), w, mode)
+
+
+def _nea_terms(v, cosines, w, mode: DetectionMode) -> tuple:
+    """``_nea_factors`` from the cosines (cos k theta_a for k = 1, 2, 3, 4)."""
+    c1, c2, c3, c4 = cosines
     # no **: a numpy scalar's ** is C pow, whose rounding differs from the array loop's
     v2, w2 = v * v, w * w
 
@@ -278,7 +302,7 @@ def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix
     matrix is c_perp I + (c_r - c_perp) n n^T with n = v/|v|: c_r along the
     Bloch vector and c_perp = c_theta/r^2 across it (c_perp I at v = 0).
     """
-    w = float(_check_omega(omega))**2
+    w = _omega_float(omega)**2
     vec = v.as_array()
     # numpy's dot, not |v|**2 (1 - r^2 cancels badly near the boundary) nor
     # x*x + y*y + z*z, which rounds otherwise
@@ -329,5 +353,5 @@ def phase_bound(omega: float, m: int) -> float:
     Specialization of the angular bound 1/(M c_theta) to r = 1, theta = pi/2,
     collecting transmitted and reflected data.
     """
-    w = float(_check_omega(omega))**2
+    w = _omega_float(omega)**2
     return cr_bound(_ea_cperp(1.0, w, DetectionMode.BOTH), m)

@@ -19,7 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .states import ID2, PAULIS, BlochVector, ProbeConfig, as_cmatrix, probe_state
+from .states import (DENSITY_TOL, ID2, PAULIS, BlochVector, ProbeConfig, as_cmatrix,
+                     is_density_matrix, probe_state)
 
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-12
@@ -31,6 +32,7 @@ OMEGA_DOMAIN = f"omega must be positive and finite, at most OMEGA_MAX = {OMEGA_M
 
 # sigma.sigma on target x probe: the Heisenberg coupling, twice the swap operator minus 1
 SIGMA_DOT_SIGMA = sum(np.kron(s, s) for s in PAULIS)
+_EYE4 = np.eye(4, dtype=complex)
 
 
 class DetectionMode(Enum):
@@ -71,25 +73,27 @@ def amplitudes(omega: float) -> ScatteringAmplitudes:
     return ScatteringAmplitudes(omega, alpha_t, beta_t, alpha_r, beta_t)
 
 
-def s_matrices(omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """4x4 transmission/reflection operators on target x probe.
+def s_matrices(omega: float) -> np.ndarray:
+    """The (2, 4, 4) transmission/reflection operators S_t, S_r on target x probe.
 
-    S = alpha + beta (sigma_X . sigma_A); together they satisfy
-    St^ St + Sr^ Sr = 1 and St^ Sr + Sr^ St = 0.
+    S = alpha + beta (sigma_X . sigma_A), both by one broadcast; the pair unpacks
+    as ``s_t, s_r``. Together they satisfy St^ St + Sr^ Sr = 1 and
+    St^ Sr + Sr^ St = 0.
     """
     a = amplitudes(omega)
-    eye4 = np.eye(4, dtype=complex)
-    s_t = a.alpha_t * eye4 + a.beta_t * SIGMA_DOT_SIGMA
-    s_r = a.alpha_r * eye4 + a.beta_r * SIGMA_DOT_SIGMA
-    return s_t, s_r
+    return (np.array([a.alpha_t, a.alpha_r])[:, None, None] * _EYE4
+            + np.array([a.beta_t, a.beta_r])[:, None, None] * SIGMA_DOT_SIGMA)
 
 
 def _pad(maps: list[np.ndarray]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(4, d_i, d_i) block maps as one zero-padded complex (n, 4, d, d) copy.
+    """(4, d_i, d_i) block maps as one complex (n, 4, d, d) copy, d the largest d_i.
 
-    d is the largest d_i; returns the stack and the sizes d_i.
+    Returns the stack and the sizes d_i. Maps of one size are stacked as they
+    are; smaller ones are zero-padded.
     """
     sizes = tuple(m.shape[-1] for m in maps)
+    if len(set(sizes)) == 1:
+        return np.array(maps, dtype=complex), sizes
     d = max(sizes, default=0)
     stack = np.zeros((len(maps), 4, d, d), dtype=complex)
     for out, m, size in zip(stack, maps, sizes):
@@ -146,13 +150,16 @@ class BranchDerivatives:
     ``padded`` holds every block's derivatives with respect to v_x, v_y, v_z:
     the (n, 3, d, d) sigma maps of the channel's padded stack, a read-only
     view, Hermitian bit for bit, whose block traces sum to zero on each axis.
-    ``stacks[i]`` is block i's (3, d_i, d_i) view of it.
+    ``stacks[i]`` is block i's (3, d_i, d_i) view of it, made when read.
     """
 
     def __init__(self, channel: Channel):
         self.padded = channel._stack[:, 1:]
         self.labels, self.sizes = channel.labels, channel.sizes
-        self.stacks = tuple(a[:, :size, :size] for a, size in zip(self.padded, self.sizes))
+
+    @property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        return tuple(a[:, :size, :size] for a, size in zip(self.padded, self.sizes))
 
 
 # I/2, sigma_x/2, sigma_y/2, sigma_z/2: the target inputs the block maps are built on
@@ -185,8 +192,8 @@ class Channel:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate block labels {self.labels}")
         stack, self.sizes = _pad(maps)
-        finite = np.isfinite(stack).all(axis=(1, 2, 3))  # complex: both parts
-        if not finite.all():
+        if not np.isfinite(stack).all():  # complex: both parts
+            finite = np.isfinite(stack).all(axis=(1, 2, 3))
             raise ValueError(f"block map {self.labels[finite.argmin()]} has a non-finite entry")
         self._stack = 0.5 * (stack + stack.conj().swapaxes(2, 3))
         # a block's anti-Hermitian part may reach HERM_TOL * max(1, its largest entry);
@@ -224,12 +231,26 @@ IDENTITY = Channel((BlockLabel.TRANSMITTED_SPIN,), (_BASIS,))
 
 
 def scattering_channel(rho_in, omega: float, mode: DetectionMode) -> Channel:
-    """The scattering channel at one (probe input, Omega, mode)."""
+    """The scattering channel at one (probe input, Omega, mode).
+
+    The probe input must be a density matrix: 2x2 on the probe (NEA) or 4x4 on
+    probe x ancilla (EA), finite, Hermitian with unit trace to 1e-10 (the rule
+    ``apply_channel`` applies to the target) and with no eigenvalue below
+    -1e-10 (``DENSITY_TOL``). Anything else is refused here, naming the input.
+    """
     rho_in = as_cmatrix(rho_in)
     if rho_in.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"probe input must be 2x2 or 4x4, got {rho_in.shape}")
+    if not is_density_matrix(rho_in):
+        raise ValueError(f"probe input must be a density matrix: Hermitian with unit trace "
+                         f"to {DENSITY_TOL:g} and no eigenvalue below {-DENSITY_TOL:g}")
+    return _scattering_channel(rho_in, omega, mode)
+
+
+def _scattering_channel(rho_in: np.ndarray, omega: float, mode: DetectionMode) -> Channel:
+    """``scattering_channel`` of a complex 2x2 or 4x4 density matrix, unchecked."""
     d = rho_in.shape[0]
-    s = np.stack(s_matrices(omega))  # transmitted, reflected
+    s = s_matrices(omega)  # transmitted, reflected
     if d == 4:  # entangled probe: scatter acts on X,A only; S x 1 for both S
         s = (s[:, :, None, :, None] * ID2[:, None, :]).reshape(2, 8, 8)
     # (B_k / 2) x rho_in for every k, scattered, then the target traced out
@@ -258,7 +279,7 @@ def scattering_channel(rho_in, omega: float, mode: DetectionMode) -> Channel:
 def _probe_channel(probe: ProbeConfig, omega: float, mode: DetectionMode) -> Channel:
     # one entry: the calls that share a channel (a sweep over targets, and the
     # apply_channel / channel_derivatives pair of a point) come one after another
-    return scattering_channel(probe_state(probe), omega, mode)
+    return _scattering_channel(probe_state(probe), omega, mode)
 
 
 def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
@@ -269,7 +290,7 @@ def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
         raise ValueError("target state must be 2x2")
     r00, r01, r10, r11 = rho_x.ravel().tolist()
     if (max(abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()),
-            abs(r11 - r11.conjugate())) > 1e-10 or abs(r00 + r11 - 1.0) > 1e-10):
+            abs(r11 - r11.conjugate())) > DENSITY_TOL or abs(r00 + r11 - 1.0) > DENSITY_TOL):
         raise ValueError("target state must be Hermitian with unit trace")
     # c = (1, Re Tr(rho_x sigma_j)) of the Hermitian part: a skew the check above
     # allows must not reach the blocks

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-12
+DENSITY_TOL = 1e-10  # a density matrix's Hermitian skew, trace error and negative eigenvalues
 AXIS_TOL = 1e-12  # |vx|, |vy| below this: on the z axis; |g·v| below this: g is across v
 
 ID2 = np.eye(2, dtype=complex)
@@ -136,6 +137,38 @@ def singlet() -> np.ndarray:
     return np.outer(_SINGLET, _SINGLET.conj())
 
 
+_SINGLET_RHO = singlet()  # the EA probe input, shared by every channel
+_SINGLET_RHO.flags.writeable = False
+
+
+def is_density_matrix(rho: np.ndarray) -> bool:
+    """Whether the square complex matrix rho is a density matrix to within DENSITY_TOL.
+
+    Hermitian and of unit trace to DENSITY_TOL, entry by entry, and with no
+    eigenvalue below -DENSITY_TOL. Decided on Python complex numbers, without an
+    eigensolve: the Hermitian part plus DENSITY_TOL I must have only positive
+    LDL^H pivots.
+    """
+    tol = DENSITY_TOL
+    a = rho.tolist()
+    n = len(a)
+    if (max(abs(a[i][j] - a[j][i].conjugate()) for i in range(n) for j in range(i, n)) > tol
+            or abs(sum(a[i][i] for i in range(n)) - 1.0) > tol):
+        return False
+    # lower triangle of 0.5 (rho + rho^H) + tol I, eliminated column by column
+    h = [[0.5 * (a[i][j] + a[j][i].conjugate()) for j in range(i)] + [a[i][i].real + tol]
+         for i in range(n)]
+    for k in range(n):
+        pivot = h[k][k].real
+        if not pivot > 0.0:
+            return False
+        for i in range(k + 1, n):
+            ratio = h[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                h[i][j] -= ratio * h[j][k].conjugate()
+    return True
+
+
 def _check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     u = as_cmatrix(u)
     if u.shape != (2, 2) or np.max(np.abs(dagger(u) @ u - ID2)) > tol:
@@ -152,10 +185,16 @@ def max_entangled(u, w) -> np.ndarray:
 
 
 def probe_state(cfg: ProbeConfig) -> np.ndarray:
-    """Input state of the probe: 2x2 pure state (NEA) or the singlet (EA)."""
+    """Input state of the probe: 2x2 pure state (NEA) or the singlet (EA).
+
+    The singlet is one shared read-only array. The NEA state has the bits of
+    ``bloch_to_density(BlochVector(sin theta_a, 0, cos theta_a))``, built from
+    the two floats without the vector's checks (the config checked theta_a).
+    """
     if cfg.entangled:
-        return singlet()
-    return bloch_to_density(BlochVector(math.sin(cfg.theta_a), 0.0, math.cos(cfg.theta_a)))
+        return _SINGLET_RHO
+    x, z = 0.0 + math.sin(cfg.theta_a), math.cos(cfg.theta_a)
+    return np.array([[0.5 * (1.0 + z), 0.5 * x], [0.5 * x, 0.5 * (1.0 - z)]], dtype=complex)
 
 
 __all__ = [

@@ -252,10 +252,16 @@ class TestNeaQfi:
         scalar = [nea_qfi(*args, mode) for args in zip(v.tolist(), theta.tolist(), omega.tolist())]
         assert all(type(x) is float for x in scalar)
         assert np.array_equal(scalar, array)
-        # numpy scalars and 0-d arrays are scalars too
-        for args in ((v[0], theta[0], omega[0]), (np.array(v[0]), theta[0], np.array(omega[0]))):
-            got = nea_qfi(*args, mode)
-            assert type(got) is float and got == array[0]
+        # numpy scalars and 0-d arrays are scalars too, alone or among Python floats
+        for i in range(20):
+            x, t, o = v[i], theta[i], omega[i]
+            fx, ft, fo = float(x), float(t), float(o)
+            for args in ((x, t, o), (np.array(x), t, np.array(o)),
+                         (x, ft, fo), (fx, t, fo), (fx, ft, o),
+                         (np.array(x), ft, fo), (fx, np.array(t), fo), (fx, ft, np.array(o)),
+                         (np.array(x), np.array(t), np.array(o))):
+                got = nea_qfi(*args, mode)
+                assert type(got) is float and got == array[i]
 
 
 class TestAxisVz:
