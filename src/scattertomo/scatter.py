@@ -1,14 +1,15 @@
 """Channels on the target qubit, affine in its Bloch vector, and their output states.
 
 Direct access is ``IDENTITY``; ``scattering_channel`` builds the Heisenberg-coupling
-1D scattering channel, where the probe momentum enters only through the
-dimensionless Omega = m*g/(hbar|k|). The output is a list of labeled positive
-blocks on mutually orthogonal sectors (spin sectors plus no-click vacuum flags);
-total trace is 1 and the Fisher information is additive over blocks.
+1D scattering channel at Omega = m*g/(hbar|k|) as one matmul of the products a_P conj(a_Q)
+of its amplitudes times the probe input's entries against a read-only table made at
+import, within two ulps of the np.kron definition. Its labeled positive blocks lie on
+orthogonal sectors (spin, no-click vacuum): trace 1, Fisher information additive over them.
 
-Block arrays enter only through ``Channel(labels, maps)``, which checks them and
-pads their Hermitian parts once; a ``BranchState`` (one target) and the
-``BranchDerivatives`` are built from the channel's padded stack as it is.
+Block arrays enter only through ``Channel(labels, maps)``, which checks them and pads
+their Hermitian parts once; a ``BranchState`` (one target) and the ``BranchDerivatives``
+are built from its padded stack as it is. ``apply_channel`` refuses a target that is not
+a density matrix by ``is_density_matrix``'s rule, naming the target.
 """
 
 from __future__ import annotations
@@ -229,6 +230,35 @@ class Channel:
 # direct access to the target: one block, the target state itself
 IDENTITY = Channel((BlockLabel.TRANSMITTED_SPIN,), (_BASIS,))
 
+_LABELS = {DetectionMode.BOTH: (BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN),
+           DetectionMode.TRANSMISSION: (BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS),
+           DetectionMode.REFLECTION: (BlockLabel.REFLECTED_SPIN, BlockLabel.VACUUM_LHS)}
+
+
+def _block_tables(d: int) -> dict[DetectionMode, np.ndarray]:
+    """Each mode's read-only (8 d^2, m) table from a_P conj(a_Q) rho_in[n] to its maps.
+
+    Row (s, P, Q, n) holds the maps of P (B_k/2 x E_n) Q^dagger, P and Q in {1, sigma.sigma}
+    (x 1 on the ancilla for d = 4) and E_n the n-th unit matrix of rho_in.ravel(), the target
+    traced out (the probe too for a vacuum block), in the flattened columns of branch s's blocks.
+    """
+    ops = np.kron(np.stack([_EYE4, SIGMA_DOT_SIGMA]), np.eye(d // 2))
+    inputs = np.kron(_BASIS[:, None], np.eye(d * d).reshape(-1, d, d))  # B_k/2 x E_n
+    out = ops[:, None, None, None] @ inputs @ ops.conj().swapaxes(1, 2)[None, :, None, None]
+    spin = np.einsum("pqknxixj->pqnkij", out.reshape(2, 2, 4, d * d, 2, d, 2, d))
+    lost = np.einsum("pqnkaiaj->pqnkij", spin.reshape(2, 2, d * d, 4, 2, d // 2, 2, d // 2))
+    t, r, t_lost, r_lost = (np.multiply.outer(np.eye(2)[s], m).reshape(8 * d * d, -1)
+                            for m in (spin, lost) for s in (0, 1))
+    columns = {BlockLabel.TRANSMITTED_SPIN: t, BlockLabel.REFLECTED_SPIN: r,
+               BlockLabel.VACUUM_RHS: r_lost, BlockLabel.VACUUM_LHS: t_lost}
+    tables = {mode: np.hstack([columns[b] for b in blocks]) for mode, blocks in _LABELS.items()}
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+_TABLES = {d: _block_tables(d) for d in (2, 4)}
+
 
 def scattering_channel(rho_in, omega: float, mode: DetectionMode) -> Channel:
     """The scattering channel at one (probe input, Omega, mode).
@@ -249,30 +279,16 @@ def scattering_channel(rho_in, omega: float, mode: DetectionMode) -> Channel:
 
 def _scattering_channel(rho_in: np.ndarray, omega: float, mode: DetectionMode) -> Channel:
     """``scattering_channel`` of a complex 2x2 or 4x4 density matrix, unchecked."""
+    if not isinstance(mode, DetectionMode):
+        raise ValueError(f"unknown detection mode {mode}")
+    a = amplitudes(omega)
+    # a_P conj(a_Q) for S = a_0 1 + a_1 sigma.sigma, transmitted then reflected
+    w = [x * y.conjugate() for s in ((a.alpha_t, a.beta_t), (a.alpha_r, a.beta_r))
+         for x in s for y in s]
     d = rho_in.shape[0]
-    s = s_matrices(omega)  # transmitted, reflected
-    if d == 4:  # entangled probe: scatter acts on X,A only; S x 1 for both S
-        s = (s[:, :, None, :, None] * ID2[:, None, :]).reshape(2, 8, 8)
-    # (B_k / 2) x rho_in for every k, scattered, then the target traced out
-    full = np.einsum("kab,cd->kacbd", _BASIS, rho_in).reshape(4, 2 * d, 2 * d)
-    out = s[:, None] @ full @ np.conj(np.swapaxes(s, 1, 2))[:, None]
-    transmitted, reflected = np.einsum("skxixj->skij", out.reshape(2, 4, 2, d, 2, d))
-
-    def lose_probe(block: np.ndarray) -> np.ndarray:
-        # the particle missed this detector: trace out the probe spin, keeping
-        # the ancilla marginal (EA) or just the no-click probability (NEA)
-        return np.einsum("kaiaj->kij", block.reshape(4, 2, d // 2, 2, d // 2))
-
-    if mode is DetectionMode.BOTH:
-        return Channel((BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN),
-                       (transmitted, reflected))
-    if mode is DetectionMode.TRANSMISSION:
-        return Channel((BlockLabel.TRANSMITTED_SPIN, BlockLabel.VACUUM_RHS),
-                       (transmitted, lose_probe(reflected)))
-    if mode is DetectionMode.REFLECTION:
-        return Channel((BlockLabel.REFLECTED_SPIN, BlockLabel.VACUUM_LHS),
-                       (reflected, lose_probe(transmitted)))
-    raise ValueError(f"unknown detection mode {mode}")
+    maps = np.outer(w, rho_in).ravel() @ _TABLES[d][mode]
+    n, e = 4 * d * d, d if mode is DetectionMode.BOTH else d // 2  # the first block: spin
+    return Channel(_LABELS[mode], (maps[:n].reshape(4, d, d), maps[n:].reshape(4, e, e)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -284,7 +300,7 @@ def _probe_channel(probe: ProbeConfig, omega: float, mode: DetectionMode) -> Cha
 
 def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
                   mode: DetectionMode) -> BranchState:
-    """Post-scattering branch state of a Hermitian unit-trace 2x2 target state."""
+    """Post-scattering branch state of a 2x2 target density matrix (``is_density_matrix``)."""
     rho_x = as_cmatrix(rho_x)
     if rho_x.shape != (2, 2):
         raise ValueError("target state must be 2x2")
@@ -292,6 +308,10 @@ def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
     if (max(abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()),
             abs(r11 - r11.conjugate())) > DENSITY_TOL or abs(r00 + r11 - 1.0) > DENSITY_TOL):
         raise ValueError("target state must be Hermitian with unit trace")
+    # is_density_matrix's LDL^H pivots of the Hermitian part + DENSITY_TOL I, for n = 2
+    pivot, h10 = r00.real + DENSITY_TOL, 0.5 * (r10 + r01.conjugate())
+    if not (pivot > 0.0 and (r11.real + DENSITY_TOL - h10 / pivot * h10.conjugate()).real > 0.0):
+        raise ValueError(f"target state must have no eigenvalue below {-DENSITY_TOL:g}")
     # c = (1, Re Tr(rho_x sigma_j)) of the Hermitian part: a skew the check above
     # allows must not reach the blocks
     c = np.array([1.0, r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real])

@@ -25,6 +25,13 @@ def rand_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def rand_density(rng, dim):
+    """Random full-rank dim x dim density matrix G G^dagger / Tr, G complex Gaussian."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def marginals(rho):
     """(first, second) one-qubit marginals of a two-qubit operator, by einsum traces."""
     t = np.asarray(rho).reshape(2, 2, 2, 2)

@@ -7,7 +7,8 @@ import pytest
 
 from scattertomo.closedform import ea_cartesian, nea_qfi
 from scattertomo.optimize import ea_optimality_intervals, maximize_1d, maximize_ea, maximize_nea
-from scattertomo.scatter import OMEGA_MAX, BlockLabel, Channel, DetectionMode, scattering_channel
+from scattertomo.scatter import (OMEGA_MAX, BlockLabel, Channel, DetectionMode, apply_channel,
+                                 scattering_channel)
 from scattertomo.states import (BlochVector, ProbeConfig, bloch_to_density, is_density_matrix,
                                 max_entangled, probe_state, singlet)
 
@@ -100,6 +101,59 @@ def test_density_matrix_test_agrees_with_the_spectrum():
             least = np.linalg.eigvalsh(rho).min()
             if abs(least + 1e-10) > 1e-12:
                 assert is_density_matrix(rho) == (least >= -1e-10)
+
+
+PROBES = (ProbeConfig(entangled=True), ProbeConfig(theta_a=0.7))
+NOT_TARGETS = {
+    "diag(1.01, -0.01)": np.diag([1.01, -0.01]),
+    "diag(1 + 2e-10, -2e-10)": np.diag([1.0 + 2e-10, -2e-10]),
+}
+TARGETS = {
+    "diag(1 + 5e-11, -5e-11)": np.diag([1.0 + 5e-11, -5e-11]),
+    "diag(1, 0)": np.diag([1.0, 0.0]),
+    "pure, off-diagonal": np.array([[0.5, -0.5j], [0.5j, 0.5]]),
+}
+
+
+def _target_refusal(rho, probe, mode):
+    """apply_channel's refusal of the target rho, or None if the target passed."""
+    try:
+        apply_channel(rho, probe, 0.8, mode)
+    except ValueError as err:
+        if str(err).startswith("target state"):
+            return str(err)
+    return None
+
+
+@pytest.mark.parametrize("name", NOT_TARGETS)
+def test_target_must_be_a_density_matrix(name):
+    # before, diag(1.01, -0.01) gave NEA a finite QFI at most points and failed EA
+    # with "block ... has negative eigenvalue", naming an output block
+    for probe in PROBES:
+        for mode in DetectionMode:
+            assert (_target_refusal(NOT_TARGETS[name], probe, mode)
+                    == "target state must have no eigenvalue below -1e-10")
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_density_matrix_targets_are_accepted(name):
+    for probe in PROBES:
+        for mode in DetectionMode:
+            assert _target_refusal(TARGETS[name], probe, mode) is None
+            if name != "diag(1 + 5e-11, -5e-11)":  # its blocks may dip below -1e-12
+                assert apply_channel(TARGETS[name], probe, 0.8, mode).labels
+
+
+def test_target_rule_is_the_density_matrix_rule():
+    # apply_channel decides the LDL^H pivots of is_density_matrix on four Python
+    # complex numbers: the same decision, also within rounding of the boundary
+    rng = np.random.default_rng(2901)
+    for i in range(400):
+        least = -1e-10 * rng.uniform(0.0, 2.0) if i % 2 else rng.uniform(-0.1, 0.5)
+        u = rand_unitary(rng)
+        rho = (u * [1.0 - least, least]) @ u.conj().T
+        refused = _target_refusal(rho, PROBES[i % 2], DetectionMode.BOTH) is not None
+        assert refused == (not is_density_matrix(rho))
 
 
 BAD_VZ = (1.0, -1.0, 1.5, math.nan)

@@ -7,6 +7,7 @@ from scattertomo import scatter
 from scattertomo.closedform import ea_cartesian
 from scattertomo.qfi import qfi_numeric
 from scattertomo.scatter import (
+    OMEGA_MAX,
     BlockLabel,
     BranchState,
     Channel,
@@ -22,7 +23,7 @@ from scattertomo.scatter import (
 from scattertomo.states import (ID2, PAULIS, BlochVector, ProbeConfig, bloch_to_density,
                                 max_entangled, probe_state, singlet)
 
-from conftest import branches, log_uniform, rand_bloch, rand_unitary, relerr
+from conftest import branches, log_uniform, rand_bloch, rand_density, rand_unitary, relerr
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 
@@ -586,14 +587,14 @@ class TestChannel:
             state.blocks[0][1][:] = 0.0
         assert_identical(before, point(self.EA, 0.8, DetectionMode.BOTH))
 
-    def test_one_s_matrix_build_per_channel(self, monkeypatch):
+    def test_one_amplitudes_call_per_channel(self, monkeypatch):
         calls = []
 
         def counted(omega):
             calls.append(omega)
-            return s_matrices(omega)
+            return amplitudes(omega)
 
-        monkeypatch.setattr(scatter, "s_matrices", counted)
+        monkeypatch.setattr(scatter, "amplitudes", counted)
         rng = np.random.default_rng(59)
         for _ in range(10):
             point(self.EA, 0.4321, DetectionMode.REFLECTION, v=rand_bloch(rng))
@@ -602,18 +603,35 @@ class TestChannel:
     def test_state_matches_direct_channel_application(self):
         # the affine sum over the basis maps equals S (rho_x x rho_in) S^dag, traced
         rng = np.random.default_rng(61)
-        v = BlochVector.from_array(rand_bloch(rng))
-        rho = bloch_to_density(v)
-        for rho_in in (singlet(), bloch_to_density(BlochVector(0.6, 0.0, 0.8))):
+        inputs = [singlet()]
+        for _ in range(4):
+            inputs += [max_entangled(rand_unitary(rng), rand_unitary(rng)),
+                       rand_density(rng, 4), rand_density(rng, 2)]
+        for i, rho_in in enumerate(inputs):
             d = rho_in.shape[0]
-            s_t, s_r = s_matrices(1.3)
-            if d == 4:
-                s_t, s_r = np.kron(s_t, ID2), np.kron(s_r, ID2)
-            state = scattering_channel(rho_in, 1.3, DetectionMode.BOTH).state(v)
-            for s, label in ((s_t, BlockLabel.TRANSMITTED_SPIN), (s_r, BlockLabel.REFLECTED_SPIN)):
-                out = s @ np.kron(rho, rho_in) @ s.conj().T
-                expected = np.einsum("xixj->ij", out.reshape(2, d, 2, d))
-                assert np.max(np.abs(state.block(label) - expected)) < 1e-15
+            for omega in (log_uniform(rng, 1e-6, 1e6), log_uniform(rng, 1e-6, 1e6), OMEGA_MAX):
+                v = BlochVector.from_array(rand_bloch(rng))
+                rho = bloch_to_density(v)
+                s_t, s_r = s_matrices(omega)
+                if d == 4:
+                    s_t, s_r = np.kron(s_t, ID2), np.kron(s_r, ID2)
+                t, r = (np.einsum("xixj->ij", (s @ np.kron(rho, rho_in) @ s.conj().T)
+                                  .reshape(2, d, 2, d)) for s in (s_t, s_r))
+                t_lost, r_lost = (np.einsum("aiaj->ij", b.reshape(2, d // 2, 2, d // 2))
+                                  for b in (t, r))
+                expected = {
+                    DetectionMode.BOTH: {BlockLabel.TRANSMITTED_SPIN: t,
+                                         BlockLabel.REFLECTED_SPIN: r},
+                    DetectionMode.TRANSMISSION: {BlockLabel.TRANSMITTED_SPIN: t,
+                                                 BlockLabel.VACUUM_RHS: r_lost},
+                    DetectionMode.REFLECTION: {BlockLabel.REFLECTED_SPIN: r,
+                                               BlockLabel.VACUUM_LHS: t_lost},
+                }
+                for mode in MODES:
+                    state = scattering_channel(rho_in, omega, mode).state(v)
+                    assert state.labels == tuple(expected[mode])
+                    for label, want in expected[mode].items():
+                        assert np.max(np.abs(state.block(label) - want)) < 1e-15
 
     @staticmethod
     def reference_maps(rho_in, omega, mode):
@@ -636,7 +654,8 @@ class TestChannel:
         return {DetectionMode.BOTH: (t, r), DetectionMode.TRANSMISSION: (t, lost(r)),
                 DetectionMode.REFLECTION: (r, lost(t))}[mode]
 
-    def test_maps_equal_the_kron_reference_bit_for_bit(self):
+    def test_maps_equal_the_kron_reference_to_two_ulps(self):
+        # one contraction of import-time tables rounds otherwise than the sandwich
         rng = np.random.default_rng(71)
         for i in range(60):
             probe = (singlet(), max_entangled(rand_unitary(rng), rand_unitary(rng)),
@@ -646,7 +665,9 @@ class TestChannel:
             expected = self.reference_maps(probe, omega, mode)
             assert len(maps) == len(expected)
             for got, want in zip(maps, expected):
-                assert np.array_equal(got, 0.5 * (want + want.conj().swapaxes(1, 2)))
+                want = 0.5 * (want + want.conj().swapaxes(1, 2))
+                assert got.shape == want.shape
+                assert (np.abs(got - want) <= 4.4e-16 * np.maximum(1.0, np.abs(want))).all()
 
     def test_max_entangled_input_matches_singlet_closed_form(self):
         rng = np.random.default_rng(67)
@@ -828,5 +849,18 @@ class TestChannel:
                 scattering_channel(rho_in, 0.5, DetectionMode.BOTH)
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            apply_channel(ID2 / 2, self.EA, 0.5, "both")
+        # a ValueError naming the mode, not a KeyError from the table lookup
+        for mode in ("both", "t", None, 3):
+            for probe in (self.EA, self.NEA):
+                with pytest.raises(ValueError, match=f"unknown detection mode {mode}"):
+                    scattering_channel(probe_state(probe), 0.5, mode)
+                with pytest.raises(ValueError, match=f"unknown detection mode {mode}"):
+                    apply_channel(ID2 / 2, probe, 0.5, mode)
+
+    def test_import_time_tables_refuse_writes(self):
+        for d, tables in scatter._TABLES.items():
+            assert set(tables) == set(DetectionMode)
+            for table in tables.values():
+                assert table.shape[0] == 8 * d * d
+                with pytest.raises(ValueError):
+                    table[0, 0] = 1.0

@@ -24,16 +24,10 @@ from scattertomo.states import (
     singlet,
 )
 
-from conftest import branches, marginals, rand_bloch, rand_unitary
+from conftest import branches, marginals, rand_bloch, rand_density, rand_unitary
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 T, R = BlockLabel.TRANSMITTED_SPIN, BlockLabel.REFLECTED_SPIN
-
-
-def rand_density(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def spectrum(block):
