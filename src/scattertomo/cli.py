@@ -230,8 +230,12 @@ def _figure_surface(args, mode: scatter.DetectionMode) -> tuple[list[str], list[
     r = np.linspace(0.0, 0.98, 15)[:, None]
     omegas = np.geomspace(*optimize.DEFAULT_OMEGA_BRACKET, args.points or 121)[None, :]
     rescaled = (1.0 - r * r) * closedform.ea_cr(r, omegas, mode)
-    data = [a.ravel() for a in np.broadcast_arrays(r, omegas, rescaled)]
-    return ["r", "omega", "rescaled_c_r"], _rows(data)
+    # the rows of _rows over the broadcast (r, omega, value) columns, each r and
+    # each omega formatted once
+    r_text, omega_text = (["%.12g," % x for x in a.ravel().tolist()] for a in (r, omegas))
+    return ["r", "omega", "rescaled_c_r"], [
+        head + key + "%.12g" % x for head, values in zip(r_text, rescaled.tolist())
+        for key, x in zip(omega_text, values)]
 
 
 def _figure_6(args) -> tuple[list[str], list[str]]:

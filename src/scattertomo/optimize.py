@@ -8,11 +8,14 @@ A user objective of one variable is called once per point, and each of its
 seeds is refined by golden section in turn. The EA search refines by a
 safeguarded Newton iteration on the critical-point polynomial of c_r in
 W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a coarse
-(theta_a, log Omega) grid, the QFI's factors fitted in theta_a from five
-nodes, and refines by a projected, damped Newton ascent on exact bivariate
-forms of the factors, whose log-derivatives give the QFI's gradient and
-Hessian; since the forms are exact on any box, a seed need only lie in its
-maximum's basin. Every search refuses a tol that is not positive and finite.
+(theta_a, log Omega) grid, onto which it expands from five theta_a nodes only
+the products of factors that each term of the QFI needs, each of degree <= 4
+in cos theta_a so that the nodes fix it (both mode keeps g_r and g_m apart:
+their product has degree 5). It refines by a projected, damped Newton ascent
+on exact bivariate forms of the factors, whose log-derivatives give the QFI's
+gradient and Hessian; since the forms are exact on any box, a seed need only
+lie in its maximum's basin. Every search refuses a tol that is not positive
+and finite.
 
 The EA and NEA searches solve batches of independent problems in lockstep:
 each step makes one array call on a fixed set of lanes (problem x candidate),
@@ -118,7 +121,7 @@ def _ascent_step(jet, x, lo, hi, width):
     c = np.where(free[1], jet[5], -1.0)
     det = a * c - b * b
     newton = (a < 0.0) & (det > 0.0)
-    d_newton = np.stack([b * g[1] - c * g[0], b * g[0] - a * g[1]]) / np.where(newton, det, 1.0)
+    d_newton = np.array([b * g[1] - c * g[0], b * g[0] - a * g[1]]) / np.where(newton, det, 1.0)
     curve = _quadratic((a, b, c), g)
     wide = np.abs(g / width[:, None]).max(axis=0)
     length = np.where(curve < 0.0, -(g * g).sum(axis=0) / np.where(curve < 0.0, curve, 1.0),
@@ -146,7 +149,7 @@ def _newton_max(q, x, lo, hi, width, stop):
     evals = 1  # every lane has spent the same number
     step, t = _ascent_step(jet, x, lo, hi, width), np.ones(n)
     while True:
-        x_try = np.clip(x + t * step, lo, hi)
+        x_try = np.minimum(np.maximum(x + t * step, lo), hi)
         jet_try = q(*x_try)
         evals += 1
         done = stop(x, x_try)
@@ -256,35 +259,37 @@ _THETA_NODES = _K * (math.pi / 4)
 _THETA_FIT = np.linalg.inv(np.cos(np.outer(_THETA_NODES, _K)))
 
 
-def _at_theta_nodes(v, w, mode: DetectionMode) -> np.ndarray:
-    """Factors of lanes v at the _THETA_NODES and W = w[lane, node], as (factor, lane, j, node)."""
-    return np.stack(np.broadcast_arrays(*_nea_factors(
-        v[:, None, None], _THETA_NODES[:, None], w[:, None, :], mode)))
-
-
 def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
-    """``nea_qfi`` of targets v at every node of thetas x w, from the factors at _THETA_NODES.
+    """``nea_qfi`` of targets v at every node of thetas x w, expanded from _THETA_NODES.
 
-    The W-only factors of ``nea_qfi`` scale the node tables before the
-    cosine expansion: w/(1 + W) the numerator, and in both mode
-    w/((1 + W)(1 + 9W)) g_t and g_m. So the full grid takes only the products
-    of factors that depend on theta_a: 3 (t), 2 (r) or 9 (both) array operations.
+    Only the products that the mode's terms need are formed at the five nodes
+    and expanded to the grid, the W-only s = W/(1 + W) (both: W/((1 + W)(1 + 9W)))
+    scaling a numerator: num s over d_t f_t f_r (t), num s over den d_r (r),
+    and in both g_t s over d_r f_t plus g_r times g_m s over d_t f_t f_r. The
+    nodes fix a product of degree <= 4 in cos theta_a, as each of these is;
+    g_r g_m has degree 5 (and the numerator over one denominator,
+    f_r d_t g_t + d_r g_r g_m, degree 7), so g_r and g_m s are expanded apart
+    and multiplied on the grid. That is 2, 2 and 5 expansions and 1, 1 and 4
+    passes over the grid.
     """
-    nodes = _at_theta_nodes(v, w[None], mode)
-    scale = w / (1.0 + w)
-    if mode is DetectionMode.BOTH:
-        nodes[[4, 6]] *= scale / (1.0 + 9.0 * w)
-    else:
-        nodes[3 if mode is DetectionMode.TRANSMISSION else 1] *= scale
-    at_grid = np.cos(np.outer(thetas, _K)) @ _THETA_FIT @ nodes
+    factors = _nea_factors(v[:, None, None], _THETA_NODES[:, None], w, mode)
+    s = w / (1.0 + w)
     if mode is DetectionMode.TRANSMISSION:
-        d_t, f_t, f_r, num = at_grid
-        return num / (d_t * f_t * f_r)
-    if mode is DetectionMode.REFLECTION:
-        d_r, num, den = at_grid
-        return num / (den * d_r)
-    d_t, d_r, f_t, f_r, g_t, g_r, g_m = at_grid
-    return (f_r * d_t * g_t + d_r * g_r * g_m) / (d_t * d_r * f_t * f_r)
+        d_t, f_t, f_r, num = factors
+        parts = (num * s, d_t * f_t * f_r)
+    elif mode is DetectionMode.REFLECTION:
+        d_r, num, den = factors
+        parts = (num * s, den * d_r)
+    else:
+        d_t, d_r, f_t, f_r, g_t, g_r, g_m = factors
+        s = s / (1.0 + 9.0 * w)
+        parts = (g_t * s, d_r * f_t, g_r, g_m * s, d_t * f_t * f_r)
+    at_grid = np.cos(np.outer(thetas, _K)) @ _THETA_FIT @ np.array(parts)
+    if mode is not DetectionMode.BOTH:
+        num, den = at_grid
+        return num / den
+    g_t, d_1, g_r, g_m, d_2 = at_grid
+    return g_t / d_1 + g_r * g_m / d_2
 
 
 # Each mode's QFI is s(W) sum_terms prod_i x_i^e_i over its ``_nea_factors`` x,
@@ -314,32 +319,40 @@ def _nea_form(v, u_lo, u_hi, mode):
     w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
     mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
     nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
-    table = np.ones((7, v.size, _K.size, 3))
+    # the factors at (theta_a node j, W node i, factor, lane)
+    table = np.ones((_K.size, 3, 7, v.size))
     a, e, live = np.zeros(v.size), np.zeros((2, 7, v.size)), np.zeros((2, v.size))
     for m, lanes in groups:
-        at = _at_theta_nodes(v[lanes], nodes[lanes], m)
-        table[:len(at), lanes] = at
+        at = _nea_factors(v[lanes], _THETA_NODES[:, None, None], nodes[lanes].T, m)
+        for f, x in enumerate(at):
+            table[:, :, f, lanes] = x
         a[lanes], terms = _NEA_TERMS[m]
         e[:len(terms), :, lanes] = np.array(terms)[..., None]
         live[:len(terms), lanes] = 1.0
-    f_lo, f_mid, f_hi = np.einsum("kj,flji->iflk", _THETA_FIT, table)
+    # the cosine coefficients at each W node, (k, i, factor, lane): _THETA_FIT
+    # against the node values, summed in order j = 0..4
+    fit = _THETA_FIT[:, 0, None, None, None] * table[0]
+    for j in _K[1:]:
+        fit += _THETA_FIT[:, j, None, None, None] * table[j]
+    f_lo, f_mid, f_hi = fit[:, 0], fit[:, 1], fit[:, 2]
     # coefficients of cos(k theta) x^p per (k, factor, p, lane), x = (W - mid) / half
-    coef = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid])
-    coef = np.ascontiguousarray(coef.transpose(3, 1, 0, 2))
+    coef = np.empty((_K.size, 7, 3, v.size))
+    coef[:, :, 0] = f_mid
+    coef[:, :, 1] = 0.5 * (f_hi - f_lo)
+    coef[:, :, 2] = 0.5 * (f_hi + f_lo) - f_mid
     above, below = e > 0.0, e < 0.0
 
     def q(theta, u):
         kt = np.multiply.outer(_K, theta)
         cos_kt = np.cos(kt)
-        # d^o/dtheta^o cos(k theta), o = 0, 1, 2, as (k, o, 1, 1, lane)
-        trig = np.stack([cos_kt, -_K[:, None] * np.sin(kt), -_K[:, None]**2 * cos_kt],
-                        axis=1)[:, :, None, None]
+        # d^o/dtheta^o cos(k theta), o = 0, 1, 2, as (o, k, lane)
+        trig = np.array([cos_kt, -_K[:, None] * np.sin(kt), -_K[:, None]**2 * cos_kt])
         # the x-polynomials' coefficients (o, factor, p, lane), summed in order k = 0..4
         # (not by matmul): near the pure state d_t and d_r are small sums of O(1)
         # terms, and the order shows in the steps
-        c = trig[0] * coef[0]
+        c = trig[:, 0, None, None] * coef[0]
         for k in _K[1:]:
-            c += trig[k] * coef[k]
+            c += trig[:, k, None, None] * coef[k]
         w = np.exp(u)**2
         x = (w - mid) / half
         x_u = 2.0 * w / half  # dx/du; d2x/du2 = 2 x_u
@@ -348,10 +361,10 @@ def _nea_form(v, u_lo, u_hi, mode):
         d_xx = 2.0 * c[0, :, 2]
         f = val[0]
         # log-derivatives (t, u, tt, tu, uu) of each factor, then of each term
-        r = np.stack([val[1], d_x[0] * x_u, val[2], d_x[1] * x_u,
-                      (d_xx * x_u + 2.0 * d_x[0]) * x_u], axis=1) / f[:, None]
-        r[:, 2:] -= r[:, [0, 0, 1]] * r[:, [0, 1, 1]]
-        g = (e[:, :, None] * r).sum(axis=1)
+        r = np.array([val[1], d_x[0] * x_u, val[2], d_x[1] * x_u,
+                      (d_xx * x_u + 2.0 * d_x[0]) * x_u]) / f
+        r[2:] -= r[[0, 0, 1]] * r[[0, 1, 1]]
+        g = (e[:, None] * r).sum(axis=2)
         # and those of s(W): d/du log W = 2, d/du log(1 + b W) = 2 b W/(1 + b W)
         aw = a * w
         g[:, 1] += 2.0 / (1.0 + w) - 2.0 * aw / (1.0 + aw)
@@ -375,10 +388,10 @@ def _nea_refine(v, theta, u, groups, tol: float):
     """
     u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
     width = (2.0 * math.pi / (NEA_GRID[0] - 1), 2.0 * (u_hi - u_lo) / (NEA_GRID[1] - 1))
-    lo = np.stack([np.maximum(0.0, theta - width[0]), np.maximum(u_lo, u - width[1])])
-    hi = np.stack([np.minimum(math.pi, theta + width[0]), np.minimum(u_hi, u + width[1])])
+    lo = np.array([np.maximum(0.0, theta - width[0]), np.maximum(u_lo, u - width[1])])
+    hi = np.array([np.minimum(math.pi, theta + width[0]), np.minimum(u_hi, u + width[1])])
     (theta, u), evals, ok = _newton_max(
-        _nea_form(v, lo[1], hi[1], groups), np.stack([theta, u]), lo, hi, width,
+        _nea_form(v, lo[1], hi[1], groups), np.array([theta, u]), lo, hi, width,
         lambda x, y: np.maximum(np.abs(y[0] - x[0]), np.abs(np.exp(y[1]) - np.exp(x[1]))
                                 / (1.0 + np.exp(y[1]))) <= tol)
     return theta, u, evals, ok

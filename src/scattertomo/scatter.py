@@ -9,12 +9,14 @@ orthogonal sectors (spin, no-click vacuum): trace 1, Fisher information additive
 Block arrays enter only through ``Channel(labels, maps)``, which checks them and pads
 their Hermitian parts once; a ``BranchState`` (one target) and the ``BranchDerivatives``
 are built from its padded stack as it is. ``apply_channel`` refuses a target that is not
-a density matrix by ``is_density_matrix``'s rule, naming the target.
+a density matrix by ``is_density_matrix``'s rule, naming the target, and takes one that
+rule accepts outside the Bloch ball as its nearest state.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -298,9 +300,21 @@ def _probe_channel(probe: ProbeConfig, omega: float, mode: DetectionMode) -> Cha
     return _scattering_channel(probe_state(probe), omega, mode)
 
 
+def _channel(probe: ProbeConfig, omega: float, mode: DetectionMode) -> Channel:
+    """The cached channel of a probe, refusing a mode that is no DetectionMode before
+    the cache hashes it."""
+    if not isinstance(mode, DetectionMode):
+        raise ValueError(f"unknown detection mode {mode}")
+    return _probe_channel(probe, float(omega), mode)
+
+
 def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
                   mode: DetectionMode) -> BranchState:
-    """Post-scattering branch state of a 2x2 target density matrix (``is_density_matrix``)."""
+    """Post-scattering branch state of a 2x2 target density matrix (``is_density_matrix``).
+
+    That rule passes a Bloch vector up to 2e-10 beyond the unit ball, where
+    the output blocks could dip below PSD_TOL; such a v is taken as v/|v|.
+    """
     rho_x = as_cmatrix(rho_x)
     if rho_x.shape != (2, 2):
         raise ValueError("target state must be 2x2")
@@ -312,16 +326,20 @@ def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
     pivot, h10 = r00.real + DENSITY_TOL, 0.5 * (r10 + r01.conjugate())
     if not (pivot > 0.0 and (r11.real + DENSITY_TOL - h10 / pivot * h10.conjugate()).real > 0.0):
         raise ValueError(f"target state must have no eigenvalue below {-DENSITY_TOL:g}")
-    # c = (1, Re Tr(rho_x sigma_j)) of the Hermitian part: a skew the check above
+    # v_j = Re Tr(rho_x sigma_j) of the Hermitian part: a skew the check above
     # allows must not reach the blocks
-    c = np.array([1.0, r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real])
-    return BranchState(_probe_channel(probe, float(omega), mode), c)
+    vx, vy, vz = r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real
+    norm2 = vx * vx + vy * vy + vz * vz
+    if norm2 > 1.0:  # accepted within DENSITY_TOL, yet outside the ball: the nearest state
+        norm = math.sqrt(norm2)
+        vx, vy, vz = vx / norm, vy / norm, vz / norm
+    return BranchState(_channel(probe, omega, mode), np.array([1.0, vx, vy, vz]))
 
 
 def channel_derivatives(probe: ProbeConfig, omega: float,
                         mode: DetectionMode) -> BranchDerivatives:
     """Block derivatives for the configured probe strategy (v-independent, read-only)."""
-    return _probe_channel(probe, float(omega), mode).derivatives
+    return _channel(probe, omega, mode).derivatives
 
 
 def direct_branches(v: BlochVector) -> tuple[BranchState, BranchDerivatives]:
@@ -337,7 +355,7 @@ def encoding(strategy: str, v: BlochVector, omega: float, mode: DetectionMode,
     """Branch state and derivatives of target v; direct ignores omega and mode, EA theta_a."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    channel = IDENTITY if strategy == "direct" else _probe_channel(
+    channel = IDENTITY if strategy == "direct" else _channel(
         ProbeConfig(entangled=True) if strategy == "ea" else ProbeConfig(theta_a=theta_a),
-        float(omega), mode)
+        omega, mode)
     return channel.state(v), channel.derivatives

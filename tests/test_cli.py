@@ -10,7 +10,8 @@ import pytest
 
 import scattertomo
 import scattertomo.optimize as opt
-from scattertomo.cli import MODES, _fmt, _resolve_target, _rows, build_parser, main
+from scattertomo.cli import (MODES, _figure_surface, _fmt, _resolve_target, _rows, build_parser,
+                             main)
 from scattertomo.closedform import (direct_qfi, ea_cartesian, ea_cr, ea_polar, nea_qfi,
                                     phase_bound)
 from scattertomo.scatter import DetectionMode
@@ -730,6 +731,23 @@ class TestTable:
         x = rng.standard_normal(20000) * 10.0**rng.integers(-300, 300, 20000)
         data = [x[:10000], x[10000:], -x[:10000]]
         assert _rows(data) == self.per_cell(data)
+
+
+@pytest.mark.parametrize("points", [1, 2, 121])
+@pytest.mark.parametrize("number, mode", [(4, DetectionMode.TRANSMISSION),
+                                          (5, DetectionMode.REFLECTION)])
+def test_surface_rows_are_the_table_rows(number, mode, points):
+    # a surface figure formats each r and each omega once: its rows are those of
+    # _rows over the broadcast (r, omega, value) columns
+    r = np.linspace(0.0, 0.98, 15)[:, None]
+    omegas = np.geomspace(*opt.DEFAULT_OMEGA_BRACKET, points)[None, :]
+    rescaled = (1.0 - r * r) * ea_cr(r, omegas, mode)
+    data = [a.ravel() for a in np.broadcast_arrays(r, omegas, rescaled)]
+    args = build_parser().parse_args(["figure", str(number), "--points", str(points)])
+    columns, rows = _figure_surface(args, mode)
+    assert columns == ["r", "omega", "rescaled_c_r"]
+    assert len(rows) == 15 * points
+    assert rows == _rows(data)
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from scattertomo.optimize import (
     MAX_ITER,
     NEA_GRID,
     OptResult,
+    _THETA_FIT,
+    _THETA_NODES,
     _grid_maxima,
     _local_maxima,
     _nea_form,
@@ -511,6 +514,39 @@ class TestNeaPerLaneForms:
         assert np.max(np.abs(jet[5] - central_difference(d_u, 1e-3, 1)(theta, u)) / scale) <= 1e-7
 
 
+def einsum_coefficients(v, u_lo, u_hi, groups):
+    """``_nea_form``'s (k, factor, p, lane) coefficients by one einsum over a (factor, lane,
+    theta_a node, W node) table of the factors, padded with ones."""
+    w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
+    mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
+    nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
+    table = np.ones((7, v.size, 5, 3))
+    for mode, lanes in groups:
+        at = _nea_factors(v[lanes, None, None], _THETA_NODES[:, None], nodes[lanes, None], mode)
+        table[:len(at), lanes] = np.broadcast_arrays(*at)
+    f_lo, f_mid, f_hi = np.einsum("kj,flji->iflk", _THETA_FIT, table)
+    coef = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid])
+    return np.ascontiguousarray(coef.transpose(3, 1, 0, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 137, 400])
+def test_form_coefficients_are_the_einsum_sums(n):
+    # the fit's in-order multiply-adds over the five theta_a nodes give the
+    # einsum's sums bit for bit, on lanes of one mode and of all three
+    rng = np.random.default_rng(3000 + n)
+    v = rng.uniform(-0.999, 0.999, n)
+    u_lo = rng.uniform(math.log(0.05), math.log(5.0), n)
+    u_hi = u_lo + rng.uniform(0.01, 0.7, n)
+    cuts = np.sort(rng.integers(0, n + 1, 2)).tolist()
+    mixed = [(MODES[k], slice(a, b))
+             for k, a, b in zip(rng.permutation(3), [0, *cuts], [*cuts, n])]
+    for groups in [[(mode, slice(None))] for mode in MODES] + [mixed]:
+        form = _nea_form(v, u_lo, u_hi, groups if len(groups) > 1 else groups[0][0])
+        coef = inspect.getclosurevars(form).nonlocals["coef"]
+        assert coef.shape == (5, 7, 3, n)
+        assert coef.tobytes() == einsum_coefficients(v, u_lo, u_hi, groups).tobytes()
+
+
 class TestNeaRefinement:
     """The Newton refinement on random targets |v_z| <= 0.99, in every mode."""
 
@@ -893,13 +929,21 @@ class TestNeaScan:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_nea_qfi_on_the_grid(self, mode):
+        # each term's products, fixed by the five theta_a nodes, against nea_qfi at
+        # every grid node: seeded targets with |v_z| <= 0.999, then 1 - |v_z| down to
+        # 1e-7, where the small d_t and d_r carry the rounding; the grid-local
+        # maxima are those of the exact surface
         rng = np.random.default_rng(719)
-        v = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 300)])
+        inner = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 300)])
+        gap = np.geomspace(1e-7, 1e-3, 30)
         thetas = np.linspace(0.0, math.pi, NEA_GRID[0])
         w = np.exp(np.linspace(*np.log(DEFAULT_OMEGA_BRACKET), NEA_GRID[1]))**2
-        y = _nea_scan(v, thetas, w, mode)
-        assert y.shape == (v.size,) + NEA_GRID
-        assert relerr_each(y, direct_scan(v, thetas, w, mode)) <= 1e-12
+        for v, bound in ((inner, 5e-13), (np.concatenate([1.0 - gap, gap - 1.0]), 2e-9)):
+            y, exact = _nea_scan(v, thetas, w, mode), direct_scan(v, thetas, w, mode)
+            assert y.shape == (v.size,) + NEA_GRID
+            assert relerr_each(y, exact) <= bound
+            for a, b in zip(_grid_maxima(y), _grid_maxima(exact)):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("targets", ["figures", "seeded", "poles"])
     @pytest.mark.parametrize("mode", MODES)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from scattertomo import scatter
 from scattertomo.closedform import ea_cartesian, nea_qfi
 from scattertomo.optimize import ea_optimality_intervals, maximize_1d, maximize_ea, maximize_nea
-from scattertomo.scatter import (OMEGA_MAX, BlockLabel, Channel, DetectionMode, apply_channel,
-                                 scattering_channel)
+from scattertomo.scatter import (OMEGA_MAX, BlockLabel, BranchState, Channel, DetectionMode,
+                                 apply_channel, scattering_channel)
 from scattertomo.states import (BlochVector, ProbeConfig, bloch_to_density, is_density_matrix,
                                 max_entangled, probe_state, singlet)
 
@@ -140,8 +141,45 @@ def test_density_matrix_targets_are_accepted(name):
     for probe in PROBES:
         for mode in DetectionMode:
             assert _target_refusal(TARGETS[name], probe, mode) is None
-            if name != "diag(1 + 5e-11, -5e-11)":  # its blocks may dip below -1e-12
-                assert apply_channel(TARGETS[name], probe, 0.8, mode).labels
+            assert apply_channel(TARGETS[name], probe, 0.8, mode).labels
+
+
+def _same_bits(a, b):
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip((a._stack, *a.spectra), (b._stack, *b.spectra)))
+
+
+def test_a_target_just_outside_the_ball_is_its_nearest_state():
+    # v = (0, 0, 1 + 1e-10) passes the target rule; its blocks once dipped below
+    # PSD_TOL = -1e-12 (EA at Omega = 0.6 and 0.8, NEA at theta_a = 0), and the
+    # state of v/|v| = (0, 0, 1) is what it now gives
+    rho = TARGETS["diag(1 + 5e-11, -5e-11)"]
+    for probe in (*PROBES, ProbeConfig(theta_a=0.0)):
+        for omega in (0.6, 0.8):
+            for mode in DetectionMode:
+                pole = scatter._probe_channel(probe, omega, mode).state(BlochVector(0.0, 0.0, 1.0))
+                assert _same_bits(apply_channel(rho, probe, omega, mode), pole)
+
+
+def test_a_target_in_the_ball_keeps_its_bits():
+    # the state of the target's own v = Re Tr(rho sigma); only a v that rounding
+    # put outside the ball is scaled onto it
+    rng = np.random.default_rng(3003)
+    probe, omega, mode = PROBES[1], 0.8, DetectionMode.BOTH
+    outside = 0
+    for i in range(400):
+        p = 1.0 if i % 2 else rng.uniform(0.5, 1.0)  # half of them pure
+        u = rand_unitary(rng)
+        rho = (u * [p, 1.0 - p]) @ u.conj().T
+        (r00, r01), (r10, r11) = rho.tolist()
+        v = np.array([r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real])
+        norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        if norm > 1.0:
+            assert norm - 1.0 <= 1e-15
+            v, outside = v / norm, outside + 1
+        state = BranchState(scatter._probe_channel(probe, omega, mode), np.array([1.0, *v]))
+        assert _same_bits(apply_channel(rho, probe, omega, mode), state)
+    assert 0 < outside < 200
 
 
 def test_target_rule_is_the_density_matrix_rule():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -849,13 +850,19 @@ class TestChannel:
                 scattering_channel(rho_in, 0.5, DetectionMode.BOTH)
 
     def test_rejects_unknown_mode(self):
-        # a ValueError naming the mode, not a KeyError from the table lookup
-        for mode in ("both", "t", None, 3):
-            for probe in (self.EA, self.NEA):
-                with pytest.raises(ValueError, match=f"unknown detection mode {mode}"):
-                    scattering_channel(probe_state(probe), 0.5, mode)
-                with pytest.raises(ValueError, match=f"unknown detection mode {mode}"):
-                    apply_channel(ID2 / 2, probe, 0.5, mode)
+        # a ValueError naming the mode, not a KeyError from the table lookup nor,
+        # for an unhashable mode, a TypeError from the channel cache
+        v = BlochVector(0.1, 0.2, 0.3)
+        for mode in ("both", "t", None, 3, ["both"], {}):
+            for probe, strategy in ((self.EA, "ea"), (self.NEA, "nea")):
+                calls = (lambda: scattering_channel(probe_state(probe), 0.5, mode),
+                         lambda: apply_channel(ID2 / 2, probe, 0.5, mode),
+                         lambda: channel_derivatives(probe, 0.5, mode),
+                         lambda: encoding(strategy, v, 0.5, mode, probe.theta_a))
+                for call in calls:
+                    with pytest.raises(ValueError,
+                                       match=re.escape(f"unknown detection mode {mode}")):
+                        call()
 
     def test_import_time_tables_refuse_writes(self):
         for d, tables in scatter._TABLES.items():
