@@ -238,27 +238,26 @@ def _figure_surface(args, mode: scatter.DetectionMode) -> tuple[list[str], list[
         for key, x in zip(omega_text, values)]
 
 
+def _per_mode(strategy: str, v_z: np.ndarray, keys: tuple[str, ...], tol: float) -> list[list]:
+    """The NEA or EA optima at every target in each mode of keys, from one solve."""
+    maximize = optimize.maximize_nea if strategy == "nea" else optimize.maximize_ea
+    best = _converged(maximize(np.tile(v_z, len(keys)),
+                               [MODES[key] for key in keys for _ in v_z], tol), strategy)
+    return [best[k * v_z.size:(k + 1) * v_z.size] for k in range(len(keys))]
+
+
 def _figure_6(args) -> tuple[list[str], list[str]]:
     r = np.linspace(0.0, 0.98, args.points or 50)
-    m_var = [[1.0 / res.value
-              for res in _converged(optimize.maximize_ea(r, MODES[key]), "ea")]
-             for key in ("both", "t", "r")]
+    m_var = [[1.0 / res.value for res in best]
+             for best in _per_mode("ea", r, ("both", "t", "r"), 1e-8)]
     return (["r", "m_var_direct", "m_var_both", "m_var_transmission", "m_var_reflection"],
             _rows([r, 1.0 - r * r] + m_var))
-
-
-def _nea_per_mode(v_z: np.ndarray) -> list[list]:
-    """The NEA optima at every target in each mode of MODE_ORDER, from one solve."""
-    best = _converged(optimize.maximize_nea(
-        np.tile(v_z, len(MODE_ORDER)), [MODES[key] for key in MODE_ORDER for _ in v_z],
-        tol=1e-6), "nea")
-    return [best[k * v_z.size:(k + 1) * v_z.size] for k in range(len(MODE_ORDER))]
 
 
 def _figure_7(args) -> tuple[list[str], list[str]]:
     v_z = np.linspace(-0.95, 0.95, args.points or 39)
     columns, data = ["v_z"], [v_z]
-    for key, best in zip(MODE_ORDER, _nea_per_mode(v_z)):
+    for key, best in zip(MODE_ORDER, _per_mode("nea", v_z, MODE_ORDER, 1e-6)):
         columns += [f"qfi_{key}", f"theta_a_{key}", f"omega_{key}"]
         data += [[res.value for res in best], [res.param("theta_a") for res in best],
                  [res.param("omega") for res in best]]
@@ -268,11 +267,10 @@ def _figure_7(args) -> tuple[list[str], list[str]]:
 def _figure_8(args) -> tuple[list[str], list[str]]:
     v_z = np.linspace(0.0, 0.95, args.points or 20)
     columns, data = ["v_z"], [v_z]
-    for key, best in zip(MODE_ORDER, _nea_per_mode(v_z)):
+    for key, nea, ea in zip(MODE_ORDER, _per_mode("nea", v_z, MODE_ORDER, 1e-6),
+                            _per_mode("ea", v_z, MODE_ORDER, 1e-8)):
         columns += [f"nea_{key}", f"ea_{key}"]
-        data += [[res.value for res in best],
-                 [res.value for res in _converged(
-                     optimize.maximize_ea(v_z, MODES[key], tol=1e-8), "ea")]]
+        data += [[res.value for res in nea], [res.value for res in ea]]
     return columns, _rows(data)
 
 

@@ -239,46 +239,61 @@ def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
 
 
 def _nea_terms(v, cosines, w, mode: DetectionMode) -> tuple:
-    """``_nea_factors`` from the cosines (cos k theta_a for k = 1, 2, 3, 4)."""
+    """``_nea_factors`` from the cosines (cos k theta_a for k = 1, 2, 3, 4).
+
+    Each factor is ``_nea_coefficients``' polynomial in W, evaluated by Horner.
+    """
+    return tuple([c[0] + w * (c[1] + w * c[2]) if len(c) == 3 else
+                  c[0] + w * c[1] if len(c) == 2 else c[0]
+                  for c in _nea_coefficients(v, cosines, mode)])
+
+
+def _nea_small_factors(v, v_c1) -> tuple:
+    """(d_r, 1 - v c1, 1 - v^2) at v c1 = v_c1, where d_r = 2((1 - v c1)^2 + (1 - v^2)).
+
+    c1 is cos theta_a. d_r and d_t = d_r + W (d_r + 16 (1 - v^2)) vanish at
+    the pure state; as sums of nonnegative terms they keep their digits next
+    to it, where the expanded 4 - v^2 - 4 v c1 + v^2 cos 2theta_a loses them.
+    """
+    gap = (1.0 - v) * (1.0 + v)  # not 1 - v v, which cancels as |v| -> 1
+    a = 1.0 - v_c1
+    return 2.0 * (a * a + gap), a, gap
+
+
+def _nea_coefficients(v, cosines, mode: DetectionMode) -> tuple:
+    """The factors of ``nea_qfi`` in ``mode``, each as its coefficients of W^0, W^1, ....
+
+    Given the cosines cos k theta_a for k = 1, 2, 3, 4. The degree in W is
+    the tuple's length less one (at most 2); the denominators d_t and d_r,
+    which vanish at the pure state, are sums of nonnegative terms.
+    """
     c1, c2, c3, c4 = cosines
-    # no **: a numpy scalar's ** is C pow, whose rounding differs from the array loop's
-    v2, w2 = v * v, w * w
-
+    # no **: a numpy scalar's ** is C pow, whose rounding differs from the array loop's;
+    # float literals: a Python float's arithmetic with an int converts it each time
+    v2, vc1, vc3 = v * v, v * c1, v * c3
+    v2c2, v2c4 = v2 * c2, v2 * c4
+    d_r, _, gap = _nea_small_factors(v, vc1)
     # shared denominator pieces of the transmitted/reflected branch spectra
-    d_t = (4 * (1 + 5 * w) - v2 * (1 + 17 * w)
-           - v * (1 + w) * (4 * c1 - v * c2))
-    d_r = 4 - v2 - 4 * v * c1 + v2 * c2
-    f_t = 3 + 9 * w - 2 * v * c1
-    f_r = 1 + 7 * w + 2 * v * w * c1
+    d_t = (d_r, d_r + 16.0 * gap)
+    f_t = (3.0 - 2.0 * vc1, 9.0)
+    f_r = (1.0, 7.0 + 2.0 * vc1)
 
-    if mode is DetectionMode.TRANSMISSION:
-        num = (4 * (11 + 96 * w + 181 * w2)
-               - v2 * (1 + w) * (1 + 33 * w)
-               - 4 * v * (8 + 43 * w + 3 * w2) * c1
-               - 4 * (1 - w + 8 * v2 * w) * (1 + w) * c2
-               - 4 * v * w * (1 + w) * c3
-               + v2 * ((1 + w) * (1 + w)) * c4)
-        return d_t, f_t, f_r, num
     if mode is DetectionMode.REFLECTION:
-        num = (4 * (5 + 23 * w)
-               - v2 * (1 + w)
-               - 4 * v * (3 - 2 * w) * c1
-               + 4 * (1 - 5 * w) * c2
-               - 4 * v * (1 + 2 * w) * c3
-               + v2 * (1 + w) * c4)
-        den = (3 * (1 + 3 * w) * (1 + 7 * w) - 2 * v2 * w
-               - 2 * v * (1 + 4 * w - 9 * w2) * c1 - 2 * v2 * w * c2)
-        return d_r, num, den
+        num = (20.0 - v2 - 12.0 * vc1 + 4.0 * c2 - 4.0 * vc3 + v2c4,
+               92.0 - v2 + 8.0 * vc1 - 20.0 * c2 - 8.0 * vc3 + v2c4)
+        den = (3.0 - 2.0 * vc1, 30.0 - 2.0 * v2 - 8.0 * vc1 - 2.0 * v2c2, 63.0 + 18.0 * vc1)
+        return (d_r,), num, den
+    # the W^2 coefficient of t's numerator and of both's g_m
+    m_2 = 724.0 - 33.0 * v2 - 12.0 * vc1 - 32.0 * v2c2 + 4.0 * c2 - 4.0 * vc3 + v2c4
+    if mode is DetectionMode.TRANSMISSION:
+        num = (44.0 - v2 - 32.0 * vc1 - 4.0 * c2 + v2c4,
+               384.0 - 34.0 * v2 - 172.0 * vc1 - 32.0 * v2c2 - 4.0 * vc3 + 2.0 * v2c4,
+               m_2)
+        return d_t, f_t, f_r, num
     if mode is DetectionMode.BOTH:
-        g_t = (4 * (5 + 27 * w) - v2 + 4 * (1 - 9 * w) * c2
-               - 16 * v * np.power(c1, 3) + v2 * c4)
-        g_r = 3 * (1 + 3 * w) - 2 * v * c1
-        g_m = (4 * (3 + 48 * w + 181 * w2)
-               - v2 * w * (1 + 33 * w)
-               - 12 * v * w * (1 + w) * c1
-               - 4 * (1 + 8 * w - w2 + 8 * v2 * w2) * c2
-               - v * w * (1 + w) * (4 * c3 - v * c4))
-        return d_t, d_r, f_t, f_r, g_t, g_r, g_m
+        g_t = (20.0 - v2 + 4.0 * c2 - 16.0 * vc1 * c1 * c1 + v2c4, 108.0 - 36.0 * c2)
+        g_m = (12.0 - 4.0 * c2, 192.0 - v2 - 12.0 * vc1 - 32.0 * c2 - 4.0 * vc3 + v2c4, m_2)
+        return d_t, (d_r,), f_t, f_r, g_t, f_t, g_m  # g_r = 3(1 + 3W) - 2 v c1 is f_t
     raise ValueError(f"unknown detection mode {mode}")
 
 
@@ -286,13 +301,13 @@ def _nea_ratio(factors, w, mode: DetectionMode):
     """``nea_qfi`` from the factors ``_nea_factors`` gives for the same mode and W."""
     if mode is DetectionMode.TRANSMISSION:
         d_t, f_t, f_r, num = factors
-        return num * w / (d_t * (1 + w) * f_t * f_r)
+        return num * w / (d_t * (1.0 + w) * f_t * f_r)
     if mode is DetectionMode.REFLECTION:
         d_r, num, den = factors
-        return num * w / (den * (1 + w) * d_r)
+        return num * w / (den * (1.0 + w) * d_r)
     d_t, d_r, f_t, f_r, g_t, g_r, g_m = factors
     num = f_r * d_t * g_t + d_r * g_r * g_m
-    return num * w / (d_t * d_r * f_t * (1 + w) * (1 + 9 * w) * f_r)
+    return num * w / (d_t * d_r * f_t * (1.0 + w) * (1.0 + 9.0 * w) * f_r)
 
 
 def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix:

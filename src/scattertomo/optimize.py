@@ -8,25 +8,27 @@ A user objective of one variable is called once per point, and each of its
 seeds is refined by golden section in turn. The EA search refines by a
 safeguarded Newton iteration on the critical-point polynomial of c_r in
 W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a coarse
-(theta_a, log Omega) grid, onto which it expands from five theta_a nodes only
-the products of factors that each term of the QFI needs, each of degree <= 4
-in cos theta_a so that the nodes fix it (both mode keeps g_r and g_m apart:
-their product has degree 5). It refines by a projected, damped Newton ascent
-on exact bivariate forms of the factors, whose log-derivatives give the QFI's
-gradient and Hessian; since the forms are exact on any box, a seed need only
-lie in its maximum's basin. Every search refuses a tol that is not positive
-and finite.
+(theta_a, log Omega) grid. At five theta_a nodes it forms, as polynomials in
+W, only the products of factors that each term of the QFI needs, each of
+degree <= 4 in cos theta_a so that the nodes fix it (both mode keeps g_r and
+g_m apart: their product has degree 5), and takes them to the grid by two
+small matmuls each. It refines by a projected, damped Newton ascent on exact
+bivariate forms of the factors, whose log-derivatives give the QFI's gradient
+and Hessian; since the forms are exact on any box, a seed need only lie in
+its maximum's basin. Every search refuses a tol that is not positive and
+finite.
 
 The EA and NEA searches solve batches of independent problems in lockstep:
 each step makes one array call on a fixed set of lanes (problem x candidate),
 finished lanes included, and ``iterations`` counts a lane's evaluations (for
 EA, its Newton steps). ``maximize_nea`` and ``maximize_ea`` broadcast as the
 closed forms do: one OptResult for a scalar target, a list of one per target
-for an array. The NEA search takes one detection mode for the batch or one per
-problem: each mode is scanned and seeded on its own, and one lockstep refines
-the lanes of every mode, one form evaluating them all in one pass, each lane
-on its own mode's terms, so a problem's result is that of a batch of its mode
-alone. Figures 7 and 8 solve all three modes in one call.
+for an array. Both take one detection mode for the batch or one per problem:
+each mode is scanned and seeded on its own, and one lockstep refines the
+lanes of every mode, each lane on its own mode's terms (for NEA, one form
+evaluates them all in one pass), so a problem's result is that of a batch of
+its mode alone. Figures 6, 7 and 8 solve all three modes in one call per
+search.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .closedform import _check_radius, _ea_cr, _ea_cr_critical, _nea_factors, nea_qfi
+from .closedform import (_check_radius, _ea_cr, _ea_cr_critical, _nea_coefficients,
+                         _nea_small_factors, _nea_terms, nea_qfi)
 from .scatter import DetectionMode
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -47,6 +50,11 @@ NEA_GRID = (61, 41)  # (theta_a, log Omega) nodes of the NEA seeding scan
 EA_GRID = 64  # log Omega nodes of the EA seeding scan
 MAX_ITER = 300  # objective evaluations (EA: Newton steps) per lane
 ROUNDING = 1e-13  # relative change of a value taken as lost in rounding
+# the scan nodes: theta_a, log Omega and W = Omega^2 of NEA_GRID, and W of EA_GRID
+_NEA_THETAS = np.linspace(0.0, math.pi, NEA_GRID[0])
+_NEA_US = np.linspace(*(math.log(x) for x in DEFAULT_OMEGA_BRACKET), NEA_GRID[1])
+_NEA_WS = np.exp(_NEA_US)**2
+_EA_WS = np.geomspace(*DEFAULT_OMEGA_BRACKET, EA_GRID)**2
 
 
 class ConvergenceError(RuntimeError):
@@ -205,12 +213,17 @@ def _scan_seeds(ys: np.ndarray):
 
 
 def _results(prob, n, evals, ok, pick, argmax, value) -> list[OptResult]:
-    """One OptResult per problem: its picked lane, summed evals, all lanes converged."""
-    iterations = np.bincount(prob, weights=evals, minlength=n)
-    failed = np.bincount(prob, weights=~ok, minlength=n)
-    return [OptResult(tuple((name, float(x[p])) for name, x in argmax), float(value[p]),
-                      int(iterations[k]), not failed[k])
-            for k, p in enumerate(pick)]
+    """One OptResult per problem: its picked lane, summed evals, all lanes converged.
+
+    ``pick`` holds problem k's lane at k; each column becomes Python numbers by
+    one ``tolist``.
+    """
+    iterations = np.bincount(prob, weights=evals, minlength=n).tolist()
+    failed = np.bincount(prob, weights=~ok, minlength=n).tolist()
+    names = [name for name, _ in argmax]
+    points = zip(*[x[pick].tolist() for _, x in argmax])
+    return [OptResult(tuple(zip(names, point)), y, int(k), not f)
+            for point, y, k, f in zip(points, value[pick].tolist(), iterations, failed)]
 
 
 def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float],
@@ -257,39 +270,84 @@ def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float
 _K = np.arange(5)
 _THETA_NODES = _K * (math.pi / 4)
 _THETA_FIT = np.linalg.inv(np.cos(np.outer(_THETA_NODES, _K)))
+# cos(k theta_a) at the nodes for k = 1..4, as ``_nea_coefficients`` takes them
+_NODE_COSINES = tuple(np.cos(np.outer(_K[1:], _THETA_NODES)))
+# -k and -k^2 as a column: d/dtheta cos(k theta) = -k sin(k theta), and so on
+_MINUS_K, _MINUS_K2 = -_K[:, None], -_K[:, None]**2
+
+
+def _theta_expansion(thetas) -> np.ndarray:
+    """(theta, node) matrix taking a cosine polynomial of degree <= 4 from _THETA_NODES to thetas.
+
+    A theta equal to a node gets that node's unit row, so the node's value
+    passes unrounded (near the pure state, d_t and d_r are small there).
+    """
+    at_node = thetas[:, None] == _THETA_NODES
+    return np.where(at_node.any(axis=1, keepdims=True), at_node,
+                    np.cos(np.outer(thetas, _K)) @ _THETA_FIT)
+
+
+def _poly_product(*factors) -> list:
+    """Coefficients of W^0, W^1, ... of a product of polynomials, from theirs."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f))
+               for k in range(len(out) + len(f) - 1)]
+    return out
 
 
 def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
-    """``nea_qfi`` of targets v at every node of thetas x w, expanded from _THETA_NODES.
+    """``nea_qfi`` of targets v at every node of thetas x w, from W-polynomials at _THETA_NODES.
 
-    Only the products that the mode's terms need are formed at the five nodes
-    and expanded to the grid, the W-only s = W/(1 + W) (both: W/((1 + W)(1 + 9W)))
-    scaling a numerator: num s over d_t f_t f_r (t), num s over den d_r (r),
-    and in both g_t s over d_r f_t plus g_r times g_m s over d_t f_t f_r. The
-    nodes fix a product of degree <= 4 in cos theta_a, as each of these is;
-    g_r g_m has degree 5 (and the numerator over one denominator,
-    f_r d_t g_t + d_r g_r g_m, degree 7), so g_r and g_m s are expanded apart
-    and multiplied on the grid. That is 2, 2 and 5 expansions and 1, 1 and 4
-    passes over the grid.
+    At the five nodes only the products that the mode's terms need are
+    formed, each as its coefficients in W (degree <= 3, from
+    ``_nea_coefficients``): num over d_t f_t f_r (t), num over den d_r (r),
+    and in both g_t over d_r f_t plus g_r times g_m over d_t f_t f_r. Each
+    product has degree <= 4 in cos theta_a, so the nodes fix it; g_r g_m has
+    degree 5, so g_r and g_m are kept apart and multiplied on the grid. Every
+    coefficient is taken to the theta_a grid by one matmul with
+    ``_theta_expansion``, and each product to the W grid by one more with the
+    powers of W, times the W-only s = W/(1 + W) (both: W/((1 + W)(1 + 9W)))
+    for a numerator. That leaves 1, 1 and 4 passes over the grid.
     """
-    factors = _nea_factors(v[:, None, None], _THETA_NODES[:, None], w, mode)
+    coef = _nea_coefficients(v[:, None], _NODE_COSINES, mode)
     s = w / (1.0 + w)
     if mode is DetectionMode.TRANSMISSION:
-        d_t, f_t, f_r, num = factors
-        parts = (num * s, d_t * f_t * f_r)
+        d_t, f_t, f_r, num = coef
+        parts = ((num, True), (_poly_product(d_t, f_t, f_r), False))
     elif mode is DetectionMode.REFLECTION:
-        d_r, num, den = factors
-        parts = (num * s, den * d_r)
+        d_r, num, den = coef
+        parts = ((num, True), (_poly_product(den, d_r), False))
     else:
-        d_t, d_r, f_t, f_r, g_t, g_r, g_m = factors
+        d_t, d_r, f_t, f_r, g_t, g_r, g_m = coef
         s = s / (1.0 + 9.0 * w)
-        parts = (g_t * s, d_r * f_t, g_r, g_m * s, d_t * f_t * f_r)
-    at_grid = np.cos(np.outer(thetas, _K)) @ _THETA_FIT @ np.array(parts)
+        parts = ((g_t, True), (_poly_product(d_r, f_t), False), (g_r, False), (g_m, True),
+                 (_poly_product(d_t, f_t, f_r), False))
+    rows = [c for poly, _ in parts for c in poly]
+    table = np.empty((len(rows), v.size, _K.size))
+    for k, c in enumerate(rows):
+        table[k] = c
+    n = v.size * thetas.size
+    at_theta = (table.reshape(-1, _K.size) @ _theta_expansion(thetas).T).reshape(len(rows), n)
+    powers = np.array([np.ones_like(w), w, w * w, w * w * w])
+    # one block for every product's grid, combined in place: a fresh grid-sized
+    # array per product and per operation costs more than their arithmetic
+    grids, first = np.empty((len(parts), n, w.size)), 0
+    for grid, (poly, scaled) in zip(grids, parts):
+        last = first + len(poly)
+        to_w = powers[:len(poly)] * s if scaled else powers[:len(poly)]
+        np.matmul(at_theta[first:last].T, to_w, out=grid)
+        first = last
+    grids = grids.reshape(len(parts), v.size, thetas.size, w.size)
     if mode is not DetectionMode.BOTH:
-        num, den = at_grid
-        return num / den
-    g_t, d_1, g_r, g_m, d_2 = at_grid
-    return g_t / d_1 + g_r * g_m / d_2
+        num, den = grids
+        return np.divide(num, den, out=num)
+    g_t, d_1, g_r, g_m, d_2 = grids
+    g_t /= d_1
+    g_r *= g_m
+    g_r /= d_2
+    g_t += g_r
+    return g_t
 
 
 # Each mode's QFI is s(W) sum_terms prod_i x_i^e_i over its ``_nea_factors`` x,
@@ -299,6 +357,12 @@ _NEA_TERMS = {
     DetectionMode.REFLECTION: (0.0, ((-1, 1, -1, 0, 0, 0, 0),)),  # num/(den d_r)
     DetectionMode.BOTH: (9.0, ((0, -1, -1, 0, 1, 0, 0),  # g_t/(d_r f_t)
                                (-1, 0, -1, -1, 0, 1, 1))),  # g_r g_m/(d_t f_t f_r)
+}
+# the factor slots of d_t and d_r in each mode's ``_nea_factors``, None if absent
+_NEA_SMALL_SLOTS = {
+    DetectionMode.TRANSMISSION: (0, None),
+    DetectionMode.REFLECTION: (None, 0),
+    DetectionMode.BOTH: (0, 1),
 }
 
 
@@ -311,9 +375,12 @@ def _nea_form(v, u_lo, u_hi, mode):
     values at the five ``_THETA_NODES`` and at the two ends and the centre of
     the lane's W range. The QFI's derivatives follow from the factors'
     log-derivatives through ``_NEA_TERMS``; every factor is positive on the
-    domain. Returns q(theta, u): the (6, lane) stack (f, f_t, f_u, f_tt, f_tu,
-    f_uu) of the QFI at theta_a = theta, Omega = exp(u), each lane by its own
-    mode's terms and reading no other lane.
+    domain. The small factors d_t and d_r (``_NEA_SMALL_SLOTS``) are not
+    fitted but evaluated, with their derivatives, from their nonnegative terms
+    (``closedform._nea_small_factors``): next to the pure state the fits' sums
+    of O(1) terms would cancel. Returns q(theta, u): the (6, lane) stack (f,
+    f_t, f_u, f_tt, f_tu, f_uu) of the QFI at theta_a = theta, Omega =
+    exp(u), each lane by its own mode's terms and reading no other lane.
     """
     groups = [(mode, slice(None))] if isinstance(mode, DetectionMode) else mode
     w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
@@ -321,9 +388,10 @@ def _nea_form(v, u_lo, u_hi, mode):
     nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
     # the factors at (theta_a node j, W node i, factor, lane)
     table = np.ones((_K.size, 3, 7, v.size))
+    node_cosines = [c[:, None, None] for c in _NODE_COSINES]
     a, e, live = np.zeros(v.size), np.zeros((2, 7, v.size)), np.zeros((2, v.size))
     for m, lanes in groups:
-        at = _nea_factors(v[lanes], _THETA_NODES[:, None, None], nodes[lanes].T, m)
+        at = _nea_terms(v[lanes], node_cosines, nodes[lanes].T, m)
         for f, x in enumerate(at):
             table[:, :, f, lanes] = x
         a[lanes], terms = _NEA_TERMS[m]
@@ -341,38 +409,69 @@ def _nea_form(v, u_lo, u_hi, mode):
     coef[:, :, 1] = 0.5 * (f_hi - f_lo)
     coef[:, :, 2] = 0.5 * (f_hi + f_lo) - f_mid
     above, below = e > 0.0, e < 0.0
+    small = [_NEA_SMALL_SLOTS[m] + (lanes,) for m, lanes in groups]
+    v4 = 4.0 * v
 
     def q(theta, u):
-        kt = np.multiply.outer(_K, theta)
-        cos_kt = np.cos(kt)
+        kt = _K[:, None] * theta
+        cos_kt, sin_kt = np.cos(kt), np.sin(kt)
         # d^o/dtheta^o cos(k theta), o = 0, 1, 2, as (o, k, lane)
-        trig = np.array([cos_kt, -_K[:, None] * np.sin(kt), -_K[:, None]**2 * cos_kt])
+        trig = np.array([cos_kt, _MINUS_K * sin_kt, _MINUS_K2 * cos_kt])
         # the x-polynomials' coefficients (o, factor, p, lane), summed in order k = 0..4
-        # (not by matmul): near the pure state d_t and d_r are small sums of O(1)
-        # terms, and the order shows in the steps
         c = trig[:, 0, None, None] * coef[0]
-        for k in _K[1:]:
+        for k in range(1, _K.size):
             c += trig[:, k, None, None] * coef[k]
         w = np.exp(u)**2
+        w1 = 1.0 + w
         x = (w - mid) / half
         x_u = 2.0 * w / half  # dx/du; d2x/du2 = 2 x_u
         val = c[:, :, 0] + x * (c[:, :, 1] + x * c[:, :, 2])  # (o, factor, lane)
         d_x = c[:2, :, 1] + 2.0 * x * c[:2, :, 2]
         d_xx = 2.0 * c[0, :, 2]
+        # d_r = 2(a^2 + gap), a = 1 - v cos theta, has no W: its theta derivatives
+        # are 4 v sin theta a and 4 v (v sin^2 theta + a cos theta). d_t = d_r + W d_t_w,
+        # d_t_w = d_r + 16 gap, is linear in W: its x derivatives are half d_t_w and
+        # half d(d_r)/dtheta
+        d_r, a_, gap = _nea_small_factors(v, v * cos_kt[1])
+        v4_sin = v4 * sin_kt[1]
+        d_r_t = v4_sin * a_
+        d_r_tt = v4 * (v * sin_kt[1] * sin_kt[1] + a_ * cos_kt[1])
+        d_t_w = d_r + 16.0 * gap
+        for slot_t, slot_r, lanes in small:
+            if slot_r is not None:
+                val[0, slot_r, lanes] = d_r[lanes]
+                val[1, slot_r, lanes] = d_r_t[lanes]
+                val[2, slot_r, lanes] = d_r_tt[lanes]
+            if slot_t is not None:
+                val[0, slot_t, lanes] = d_r[lanes] + w[lanes] * d_t_w[lanes]
+                val[1, slot_t, lanes] = w1[lanes] * d_r_t[lanes]
+                val[2, slot_t, lanes] = w1[lanes] * d_r_tt[lanes]
+                d_x[0, slot_t, lanes] = half[lanes] * d_t_w[lanes]
+                d_x[1, slot_t, lanes] = half[lanes] * d_r_t[lanes]
+                d_xx[slot_t, lanes] = 0.0
         f = val[0]
         # log-derivatives (t, u, tt, tu, uu) of each factor, then of each term
-        r = np.array([val[1], d_x[0] * x_u, val[2], d_x[1] * x_u,
-                      (d_xx * x_u + 2.0 * d_x[0]) * x_u]) / f
-        r[2:] -= r[[0, 0, 1]] * r[[0, 1, 1]]
-        g = (e[:, None] * r).sum(axis=2)
+        r = np.empty((5,) + f.shape)
+        r[0], r[2] = val[1], val[2]
+        np.multiply(d_x[0], x_u, out=r[1])
+        np.multiply(d_x[1], x_u, out=r[3])
+        np.multiply(d_xx * x_u + 2.0 * d_x[0], x_u, out=r[4])
+        r /= f
+        r[2] -= r[0] * r[0]
+        r[3] -= r[0] * r[1]
+        r[4] -= r[1] * r[1]
+        g = (r[:, None] * e).sum(axis=2)  # (t, u, tt, tu, uu), term, lane
         # and those of s(W): d/du log W = 2, d/du log(1 + b W) = 2 b W/(1 + b W)
         aw = a * w
-        g[:, 1] += 2.0 / (1.0 + w) - 2.0 * aw / (1.0 + aw)
-        g[:, 4] -= 4.0 * w / (1.0 + w)**2 + 4.0 * aw / (1.0 + aw)**2
-        term = (live * w / ((1.0 + w) * (1.0 + aw)) * np.where(above, f, 1.0).prod(axis=1)
+        aw1 = 1.0 + aw
+        g[1] += 2.0 / w1 - 2.0 * aw / aw1
+        g[4] -= 4.0 * w / w1**2 + 4.0 * aw / aw1**2
+        term = (live * w / (w1 * aw1) * np.where(above, f, 1.0).prod(axis=1)
                 / np.where(below, f, 1.0).prod(axis=1))
-        g[:, 2:] += g[:, [0, 0, 1]] * g[:, [0, 1, 1]]
-        return np.concatenate([term[:, None], term[:, None] * g], axis=1).sum(axis=0)
+        g[2] += g[0] * g[0]
+        g[3] += g[0] * g[1]
+        g[4] += g[1] * g[1]
+        return np.concatenate([term[None], term * g]).sum(axis=1)
     return q
 
 
@@ -401,10 +500,20 @@ def _grid_maxima(y: np.ndarray) -> tuple[np.ndarray, ...]:
     """(problem, theta_a node, Omega node) of the grid-local maxima of a finite NEA scan.
 
     The points of ``np.nonzero(_local_maxima(y, (1, 2)))``, in its order: the
-    maxima along theta_a, then of those only the ones at least as high as
-    their two Omega neighbours, looked up by flat index.
+    maxima along theta_a (the interior against both neighbours, each edge
+    against its one), then of those only the ones at least as high as their
+    two Omega neighbours, looked up by flat index.
     """
-    flat = np.flatnonzero(_local_maxima(y, (1,)))
+    along = np.empty(y.shape, dtype=bool)
+    if y.shape[1] == 1:
+        along[...] = True
+    else:
+        inner = y[:, 1:-1]
+        np.greater_equal(inner, y[:, :-2], out=along[:, 1:-1])
+        along[:, 1:-1] &= inner >= y[:, 2:]
+        np.greater_equal(y[:, 0], y[:, 1], out=along[:, 0])
+        np.greater_equal(y[:, -1], y[:, -2], out=along[:, -1])
+    flat = np.flatnonzero(along)
     y_flat, j, last = y.ravel(), flat % y.shape[2], y.shape[2] - 1
     at = y_flat[flat]
     keep = (((j == 0) | (at >= y_flat.take(flat - 1, mode="clip")))
@@ -451,14 +560,10 @@ def maximize_nea(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> OptResult |
     groups = _mode_groups(mode, v_z.size)
     if v_z.size == 0:
         return []
-    n_theta, n_omega = NEA_GRID
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
-    us = np.linspace(u_lo, u_hi, n_omega)
-
+    thetas, us = _NEA_THETAS, _NEA_US
     seeds, lanes, start = [], [], 0
     for m, targets in groups:
-        y = _nea_scan(v_z[targets], thetas, np.exp(us)**2, m)
+        y = _nea_scan(v_z[targets], thetas, _NEA_WS, m)
         if not np.all(np.isfinite(y)):
             raise ValueError("QFI surface is not finite on the scan grid")
         prob, i, j = _grid_maxima(y)
@@ -483,22 +588,29 @@ def maximize_nea(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> OptResult |
 def _newton_root(coef, w, lo, hi, stop):
     """Safeguarded Newton iteration on polynomials in lockstep, one lane per row of coef.
 
-    coef holds each lane's coefficients of W^0, W^1, ..., w its start and
-    [lo, hi] its bracket. After each evaluation the bracket keeps the side
-    where the polynomial falls through zero: it moves up to a point where the
-    polynomial is positive, else down to it, so w is always one of its ends. A
-    Newton step that leaves the bracket is replaced by its midpoint. A lane
-    finishes once stop(w, w_new) passes for a step, or unconverged after
+    coef holds each lane's coefficients of W^0, W^1, ...: one 2-D array, or a
+    list of them for consecutive runs of lanes, each summed as it is (padding
+    one with zeros would change numpy's summation order). w is each lane's
+    start and [lo, hi] its bracket. After each evaluation the bracket keeps the
+    side where the polynomial falls through zero: it moves up to a point where
+    the polynomial is positive, else down to it, so w is always one of its
+    ends. A Newton step that leaves the bracket is replaced by its midpoint. A
+    lane finishes once stop(w, w_new) passes for a step, or unconverged after
     MAX_ITER steps, and the others step on. Returns arrays (w, steps, ok).
     """
-    powers = np.arange(coef.shape[1])
-    d_coef = coef[:, 1:] * powers[1:]
+    blocks, first = [], 0
+    for c in [coef] if isinstance(coef, np.ndarray) else coef:
+        powers = np.arange(c.shape[1])
+        blocks.append((slice(first, first + len(c)), c, c[:, 1:] * powers[1:], powers))
+        first += len(c)
     out_w, out_steps = np.empty(w.size), np.empty(w.size, dtype=int)
     ok, finished = np.empty(w.size, dtype=bool), np.zeros(w.size, dtype=bool)
+    p, dp = np.empty(w.size), np.empty(w.size)
     steps = 0
     while True:
-        w_powers = w[:, None]**powers
-        p, dp = (coef * w_powers).sum(axis=1), (d_coef * w_powers[:, :-1]).sum(axis=1)
+        for at, c, d_c, powers in blocks:
+            w_powers = w[at, None]**powers
+            p[at], dp[at] = (c * w_powers).sum(axis=1), (d_c * w_powers[:, :-1]).sum(axis=1)
         rising = p > 0.0
         lo, hi = np.where(rising, w, lo), np.where(rising, hi, w)
         w_new = w - p / np.where(dp != 0.0, dp, np.nan)  # NaN leaves the bracket
@@ -513,34 +625,47 @@ def _newton_root(coef, w, lo, hi, stop):
         w = w_new
 
 
-def maximize_ea(v_z, mode: DetectionMode, tol: float = 1e-8) -> OptResult | list[OptResult]:
+def maximize_ea(v_z, mode, tol: float = 1e-8) -> OptResult | list[OptResult]:
     """Best EA QFI over Omega in DEFAULT_OMEGA_BRACKET at z-axis targets v_z, in lockstep.
 
-    One OptResult for a scalar v_z, else a list of one per target. The z-axis
-    QFI is the radial coefficient c_r at r = |v_z|, so a grid of radii r >= 0
-    gives the best c_r at each radius. One ``_ea_cr`` call scans EA_GRID
-    log-spaced nodes for all radii; each radius's best 16 grid-local maxima
-    seed ``_newton_root`` on c_r's critical-point polynomial in W = Omega^2,
-    inside the seed's +-1-cell bracket, until a step moves Omega by at most
-    tol (1 + Omega). A lane ends at the higher of that point and its bracket's
-    ends, and a radius at its highest lane (ties to the smaller Omega), with
-    the value from ``_ea_cr``. ``iterations`` counts the Newton steps of every
-    lane of the radius.
+    One OptResult for a scalar v_z, else a list of one per target. ``mode`` is
+    one DetectionMode for all targets or a sequence of one per target. The
+    z-axis QFI is the radial coefficient c_r at r = |v_z|, so a grid of radii
+    r >= 0 gives the best c_r at each radius. One ``_ea_cr`` call per mode
+    scans EA_GRID log-spaced nodes for its radii; each radius's best 16
+    grid-local maxima seed one ``_newton_root`` for all modes on c_r's
+    critical-point polynomial in W = Omega^2, inside the seed's +-1-cell
+    bracket, until a step moves Omega by at most tol (1 + Omega). A lane ends
+    at the higher of that point and its bracket's ends, and a radius at its
+    highest lane (ties to the smaller Omega), with the value from ``_ea_cr``.
+    Each target's result is that of a call with its mode alone.
+    ``iterations`` counts the Newton steps of every lane of the radius.
     """
     _check_tol(tol)
     r2 = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)**2
-    ws = np.geomspace(*DEFAULT_OMEGA_BRACKET, EA_GRID)**2
-    prob, i = _scan_seeds(_ea_cr(r2[:, None], ws, mode))
+    groups = _mode_groups(mode, r2.size)
+    if r2.size == 0:
+        return []
+    ws = _EA_WS
+    seeds, lanes, start = [], [], 0
+    for m, targets in groups:
+        prob, i = _scan_seeds(_ea_cr(r2[targets, None], ws, m))
+        seeds.append((targets[prob], i))
+        lanes.append((m, slice(start, start + prob.size)))
+        start += prob.size
+    prob, i = (np.concatenate(x) for x in zip(*seeds))
     lo, hi = ws[np.maximum(i - 1, 0)], ws[np.minimum(i + 1, EA_GRID - 1)]
 
     w, steps, ok = _newton_root(
-        _ea_cr_critical(r2[prob], mode), ws[i], lo, hi,
+        [_ea_cr_critical(r2[prob[at]], m) for m, at in lanes], ws[i], lo, hi,
         lambda a, b: np.abs(np.sqrt(b) - np.sqrt(a)) <= tol * (1.0 + np.sqrt(b)))
     ends = np.stack([w, lo, hi])
-    values = _ea_cr(r2[prob], ends, mode)
+    values = np.empty(ends.shape)
+    for m, at in lanes:
+        values[:, at] = _ea_cr(r2[prob[at]], ends[:, at], m)
     best = np.argmax(values, axis=0)
-    lanes = np.arange(prob.size)
-    omega, value = np.sqrt(ends[best, lanes]), values[best, lanes]
+    each = np.arange(prob.size)
+    omega, value = np.sqrt(ends[best, each]), values[best, each]
     pick = _first_per_problem(prob, [-value, omega])
     results = _results(prob, r2.size, steps, ok, pick, [("omega", omega)], value)
     return results[0] if np.ndim(v_z) == 0 else results

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,6 +190,37 @@ class TestEaCriticalPolynomial:
             _ea_cr_critical(0.5, "both")
 
 
+def exact_nea_qfi(v_z: float, c1: int, w: float, mode: DetectionMode) -> Fraction:
+    """``nea_qfi`` in exact rationals at v_z, W = w and theta_a in {0, pi} (cos theta_a = c1).
+
+    The factors as first expanded, with cos k theta_a = c1^k: no form of them
+    that avoids cancellation is assumed.
+    """
+    v, w = Fraction(v_z), Fraction(w)
+    c2, c3, c4 = c1**2, c1**3, c1**4
+    d_t = 4 * (1 + 5 * w) - v**2 * (1 + 17 * w) - v * (1 + w) * (4 * c1 - v * c2)
+    d_r = 4 - v**2 - 4 * v * c1 + v**2 * c2
+    f_t = 3 + 9 * w - 2 * v * c1
+    f_r = 1 + 7 * w + 2 * v * w * c1
+    if mode is DetectionMode.TRANSMISSION:
+        num = (4 * (11 + 96 * w + 181 * w**2) - v**2 * (1 + w) * (1 + 33 * w)
+               - 4 * v * (8 + 43 * w + 3 * w**2) * c1 - 4 * (1 - w + 8 * v**2 * w) * (1 + w) * c2
+               - 4 * v * w * (1 + w) * c3 + v**2 * (1 + w)**2 * c4)
+        return num * w / (d_t * (1 + w) * f_t * f_r)
+    if mode is DetectionMode.REFLECTION:
+        num = (4 * (5 + 23 * w) - v**2 * (1 + w) - 4 * v * (3 - 2 * w) * c1
+               + 4 * (1 - 5 * w) * c2 - 4 * v * (1 + 2 * w) * c3 + v**2 * (1 + w) * c4)
+        den = (3 * (1 + 3 * w) * (1 + 7 * w) - 2 * v**2 * w
+               - 2 * v * (1 + 4 * w - 9 * w**2) * c1 - 2 * v**2 * w * c2)
+        return num * w / (den * (1 + w) * d_r)
+    g_t = 4 * (5 + 27 * w) - v**2 + 4 * (1 - 9 * w) * c2 - 16 * v * c3 + v**2 * c4
+    g_r = 3 * (1 + 3 * w) - 2 * v * c1
+    g_m = (4 * (3 + 48 * w + 181 * w**2) - v**2 * w * (1 + 33 * w) - 12 * v * w * (1 + w) * c1
+           - 4 * (1 + 8 * w - w**2 + 8 * v**2 * w**2) * c2 - v * w * (1 + w) * (4 * c3 - v * c4))
+    return ((f_r * d_t * g_t + d_r * g_r * g_m) * w
+            / (d_t * d_r * f_t * (1 + w) * (1 + 9 * w) * f_r))
+
+
 class TestNeaQfi:
     def test_vanishes_at_momentum_extremes(self):
         for om in (1e-4, 1e4):
@@ -230,6 +263,22 @@ class TestNeaQfi:
                                   channel_derivatives(probe, om, mode)).entry("z", "z")
                 expected = nea_qfi(vz, ta, om, mode)
                 assert abs(val - expected) < 1e-9 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exact_at_the_poles(self, mode):
+        # at theta_a in {0, pi} every cos k theta_a is exactly +-1 in floats, so
+        # the factors' expanded formulas, evaluated in exact rationals at the
+        # float v_z and W, give the QFI that nea_qfi should round to, next to
+        # the pure state too, where d_t and d_r are small
+        rng = random.Random(4201)
+        for delta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            for v_z in (1.0 - delta, delta - 1.0):
+                for theta_a in (0.0, math.pi):
+                    for _ in range(8):
+                        omega = 10.0 ** rng.uniform(-3.0, 3.0)
+                        exact = exact_nea_qfi(v_z, round(math.cos(theta_a)), omega * omega, mode)
+                        got = nea_qfi(v_z, theta_a, omega, mode)
+                        assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact
 
     def test_domain(self):
         with pytest.raises(ValueError):

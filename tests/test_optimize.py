@@ -145,6 +145,16 @@ class TestMaximizeNea:
         minus = np.array([res.value for res in maximize_nea(-v, mode=mode)])
         assert relerr_each(plus, minus) <= 1e-9
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mirror_pairs_next_to_the_pure_state(self, mode):
+        # d_t and d_r keep their digits there, so -v_z finds the mirror image of
+        # v_z's optimum: the same value and theta_a* -> pi - theta_a*
+        v = np.array([0.9999, 0.99999628, 0.999999])
+        for plus, minus in zip(maximize_nea(v, mode, 1e-8), maximize_nea(-v, mode, 1e-8)):
+            assert abs(plus.value - minus.value) <= 1e-12 * minus.value
+            assert abs(math.pi - plus.param("theta_a") - minus.param("theta_a")) <= 1e-8
+            assert plus.param("theta_a") < 0.02
+
     def test_degenerate_orientation_at_origin(self):
         res = maximize_nea(0.0, mode=DetectionMode.BOTH)
         assert res.converged  # any maximizer accepted; result must be consistent
@@ -837,6 +847,81 @@ class TestModePerTarget:
             maximize_nea(v_z, mode)
 
 
+class TestEaModePerTarget:
+    """maximize_ea with one mode per target: each result is that of its mode alone."""
+
+    def test_shuffled_modes(self):
+        rng = np.random.default_rng(743)
+        r = np.concatenate([[0.0, 0.99, 0.0, 0.99, 0.5], rng.uniform(0.0, 0.99, 145)])
+        modes = [MODES[k] for k in rng.permutation(np.arange(r.size) % 3)]
+        merged = maximize_ea(r, modes)
+        assert len(merged) == r.size
+        for mode in MODES:
+            at = [k for k, m in enumerate(modes) if m is mode]
+            assert [merged[k] for k in at] == maximize_ea(r[at], mode)
+        assert maximize_ea(r[:3], [MODES[2]] * 3) == maximize_ea(r[:3], MODES[2])
+        assert maximize_ea([], []) == []
+
+    @pytest.mark.parametrize("modes, message", [
+        ([DetectionMode.BOTH], "one detection mode per target"),
+        ([DetectionMode.TRANSMISSION, "t"], "must be a DetectionMode, got 't'$"),
+        ("both", "must be a DetectionMode, got 'both'$"),
+        (None, "must be a DetectionMode, got None$")])
+    def test_refuses_as_the_nea_search(self, modes, message):
+        for maximize in (maximize_ea, maximize_nea):
+            with pytest.raises(ValueError, match=message):
+                maximize([0.2, 0.4], modes)
+
+    @pytest.mark.parametrize("number, ea_calls, nea_calls", [(6, 1, 0), (7, 0, 1), (8, 1, 1)])
+    def test_one_solve_per_figure(self, number, ea_calls, nea_calls, monkeypatch, tmp_path):
+        calls = []
+        for name in ("maximize_ea", "maximize_nea"):
+            def spy(*args, _solve=getattr(opt, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(opt, name, spy)
+        assert main(["figure", str(number), "--points", "4", "-o", str(tmp_path / "f.csv")]) == 0
+        assert calls.count("maximize_ea") == ea_calls
+        assert calls.count("maximize_nea") == nea_calls
+
+
+def per_element_results(prob, n, evals, ok, pick, argmax, value):
+    """``_results`` one problem at a time, from numpy scalars."""
+    iterations = np.bincount(prob, weights=evals, minlength=n)
+    failed = np.bincount(prob, weights=~ok, minlength=n)
+    return [OptResult(tuple((name, float(x[p])) for name, x in argmax), float(value[p]),
+                      int(iterations[k]), not failed[k])
+            for k, p in enumerate(pick)]
+
+
+def test_results_by_column(monkeypatch):
+    # the OptResults of mixed-mode batches (one with an unconverged lane), field by
+    # field and type by type, against a per-element reference
+    seen, results = [], opt._results
+
+    def spy(*args):
+        got = results(*args)
+        seen.append((got, per_element_results(*args)))
+        return got
+    monkeypatch.setattr(opt, "_results", spy)
+    v = np.linspace(-0.9, 0.9, 12)
+    maximize_nea(v, [MODES[k % 3] for k in range(v.size)])
+    maximize_ea(np.abs(v), [MODES[k % 3] for k in range(v.size)])
+    maximize_ea(0.3, DetectionMode.BOTH)
+    prob, evals, ok = np.array([0, 0, 1, 2, 2]), np.array([3, 4, 5, 6, 7]), np.ones(5, dtype=bool)
+    ok[3] = False
+    x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    seen.append((results(prob, 3, evals, ok, np.array([1, 2, 4]), [("a", x), ("b", -x)], x),
+                 per_element_results(prob, 3, evals, ok, np.array([1, 2, 4]),
+                                     [("a", x), ("b", -x)], x)))
+    assert len(seen) == 4 and [r.converged for r in seen[-1][0]] == [True, True, False]
+    for got, want in seen:
+        assert got == want
+        for a, b in zip(got, want):
+            assert [type(x) for _, x in a.argmax] == [float] * len(b.argmax)
+            assert (type(a.value), type(a.iterations), type(a.converged)) == (float, int, bool)
+
+
 def dense_maximum(v_z, mode, grid=(181, 121), bracket=DEFAULT_OMEGA_BRACKET):
     """Each target's largest ``nea_qfi`` on a (theta_a, log Omega) grid, at its nodes in the domain.
 
@@ -944,6 +1029,20 @@ class TestNeaScan:
             assert relerr_each(y, exact) <= bound
             for a, b in zip(_grid_maxima(y), _grid_maxima(exact)):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_off_the_nodes(self, mode):
+        # at the midpoints of the grid's theta_a nodes no row is a node's unit
+        # row: the expansion alone meets the bound for |v_z| <= 0.999
+        rng = np.random.default_rng(719)
+        v = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 300)])
+        grid = np.linspace(0.0, math.pi, NEA_GRID[0])
+        thetas = 0.5 * (grid[1:] + grid[:-1])
+        assert not np.isin(thetas, _THETA_NODES).any()
+        w = np.exp(np.linspace(*np.log(DEFAULT_OMEGA_BRACKET), NEA_GRID[1]))**2
+        y = _nea_scan(v, thetas, w, mode)
+        assert y.shape == (v.size, thetas.size, NEA_GRID[1])
+        assert relerr_each(y, direct_scan(v, thetas, w, mode)) <= 5e-13
 
     @pytest.mark.parametrize("targets", ["figures", "seeded", "poles"])
     @pytest.mark.parametrize("mode", MODES)
