@@ -232,8 +232,9 @@ def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
     """The factors that ``nea_qfi`` combines in ``mode``, without input checks.
 
     Each factor is a cosine polynomial of degree <= 4 in theta_a = t and a
-    polynomial of degree <= 2 in W = w, so a few samples fix it along either
-    coordinate (the optimizer's seeding scan and per-lane forms rely on this).
+    polynomial of degree <= 2 in W = w, so its coefficients of W^p at five
+    theta_a samples fix it (the optimizer's seeding scan and per-lane forms
+    rely on this).
     """
     return _nea_terms(v, (np.cos(t), np.cos(2 * t), np.cos(3 * t), np.cos(4 * t)), w, mode)
 
@@ -295,6 +296,22 @@ def _nea_coefficients(v, cosines, mode: DetectionMode) -> tuple:
         g_m = (12.0 - 4.0 * c2, 192.0 - v2 - 12.0 * vc1 - 32.0 * c2 - 4.0 * vc3 + v2c4, m_2)
         return d_t, (d_r,), f_t, f_r, g_t, f_t, g_m  # g_r = 3(1 + 3W) - 2 v c1 is f_t
     raise ValueError(f"unknown detection mode {mode}")
+
+
+# Each mode's QFI is s(W) sum_terms prod_i x_i^e_i over its ``_nea_coefficients``
+# factors x, padded to both's seven with factors 1, and s = W/((1 + W)(1 + a W)): (a, e)
+_NEA_TERMS = {
+    DetectionMode.TRANSMISSION: (0.0, ((-1, -1, -1, 1, 0, 0, 0),)),  # num/(d_t f_t f_r)
+    DetectionMode.REFLECTION: (0.0, ((-1, 1, -1, 0, 0, 0, 0),)),  # num/(den d_r)
+    DetectionMode.BOTH: (9.0, ((0, -1, -1, 0, 1, 0, 0),  # g_t/(d_r f_t)
+                               (-1, 0, -1, -1, 0, 1, 1))),  # g_r g_m/(d_t f_t f_r)
+}
+# the factor slots of d_t and d_r in each mode's ``_nea_coefficients``, None if absent
+_NEA_SMALL_SLOTS = {
+    DetectionMode.TRANSMISSION: (0, None),
+    DetectionMode.REFLECTION: (None, 0),
+    DetectionMode.BOTH: (0, 1),
+}
 
 
 def _nea_ratio(factors, w, mode: DetectionMode):

@@ -9,14 +9,14 @@ seeds is refined by golden section in turn. The EA search refines by a
 safeguarded Newton iteration on the critical-point polynomial of c_r in
 W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a coarse
 (theta_a, log Omega) grid. At five theta_a nodes it forms, as polynomials in
-W, only the products of factors that each term of the QFI needs, each of
-degree <= 4 in cos theta_a so that the nodes fix it (both mode keeps g_r and
-g_m apart: their product has degree 5), and takes them to the grid by two
-small matmuls each. It refines by a projected, damped Newton ascent on exact
-bivariate forms of the factors, whose log-derivatives give the QFI's gradient
-and Hessian; since the forms are exact on any box, a seed need only lie in
-its maximum's basin. Every search refuses a tol that is not positive and
-finite.
+W, each term's numerator factors and the product of its denominator's
+(``closedform._NEA_TERMS``), each of degree <= 4 in cos theta_a so that the
+nodes fix it, and takes them to the grid by two small matmuls each. It
+refines by a projected, damped Newton ascent on forms of the factors that are
+exact at every W: each factor's W-polynomial, its cosine coefficients fitted
+in theta_a once per lane. Their log-derivatives give the QFI's gradient and
+Hessian, and a seed need only lie in its maximum's basin. Every search
+refuses a tol that is not positive and finite.
 
 The EA and NEA searches solve batches of independent problems in lockstep:
 each step makes one array call on a fixed set of lanes (problem x candidate),
@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .closedform import (_check_radius, _ea_cr, _ea_cr_critical, _nea_coefficients,
-                         _nea_small_factors, _nea_terms, nea_qfi)
+from .closedform import (_NEA_SMALL_SLOTS, _NEA_TERMS, _check_radius, _ea_cr, _ea_cr_critical,
+                         _nea_coefficients, _nea_small_factors, nea_qfi)
 from .scatter import DetectionMode
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -299,30 +299,24 @@ def _poly_product(*factors) -> list:
 def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
     """``nea_qfi`` of targets v at every node of thetas x w, from W-polynomials at _THETA_NODES.
 
-    At the five nodes only the products that the mode's terms need are
-    formed, each as its coefficients in W (degree <= 3, from
-    ``_nea_coefficients``): num over d_t f_t f_r (t), num over den d_r (r),
-    and in both g_t over d_r f_t plus g_r times g_m over d_t f_t f_r. Each
-    product has degree <= 4 in cos theta_a, so the nodes fix it; g_r g_m has
-    degree 5, so g_r and g_m are kept apart and multiplied on the grid. Every
-    coefficient is taken to the theta_a grid by one matmul with
-    ``_theta_expansion``, and each product to the W grid by one more with the
-    powers of W, times the W-only s = W/(1 + W) (both: W/((1 + W)(1 + 9W)))
-    for a numerator. That leaves 1, 1 and 4 passes over the grid.
+    Each term of ``_NEA_TERMS`` is a ratio of factors of ``_nea_coefficients``:
+    every numerator factor is its own grid, and the denominator is one grid of
+    the factors' product (``_poly_product``, degree <= 3 in W), whose degree in
+    cos theta_a is <= 4, so the five nodes fix it (both's numerator g_r g_m
+    would have degree 5). Every coefficient is taken to the theta_a grid by
+    one matmul with ``_theta_expansion``, and each grid to the W grid by one
+    more with the powers of W, the last numerator times the W-only s(W). That
+    makes 2, 2 and 5 grids, combined in 1, 1 and 4 passes.
     """
     coef = _nea_coefficients(v[:, None], _NODE_COSINES, mode)
-    s = w / (1.0 + w)
-    if mode is DetectionMode.TRANSMISSION:
-        d_t, f_t, f_r, num = coef
-        parts = ((num, True), (_poly_product(d_t, f_t, f_r), False))
-    elif mode is DetectionMode.REFLECTION:
-        d_r, num, den = coef
-        parts = ((num, True), (_poly_product(den, d_r), False))
-    else:
-        d_t, d_r, f_t, f_r, g_t, g_r, g_m = coef
-        s = s / (1.0 + 9.0 * w)
-        parts = ((g_t, True), (_poly_product(d_r, f_t), False), (g_r, False), (g_m, True),
-                 (_poly_product(d_t, f_t, f_r), False))
+    a, terms = _NEA_TERMS[mode]
+    s = w / (1.0 + w) / (1.0 + a * w)
+    parts, sizes = [], []  # (W-polynomial, scaled by s); grids per term
+    for e in terms:
+        up = [coef[i] for i, x in enumerate(e) if x > 0]
+        parts += [(c, k == len(up) - 1) for k, c in enumerate(up)]
+        parts.append((_poly_product(*(coef[i] for i, x in enumerate(e) if x < 0)), False))
+        sizes.append(len(up) + 1)
     rows = [c for poly, _ in parts for c in poly]
     table = np.empty((len(rows), v.size, _K.size))
     for k, c in enumerate(rows):
@@ -330,8 +324,8 @@ def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
     n = v.size * thetas.size
     at_theta = (table.reshape(-1, _K.size) @ _theta_expansion(thetas).T).reshape(len(rows), n)
     powers = np.array([np.ones_like(w), w, w * w, w * w * w])
-    # one block for every product's grid, combined in place: a fresh grid-sized
-    # array per product and per operation costs more than their arithmetic
+    # one block for every grid, combined in place: a fresh grid-sized array per
+    # grid and per operation costs more than their arithmetic
     grids, first = np.empty((len(parts), n, w.size)), 0
     for grid, (poly, scaled) in zip(grids, parts):
         last = first + len(poly)
@@ -339,77 +333,56 @@ def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
         np.matmul(at_theta[first:last].T, to_w, out=grid)
         first = last
     grids = grids.reshape(len(parts), v.size, thetas.size, w.size)
-    if mode is not DetectionMode.BOTH:
-        num, den = grids
-        return np.divide(num, den, out=num)
-    g_t, d_1, g_r, g_m, d_2 = grids
-    g_t /= d_1
-    g_r *= g_m
-    g_r /= d_2
-    g_t += g_r
-    return g_t
+    first = 0
+    for size in sizes:  # each term into its first grid, and the terms into grids[0]
+        y, last = grids[first], first + size - 1
+        for x in grids[first + 1:last]:
+            y *= x
+        y /= grids[last]
+        if first:
+            grids[0] += y
+        first = last + 1
+    return grids[0]
 
 
-# Each mode's QFI is s(W) sum_terms prod_i x_i^e_i over its ``_nea_factors`` x,
-# padded to both's seven with factors 1, and s = W/((1 + W)(1 + a W)): (a, e)
-_NEA_TERMS = {
-    DetectionMode.TRANSMISSION: (0.0, ((-1, -1, -1, 1, 0, 0, 0),)),  # num/(d_t f_t f_r)
-    DetectionMode.REFLECTION: (0.0, ((-1, 1, -1, 0, 0, 0, 0),)),  # num/(den d_r)
-    DetectionMode.BOTH: (9.0, ((0, -1, -1, 0, 1, 0, 0),  # g_t/(d_r f_t)
-                               (-1, 0, -1, -1, 0, 1, 1))),  # g_r g_m/(d_t f_t f_r)
-}
-# the factor slots of d_t and d_r in each mode's ``_nea_factors``, None if absent
-_NEA_SMALL_SLOTS = {
-    DetectionMode.TRANSMISSION: (0, None),
-    DetectionMode.REFLECTION: (None, 0),
-    DetectionMode.BOTH: (0, 1),
-}
-
-
-def _nea_form(v, u_lo, u_hi, mode):
-    """NEA QFI of lanes v over (theta_a, log Omega in [u_lo, u_hi]), with its derivatives.
+def _nea_form(v, mode):
+    """NEA QFI of lanes v over (theta_a, log Omega), with its derivatives.
 
     ``mode`` is one DetectionMode, or (mode, lanes) pairs that cover the lanes.
     Every factor of ``nea_qfi`` is a cosine polynomial of degree <= 4 in
-    theta_a times a quadratic in W = Omega^2, fitted once per lane from its
-    values at the five ``_THETA_NODES`` and at the two ends and the centre of
-    the lane's W range. The QFI's derivatives follow from the factors'
-    log-derivatives through ``_NEA_TERMS``; every factor is positive on the
-    domain. The small factors d_t and d_r (``_NEA_SMALL_SLOTS``) are not
-    fitted but evaluated, with their derivatives, from their nonnegative terms
-    (``closedform._nea_small_factors``): next to the pure state the fits' sums
+    theta_a whose coefficients are polynomials in W = Omega^2: once per lane,
+    ``_THETA_FIT`` takes ``_nea_coefficients`` at the five ``_THETA_NODES`` to
+    the cosine coefficients of each factor's exact W-polynomial. The QFI's
+    derivatives follow from the factors' log-derivatives through
+    ``_NEA_TERMS``; every factor is positive on the domain. The small factors
+    d_t and d_r (``_NEA_SMALL_SLOTS``) are not fitted but evaluated, with
+    their theta_a derivatives, from their nonnegative terms
+    (``closedform._nea_small_factors``): next to the pure state a fit's sums
     of O(1) terms would cancel. Returns q(theta, u): the (6, lane) stack (f,
     f_t, f_u, f_tt, f_tu, f_uu) of the QFI at theta_a = theta, Omega =
     exp(u), each lane by its own mode's terms and reading no other lane.
     """
     groups = [(mode, slice(None))] if isinstance(mode, DetectionMode) else mode
-    w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
-    mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
-    nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
-    # the factors at (theta_a node j, W node i, factor, lane)
-    table = np.ones((_K.size, 3, 7, v.size))
-    node_cosines = [c[:, None, None] for c in _NODE_COSINES]
+    # each factor's coefficient of W^p at (theta_a node j, factor, p, lane);
+    # padding and the small factors' slots hold the constant 1
+    table = np.zeros((_K.size, 7, 3, v.size))
+    table[:, :, 0] = 1.0
+    node_cosines = [c[:, None] for c in _NODE_COSINES]
     a, e, live = np.zeros(v.size), np.zeros((2, 7, v.size)), np.zeros((2, v.size))
+    small = []
     for m, lanes in groups:
-        at = _nea_terms(v[lanes], node_cosines, nodes[lanes].T, m)
-        for f, x in enumerate(at):
-            table[:, :, f, lanes] = x
+        slots = _NEA_SMALL_SLOTS[m]
+        for f, poly in enumerate(_nea_coefficients(v[lanes], node_cosines, m)):
+            if f not in slots:
+                for p, c in enumerate(poly):
+                    table[:, f, p, lanes] = c
         a[lanes], terms = _NEA_TERMS[m]
         e[:len(terms), :, lanes] = np.array(terms)[..., None]
         live[:len(terms), lanes] = 1.0
-    # the cosine coefficients at each W node, (k, i, factor, lane): _THETA_FIT
-    # against the node values, summed in order j = 0..4
-    fit = _THETA_FIT[:, 0, None, None, None] * table[0]
-    for j in _K[1:]:
-        fit += _THETA_FIT[:, j, None, None, None] * table[j]
-    f_lo, f_mid, f_hi = fit[:, 0], fit[:, 1], fit[:, 2]
-    # coefficients of cos(k theta) x^p per (k, factor, p, lane), x = (W - mid) / half
-    coef = np.empty((_K.size, 7, 3, v.size))
-    coef[:, :, 0] = f_mid
-    coef[:, :, 1] = 0.5 * (f_hi - f_lo)
-    coef[:, :, 2] = 0.5 * (f_hi + f_lo) - f_mid
+        small.append(slots + (lanes,))
+    # the cosine coefficients (k, factor, p, lane)
+    coef = np.tensordot(_THETA_FIT, table, axes=1)
     above, below = e > 0.0, e < 0.0
-    small = [_NEA_SMALL_SLOTS[m] + (lanes,) for m, lanes in groups]
     v4 = 4.0 * v
 
     def q(theta, u):
@@ -417,45 +390,35 @@ def _nea_form(v, u_lo, u_hi, mode):
         cos_kt, sin_kt = np.cos(kt), np.sin(kt)
         # d^o/dtheta^o cos(k theta), o = 0, 1, 2, as (o, k, lane)
         trig = np.array([cos_kt, _MINUS_K * sin_kt, _MINUS_K2 * cos_kt])
-        # the x-polynomials' coefficients (o, factor, p, lane), summed in order k = 0..4
+        # the W-polynomials' coefficients (o, factor, p, lane), summed in order k = 0..4
         c = trig[:, 0, None, None] * coef[0]
         for k in range(1, _K.size):
             c += trig[:, k, None, None] * coef[k]
-        w = np.exp(u)**2
-        w1 = 1.0 + w
-        x = (w - mid) / half
-        x_u = 2.0 * w / half  # dx/du; d2x/du2 = 2 x_u
-        val = c[:, :, 0] + x * (c[:, :, 1] + x * c[:, :, 2])  # (o, factor, lane)
-        d_x = c[:2, :, 1] + 2.0 * x * c[:2, :, 2]
-        d_xx = 2.0 * c[0, :, 2]
         # d_r = 2(a^2 + gap), a = 1 - v cos theta, has no W: its theta derivatives
-        # are 4 v sin theta a and 4 v (v sin^2 theta + a cos theta). d_t = d_r + W d_t_w,
-        # d_t_w = d_r + 16 gap, is linear in W: its x derivatives are half d_t_w and
-        # half d(d_r)/dtheta
+        # are 4 v sin theta a and 4 v (v sin^2 theta + a cos theta). d_t is
+        # d_r + W (d_r + 16 gap): its W^0 and W^1 coefficients have d_r's theta
+        # derivatives. Both as (o, lane), written into the small factors' slots
         d_r, a_, gap = _nea_small_factors(v, v * cos_kt[1])
         v4_sin = v4 * sin_kt[1]
-        d_r_t = v4_sin * a_
-        d_r_tt = v4 * (v * sin_kt[1] * sin_kt[1] + a_ * cos_kt[1])
-        d_t_w = d_r + 16.0 * gap
+        d_0 = np.array([d_r, v4_sin * a_, v4 * (v * sin_kt[1] * sin_kt[1] + a_ * cos_kt[1])])
+        d_1 = d_0.copy()
+        d_1[0] += 16.0 * gap
         for slot_t, slot_r, lanes in small:
-            if slot_r is not None:
-                val[0, slot_r, lanes] = d_r[lanes]
-                val[1, slot_r, lanes] = d_r_t[lanes]
-                val[2, slot_r, lanes] = d_r_tt[lanes]
+            for slot in (slot_t, slot_r):
+                if slot is not None:
+                    c[:, slot, 0, lanes] = d_0[:, lanes]
             if slot_t is not None:
-                val[0, slot_t, lanes] = d_r[lanes] + w[lanes] * d_t_w[lanes]
-                val[1, slot_t, lanes] = w1[lanes] * d_r_t[lanes]
-                val[2, slot_t, lanes] = w1[lanes] * d_r_tt[lanes]
-                d_x[0, slot_t, lanes] = half[lanes] * d_t_w[lanes]
-                d_x[1, slot_t, lanes] = half[lanes] * d_r_t[lanes]
-                d_xx[slot_t, lanes] = 0.0
+                c[:, slot_t, 1, lanes] = d_1[:, lanes]
+        w = np.exp(u)**2
+        w1 = 1.0 + w
+        # the (o, factor, lane) sums of c_p W^p, and of 2p c_p W^p and 4p^2 c_p W^p
+        # for d/du and d^2/du^2
+        c_1, c_2 = c[:, :, 1] * w, c[:, :, 2] * (w * w)
+        val = c[:, :, 0] + c_1 + c_2
+        d_u = 2.0 * c_1[:2] + 4.0 * c_2[:2]
         f = val[0]
         # log-derivatives (t, u, tt, tu, uu) of each factor, then of each term
-        r = np.empty((5,) + f.shape)
-        r[0], r[2] = val[1], val[2]
-        np.multiply(d_x[0], x_u, out=r[1])
-        np.multiply(d_x[1], x_u, out=r[3])
-        np.multiply(d_xx * x_u + 2.0 * d_x[0], x_u, out=r[4])
+        r = np.array([val[1], d_u[0], val[2], d_u[1], 4.0 * c_1[0] + 16.0 * c_2[0]])
         r /= f
         r[2] -= r[0] * r[0]
         r[3] -= r[0] * r[1]
@@ -481,16 +444,16 @@ def _nea_refine(v, theta, u, groups, tol: float):
     ``groups`` lists (DetectionMode, lanes) pairs, lanes a slice: one
     ``_nea_form`` evaluates every lane, each on its own mode's terms. Each
     lane's box is its node's +-2-cell neighbourhood on the coarse NEA_GRID,
-    clipped to [0, pi] x log DEFAULT_OMEGA_BRACKET, on which the lane's form is
-    exact to rounding; the lane stops once a step moves theta_a by at most tol
-    and Omega by at most tol (1 + Omega). Returns arrays (theta, u, evals, ok).
+    clipped to [0, pi] x log DEFAULT_OMEGA_BRACKET; the lane stops once a step
+    moves theta_a by at most tol and Omega by at most tol (1 + Omega). Returns
+    arrays (theta, u, evals, ok).
     """
     u_lo, u_hi = (math.log(x) for x in DEFAULT_OMEGA_BRACKET)
     width = (2.0 * math.pi / (NEA_GRID[0] - 1), 2.0 * (u_hi - u_lo) / (NEA_GRID[1] - 1))
     lo = np.array([np.maximum(0.0, theta - width[0]), np.maximum(u_lo, u - width[1])])
     hi = np.array([np.minimum(math.pi, theta + width[0]), np.minimum(u_hi, u + width[1])])
     (theta, u), evals, ok = _newton_max(
-        _nea_form(v, lo[1], hi[1], groups), np.array([theta, u]), lo, hi, width,
+        _nea_form(v, groups), np.array([theta, u]), lo, hi, width,
         lambda x, y: np.maximum(np.abs(y[0] - x[0]), np.abs(np.exp(y[1]) - np.exp(x[1]))
                                 / (1.0 + np.exp(y[1]))) <= tol)
     return theta, u, evals, ok
@@ -546,8 +509,8 @@ def maximize_nea(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> OptResult |
     bracket, from the factors at five theta_a nodes. The best six grid-local
     maxima of every target (by value, then node) are refined together, all
     modes in one ``_nea_refine``: a projected, damped Newton ascent in
-    (theta_a, log Omega), one lane per seed, on the lane's exact bivariate
-    form of the QFI (``_nea_form``). Among near-equal optima the smallest
+    (theta_a, log Omega), one lane per seed, on a form of the QFI that is
+    exact at every point (``_nea_form``). Among near-equal optima the smallest
     theta_a is returned, with its value from ``nea_qfi``. Each target's result
     is that of a call with its mode alone. ``iterations`` counts the form
     evaluations (each a value, gradient and Hessian) of every lane of the target.

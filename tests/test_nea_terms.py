@@ -1,8 +1,9 @@
-"""The exponent table behind the NEA refinement's form, against ``nea_qfi``.
+"""The NEA term table, ``closedform._NEA_TERMS``, against ``nea_qfi``.
 
-``_nea_form`` builds the QFI's derivatives from its factors' log-derivatives
-through ``_NEA_TERMS``, so the table must give ``nea_qfi`` and every factor
-must stay positive on the domain.
+``optimize._nea_scan`` builds its grids from the table's terms, and
+``optimize._nea_form`` the QFI's derivatives from its factors'
+log-derivatives, so the table must give ``nea_qfi`` and every factor must
+stay positive on the domain.
 """
 
 import math
@@ -10,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from scattertomo.closedform import _nea_factors, nea_qfi
-from scattertomo.optimize import _NEA_TERMS, _nea_form
+from scattertomo.closedform import _NEA_TERMS, _nea_factors, nea_qfi
+from scattertomo.optimize import _nea_form
 from scattertomo.scatter import DetectionMode
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
@@ -56,13 +57,12 @@ def test_one_form_for_every_mode_reads_no_other_lane():
     n = 90
     v = rng.uniform(-0.99, 0.99, n)
     u_lo = rng.uniform(math.log(0.05), math.log(5.0), n)
-    u_hi = u_lo + 0.5
     theta, u = rng.uniform(0.0, math.pi, n), u_lo + 0.5 * rng.uniform(size=n)
     groups = [(MODES[1], slice(0, 20)), (MODES[2], slice(20, 65)), (MODES[0], slice(65, n))]
-    merged = _nea_form(v, u_lo, u_hi, groups)(theta, u)
+    merged = _nea_form(v, groups)(theta, u)
     assert merged.shape == (6, n)
     for mode, at in groups:
-        alone = _nea_form(v[at], u_lo[at], u_hi[at], mode)(theta[at], u[at])
+        alone = _nea_form(v[at], mode)(theta[at], u[at])
         assert np.array_equal(merged[:, at], alone)
         exact = nea_qfi(v[at], theta[at], np.exp(u[at]), mode)
         assert np.max(np.abs(alone[0] - exact) / exact) <= 1e-12

@@ -1,4 +1,3 @@
-import inspect
 import math
 from pathlib import Path
 
@@ -15,7 +14,6 @@ from scattertomo.optimize import (
     MAX_ITER,
     NEA_GRID,
     OptResult,
-    _THETA_FIT,
     _THETA_NODES,
     _grid_maxima,
     _local_maxima,
@@ -465,18 +463,14 @@ class TestNeaPerLaneForms:
 
     @staticmethod
     def lanes(bracket, seed):
-        """Lanes at random (v_z, theta_a) and log Omega in a box set as the refinement sets it."""
+        """Lanes at random (v_z, theta_a) and log Omega over the whole bracket, ends included."""
         rng = np.random.default_rng(seed)
         v = np.concatenate([[-0.99, 0.0, 0.99], rng.uniform(-0.99, 0.99, 400)])
-        u0 = rng.uniform(math.log(bracket[0]), math.log(bracket[1]), v.size)
         theta = np.concatenate([[0.0, math.pi / 2, math.pi],
                                 rng.uniform(0.0, math.pi, v.size - 3)])
-        # each lane's log-Omega box: +-2 cells of the NEA_GRID scan around a point
         u_lo, u_hi = math.log(bracket[0]), math.log(bracket[1])
-        half = 2.0 * (u_hi - u_lo) / (NEA_GRID[1] - 1)
-        a, b = np.maximum(u_lo, u0 - half), np.minimum(u_hi, u0 + half)
-        u = a + (b - a) * np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=v.size - 3)])
-        return rng, v, theta, u, a, b
+        u = u_lo + (u_hi - u_lo) * np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=v.size - 3)])
+        return rng, v, theta, u
 
     @staticmethod
     def check_subsets(build, theta, u, exact, rng):
@@ -494,11 +488,11 @@ class TestNeaPerLaneForms:
         return jet
 
     def jet_and_qfi(self, mode, bracket, seed):
-        rng, v, theta, u, a, b = self.lanes(bracket, seed)
+        rng, v, theta, u = self.lanes(bracket, seed)
 
         def qfi(t, uu):
             return nea_qfi(v, t, np.exp(uu), mode)
-        jet = self.check_subsets(lambda k: _nea_form(v[k], a[k], b[k], mode), theta, u,
+        jet = self.check_subsets(lambda k: _nea_form(v[k], mode), theta, u,
                                  qfi(theta, u), rng)
         return jet, qfi, theta, u
 
@@ -524,37 +518,39 @@ class TestNeaPerLaneForms:
         assert np.max(np.abs(jet[5] - central_difference(d_u, 1e-3, 1)(theta, u)) / scale) <= 1e-7
 
 
-def einsum_coefficients(v, u_lo, u_hi, groups):
-    """``_nea_form``'s (k, factor, p, lane) coefficients by one einsum over a (factor, lane,
-    theta_a node, W node) table of the factors, padded with ones."""
-    w_lo, w_hi = np.exp(u_lo)**2, np.exp(u_hi)**2
-    mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
-    nodes = mid[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])
-    table = np.ones((7, v.size, 5, 3))
-    for mode, lanes in groups:
-        at = _nea_factors(v[lanes, None, None], _THETA_NODES[:, None], nodes[lanes, None], mode)
-        table[:len(at), lanes] = np.broadcast_arrays(*at)
-    f_lo, f_mid, f_hi = np.einsum("kj,flji->iflk", _THETA_FIT, table)
-    coef = np.stack([f_mid, 0.5 * (f_hi - f_lo), 0.5 * (f_hi + f_lo) - f_mid])
-    return np.ascontiguousarray(coef.transpose(3, 1, 0, 2))
+@pytest.mark.parametrize("grouping", ["each mode", "mixed"])
+def test_form_matches_nea_qfi_over_the_domain(grouping):
+    # one form per call, with no box: Omega log-uniform in [1e-3, 1e3] and
+    # |v_z| up to 1 - 1e-6, on lanes of one mode and of all three in one form
+    rng = np.random.default_rng(3200)
+    n = 2000
+    edge = 1.0 - 1e-6
+    v = np.concatenate([[edge, -edge, 0.0], rng.uniform(-edge, edge, n - 3)])
+    theta = np.concatenate([[0.0, math.pi, math.pi / 2], rng.uniform(0.0, math.pi, n - 3)])
+    u = rng.uniform(math.log(1e-3), math.log(1e3), n)
+    if grouping == "mixed":
+        cuts = np.sort(rng.integers(1, n, 2)).tolist()
+        calls = [[(MODES[k], slice(a, b))
+                  for k, a, b in zip(rng.permutation(3), [0, *cuts], [*cuts, n])]]
+    else:
+        calls = [[(mode, slice(None))] for mode in MODES]
+    for groups in calls:
+        jet = _nea_form(v, groups if len(groups) > 1 else groups[0][0])(theta, u)
+        for mode, at in groups:
+            exact = nea_qfi(v[at], theta[at], np.exp(u[at]), mode)
+            assert relerr_each(jet[0, at], exact) <= 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 137, 400])
-def test_form_coefficients_are_the_einsum_sums(n):
-    # the fit's in-order multiply-adds over the five theta_a nodes give the
-    # einsum's sums bit for bit, on lanes of one mode and of all three
-    rng = np.random.default_rng(3000 + n)
-    v = rng.uniform(-0.999, 0.999, n)
-    u_lo = rng.uniform(math.log(0.05), math.log(5.0), n)
-    u_hi = u_lo + rng.uniform(0.01, 0.7, n)
-    cuts = np.sort(rng.integers(0, n + 1, 2)).tolist()
-    mixed = [(MODES[k], slice(a, b))
-             for k, a, b in zip(rng.permutation(3), [0, *cuts], [*cuts, n])]
-    for groups in [[(mode, slice(None))] for mode in MODES] + [mixed]:
-        form = _nea_form(v, u_lo, u_hi, groups if len(groups) > 1 else groups[0][0])
-        coef = inspect.getclosurevars(form).nonlocals["coef"]
-        assert coef.shape == (5, 7, 3, n)
-        assert coef.tobytes() == einsum_coefficients(v, u_lo, u_hi, groups).tobytes()
+@pytest.mark.parametrize("mode", MODES)
+def test_form_is_exact_at_the_poles(mode):
+    # at theta_a in {0, pi} next to the pure state d_t and d_r are nearly all
+    # of the value's rounding: they enter the form unfitted, as in nea_qfi
+    delta = np.geomspace(1e-4, 1e-12, 5)
+    v = np.concatenate([1.0 - delta, delta - 1.0])
+    v, theta, omega = (x.ravel() for x in np.meshgrid(
+        v, [0.0, math.pi], [0.05, 0.3, 0.57735, 1.0, 3.0, 10.0], indexing="ij"))
+    jet = _nea_form(v, mode)(theta, np.log(omega))
+    assert relerr_each(jet[0], nea_qfi(v, theta, omega, mode)) <= 1e-14
 
 
 class TestNeaRefinement:
@@ -581,7 +577,7 @@ class TestNeaRefinement:
         seed_value, v = scan[prob, i, j], v_z[prob]
         theta, u, evals, ok = _nea_refine(v, thetas[i], us[j], [(mode, slice(None))], 1e-8)
         assert ok.all() and evals.max() <= 12
-        jet = _nea_form(v, u - 0.01, u + 0.01, mode)(theta, u)
+        jet = _nea_form(v, mode)(theta, u)
         value = nea_qfi(v, theta, np.exp(u), mode)
         assert np.all(value >= seed_value - 1e-14 * seed_value)
         # the gradient vanishes where the lane ends inside its box
@@ -596,7 +592,7 @@ class TestNeaRefinement:
         assert np.all(np.abs(jet[1, on_edge]) <= 1e-12 * value[on_edge])
         assert np.all(np.abs(jet[2, on_edge]) <= 1e-10 * value[on_edge])
         for edge in (0.0, math.pi):
-            at_edge = _nea_form(v, u - 0.01, u + 0.01, mode)(np.full(v.size, edge), u)
+            at_edge = _nea_form(v, mode)(np.full(v.size, edge), u)
             assert np.all(np.abs(at_edge[1]) <= 1e-12 * np.abs(at_edge[0]))
         # a lane may end on a face of its box inside the domain: there the
         # gradient points out of the box, and the target's optimum lies elsewhere
@@ -614,8 +610,7 @@ class TestNeaRefinement:
         v = np.array([v])
         us = np.linspace(*np.log(DEFAULT_OMEGA_BRACKET), NEA_GRID[1])
         u0 = us[np.argmin(np.abs(us - math.log(0.57735)))]
-        at_edge = _nea_form(v, np.array([u0 - 0.01]), np.array([u0 + 0.01]),
-                            DetectionMode.BOTH)(np.array([edge]), np.array([u0]))
+        at_edge = _nea_form(v, DetectionMode.BOTH)(np.array([edge]), np.array([u0]))
         assert at_edge[1, 0] == pytest.approx(0.0, abs=1e-12 * at_edge[0, 0]) and at_edge[3, 0] > 0.0
         theta, u, evals, ok = _nea_refine(v, np.array([edge]), np.array([u0]),
                                           [(DetectionMode.BOTH, slice(None))], 1e-8)
@@ -659,7 +654,7 @@ class TestNeaRefinement:
         results = maximize_nea(v_z, mode=mode)
         theta = np.array([res.param("theta_a") for res in results])
         u = np.log([res.param("omega") for res in results])
-        jet = _nea_form(v_z, u - 0.01, u + 0.01, mode)(theta, u)
+        jet = _nea_form(v_z, mode)(theta, u)
         interior = (theta > 0.0) & (theta < math.pi)
         assert interior.any()
         assert np.all(np.abs(jet[1:3, interior]) <= 1e-10 * jet[0, interior])
