@@ -262,11 +262,13 @@ def _nea_small_factors(v, v_c1) -> tuple:
 
 
 def _nea_coefficients(v, cosines, mode: DetectionMode) -> tuple:
-    """The factors of ``nea_qfi`` in ``mode``, each as its coefficients of W^0, W^1, ....
+    """The factors (d_t, d_r, f_t, f_r, n, m) of ``nea_qfi``, as coefficients of W^0, W^1, ....
 
-    Given the cosines cos k theta_a for k = 1, 2, 3, 4. The degree in W is
-    the tuple's length less one (at most 2); the denominators d_t and d_r,
-    which vanish at the pure state, are sums of nonnegative terms.
+    Given the cosines cos k theta_a for k = 1, 2, 3, 4. The first four are
+    every mode's; n and m are the mode's own (t: numerator and 1; r: numerator
+    and denominator; both: g_t and g_m). The degree in W is the tuple's length
+    less one (at most 2); d_t and d_r, which vanish at the pure state, are
+    sums of nonnegative terms.
     """
     c1, c2, c3, c4 = cosines
     # no **: a numpy scalar's ** is C pow, whose rounding differs from the array loop's;
@@ -280,51 +282,41 @@ def _nea_coefficients(v, cosines, mode: DetectionMode) -> tuple:
     f_r = (1.0, 7.0 + 2.0 * vc1)
 
     if mode is DetectionMode.REFLECTION:
-        num = (20.0 - v2 - 12.0 * vc1 + 4.0 * c2 - 4.0 * vc3 + v2c4,
-               92.0 - v2 + 8.0 * vc1 - 20.0 * c2 - 8.0 * vc3 + v2c4)
-        den = (3.0 - 2.0 * vc1, 30.0 - 2.0 * v2 - 8.0 * vc1 - 2.0 * v2c2, 63.0 + 18.0 * vc1)
-        return (d_r,), num, den
+        n = (20.0 - v2 - 12.0 * vc1 + 4.0 * c2 - 4.0 * vc3 + v2c4,
+             92.0 - v2 + 8.0 * vc1 - 20.0 * c2 - 8.0 * vc3 + v2c4)
+        m = (3.0 - 2.0 * vc1, 30.0 - 2.0 * v2 - 8.0 * vc1 - 2.0 * v2c2, 63.0 + 18.0 * vc1)
+        return d_t, (d_r,), f_t, f_r, n, m
     # the W^2 coefficient of t's numerator and of both's g_m
     m_2 = 724.0 - 33.0 * v2 - 12.0 * vc1 - 32.0 * v2c2 + 4.0 * c2 - 4.0 * vc3 + v2c4
     if mode is DetectionMode.TRANSMISSION:
-        num = (44.0 - v2 - 32.0 * vc1 - 4.0 * c2 + v2c4,
-               384.0 - 34.0 * v2 - 172.0 * vc1 - 32.0 * v2c2 - 4.0 * vc3 + 2.0 * v2c4,
-               m_2)
-        return d_t, f_t, f_r, num
+        n = (44.0 - v2 - 32.0 * vc1 - 4.0 * c2 + v2c4,
+             384.0 - 34.0 * v2 - 172.0 * vc1 - 32.0 * v2c2 - 4.0 * vc3 + 2.0 * v2c4,
+             m_2)
+        return d_t, (d_r,), f_t, f_r, n, (1.0,)
     if mode is DetectionMode.BOTH:
         g_t = (20.0 - v2 + 4.0 * c2 - 16.0 * vc1 * c1 * c1 + v2c4, 108.0 - 36.0 * c2)
         g_m = (12.0 - 4.0 * c2, 192.0 - v2 - 12.0 * vc1 - 32.0 * c2 - 4.0 * vc3 + v2c4, m_2)
-        return d_t, (d_r,), f_t, f_r, g_t, f_t, g_m  # g_r = 3(1 + 3W) - 2 v c1 is f_t
+        return d_t, (d_r,), f_t, f_r, g_t, g_m
     raise ValueError(f"unknown detection mode {mode}")
 
 
-# Each mode's QFI is s(W) sum_terms prod_i x_i^e_i over its ``_nea_coefficients``
-# factors x, padded to both's seven with factors 1, and s = W/((1 + W)(1 + a W)): (a, e)
+# The only statement of each mode's QFI, which nea_qfi and the optimizer read:
+# s(W) sum_terms prod_i x_i^e_i over the ``_nea_coefficients`` x = (d_t, d_r, f_t, f_r, n, m),
+# s = W/((1 + W)(1 + a W)), as (a, e); every term is one factor over a product of others
 _NEA_TERMS = {
-    DetectionMode.TRANSMISSION: (0.0, ((-1, -1, -1, 1, 0, 0, 0),)),  # num/(d_t f_t f_r)
-    DetectionMode.REFLECTION: (0.0, ((-1, 1, -1, 0, 0, 0, 0),)),  # num/(den d_r)
-    DetectionMode.BOTH: (9.0, ((0, -1, -1, 0, 1, 0, 0),  # g_t/(d_r f_t)
-                               (-1, 0, -1, -1, 0, 1, 1))),  # g_r g_m/(d_t f_t f_r)
-}
-# the factor slots of d_t and d_r in each mode's ``_nea_coefficients``, None if absent
-_NEA_SMALL_SLOTS = {
-    DetectionMode.TRANSMISSION: (0, None),
-    DetectionMode.REFLECTION: (None, 0),
-    DetectionMode.BOTH: (0, 1),
+    DetectionMode.TRANSMISSION: (0.0, ((-1, 0, -1, -1, 1, 0),)),  # n/(d_t f_t f_r)
+    DetectionMode.REFLECTION: (0.0, ((0, -1, 0, 0, 1, -1),)),  # n/(d_r m)
+    DetectionMode.BOTH: (9.0, ((0, -1, -1, 0, 1, 0),  # n/(d_r f_t)
+                               (-1, 0, 0, -1, 0, 1))),  # m/(d_t f_r)
 }
 
 
 def _nea_ratio(factors, w, mode: DetectionMode):
-    """``nea_qfi`` from the factors ``_nea_factors`` gives for the same mode and W."""
-    if mode is DetectionMode.TRANSMISSION:
-        d_t, f_t, f_r, num = factors
-        return num * w / (d_t * (1.0 + w) * f_t * f_r)
-    if mode is DetectionMode.REFLECTION:
-        d_r, num, den = factors
-        return num * w / (den * (1.0 + w) * d_r)
-    d_t, d_r, f_t, f_r, g_t, g_r, g_m = factors
-    num = f_r * d_t * g_t + d_r * g_r * g_m
-    return num * w / (d_t * d_r * f_t * (1.0 + w) * (1.0 + 9.0 * w) * f_r)
+    """``nea_qfi`` by ``_NEA_TERMS`` from the factors (floats or arrays) ``_nea_factors`` gives."""
+    a, terms = _NEA_TERMS[mode]
+    total = sum(factors[e.index(1)] / math.prod(x for x, p in zip(factors, e) if p < 0)
+                for e in terms)
+    return total * w / ((1.0 + w) * (1.0 + a * w))
 
 
 def ea_cartesian(v: BlochVector, omega: float, mode: DetectionMode) -> QfiMatrix:

@@ -9,14 +9,15 @@ seeds is refined by golden section in turn. The EA search refines by a
 safeguarded Newton iteration on the critical-point polynomial of c_r in
 W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a coarse
 (theta_a, log Omega) grid. At five theta_a nodes it forms, as polynomials in
-W, each term's numerator factors and the product of its denominator's
-(``closedform._NEA_TERMS``), each of degree <= 4 in cos theta_a so that the
-nodes fix it, and takes them to the grid by two small matmuls each. It
-refines by a projected, damped Newton ascent on forms of the factors that are
-exact at every W: each factor's W-polynomial, its cosine coefficients fitted
-in theta_a once per lane. Their log-derivatives give the QFI's gradient and
-Hessian, and a seed need only lie in its maximum's basin. Every search
-refuses a tol that is not positive and finite.
+W, each term's numerator factor and the product of its denominator's
+(``closedform._NEA_TERMS``, one factor layout for every mode), each of degree
+<= 4 in cos theta_a so that the nodes fix it, and takes them to the grid by
+two small matmuls each. It refines by a projected, damped Newton ascent on
+forms of the factors that are exact at every W: each factor's W-polynomial,
+its cosine coefficients fitted in theta_a once per lane. Their
+log-derivatives give the QFI's gradient and Hessian, and a seed need only lie
+in its maximum's basin. Every search refuses a tol that is not positive and
+finite.
 
 The EA and NEA searches solve batches of independent problems in lockstep:
 each step makes one array call on a fixed set of lanes (problem x candidate),
@@ -39,8 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .closedform import (_NEA_SMALL_SLOTS, _NEA_TERMS, _check_radius, _ea_cr, _ea_cr_critical,
-                         _nea_coefficients, _nea_small_factors, nea_qfi)
+from .closedform import (_NEA_TERMS, _check_radius, _ea_cr, _ea_cr_critical, _nea_coefficients,
+                         _nea_small_factors, nea_qfi)
 from .scatter import DetectionMode
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -299,25 +300,21 @@ def _poly_product(*factors) -> list:
 def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
     """``nea_qfi`` of targets v at every node of thetas x w, from W-polynomials at _THETA_NODES.
 
-    Each term of ``_NEA_TERMS`` is a ratio of factors of ``_nea_coefficients``:
-    every numerator factor is its own grid, and the denominator is one grid of
-    the factors' product (``_poly_product``, degree <= 3 in W), whose degree in
-    cos theta_a is <= 4, so the five nodes fix it (both's numerator g_r g_m
-    would have degree 5). Every coefficient is taken to the theta_a grid by
-    one matmul with ``_theta_expansion``, and each grid to the W grid by one
-    more with the powers of W, the last numerator times the W-only s(W). That
-    makes 2, 2 and 5 grids, combined in 1, 1 and 4 passes.
+    Each term of ``_NEA_TERMS`` is one factor of ``_nea_coefficients`` over a
+    product of others: the numerator is one grid, and the denominator one grid
+    of the factors' product (``_poly_product``, degree <= 3 in W), whose
+    degree in cos theta_a is <= 4, so the five nodes fix it. Every coefficient
+    is taken to the theta_a grid by one matmul with ``_theta_expansion``, and
+    each grid to the W grid by one more with the powers of W, the numerator
+    times the W-only s(W). That makes 2, 2 and 4 grids in t, r and both.
     """
     coef = _nea_coefficients(v[:, None], _NODE_COSINES, mode)
     a, terms = _NEA_TERMS[mode]
     s = w / (1.0 + w) / (1.0 + a * w)
-    parts, sizes = [], []  # (W-polynomial, scaled by s); grids per term
-    for e in terms:
-        up = [coef[i] for i, x in enumerate(e) if x > 0]
-        parts += [(c, k == len(up) - 1) for k, c in enumerate(up)]
-        parts.append((_poly_product(*(coef[i] for i, x in enumerate(e) if x < 0)), False))
-        sizes.append(len(up) + 1)
-    rows = [c for poly, _ in parts for c in poly]
+    # (numerator, denominator) W-polynomials of each term, in turn
+    parts = [poly for e in terms for poly in (
+        coef[e.index(1)], _poly_product(*(coef[i] for i, x in enumerate(e) if x < 0)))]
+    rows = [c for poly in parts for c in poly]
     table = np.empty((len(rows), v.size, _K.size))
     for k, c in enumerate(rows):
         table[k] = c
@@ -326,23 +323,15 @@ def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
     powers = np.array([np.ones_like(w), w, w * w, w * w * w])
     # one block for every grid, combined in place: a fresh grid-sized array per
     # grid and per operation costs more than their arithmetic
-    grids, first = np.empty((len(parts), n, w.size)), 0
-    for grid, (poly, scaled) in zip(grids, parts):
-        last = first + len(poly)
-        to_w = powers[:len(poly)] * s if scaled else powers[:len(poly)]
-        np.matmul(at_theta[first:last].T, to_w, out=grid)
-        first = last
-    grids = grids.reshape(len(parts), v.size, thetas.size, w.size)
-    first = 0
-    for size in sizes:  # each term into its first grid, and the terms into grids[0]
-        y, last = grids[first], first + size - 1
-        for x in grids[first + 1:last]:
-            y *= x
-        y /= grids[last]
-        if first:
-            grids[0] += y
-        first = last + 1
-    return grids[0]
+    grids = np.empty((len(parts), n, w.size))
+    ends = np.cumsum([len(poly) for poly in parts])[:-1]
+    for k, (grid, at) in enumerate(zip(grids, np.split(at_theta, ends))):
+        np.matmul(at.T, powers[:len(at)] if k % 2 else powers[:len(at)] * s, out=grid)
+    num, den = grids.reshape(len(terms), 2, v.size, thetas.size, w.size).swapaxes(0, 1)
+    num /= den
+    for y in num[1:]:  # the other terms into the first
+        num[0] += y
+    return num[0]
 
 
 def _nea_form(v, mode):
@@ -354,9 +343,9 @@ def _nea_form(v, mode):
     ``_THETA_FIT`` takes ``_nea_coefficients`` at the five ``_THETA_NODES`` to
     the cosine coefficients of each factor's exact W-polynomial. The QFI's
     derivatives follow from the factors' log-derivatives through
-    ``_NEA_TERMS``; every factor is positive on the domain. The small factors
-    d_t and d_r (``_NEA_SMALL_SLOTS``) are not fitted but evaluated, with
-    their theta_a derivatives, from their nonnegative terms
+    ``_NEA_TERMS``; every factor is positive on the domain. In every mode
+    slots 0 and 1 hold the small factors d_t and d_r, which are not fitted but
+    evaluated, with their theta_a derivatives, from their nonnegative terms
     (``closedform._nea_small_factors``): next to the pure state a fit's sums
     of O(1) terms would cancel. Returns q(theta, u): the (6, lane) stack (f,
     f_t, f_u, f_tt, f_tu, f_uu) of the QFI at theta_a = theta, Omega =
@@ -364,22 +353,17 @@ def _nea_form(v, mode):
     """
     groups = [(mode, slice(None))] if isinstance(mode, DetectionMode) else mode
     # each factor's coefficient of W^p at (theta_a node j, factor, p, lane);
-    # padding and the small factors' slots hold the constant 1
-    table = np.zeros((_K.size, 7, 3, v.size))
-    table[:, :, 0] = 1.0
+    # d_t's and d_r's slots are written on every evaluation
+    table = np.zeros((_K.size, 6, 3, v.size))
     node_cosines = [c[:, None] for c in _NODE_COSINES]
-    a, e, live = np.zeros(v.size), np.zeros((2, 7, v.size)), np.zeros((2, v.size))
-    small = []
+    a, e, live = np.zeros(v.size), np.zeros((2, 6, v.size)), np.zeros((2, v.size))
     for m, lanes in groups:
-        slots = _NEA_SMALL_SLOTS[m]
-        for f, poly in enumerate(_nea_coefficients(v[lanes], node_cosines, m)):
-            if f not in slots:
-                for p, c in enumerate(poly):
-                    table[:, f, p, lanes] = c
+        for f, poly in enumerate(_nea_coefficients(v[lanes], node_cosines, m)[2:], 2):
+            for p, c in enumerate(poly):
+                table[:, f, p, lanes] = c
         a[lanes], terms = _NEA_TERMS[m]
         e[:len(terms), :, lanes] = np.array(terms)[..., None]
         live[:len(terms), lanes] = 1.0
-        small.append(slots + (lanes,))
     # the cosine coefficients (k, factor, p, lane)
     coef = np.tensordot(_THETA_FIT, table, axes=1)
     above, below = e > 0.0, e < 0.0
@@ -397,18 +381,11 @@ def _nea_form(v, mode):
         # d_r = 2(a^2 + gap), a = 1 - v cos theta, has no W: its theta derivatives
         # are 4 v sin theta a and 4 v (v sin^2 theta + a cos theta). d_t is
         # d_r + W (d_r + 16 gap): its W^0 and W^1 coefficients have d_r's theta
-        # derivatives. Both as (o, lane), written into the small factors' slots
+        # derivatives. All as (o, lane)
         d_r, a_, gap = _nea_small_factors(v, v * cos_kt[1])
-        v4_sin = v4 * sin_kt[1]
-        d_0 = np.array([d_r, v4_sin * a_, v4 * (v * sin_kt[1] * sin_kt[1] + a_ * cos_kt[1])])
-        d_1 = d_0.copy()
-        d_1[0] += 16.0 * gap
-        for slot_t, slot_r, lanes in small:
-            for slot in (slot_t, slot_r):
-                if slot is not None:
-                    c[:, slot, 0, lanes] = d_0[:, lanes]
-            if slot_t is not None:
-                c[:, slot_t, 1, lanes] = d_1[:, lanes]
+        c[:, 0, 0] = c[:, 0, 1] = c[:, 1, 0] = np.array(
+            [d_r, v4 * sin_kt[1] * a_, v4 * (v * sin_kt[1] * sin_kt[1] + a_ * cos_kt[1])])
+        c[0, 0, 1] += 16.0 * gap
         w = np.exp(u)**2
         w1 = 1.0 + w
         # the (o, factor, lane) sums of c_p W^p, and of 2p c_p W^p and 4p^2 c_p W^p
@@ -499,15 +476,31 @@ def _mode_groups(mode, n: int) -> list[tuple[DetectionMode, np.ndarray]]:
     return [(m, np.flatnonzero([x is m for x in modes])) for m in dict.fromkeys(modes)]
 
 
+def _nea_seeds(v, mode: DetectionMode) -> tuple[np.ndarray, ...]:
+    """(target, theta_a node, Omega node) of each target's best six maxima on the NEA_GRID scan.
+
+    A function so that the scan's block is freed before the next mode's is
+    allocated: kept alive across it, figure 7's three freed blocks sum to exactly
+    twice the largest, glibc's dynamic trim threshold, and the heap is returned and
+    faulted back on every call (1,490 minor page faults per solve, not 0; ~30% slower).
+    """
+    y = _nea_scan(v, _NEA_THETAS, _NEA_WS, mode)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("QFI surface is not finite on the scan grid")
+    prob, i, j = _grid_maxima(y)
+    top = _first_per_problem(prob, [-y[prob, i, j], i, j], 6)
+    return prob[top], i[top], j[top]
+
+
 def maximize_nea(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> OptResult | list[OptResult]:
     """Best unentangled-probe QFI over (theta_a, Omega) at z-axis targets v_z.
 
     One OptResult for a scalar v_z, else a list of one per target. ``mode`` is
     one DetectionMode for all targets or a sequence of one per target. For
-    each mode, one ``_nea_scan`` gives its targets' QFI at every node of
+    each mode, ``_nea_seeds`` scans its targets' QFI at every node of
     NEA_GRID = (n_theta, n_omega) over theta_a in [0, pi] x log Omega in the
-    bracket, from the factors at five theta_a nodes. The best six grid-local
-    maxima of every target (by value, then node) are refined together, all
+    bracket. The best six grid-local maxima of every target (by value, then
+    node) are refined together, all
     modes in one ``_nea_refine``: a projected, damped Newton ascent in
     (theta_a, log Omega), one lane per seed, on a form of the QFI that is
     exact at every point (``_nea_form``). Among near-equal optima the smallest
@@ -523,19 +516,14 @@ def maximize_nea(v_z, mode=DetectionMode.BOTH, tol: float = 1e-8) -> OptResult |
     groups = _mode_groups(mode, v_z.size)
     if v_z.size == 0:
         return []
-    thetas, us = _NEA_THETAS, _NEA_US
     seeds, lanes, start = [], [], 0
     for m, targets in groups:
-        y = _nea_scan(v_z[targets], thetas, _NEA_WS, m)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("QFI surface is not finite on the scan grid")
-        prob, i, j = _grid_maxima(y)
-        top = _first_per_problem(prob, [-y[prob, i, j], i, j], 6)
-        seeds.append((targets[prob[top]], i[top], j[top]))
-        lanes.append((m, slice(start, start + top.size)))
-        start += top.size
+        prob, i, j = _nea_seeds(v_z[targets], m)
+        seeds.append((targets[prob], i, j))
+        lanes.append((m, slice(start, start + prob.size)))
+        start += prob.size
     prob, i, j = (np.concatenate(x) for x in zip(*seeds))
-    theta, u, evals, ok = _nea_refine(v_z[prob], thetas[i], us[j], lanes, tol)
+    theta, u, evals, ok = _nea_refine(v_z[prob], _NEA_THETAS[i], _NEA_US[j], lanes, tol)
 
     value = np.empty(prob.size)
     for m, at in lanes:

@@ -1,9 +1,11 @@
-"""The NEA term table, ``closedform._NEA_TERMS``, against ``nea_qfi``.
+"""The NEA term table, ``closedform._NEA_TERMS``, against a hand-written reference.
 
-``optimize._nea_scan`` builds its grids from the table's terms, and
-``optimize._nea_form`` the QFI's derivatives from its factors'
-log-derivatives, so the table must give ``nea_qfi`` and every factor must
-stay positive on the domain.
+``nea_qfi`` evaluates the table's terms, ``optimize._nea_scan`` builds its grids
+from them, and ``optimize._nea_form`` the QFI's derivatives from its factors'
+log-derivatives. So the table must give each mode's QFI as written out by hand
+below, every factor must stay positive on the domain, and the factors every
+mode shares, (d_t, d_r, f_t, f_r) in slots 0 to 3, must be the same in every
+mode, since one lane form evaluates lanes of all modes.
 """
 
 import math
@@ -11,18 +13,29 @@ import math
 import numpy as np
 import pytest
 
-from scattertomo.closedform import _NEA_TERMS, _nea_factors, nea_qfi
+from scattertomo.closedform import _NEA_TERMS, _nea_coefficients, _nea_factors, nea_qfi
 from scattertomo.optimize import _nea_form
 from scattertomo.scatter import DetectionMode
 
 MODES = (DetectionMode.TRANSMISSION, DetectionMode.REFLECTION, DetectionMode.BOTH)
 
 
-def from_terms(v, theta, omega, mode):
-    """s(W) sum_terms prod_i x_i^e_i over the factors padded to seven with ones."""
+def reference(v, theta, omega, mode):
+    """Each mode's QFI combined from its factors by hand, g_r = f_t in both."""
     w = omega**2
-    x = list(np.broadcast_arrays(*_nea_factors(v, theta, w, mode)))
-    x += [np.ones_like(x[0])] * (7 - len(x))
+    d_t, d_r, f_t, f_r, n, m = _nea_factors(v, theta, w, mode)
+    if mode is DetectionMode.TRANSMISSION:
+        return n * w / (d_t * (1.0 + w) * f_t * f_r)
+    if mode is DetectionMode.REFLECTION:
+        return n * w / (m * (1.0 + w) * d_r)
+    num = f_r * d_t * n + d_r * f_t * m
+    return num * w / (d_t * d_r * f_t * (1.0 + w) * (1.0 + 9.0 * w) * f_r)
+
+
+def from_terms(v, theta, omega, mode):
+    """s(W) sum_terms prod_i x_i^e_i over the six factors."""
+    w = omega**2
+    x = np.broadcast_arrays(*_nea_factors(v, theta, w, mode))
     a, terms = _NEA_TERMS[mode]
     total = sum(np.prod([xi**ei for xi, ei in zip(x, e)], axis=0) for e in terms)
     return w / ((1.0 + w) * (1.0 + a * w)) * total
@@ -35,8 +48,9 @@ def test_terms_give_nea_qfi(mode):
     v = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, n - 3)])
     theta = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, n - 3)])
     omega = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
-    exact = nea_qfi(v, theta, omega, mode)
-    assert np.max(np.abs(from_terms(v, theta, omega, mode) - exact) / exact) <= 1e-14
+    exact = reference(v, theta, omega, mode)
+    for qfi in (nea_qfi(v, theta, omega, mode), from_terms(v, theta, omega, mode)):
+        assert np.max(np.abs(qfi - exact) / exact) <= 1e-14
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -44,11 +58,30 @@ def test_every_factor_is_positive(mode):
     # the form divides by every factor: its log-derivatives need them all positive
     rng = np.random.default_rng(2702)
     edge = 1.0 - 1e-7
-    v = np.concatenate([[0.0, edge, -edge], rng.uniform(-edge, edge, 60)])
-    theta = np.concatenate([np.linspace(0.0, math.pi, 61), rng.uniform(0.0, math.pi, 30)])
-    w = np.geomspace(1e-8, 1e8, 81)
-    for factor in _nea_factors(v[:, None, None], theta[:, None], w, mode):
+    v = np.concatenate([[0.0, edge, -edge, 0.999999, -0.999999],
+                        np.linspace(-0.9999, 0.9999, 41), rng.uniform(-edge, edge, 60)])
+    theta = np.concatenate([np.linspace(0.0, math.pi, 61), np.linspace(0.0, math.pi, 73),
+                            rng.uniform(0.0, math.pi, 30)])
+    w = np.concatenate([np.geomspace(1e-8, 1e8, 81), np.geomspace(1e-8, 1e8, 49)])
+    factors = _nea_factors(v[:, None, None], theta[:, None], w, mode)
+    assert len(factors) == 6
+    for factor in factors:
         assert np.all(factor > 0.0)
+
+
+def test_shared_slots_are_the_same_in_every_mode():
+    # _nea_form writes d_t and d_r into slots 0 and 1, and fits f_t and f_r,
+    # for lanes of every mode alike
+    rng = np.random.default_rng(2704)
+    v = np.concatenate([[0.0, 0.999999, -0.999999], rng.uniform(-0.999999, 0.999999, 997)])
+    theta = rng.uniform(0.0, math.pi, v.size)
+    cosines = tuple(np.cos(k * theta) for k in (1, 2, 3, 4))
+    first = _nea_coefficients(v, cosines, MODES[0])[:4]
+    for mode in MODES[1:]:
+        for a, b in zip(first, _nea_coefficients(v, cosines, mode)[:4]):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
 
 
 def test_one_form_for_every_mode_reads_no_other_lane():
