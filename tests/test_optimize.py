@@ -6,8 +6,8 @@ import pytest
 
 import scattertomo.optimize as opt
 from scattertomo.cli import main
-from scattertomo.closedform import (_ea_cr, _nea_factors, ea_cartesian, ea_cr, nea_qfi,
-                                    phase_bound)
+from scattertomo.closedform import (_NEA_TERMS, _ea_cr, _nea_factors, ea_cartesian, ea_cr,
+                                    nea_qfi, phase_bound)
 from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
     EA_GRID,
@@ -1061,9 +1061,28 @@ class TestNeaDenominators:
     So ``nea_qfi`` is finite everywhere in it: at every node of the NEA_GRID
     scan, which checks them all, and at the off-grid points where the Newton
     refinement evaluates its forms, which are not checked. Every factor's sign
-    is checked in ``test_nea_terms.py``; here the sums-of-squares forms of the
-    two that vanish at the pure state.
+    is also checked in ``test_nea_terms.py``; here the denominators on the
+    scan's own nodes, and the sums-of-squares forms of the two that vanish at
+    the pure state.
     """
+
+    # (d_t, d_r, f_t, f_r, n, m): the slots each mode's QFI divides by
+    DENOMINATOR_SLOTS = {DetectionMode.TRANSMISSION: (0, 2, 3),  # d_t, f_t, f_r
+                         DetectionMode.REFLECTION: (1, 5),  # d_r, m
+                         DetectionMode.BOTH: (0, 1, 2, 3)}  # d_t, d_r, f_t, f_r
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_positive(self, mode):
+        slots = self.DENOMINATOR_SLOTS[mode]
+        terms = _NEA_TERMS[mode][1]
+        assert set(slots) == {i for e in terms for i, p in enumerate(e) if p < 0}
+        v = np.concatenate([[0.0, 0.999999, -0.999999], np.linspace(-0.9999, 0.9999, 41)])
+        theta = np.linspace(0.0, math.pi, 73)
+        w = np.geomspace(1e-8, 1e8, 49)
+        v, theta, w = np.meshgrid(v, theta, w, indexing="ij", sparse=True)
+        factors = _nea_factors(v, theta, w, mode)
+        for i in slots:
+            assert np.all(factors[i] > 0.0)
 
     def test_sum_of_squares_forms(self):
         # d_t = 2(1+W)(1 - v cos)^2 + 2(1+9W)(1 - v^2) and
