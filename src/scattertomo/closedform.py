@@ -34,8 +34,9 @@ class QfiPolarCoeffs:
     def matrix(self, theta: float) -> QfiMatrix:
         if not math.isfinite(self.c_r):
             raise ValueError("polar QFI matrix undefined at r = 1 (c_r diverges)")
-        return QfiMatrix(POLAR, np.diag([
-            self.c_r, self.c_theta, self.c_theta * math.sin(theta)**2]))
+        c_r, c_theta = float(self.c_r), float(self.c_theta)
+        return QfiMatrix.from_entries(POLAR, [c_r, 0.0, 0.0, 0.0, c_theta, 0.0,
+                                              0.0, 0.0, c_theta * math.sin(theta)**2])
 
 
 def _check_omega(omega):
@@ -164,9 +165,9 @@ def _radial_form(c: float, g: float, den: float, vec) -> QfiMatrix:
     """
     x, y, z = vec
     xy, xz, yz = 0.0 + g * (x * y) / den, 0.0 + g * (x * z) / den, 0.0 + g * (y * z) / den
-    return QfiMatrix(CARTESIAN, np.array([[c + g * (x * x) / den, xy, xz],
-                                          [xy, c + g * (y * y) / den, yz],
-                                          [xz, yz, c + g * (z * z) / den]]))
+    return QfiMatrix.from_entries(CARTESIAN, [c + g * (x * x) / den, xy, xz,
+                                              xy, c + g * (y * y) / den, yz,
+                                              xz, yz, c + g * (z * z) / den])
 
 
 def direct_cartesian(v: BlochVector) -> QfiMatrix:

@@ -46,14 +46,39 @@ def _positive_definite(a00, a01, a02, a11, a12, a22) -> bool:
     return a22 - l20 * a02 - b21 * b21 / d1 > 0.0
 
 
+_NOT_A_MATRIX = "QFI matrix must be a finite 3x3 real matrix"
+
+
+def _symmetrized(e: list) -> np.ndarray:
+    """(h + h^T)/2 as a (3, 3) array, h given as its nine row-major Python floats, checked.
+
+    Refuses a non-finite entry, |h_jk - h_kj| > 1e-10 s and eigenvalues below
+    -1e-9 s, s = max(1, largest |entry|). The eigenvalue test is an LDL^T of
+    (h + h^T)/2 + 1e-9 s I, which must have three positive pivots: the same
+    condition, decided without an eigensolve.
+    """
+    if not all(map(math.isfinite, e)):
+        raise ValueError(_NOT_A_MATRIX)
+    scale = max(1.0, *map(abs, e))
+    h00, h01, h02, h10, h11, h12, h20, h21, h22 = e
+    if max(abs(h01 - h10), abs(h02 - h20), abs(h12 - h21)) > _SYM_TOL * scale:
+        raise ValueError("QFI matrix is not symmetric")
+    a00, a11, a22 = 0.5 * (h00 + h00), 0.5 * (h11 + h11), 0.5 * (h22 + h22)
+    a01, a02, a12 = 0.5 * (h01 + h10), 0.5 * (h02 + h20), 0.5 * (h12 + h21)
+    tau = _PSD_TOL * scale
+    if not _positive_definite(a00 + tau, a01, a02, a11 + tau, a12, a22 + tau):
+        raise ValueError("QFI matrix is not positive semidefinite")
+    return np.array([a00, a01, a02, a01, a11, a12, a02, a12, a22]).reshape(3, 3)
+
+
 @dataclass(frozen=True)
 class QfiMatrix:
     """3x3 real symmetric PSD Fisher information matrix with a basis tag; keeps (h + h^T)/2.
 
     Refuses complex, non-3x3 or non-finite h, |h_jk - h_kj| > 1e-10 s and eigenvalues
-    below -1e-9 s, s = max(1, largest |entry|); entries are checked as Python floats.
-    The eigenvalue test is an LDL^T of (h + h^T)/2 + 1e-9 s I, which must have three
-    positive pivots: the same condition, decided without an eigensolve.
+    below -1e-9 s, s = max(1, largest |entry|); h is read with one ``tolist()`` and its
+    entries are checked as Python floats (``_symmetrized``). ``from_entries`` takes the
+    nine floats themselves, with the same checks.
     """
 
     basis: str
@@ -62,22 +87,24 @@ class QfiMatrix:
     def __post_init__(self):
         if self.basis not in (CARTESIAN, POLAR):
             raise ValueError(f"unknown basis {self.basis!r}")
-        h = np.asarray(self.h)  # complex is refused, not cast
-        if (np.iscomplexobj(h) or h.shape != (3, 3) or not all(
-                map(math.isfinite, e := np.asarray(h, dtype=float).ravel().tolist()))):
-            raise ValueError("QFI matrix must be a finite 3x3 real matrix")
-        scale = max(1.0, *map(abs, e))
-        h00, h01, h02, h10, h11, h12, h20, h21, h22 = e
-        if max(abs(h01 - h10), abs(h02 - h20), abs(h12 - h21)) > _SYM_TOL * scale:
-            raise ValueError("QFI matrix is not symmetric")
-        # (h + h^T)/2 entry by entry
-        a00, a11, a22 = 0.5 * (h00 + h00), 0.5 * (h11 + h11), 0.5 * (h22 + h22)
-        a01, a02, a12 = 0.5 * (h01 + h10), 0.5 * (h02 + h20), 0.5 * (h12 + h21)
-        tau = _PSD_TOL * scale
-        if not _positive_definite(a00 + tau, a01, a02, a11 + tau, a12, a22 + tau):
-            raise ValueError("QFI matrix is not positive semidefinite")
-        object.__setattr__(self, "h", np.array(
-            [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]))
+        h = np.asarray(self.h)
+        if h.dtype.kind == "c" or h.shape != (3, 3):  # complex is refused, not cast
+            raise ValueError(_NOT_A_MATRIX)
+        object.__setattr__(self, "h", _symmetrized(h.astype(float, copy=False).ravel().tolist()))
+
+    @classmethod
+    def from_entries(cls, basis: str, entries: list) -> QfiMatrix:
+        """The matrix of nine row-major Python floats, checked as the constructor checks h.
+
+        The same matrix as ``cls(basis, np.array(entries).reshape(3, 3))``, with
+        no array made before the checks pass.
+        """
+        if basis not in (CARTESIAN, POLAR):
+            raise ValueError(f"unknown basis {basis!r}")
+        m = object.__new__(cls)
+        object.__setattr__(m, "basis", basis)
+        object.__setattr__(m, "h", _symmetrized(entries))
+        return m
 
     def entry(self, row: str, col: str) -> float:
         axes = AXES if self.basis == CARTESIAN else POLAR_AXES
@@ -108,7 +135,7 @@ def qfi_numeric(state: BranchState, derivs: BranchDerivatives,
     rotated = vec.conj().swapaxes(1, 2)[:, None] @ derivs.padded @ vec[:, None]  # V^H D V
     weights = lam[:, :, None] + lam[:, None, :]
     mask = weights > eps * lam[:, :1, None]  # lam is descending
-    inv_w = np.divide(1.0, weights, out=np.zeros_like(weights), where=mask)
+    inv_w = np.divide(1.0, weights, out=np.zeros(weights.shape), where=mask)
     # contracted block by block, then the blocks added in order onto 0.0: the
     # rounding of a running sum over the blocks
     blocks = 2.0 * np.einsum("kanm,kbnm,knm->kab", rotated, np.conj(rotated), inv_w).real

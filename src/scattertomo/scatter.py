@@ -15,6 +15,7 @@ rule accepts outside the Bloch ball as its nearest state.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -127,9 +128,10 @@ class BranchState:
         if not np.isfinite(stack).all():  # complex: both parts
             raise ValueError("matrix entries must be finite")
         lam, vec = np.linalg.eigh(stack)  # ascending
-        if lam.min(initial=0.0) < PSD_TOL:
-            i = lam[:, 0].argmin()
-            raise ValueError(f"block {self.labels[i]} has negative eigenvalue {lam[i, 0]:.3e}")
+        # each block's least eigenvalue; a stack of 0x0 blocks has none
+        if lam.size and min(least := lam[:, 0].tolist()) < PSD_TOL:
+            i = least.index(min(least))
+            raise ValueError(f"block {self.labels[i]} has negative eigenvalue {least[i]:.3e}")
         total = float(c @ channel._traces)
         if abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"block traces sum to {total}, expected 1")
@@ -315,10 +317,14 @@ def apply_channel(rho_x: np.ndarray, probe: ProbeConfig, omega: float,
     That rule passes a Bloch vector up to 2e-10 beyond the unit ball, where
     the output blocks could dip below PSD_TOL; such a v is taken as v/|v|.
     """
-    rho_x = as_cmatrix(rho_x)
+    rho_x = np.asarray(rho_x, dtype=complex)
     if rho_x.shape != (2, 2):
+        as_cmatrix(rho_x)  # a non-matrix or a non-finite entry is named first
         raise ValueError("target state must be 2x2")
-    r00, r01, r10, r11 = rho_x.ravel().tolist()
+    (r00, r01), (r10, r11) = rho_x.tolist()
+    if not (cmath.isfinite(r00) and cmath.isfinite(r01) and cmath.isfinite(r10)
+            and cmath.isfinite(r11)):  # both parts
+        raise ValueError("matrix entries must be finite")
     if (max(abs(r00 - r00.conjugate()), abs(r01 - r10.conjugate()),
             abs(r11 - r11.conjugate())) > DENSITY_TOL or abs(r00 + r11 - 1.0) > DENSITY_TOL):
         raise ValueError("target state must be Hermitian with unit trace")

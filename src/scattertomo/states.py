@@ -47,12 +47,13 @@ class BlochVector:
     vz: float
 
     def __post_init__(self):
-        v = (self.vx, self.vy, self.vz)
-        if not all(math.isfinite(c) for c in v):
+        vx, vy, vz = self.vx, self.vy, self.vz
+        if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
             raise ValueError("Bloch components must be finite")
         # a component above 1 is refused before the norm, whose squares can overflow
-        if max(map(abs, v)) > 1.0 + NORM_TOL:
-            raise ValueError(f"Bloch component {max(v, key=abs)} exceeds 1 in magnitude")
+        if max(abs(vx), abs(vy), abs(vz)) > 1.0 + NORM_TOL:
+            raise ValueError(f"Bloch component {max(vx, vy, vz, key=abs)} exceeds 1 "
+                             "in magnitude")
         if self.norm > 1.0 + NORM_TOL:
             raise ValueError(f"Bloch vector norm {self.norm} exceeds 1")
 

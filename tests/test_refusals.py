@@ -7,6 +7,7 @@ import pytest
 
 from scattertomo import scatter
 from scattertomo.closedform import ea_cartesian, nea_qfi
+from scattertomo.qfi import CARTESIAN, POLAR, QfiMatrix
 from scattertomo.optimize import ea_optimality_intervals, maximize_1d, maximize_ea, maximize_nea
 from scattertomo.scatter import (OMEGA_MAX, BlockLabel, BranchState, Channel, DetectionMode,
                                  apply_channel, scattering_channel)
@@ -234,3 +235,163 @@ def test_a_nan_in_the_second_block_is_named(mode):
     maps[1][3, 0, 0] = math.nan
     with pytest.raises(ValueError, match=f"block map {channel.labels[1]} has a non-finite"):
         Channel(channel.labels, maps)
+
+
+# Each refusal of BlochVector, apply_channel and QfiMatrix: exception type and exact message.
+NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _refusal(call, *args):
+    """(type, message) of the exception call(*args) raises."""
+    with pytest.raises(Exception) as caught:
+        call(*args)
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE)
+@pytest.mark.parametrize("slot", range(3))
+def test_bloch_vector_refuses_a_nonfinite_component(slot, bad):
+    v = [0.1, -0.2, 0.3]
+    v[slot] = bad
+    assert _refusal(BlochVector, *v) == (ValueError, "Bloch components must be finite")
+
+
+def test_bloch_vector_refuses_a_component_or_norm_above_one():
+    assert _refusal(BlochVector, 0.0, -1.5, 0.5) == (
+        ValueError, "Bloch component -1.5 exceeds 1 in magnitude")
+    assert _refusal(BlochVector, 1e200, 0.0, -1e201) == (
+        ValueError, "Bloch component -1e+201 exceeds 1 in magnitude")
+    assert _refusal(BlochVector, 0.8, 0.0, -0.8) == (
+        ValueError, "Bloch vector norm 1.1313708498984762 exceeds 1")
+    assert _refusal(BlochVector, 0.0, 1.0 + 2e-12, 0.0) == (
+        ValueError, "Bloch component 1.000000000002 exceeds 1 in magnitude")
+
+
+_RHO = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
+
+
+@pytest.mark.parametrize("imaginary", [False, True])
+@pytest.mark.parametrize("bad", NOT_FINITE)
+@pytest.mark.parametrize("slot", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_apply_channel_refuses_a_nonfinite_entry(slot, bad, imaginary):
+    rho = _RHO.copy()
+    rho[slot] += complex(0.0, bad) if imaginary else bad
+    for probe in PROBES:
+        for target in (rho, rho.tolist()):
+            assert _refusal(apply_channel, target, probe, 0.8, DetectionMode.BOTH) == (
+                ValueError, "matrix entries must be finite")
+
+
+def test_apply_channel_refuses_a_target_of_the_wrong_shape():
+    probe, mode = PROBES[0], DetectionMode.BOTH
+    assert _refusal(apply_channel, np.eye(3) / 3, probe, 0.8, mode) == (
+        ValueError, "target state must be 2x2")
+    # the finiteness of the entries is checked before the shape
+    assert _refusal(apply_channel, np.diag([0.5, 0.5, math.nan]), probe, 0.8, mode) == (
+        ValueError, "matrix entries must be finite")
+    assert _refusal(apply_channel, [0.5, 0.5], probe, 0.8, mode) == (
+        ValueError, "expected a matrix, got array of shape (2,)")
+    assert _refusal(apply_channel, np.ones((2, 2, 1)), probe, 0.8, mode) == (
+        ValueError, "expected a matrix, got array of shape (2, 2, 1)")
+
+
+def test_apply_channel_refuses_a_skew_or_a_trace_error():
+    skewed, traced = _RHO.copy(), _RHO.copy()
+    skewed[0, 1] += 2e-10
+    traced[1, 1] += 2e-10
+    for rho in (skewed, traced):
+        for probe in PROBES:
+            assert _refusal(apply_channel, rho, probe, 0.8, DetectionMode.BOTH) == (
+                ValueError, "target state must be Hermitian with unit trace")
+    # a quarter of each error is within DENSITY_TOL = 1e-10
+    skewed[0, 1] -= 1.5e-10
+    traced[1, 1] -= 1.5e-10
+    for rho in (skewed, traced):
+        assert apply_channel(rho, PROBES[0], 0.8, DetectionMode.BOTH).labels
+
+
+def test_a_stack_of_empty_blocks_reaches_the_trace_check():
+    # 0x0 blocks have no least eigenvalue: the trace sum refuses them
+    channel = Channel((BlockLabel.TRANSMITTED_SPIN,), (np.zeros((4, 0, 0)),))
+    assert _refusal(BranchState, channel, np.array([1.0, 0.0, 0.0, 0.0])) == (
+        ValueError, "block traces sum to 0.0, expected 1")
+
+
+NOT_QFI = "QFI matrix must be a finite 3x3 real matrix"
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE)
+@pytest.mark.parametrize("slot", [divmod(k, 3) for k in range(9)])
+def test_qfi_matrix_refuses_a_nonfinite_entry(slot, bad):
+    h = np.eye(3)
+    h[slot] = bad
+    for given in (h, h.tolist()):
+        assert _refusal(QfiMatrix, CARTESIAN, given) == (ValueError, NOT_QFI)
+    assert _refusal(QfiMatrix.from_entries, POLAR, h.ravel().tolist()) == (ValueError, NOT_QFI)
+
+
+@pytest.mark.parametrize("h", [np.eye(3) + 0j, np.eye(3).astype(np.complex64), np.ones(3),
+                               np.eye(2), np.ones((3, 3, 1)), np.eye(3).ravel()],
+                         ids=["complex128", "complex64", "(3,)", "(2, 2)", "(3, 3, 1)", "(9,)"])
+def test_qfi_matrix_refuses_a_complex_or_misshapen_h(h):
+    assert _refusal(QfiMatrix, CARTESIAN, h) == (ValueError, NOT_QFI)
+
+
+def test_qfi_matrix_refuses_just_past_its_tolerances():
+    # s = 4: the symmetry limit is 4e-10, the eigenvalue limit -4e-9
+    h = np.diag([4.0, 2.0, 1.0])
+    h[1, 2] = 1.001 * 4e-10
+    assert _refusal(QfiMatrix, CARTESIAN, h) == (ValueError, "QFI matrix is not symmetric")
+    assert _refusal(QfiMatrix.from_entries, CARTESIAN, h.ravel().tolist()) == (
+        ValueError, "QFI matrix is not symmetric")
+    h = np.diag([4.0, 2.0, -1.001 * 4e-9])
+    assert _refusal(QfiMatrix, POLAR, h) == (ValueError, "QFI matrix is not positive semidefinite")
+    assert _refusal(QfiMatrix.from_entries, POLAR, h.ravel().tolist()) == (
+        ValueError, "QFI matrix is not positive semidefinite")
+    assert _refusal(QfiMatrix, "spherical", np.eye(3)) == (
+        ValueError, "unknown basis 'spherical'")
+    assert _refusal(QfiMatrix.from_entries, "spherical", [1.0, 0.0, 0.0] * 3) == (
+        ValueError, "unknown basis 'spherical'")
+
+
+def _accepted_inputs():
+    """QFI matrices of every dtype and container QfiMatrix takes, each with a small skew."""
+    rng = np.random.default_rng(3401)
+    for _ in range(50):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        h = (q * rng.uniform(0.0, 10.0, 3)) @ q.T
+        h[0, 1] += rng.uniform(-1e-11, 1e-11)  # within the 1e-10 symmetry tolerance
+        yield h
+        yield h.tolist()
+        yield tuple(map(tuple, h.tolist()))
+        yield (0.5 * (h + h.T)).astype(np.float32)
+    # beyond 2**53 an integer is rounded to a float before it is added
+    yield np.array([[2**60 + 1, 2**55 + 1, 0], [2**55 + 3, 2**60 - 1, 1], [0, 1, 2**59]])
+    yield [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
+    yield np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+    yield np.eye(3, dtype=bool)
+
+
+def test_qfi_matrix_keeps_the_symmetrized_h_bit_for_bit():
+    for h in _accepted_inputs():
+        a = np.asarray(h, dtype=float)
+        expected = (0.5 * (a + a.T)).tobytes()
+        for basis in (CARTESIAN, POLAR):
+            q = QfiMatrix(basis, h)
+            assert q.h.dtype == float and q.h.shape == (3, 3)
+            assert q.h.tobytes() == expected
+            assert QfiMatrix.from_entries(basis, a.ravel().tolist()).h.tobytes() == expected
+
+
+def test_apply_channel_reads_a_list_target_as_its_array():
+    rng = np.random.default_rng(3402)
+    for i in range(200):
+        p = 1.0 if i % 2 else rng.uniform(0.5, 1.0)
+        u = rand_unitary(rng)
+        rho = (u * [p, 1.0 - p]) @ u.conj().T
+        for probe in PROBES:
+            for mode in DetectionMode:
+                state = apply_channel(rho, probe, 0.8, mode)
+                assert _same_bits(apply_channel(rho.tolist(), probe, 0.8, mode), state)
+                assert _same_bits(apply_channel(tuple(map(tuple, rho.tolist())), probe, 0.8,
+                                                mode), state)
