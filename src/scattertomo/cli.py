@@ -113,13 +113,13 @@ def _require_omega(args: argparse.Namespace) -> float:
 def cmd_qfi(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     v = args.target
     omega = _require_omega(args)
+    qfi.check_pure_target(v, None, "the QFI matrix")
     mode = MODES[args.mode]
     h_num = qfi.qfi_numeric(*scatter.encoding(args.strategy, v, omega, mode, args.theta_a),
                             eps=args.eps)
     if args.basis == "polar":
         h_num = qfi.cartesian_to_polar(h_num, states.bloch_to_polar(v))
     closed = closedform.closed_matrix(args.strategy, v, omega, mode, args.theta_a, args.basis)
-    qfi.check_pure_target(v, None, "the QFI matrix")
 
     axes = qfi.AXES if args.basis == "cartesian" else qfi.POLAR_AXES
     known = ~np.isnan(closed)

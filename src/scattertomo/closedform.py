@@ -234,8 +234,7 @@ def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
 
     Each factor is a cosine polynomial of degree <= 4 in theta_a = t and a
     polynomial of degree <= 2 in W = w, so its coefficients of W^p at five
-    theta_a samples fix it (the optimizer's seeding scan and per-lane forms
-    rely on this).
+    theta_a samples fix it (the optimizer's per-lane forms rely on this).
     """
     return _nea_terms(v, (np.cos(t), np.cos(2 * t), np.cos(3 * t), np.cos(4 * t)), w, mode)
 
@@ -282,8 +281,10 @@ def _nea_coefficients(v, cosines, mode: DetectionMode) -> tuple:
     f_t = (3.0 - 2.0 * vc1, 9.0)
     f_r = (1.0, 7.0 + 2.0 * vc1)
 
+    # the W^0 coefficient of r's numerator and of both's g_t: 16 v c1^3 = 4 v (3 c1 + c3)
+    n_0 = 20.0 - v2 - 12.0 * vc1 + 4.0 * c2 - 4.0 * vc3 + v2c4
     if mode is DetectionMode.REFLECTION:
-        n = (20.0 - v2 - 12.0 * vc1 + 4.0 * c2 - 4.0 * vc3 + v2c4,
+        n = (n_0,
              92.0 - v2 + 8.0 * vc1 - 20.0 * c2 - 8.0 * vc3 + v2c4)
         m = (3.0 - 2.0 * vc1, 30.0 - 2.0 * v2 - 8.0 * vc1 - 2.0 * v2c2, 63.0 + 18.0 * vc1)
         return d_t, (d_r,), f_t, f_r, n, m
@@ -295,7 +296,7 @@ def _nea_coefficients(v, cosines, mode: DetectionMode) -> tuple:
              m_2)
         return d_t, (d_r,), f_t, f_r, n, (1.0,)
     if mode is DetectionMode.BOTH:
-        g_t = (20.0 - v2 + 4.0 * c2 - 16.0 * vc1 * c1 * c1 + v2c4, 108.0 - 36.0 * c2)
+        g_t = (n_0, 108.0 - 36.0 * c2)
         g_m = (12.0 - 4.0 * c2, 192.0 - v2 - 12.0 * vc1 - 32.0 * c2 - 4.0 * vc3 + v2c4, m_2)
         return d_t, (d_r,), f_t, f_r, g_t, g_m
     raise ValueError(f"unknown detection mode {mode}")

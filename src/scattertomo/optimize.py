@@ -8,16 +8,15 @@ A user objective of one variable is called once per point, and each of its
 seeds is refined by golden section in turn. The EA search refines by a
 safeguarded Newton iteration on the critical-point polynomial of c_r in
 W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a coarse
-(theta_a, log Omega) grid. At five theta_a nodes it forms, as polynomials in
-W, each term's numerator factor and the product of its denominator's
-(``closedform._NEA_TERMS``, one factor layout for every mode), each of degree
-<= 4 in cos theta_a so that the nodes fix it, and takes them to the grid by
-two small matmuls each. It refines by a projected, damped Newton ascent on
-forms of the factors that are exact at every W: each factor's W-polynomial,
-its cosine coefficients fitted in theta_a once per lane. Their
-log-derivatives give the QFI's gradient and Hessian, and a seed need only lie
-in its maximum's basin. Every search refuses a tol that is not positive and
-finite.
+(theta_a, log Omega) grid. At every theta_a of the grid it forms, as
+polynomials in W, each term's numerator factor and the product of its
+denominator's (``closedform._NEA_TERMS``, one factor layout for every mode),
+and takes each to the Omega nodes by one small matmul. It refines by a
+projected, damped Newton ascent on forms of the factors that are exact at
+every W: each factor's W-polynomial, its cosine coefficients fitted in
+theta_a once per lane from five nodes. Their log-derivatives give the QFI's
+gradient and Hessian, and a seed need only lie in its maximum's basin. Every
+search refuses a tol that is not positive and finite.
 
 The EA and NEA searches solve batches of independent problems in lockstep:
 each step makes one array call on a fixed set of lanes (problem x candidate),
@@ -277,17 +276,6 @@ _NODE_COSINES = tuple(np.cos(np.outer(_K[1:], _THETA_NODES)))
 _MINUS_K, _MINUS_K2 = -_K[:, None], -_K[:, None]**2
 
 
-def _theta_expansion(thetas) -> np.ndarray:
-    """(theta, node) matrix taking a cosine polynomial of degree <= 4 from _THETA_NODES to thetas.
-
-    A theta equal to a node gets that node's unit row, so the node's value
-    passes unrounded (near the pure state, d_t and d_r are small there).
-    """
-    at_node = thetas[:, None] == _THETA_NODES
-    return np.where(at_node.any(axis=1, keepdims=True), at_node,
-                    np.cos(np.outer(thetas, _K)) @ _THETA_FIT)
-
-
 def _poly_product(*factors) -> list:
     """Coefficients of W^0, W^1, ... of a product of polynomials, from theirs."""
     out = factors[0]
@@ -298,35 +286,32 @@ def _poly_product(*factors) -> list:
 
 
 def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
-    """``nea_qfi`` of targets v at every node of thetas x w, from W-polynomials at _THETA_NODES.
+    """``nea_qfi`` of targets v at every node of thetas x w, from the factors' W-polynomials.
 
     Each term of ``_NEA_TERMS`` is one factor of ``_nea_coefficients`` over a
     product of others: the numerator is one grid, and the denominator one grid
-    of the factors' product (``_poly_product``, degree <= 3 in W), whose
-    degree in cos theta_a is <= 4, so the five nodes fix it. Every coefficient
-    is taken to the theta_a grid by one matmul with ``_theta_expansion``, and
-    each grid to the W grid by one more with the powers of W, the numerator
-    times the W-only s(W). That makes 2, 2 and 4 grids in t, r and both.
+    of the factors' product (``_poly_product``, degree <= 3 in W), both read at
+    every theta_a of the grid. Each is taken to the W grid by one matmul with
+    the powers of W, the numerator times the W-only s(W). That makes 2, 2 and
+    4 grids in t, r and both.
     """
-    coef = _nea_coefficients(v[:, None], _NODE_COSINES, mode)
+    coef = _nea_coefficients(v[:, None], tuple(np.cos(np.outer(_K[1:], thetas))), mode)
     a, terms = _NEA_TERMS[mode]
     s = w / (1.0 + w) / (1.0 + a * w)
     # (numerator, denominator) W-polynomials of each term, in turn
     parts = [poly for e in terms for poly in (
         coef[e.index(1)], _poly_product(*(coef[i] for i, x in enumerate(e) if x < 0)))]
-    rows = [c for poly in parts for c in poly]
-    table = np.empty((len(rows), v.size, _K.size))
-    for k, c in enumerate(rows):
-        table[k] = c
     n = v.size * thetas.size
-    at_theta = (table.reshape(-1, _K.size) @ _theta_expansion(thetas).T).reshape(len(rows), n)
     powers = np.array([np.ones_like(w), w, w * w, w * w * w])
+    at = np.empty((powers.shape[0], v.size, thetas.size))
     # one block for every grid, combined in place: a fresh grid-sized array per
     # grid and per operation costs more than their arithmetic
     grids = np.empty((len(parts), n, w.size))
-    ends = np.cumsum([len(poly) for poly in parts])[:-1]
-    for k, (grid, at) in enumerate(zip(grids, np.split(at_theta, ends))):
-        np.matmul(at.T, powers[:len(at)] if k % 2 else powers[:len(at)] * s, out=grid)
+    for k, (grid, poly) in enumerate(zip(grids, parts)):
+        for row, c in zip(at, poly):
+            row[...] = c
+        np.matmul(at[:len(poly)].reshape(len(poly), n).T,
+                  powers[:len(poly)] if k % 2 else powers[:len(poly)] * s, out=grid)
     num, den = grids.reshape(len(terms), 2, v.size, thetas.size, w.size).swapaxes(0, 1)
     num /= den
     for y in num[1:]:  # the other terms into the first

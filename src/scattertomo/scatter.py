@@ -278,13 +278,13 @@ def scattering_channel(rho_in, omega: float, mode: DetectionMode) -> Channel:
     if not is_density_matrix(rho_in):
         raise ValueError(f"probe input must be a density matrix: Hermitian with unit trace "
                          f"to {DENSITY_TOL:g} and no eigenvalue below {-DENSITY_TOL:g}")
+    if not isinstance(mode, DetectionMode):
+        raise ValueError(f"unknown detection mode {mode}")
     return _scattering_channel(rho_in, omega, mode)
 
 
 def _scattering_channel(rho_in: np.ndarray, omega: float, mode: DetectionMode) -> Channel:
-    """``scattering_channel`` of a complex 2x2 or 4x4 density matrix, unchecked."""
-    if not isinstance(mode, DetectionMode):
-        raise ValueError(f"unknown detection mode {mode}")
+    """``scattering_channel`` of a complex 2x2 or 4x4 density matrix and a mode, unchecked."""
     a = amplitudes(omega)
     # a_P conj(a_Q) for S = a_0 1 + a_1 sigma.sigma, transmitted then reflected
     w = [x * y.conjugate() for s in ((a.alpha_t, a.beta_t), (a.alpha_r, a.beta_r))

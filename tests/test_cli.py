@@ -60,7 +60,7 @@ class TestQfiCommand:
         code, out, err = run(capsys, "qfi", "--strategy", "direct", "--vz", "1")
         assert code == 3
         assert out == ""
-        assert "|v| < 1" in err
+        assert "pure target" in err
 
     @pytest.mark.parametrize("basis", ["cartesian", "polar"])
     def test_pure_target_is_domain_error(self, capsys, basis):
@@ -71,6 +71,22 @@ class TestQfiCommand:
                              "--basis", basis)
         assert code == 3
         assert out == "" and "pure target" in err and "--param" not in err
+
+    @pytest.mark.parametrize("target", [("--vz", "1"), ("--vx", "0.6", "--vz", "0.8")],
+                             ids=["on-axis", "off-axis"])
+    @pytest.mark.parametrize("basis", ["cartesian", "polar"])
+    @pytest.mark.parametrize("strategy", ["direct", "ea", "nea"])
+    def test_one_refusal_for_a_pure_target(self, capsys, strategy, basis, target):
+        # every strategy and basis, on the z axis and off it: the same refusal
+        code, out, err = run(capsys, "qfi", "--strategy", strategy, "--omega", "0.6",
+                             "--basis", basis, *target)
+        assert code == 3
+        assert out == "" and "pure target" in err
+
+    def test_missing_omega_before_a_pure_target(self, capsys):
+        code, out, err = run(capsys, "qfi", "--strategy", "ea", "--vz", "1")
+        assert code == 2
+        assert out == "" and "--omega" in err
 
     def test_near_pure_target_is_not_refused(self, capsys):
         code, out, _ = run(capsys, "qfi", "--strategy", "nea", "--omega", "0.6",

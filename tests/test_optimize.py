@@ -14,7 +14,6 @@ from scattertomo.optimize import (
     MAX_ITER,
     NEA_GRID,
     OptResult,
-    _THETA_NODES,
     _grid_maxima,
     _local_maxima,
     _nea_form,
@@ -1005,11 +1004,11 @@ def direct_scan(v, thetas, w, mode):
 
 
 class TestNeaScan:
-    """The seeding scan's factors, fitted in theta_a at five nodes, against ``nea_qfi``."""
+    """The seeding scan's factors, read at the grid's own theta_a, against ``nea_qfi``."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_nea_qfi_on_the_grid(self, mode):
-        # each term's products, fixed by the five theta_a nodes, against nea_qfi at
+        # each term's products, read at every grid theta_a, against nea_qfi at
         # every grid node: seeded targets with |v_z| <= 0.999, then 1 - |v_z| down to
         # 1e-7, where the small d_t and d_r carry the rounding; the grid-local
         # maxima are those of the exact surface
@@ -1026,14 +1025,26 @@ class TestNeaScan:
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_to_rounding(self, mode):
+        # the factors themselves at every theta_a, on the grid and at its midpoints:
+        # within a few ulps of nea_qfi, next to the pure state too
+        rng = np.random.default_rng(719)
+        inner = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 300)])
+        gap = np.geomspace(1e-7, 1e-3, 30)
+        grid = np.linspace(0.0, math.pi, NEA_GRID[0])
+        w = np.exp(np.linspace(*np.log(DEFAULT_OMEGA_BRACKET), NEA_GRID[1]))**2
+        for v in (inner, np.concatenate([1.0 - gap, gap - 1.0])):
+            for thetas in (grid, 0.5 * (grid[1:] + grid[:-1])):
+                y = _nea_scan(v, thetas, w, mode)
+                assert relerr_each(y, direct_scan(v, thetas, w, mode)) <= 4e-15
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_off_the_nodes(self, mode):
-        # at the midpoints of the grid's theta_a nodes no row is a node's unit
-        # row: the expansion alone meets the bound for |v_z| <= 0.999
+        # at the midpoints of the grid's theta_a nodes, for |v_z| <= 0.999
         rng = np.random.default_rng(719)
         v = np.concatenate([[0.0, 0.999, -0.999], rng.uniform(-0.999, 0.999, 300)])
         grid = np.linspace(0.0, math.pi, NEA_GRID[0])
         thetas = 0.5 * (grid[1:] + grid[:-1])
-        assert not np.isin(thetas, _THETA_NODES).any()
         w = np.exp(np.linspace(*np.log(DEFAULT_OMEGA_BRACKET), NEA_GRID[1]))**2
         y = _nea_scan(v, thetas, w, mode)
         assert y.shape == (v.size, thetas.size, NEA_GRID[1])
