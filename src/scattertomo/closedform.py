@@ -207,7 +207,7 @@ def nea_qfi(v_z, theta_a, omega, mode: DetectionMode):
         w = _omega_float(omega)
         w = w * w  # the bits of numpy squaring an array; C pow rounds otherwise
         cosines = np.cos(np.array([theta_a, 2 * theta_a, 3 * theta_a, 4 * theta_a])).tolist()
-        return float(_nea_ratio(_nea_terms(v_z, cosines, w, mode), w, mode))
+        return float(_nea_ratio(_nea_terms(v_z, [1.0, *cosines], w, mode), w, mode))
     v = np.asarray(v_z, dtype=float)
     if not (np.abs(v) < 1.0).all():  # NaN fails too
         raise ValueError("v_z must satisfy |v_z| < 1")
@@ -233,14 +233,13 @@ def _nea_factors(v, t, w, mode: DetectionMode) -> tuple:
     """The factors that ``nea_qfi`` combines in ``mode``, without input checks.
 
     Each factor is a cosine polynomial of degree <= 4 in theta_a = t and a
-    polynomial of degree <= 2 in W = w, so its coefficients of W^p at five
-    theta_a samples fix it (the optimizer's per-lane forms rely on this).
+    polynomial of degree <= 2 in W = w.
     """
-    return _nea_terms(v, (np.cos(t), np.cos(2 * t), np.cos(3 * t), np.cos(4 * t)), w, mode)
+    return _nea_terms(v, (1.0, np.cos(t), np.cos(2 * t), np.cos(3 * t), np.cos(4 * t)), w, mode)
 
 
 def _nea_terms(v, cosines, w, mode: DetectionMode) -> tuple:
-    """``_nea_factors`` from the cosines (cos k theta_a for k = 1, 2, 3, 4).
+    """``_nea_factors`` from the cosines (cos k theta_a for k = 0, 1, 2, 3, 4).
 
     Each factor is ``_nea_coefficients``' polynomial in W, evaluated by Horner.
     """
@@ -264,13 +263,14 @@ def _nea_small_factors(v, v_c1) -> tuple:
 def _nea_coefficients(v, cosines, mode: DetectionMode) -> tuple:
     """The factors (d_t, d_r, f_t, f_r, n, m) of ``nea_qfi``, as coefficients of W^0, W^1, ....
 
-    Given the cosines cos k theta_a for k = 1, 2, 3, 4. The first four are
-    every mode's; n and m are the mode's own (t: numerator and 1; r: numerator
-    and denominator; both: g_t and g_m). The degree in W is the tuple's length
-    less one (at most 2); d_t and d_r, which vanish at the pure state, are
-    sums of nonnegative terms.
+    Given the cosines c_k = cos k theta_a, k = 0..4 (c_0 = 1). The first four
+    are every mode's; n and m are the mode's own (t: numerator and 1; r:
+    numerator and denominator; both: g_t and g_m). The degree in W is the
+    tuple's length less one (at most 2). d_t and d_r, which vanish at the pure
+    state, are sums of nonnegative terms; the others are affine in the c_k,
+    their theta_a-free parts times c_0, so unit cosines give their coefficients.
     """
-    c1, c2, c3, c4 = cosines
+    c0, c1, c2, c3, c4 = cosines
     # no **: a numpy scalar's ** is C pow, whose rounding differs from the array loop's;
     # float literals: a Python float's arithmetic with an int converts it each time
     v2, vc1, vc3 = v * v, v * c1, v * c3
@@ -278,26 +278,28 @@ def _nea_coefficients(v, cosines, mode: DetectionMode) -> tuple:
     d_r, _, gap = _nea_small_factors(v, vc1)
     # shared denominator pieces of the transmitted/reflected branch spectra
     d_t = (d_r, d_r + 16.0 * gap)
-    f_t = (3.0 - 2.0 * vc1, 9.0)
-    f_r = (1.0, 7.0 + 2.0 * vc1)
+    f_t = (3.0 * c0 - 2.0 * vc1, 9.0 * c0)
+    f_r = (c0, 7.0 * c0 + 2.0 * vc1)
 
     # the W^0 coefficient of r's numerator and of both's g_t: 16 v c1^3 = 4 v (3 c1 + c3)
-    n_0 = 20.0 - v2 - 12.0 * vc1 + 4.0 * c2 - 4.0 * vc3 + v2c4
+    n_0 = (20.0 - v2) * c0 - 12.0 * vc1 + 4.0 * c2 - 4.0 * vc3 + v2c4
     if mode is DetectionMode.REFLECTION:
         n = (n_0,
-             92.0 - v2 + 8.0 * vc1 - 20.0 * c2 - 8.0 * vc3 + v2c4)
-        m = (3.0 - 2.0 * vc1, 30.0 - 2.0 * v2 - 8.0 * vc1 - 2.0 * v2c2, 63.0 + 18.0 * vc1)
+             (92.0 - v2) * c0 + 8.0 * vc1 - 20.0 * c2 - 8.0 * vc3 + v2c4)
+        m = (3.0 * c0 - 2.0 * vc1, (30.0 - 2.0 * v2) * c0 - 8.0 * vc1 - 2.0 * v2c2,
+             63.0 * c0 + 18.0 * vc1)
         return d_t, (d_r,), f_t, f_r, n, m
     # the W^2 coefficient of t's numerator and of both's g_m
-    m_2 = 724.0 - 33.0 * v2 - 12.0 * vc1 - 32.0 * v2c2 + 4.0 * c2 - 4.0 * vc3 + v2c4
+    m_2 = (724.0 - 33.0 * v2) * c0 - 12.0 * vc1 - 32.0 * v2c2 + 4.0 * c2 - 4.0 * vc3 + v2c4
     if mode is DetectionMode.TRANSMISSION:
-        n = (44.0 - v2 - 32.0 * vc1 - 4.0 * c2 + v2c4,
-             384.0 - 34.0 * v2 - 172.0 * vc1 - 32.0 * v2c2 - 4.0 * vc3 + 2.0 * v2c4,
+        n = ((44.0 - v2) * c0 - 32.0 * vc1 - 4.0 * c2 + v2c4,
+             (384.0 - 34.0 * v2) * c0 - 172.0 * vc1 - 32.0 * v2c2 - 4.0 * vc3 + 2.0 * v2c4,
              m_2)
-        return d_t, (d_r,), f_t, f_r, n, (1.0,)
+        return d_t, (d_r,), f_t, f_r, n, (c0,)
     if mode is DetectionMode.BOTH:
-        g_t = (n_0, 108.0 - 36.0 * c2)
-        g_m = (12.0 - 4.0 * c2, 192.0 - v2 - 12.0 * vc1 - 32.0 * c2 - 4.0 * vc3 + v2c4, m_2)
+        g_t = (n_0, 108.0 * c0 - 36.0 * c2)
+        g_m = (12.0 * c0 - 4.0 * c2, (192.0 - v2) * c0 - 12.0 * vc1 - 32.0 * c2 - 4.0 * vc3 + v2c4,
+               m_2)
         return d_t, (d_r,), f_t, f_r, g_t, g_m
     raise ValueError(f"unknown detection mode {mode}")
 

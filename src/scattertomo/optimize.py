@@ -13,10 +13,10 @@ polynomials in W, each term's numerator factor and the product of its
 denominator's (``closedform._NEA_TERMS``, one factor layout for every mode),
 and takes each to the Omega nodes by one small matmul. It refines by a
 projected, damped Newton ascent on forms of the factors that are exact at
-every W: each factor's W-polynomial, its cosine coefficients fitted in
-theta_a once per lane from five nodes. Their log-derivatives give the QFI's
-gradient and Hessian, and a seed need only lie in its maximum's basin. Every
-search refuses a tol that is not positive and finite.
+every W: each factor's W-polynomial, its cosine coefficients in theta_a read
+exactly once per lane. Their log-derivatives give the QFI's gradient and
+Hessian, and a seed need only lie in its maximum's basin. Every search
+refuses a tol that is not positive and finite.
 
 The EA and NEA searches solve batches of independent problems in lockstep:
 each step makes one array call on a fixed set of lanes (problem x candidate),
@@ -265,14 +265,9 @@ def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float
     return _results(prob, 1, evals, ok, pick, [(name, x)], fx)[0]
 
 
-# cos(k theta) at the nodes theta = j pi/4 (rows j, columns k = 0..4): a cosine
-# polynomial of degree <= 4 is fixed by its values there
+# the k of cos(k theta_a), k = 0..4, as ``_nea_coefficients`` takes them; -k and
+# -k^2 as a column: d/dtheta cos(k theta) = -k sin(k theta), and so on
 _K = np.arange(5)
-_THETA_NODES = _K * (math.pi / 4)
-_THETA_FIT = np.linalg.inv(np.cos(np.outer(_THETA_NODES, _K)))
-# cos(k theta_a) at the nodes for k = 1..4, as ``_nea_coefficients`` takes them
-_NODE_COSINES = tuple(np.cos(np.outer(_K[1:], _THETA_NODES)))
-# -k and -k^2 as a column: d/dtheta cos(k theta) = -k sin(k theta), and so on
 _MINUS_K, _MINUS_K2 = -_K[:, None], -_K[:, None]**2
 
 
@@ -295,7 +290,7 @@ def _nea_scan(v, thetas, w, mode: DetectionMode) -> np.ndarray:
     the powers of W, the numerator times the W-only s(W). That makes 2, 2 and
     4 grids in t, r and both.
     """
-    coef = _nea_coefficients(v[:, None], tuple(np.cos(np.outer(_K[1:], thetas))), mode)
+    coef = _nea_coefficients(v[:, None], tuple(np.cos(np.outer(_K, thetas))), mode)
     a, terms = _NEA_TERMS[mode]
     s = w / (1.0 + w) / (1.0 + a * w)
     # (numerator, denominator) W-polynomials of each term, in turn
@@ -324,33 +319,31 @@ def _nea_form(v, mode):
 
     ``mode`` is one DetectionMode, or (mode, lanes) pairs that cover the lanes.
     Every factor of ``nea_qfi`` is a cosine polynomial of degree <= 4 in
-    theta_a whose coefficients are polynomials in W = Omega^2: once per lane,
-    ``_THETA_FIT`` takes ``_nea_coefficients`` at the five ``_THETA_NODES`` to
-    the cosine coefficients of each factor's exact W-polynomial. The QFI's
-    derivatives follow from the factors' log-derivatives through
-    ``_NEA_TERMS``; every factor is positive on the domain. In every mode
-    slots 0 and 1 hold the small factors d_t and d_r, which are not fitted but
-    evaluated, with their theta_a derivatives, from their nonnegative terms
-    (``closedform._nea_small_factors``): next to the pure state a fit's sums
-    of O(1) terms would cancel. Returns q(theta, u): the (6, lane) stack (f,
-    f_t, f_u, f_tt, f_tu, f_uu) of the QFI at theta_a = theta, Omega =
-    exp(u), each lane by its own mode's terms and reading no other lane.
+    theta_a whose coefficients are polynomials in W = Omega^2. Slots 2 to 5 are
+    affine in the cosines, so ``_nea_coefficients`` at the unit cosines gives,
+    once per lane, their exact cosine coefficients. The QFI's derivatives
+    follow from the factors' log-derivatives through ``_NEA_TERMS``; every
+    factor is positive on the domain. Slots 0 and 1 hold the small factors d_t
+    and d_r, evaluated at every step with their theta_a derivatives from their
+    nonnegative terms (``closedform._nea_small_factors``): next to the pure
+    state their cosine expansions would cancel. Returns q(theta, u): the (6,
+    lane) stack (f, f_t, f_u, f_tt, f_tu, f_uu) of the QFI at theta_a = theta,
+    Omega = exp(u), each lane by its own mode's terms and reading no other
+    lane.
     """
     groups = [(mode, slice(None))] if isinstance(mode, DetectionMode) else mode
-    # each factor's coefficient of W^p at (theta_a node j, factor, p, lane);
-    # d_t's and d_r's slots are written on every evaluation
-    table = np.zeros((_K.size, 6, 3, v.size))
-    node_cosines = [c[:, None] for c in _NODE_COSINES]
+    # the cosine coefficients (k, factor, p, lane) of each factor's W^p; d_t's and
+    # d_r's slots are written on every evaluation
+    coef = np.zeros((_K.size, 6, 3, v.size))
+    unit_cosines = [c[:, None] for c in np.eye(_K.size)]
     a, e, live = np.zeros(v.size), np.zeros((2, 6, v.size)), np.zeros((2, v.size))
     for m, lanes in groups:
-        for f, poly in enumerate(_nea_coefficients(v[lanes], node_cosines, m)[2:], 2):
+        for f, poly in enumerate(_nea_coefficients(v[lanes], unit_cosines, m)[2:], 2):
             for p, c in enumerate(poly):
-                table[:, f, p, lanes] = c
+                coef[:, f, p, lanes] = c
         a[lanes], terms = _NEA_TERMS[m]
         e[:len(terms), :, lanes] = np.array(terms)[..., None]
         live[:len(terms), lanes] = 1.0
-    # the cosine coefficients (k, factor, p, lane)
-    coef = np.tensordot(_THETA_FIT, table, axes=1)
     above, below = e > 0.0, e < 0.0
     v4 = 4.0 * v
 

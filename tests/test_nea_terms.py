@@ -70,18 +70,35 @@ def test_every_factor_is_positive(mode):
 
 
 def test_shared_slots_are_the_same_in_every_mode():
-    # _nea_form writes d_t and d_r into slots 0 and 1, and fits f_t and f_r,
-    # for lanes of every mode alike
+    # _nea_form writes d_t and d_r into slots 0 and 1, and reads the cosine
+    # coefficients of f_t and f_r, for lanes of every mode alike
     rng = np.random.default_rng(2704)
     v = np.concatenate([[0.0, 0.999999, -0.999999], rng.uniform(-0.999999, 0.999999, 997)])
     theta = rng.uniform(0.0, math.pi, v.size)
-    cosines = tuple(np.cos(k * theta) for k in (1, 2, 3, 4))
+    cosines = tuple(np.cos(k * theta) for k in (0, 1, 2, 3, 4))
     first = _nea_coefficients(v, cosines, MODES[0])[:4]
     for mode in MODES[1:]:
         for a, b in zip(first, _nea_coefficients(v, cosines, mode)[:4]):
             assert len(a) == len(b)
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_slots_2_to_5_are_affine_in_the_cosines(mode):
+    # _nea_form reads each factor's cosine coefficients at the unit cosines: with
+    # cos k theta_a (k = 0..4) they must sum to the factor read at those cosines
+    rng = np.random.default_rng(2705)
+    edge = 1.0 - 1e-7
+    v = np.concatenate([[0.0, edge, -edge], rng.uniform(-edge, edge, 997)])
+    theta = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, v.size - 3)])
+    cosines = np.cos(np.outer(np.arange(5), theta))
+    unit = _nea_coefficients(v, [c[:, None] for c in np.eye(5)], mode)[2:]
+    for rows, poly in zip(unit, _nea_coefficients(v, tuple(cosines), mode)[2:]):
+        assert len(rows) == len(poly)
+        for row, c in zip(rows, poly):
+            terms = np.broadcast_to(row, cosines.shape) * cosines
+            assert np.all(np.abs(terms.sum(axis=0) - c) <= 1e-15 * np.abs(terms).sum(axis=0))
 
 
 def test_one_form_for_every_mode_reads_no_other_lane():
