@@ -53,17 +53,14 @@ def _write(lines: list[str], path: Optional[str]) -> None:
 
 
 def _header(args: argparse.Namespace, columns: list[str]) -> list[str]:
-    """The flags a command read, then its column names. A scan does not read the
-    flag of the variable it sweeps, and an r-sweep reads no target; direct reads
-    no mode or omega, optimize searches omega, and only NEA reads theta_a."""
+    """The flags a command read, then its column names. Of the settings, a strategy
+    reads what ``scatter.READS`` names; optimize searches omega and theta_a, a scan
+    does not read the flag of the variable it sweeps, and an r-sweep reads no target."""
     command, strategy, sweep = (getattr(args, k, None) for k in ("command", "strategy", "sweep"))
     skip = {"func", "output", "target", (sweep or "").replace("-", "_")}
-    if strategy == "direct":
-        skip |= {"mode", "omega"}
+    skip |= {"mode", "omega", "theta_a"} - set(scatter.READS.get(strategy, ()))
     if command == "optimize":
         skip |= {"omega", "theta_a"}
-    if strategy != "nea":
-        skip.add("theta_a")
     if sweep == "r":
         skip |= {"vx", "vy", "vz", "theta", "phi"}
     parts = []
@@ -105,7 +102,7 @@ def _resolve_target(args: argparse.Namespace) -> states.BlochVector:
 
 
 def _require_omega(args: argparse.Namespace) -> float:
-    if args.strategy != "direct" and args.omega is None:
+    if "omega" in scatter.READS[args.strategy] and args.omega is None:
         raise UsageError(f"--omega is required for strategy {args.strategy}")
     return args.omega if args.omega is not None else 0.0
 
@@ -200,21 +197,21 @@ def cmd_scan(args: argparse.Namespace) -> tuple[list[str], list[str]]:
     return columns, _rows([grid, *compute(grid, args, MODES[args.mode])])
 
 
-def _converged(results: list, strategy: str) -> list:
-    """The optimizer's results, if every one converged; else ConvergenceError (exit 4)."""
-    if not all(res.converged for res in results):
+def _per_mode(strategy: str, v_z: np.ndarray, keys: tuple[str, ...], tol: float) -> list[list]:
+    """The NEA or EA optima at every target in each mode of keys, from one solve;
+    ConvergenceError (exit 4) unless every one converged."""
+    maximize = optimize.maximize_nea if strategy == "nea" else optimize.maximize_ea
+    best = maximize(np.tile(v_z, len(keys)), [MODES[key] for key in keys for _ in v_z], tol)
+    if not all(res.converged for res in best):
         raise optimize.ConvergenceError(f"{strategy.upper()} optimization did not converge")
-    return results
+    return [best[k * v_z.size:(k + 1) * v_z.size] for k in range(len(keys))]
 
 
 def cmd_optimize(args: argparse.Namespace) -> tuple[list[str], list[str]]:
-    if args.strategy == "nea":
-        res = optimize.maximize_nea(closedform.axis_vz(args.target), MODES[args.mode], args.tol)
-    elif args.strategy == "ea":
-        res = optimize.maximize_ea(args.target.norm, MODES[args.mode], args.tol)
-    else:
+    if args.strategy not in ("nea", "ea"):
         raise UsageError("optimize supports strategies nea and ea")
-    _converged([res], args.strategy)
+    v_z = closedform.axis_vz(args.target) if args.strategy == "nea" else args.target.norm
+    [[res]] = _per_mode(args.strategy, np.array([v_z]), (args.mode,), args.tol)
     return ([f"{name}_star" for name, _ in res.argmax] + ["value", "iterations", "converged"],
             [",".join([_fmt(x) for _, x in res.argmax] + [
                 _fmt(res.value), str(res.iterations), str(res.converged).lower()])])
@@ -236,14 +233,6 @@ def _figure_surface(args, mode: scatter.DetectionMode) -> tuple[list[str], list[
     return ["r", "omega", "rescaled_c_r"], [
         head + key + "%.12g" % x for head, values in zip(r_text, rescaled.tolist())
         for key, x in zip(omega_text, values)]
-
-
-def _per_mode(strategy: str, v_z: np.ndarray, keys: tuple[str, ...], tol: float) -> list[list]:
-    """The NEA or EA optima at every target in each mode of keys, from one solve."""
-    maximize = optimize.maximize_nea if strategy == "nea" else optimize.maximize_ea
-    best = _converged(maximize(np.tile(v_z, len(keys)),
-                               [MODES[key] for key in keys for _ in v_z], tol), strategy)
-    return [best[k * v_z.size:(k + 1) * v_z.size] for k in range(len(keys))]
 
 
 def _figure_6(args) -> tuple[list[str], list[str]]:

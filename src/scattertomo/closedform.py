@@ -347,6 +347,7 @@ def closed_matrix(strategy: str, v: BlochVector, omega: float, mode: DetectionMo
                   theta_a: float, basis: str) -> np.ndarray:
     """The QFI matrix of ``scatter.encoding`` in ``basis``, NaN where no closed form exists.
 
+    Of the settings, it reads what ``scatter.READS`` names for the strategy.
     Direct and EA have every cell. NEA has only the cartesian zz entry, and
     only for a target on the z axis (``axis_vz``).
     """

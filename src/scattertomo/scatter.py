@@ -353,12 +353,15 @@ def direct_branches(v: BlochVector) -> tuple[BranchState, BranchDerivatives]:
     return IDENTITY.state(v), IDENTITY.derivatives
 
 
-STRATEGIES = ("direct", "nea", "ea")  # target access; unentangled probe; singlet probe
+# the settings each strategy reads: target access none, the unentangled probe the
+# detection mode, Omega and its angle theta_a, the singlet probe the mode and Omega
+READS = {"direct": (), "nea": ("mode", "omega", "theta_a"), "ea": ("mode", "omega")}
+STRATEGIES = tuple(READS)
 
 
 def encoding(strategy: str, v: BlochVector, omega: float, mode: DetectionMode,
              theta_a: float) -> tuple[BranchState, BranchDerivatives]:
-    """Branch state and derivatives of target v; direct ignores omega and mode, EA theta_a."""
+    """Branch state and derivatives of target v; of the settings, reads what ``READS`` names."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     channel = IDENTITY if strategy == "direct" else _channel(

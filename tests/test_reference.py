@@ -45,13 +45,12 @@ def test_replay(record, capsys, monkeypatch, request):
     got, ref = out.out.splitlines(), record["stdout"].splitlines()
     assert [line for line in got if line.startswith("#")] == \
         [line for line in ref if line.startswith("#")]
-    got, ref = ([line.split(",") for line in lines if not line.startswith("#")]
-                for lines in (got, ref))
-    assert len(got) == len(ref)
-    columns = next((line.removeprefix("# columns: ").split(",")
-                    for line in record["stdout"].splitlines()
+    columns = next((line.removeprefix("# columns: ").split(",") for line in ref
                     if line.startswith("# columns: ")), [])
-    for row, ref_row in zip(got, ref):
+    rows, ref_rows = ([line.split(",") for line in lines if not line.startswith("#")]
+                      for lines in (got, ref))
+    assert len(rows) == len(ref_rows)
+    for row, ref_row in zip(rows, ref_rows):
         assert len(row) == len(ref_row) == len(columns), (row, ref_row)
         for name, x, x_ref in zip(columns, row, ref_row):
             assert _same_cell(name, x, x_ref), (name, row, ref_row)

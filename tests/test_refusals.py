@@ -1,13 +1,14 @@
 """Inputs the searches and the channel refuse with a ValueError, not a silent answer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from scattertomo import scatter
-from scattertomo.closedform import ea_cartesian, nea_qfi
-from scattertomo.qfi import CARTESIAN, POLAR, QfiMatrix
+from scattertomo import cli, scatter
+from scattertomo.closedform import direct_cartesian, direct_qfi, ea_cartesian, ea_cr, nea_qfi
+from scattertomo.qfi import CARTESIAN, POLAR, QfiMatrix, cr_bound
 from scattertomo.optimize import ea_optimality_intervals, maximize_1d, maximize_ea, maximize_nea
 from scattertomo.scatter import (OMEGA_MAX, BlockLabel, BranchState, Channel, DetectionMode,
                                  apply_channel, scattering_channel)
@@ -395,3 +396,51 @@ def test_apply_channel_reads_a_list_target_as_its_array():
                 assert _same_bits(apply_channel(rho.tolist(), probe, 0.8, mode), state)
                 assert _same_bits(apply_channel(tuple(map(tuple, rho.tolist())), probe, 0.8,
                                                 mode), state)
+
+
+# the argv of each CLI usage refusal, and its message
+CLI_REFUSALS = {
+    "scan --strategy ea --vz 0.4 --omega 0.6 --sweep r --from 2 --to 1":
+        "--from must be below --to",
+    "scan --strategy nea --vz 0.4 --sweep theta-a": "--omega is required for this scan",
+    "optimize --strategy direct": "optimize supports strategies nea and ea",
+}
+
+
+@pytest.mark.parametrize("argv", CLI_REFUSALS)
+def test_cli_usage_refusal(argv, capsys):
+    message = CLI_REFUSALS[argv]
+    args = cli.build_parser().parse_args(argv.split())
+    args.target = cli._resolve_target(args)
+    with pytest.raises(cli.UsageError, match=f"^{re.escape(message)}$"):
+        args.func(args)
+    assert cli.main(argv.split()) == cli.EXIT_USAGE
+    assert capsys.readouterr()[:] == ("", f"usage error: {message}\n")
+
+
+# each library refusal: the call, the exception type and its message
+LIBRARY_REFUSALS = {
+    "polar matrix at r = 1": (lambda: direct_qfi(1.0).matrix(0.3), ValueError,
+                              "polar QFI matrix undefined at r = 1 (c_r diverges)"),
+    "c_r in an unknown mode": (lambda: ea_cr(0.3, 0.6, "both"), ValueError,
+                               "unknown detection mode both"),
+    "c_perp in an unknown mode": (lambda: ea_cartesian(BlochVector(0.1, 0.0, 0.2), 0.6, "both"),
+                                  ValueError, "unknown detection mode both"),
+    "NEA factors in an unknown mode": (lambda: nea_qfi(0.3, 0.7, 0.6, "both"), ValueError,
+                                       "unknown detection mode both"),
+    "an argument the result lacks": (lambda: maximize_ea(0.5, DetectionMode.BOTH).param("theta_a"),
+                                     KeyError, "'theta_a'"),
+    "a one-point grid": (lambda: maximize_1d(lambda x: -x * x, (-1.0, 1.0), n_grid=1), ValueError,
+                         "n_grid must be at least 2"),
+    "a polar name on a cartesian matrix": (
+        lambda: cr_bound(direct_cartesian(BlochVector(0.1, 0.0, 0.2)), 1, "theta"), ValueError,
+        "target 'theta' not valid for basis 'cartesian'"),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_REFUSALS)
+def test_library_refusal(name):
+    call, error, message = LIBRARY_REFUSALS[name]
+    with pytest.raises(error) as refusal:
+        call()
+    assert type(refusal.value) is error and str(refusal.value) == message

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scattertomo import scatter
-from scattertomo.closedform import ea_cartesian
+from scattertomo.closedform import closed_matrix, ea_cartesian
 from scattertomo.qfi import qfi_numeric
 from scattertomo.scatter import (
     OMEGA_MAX,
@@ -492,6 +492,45 @@ class TestEncoding:
 
     def test_strategies(self):
         assert scatter.STRATEGIES == ("direct", "nea", "ea")
+        assert scatter.STRATEGIES == tuple(scatter.READS)
+
+
+SETTING = {"mode": DetectionMode.BOTH, "omega": 0.6, "theta_a": 0.7}
+# values of a setting a strategy that does not read it ignores; the first ones would be refused
+UNREAD = {"mode": ("bogus", DetectionMode.TRANSMISSION), "omega": (-1.0, math.nan, 0.05),
+          "theta_a": (5.0, math.nan, 2.0)}
+READ = {"mode": DetectionMode.TRANSMISSION, "omega": 0.05, "theta_a": 2.0}
+
+
+def _numeric(strategy, v, setting):
+    return qfi_numeric(*encoding(strategy, v, setting["omega"], setting["mode"],
+                                 setting["theta_a"])).h
+
+
+def _closed(strategy, v, setting):
+    return [closed_matrix(strategy, v, setting["omega"], setting["mode"], setting["theta_a"],
+                          basis).tobytes() for basis in ("cartesian", "polar")]
+
+
+class TestReads:
+    """``scatter.READS`` names exactly the settings the library reads for each strategy."""
+
+    V = BlochVector(0.2, -0.1, 0.4)
+
+    @pytest.mark.parametrize("strategy, name", [(s, n) for s in scatter.STRATEGIES
+                                                for n in SETTING if n not in scatter.READS[s]])
+    def test_an_unread_setting_changes_no_bit(self, strategy, name):
+        h, closed = _numeric(strategy, self.V, SETTING), _closed(strategy, self.V, SETTING)
+        for value in UNREAD[name]:
+            setting = {**SETTING, name: value}
+            assert _numeric(strategy, self.V, setting).tobytes() == h.tobytes()
+            assert _closed(strategy, self.V, setting) == closed
+
+    @pytest.mark.parametrize("strategy, name", [(s, n) for s in scatter.STRATEGIES
+                                                for n in scatter.READS[s]])
+    def test_a_read_setting_changes_the_qfi(self, strategy, name):
+        h = _numeric(strategy, self.V, {**SETTING, name: READ[name]})
+        assert not np.array_equal(h, _numeric(strategy, self.V, SETTING))
 
 
 class TestIdentityChannel:
