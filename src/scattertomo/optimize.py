@@ -1,13 +1,15 @@
 """Maximization of QFI over probe momentum Omega and orientation theta_a.
 
 The objectives are cheap closed forms, so every search is a dense bracket scan
-followed by local refinement of each grid-local maximum; no unimodality is
-assumed. Momentum grids are logarithmic over the one bracket
-DEFAULT_OMEGA_BRACKET: the QFI vanishes at both ends, so optima are interior.
-A user objective of one variable is called once per point, and each of its
-seeds is refined by golden section in turn. The EA search refines by a
-safeguarded Newton iteration on the critical-point polynomial of c_r in
-W = Omega^2, whose sign is that of dc_r/dW. The NEA search scans a coarse
+followed by local refinement. Momentum grids are logarithmic over the one
+bracket DEFAULT_OMEGA_BRACKET: the QFI vanishes at both ends, so optima are
+interior. A user objective of one variable is called once per point, and each
+of its grid-local maxima is refined by golden section in turn: no unimodality
+is assumed. c_r has one maximum in W = Omega^2, since its critical-point
+polynomial, whose sign is that of dc_r/dW, has one sign change in W
+(``tests/test_closedform.py::TestEaCriticalPolynomial::test_one_sign_change``).
+So the EA search refines only the best node of each radius's scan, by a
+safeguarded Newton iteration on that polynomial. The NEA search scans a coarse
 (theta_a, log Omega) grid. At every theta_a of the grid it forms, as
 polynomials in W, each term's numerator factor and the product of its
 denominator's (``closedform._NEA_TERMS``, one factor layout for every mode),
@@ -18,17 +20,17 @@ exactly once per lane. Their log-derivatives give the QFI's gradient and
 Hessian, and a seed need only lie in its maximum's basin. Every search
 refuses a tol that is not positive and finite.
 
-The EA and NEA searches solve batches of independent problems in lockstep:
-each step makes one array call on a fixed set of lanes (problem x candidate),
-finished lanes included, and ``iterations`` counts a lane's evaluations (for
-EA, its Newton steps). ``maximize_nea`` and ``maximize_ea`` broadcast as the
-closed forms do: one OptResult for a scalar target, a list of one per target
-for an array. Both take one detection mode for the batch or one per problem:
-each mode is scanned and seeded on its own, and one lockstep refines the
-lanes of every mode, each lane on its own mode's terms (for NEA, one form
-evaluates them all in one pass), so a problem's result is that of a batch of
-its mode alone. Figures 6, 7 and 8 solve all three modes in one call per
-search.
+The EA and NEA searches solve batches of independent problems in lockstep: each
+step makes one array call on a fixed set of lanes (problem x candidate; for EA,
+one lane per problem), finished lanes included, and ``iterations`` counts a
+lane's evaluations (for EA, its Newton steps). ``maximize_nea`` and
+``maximize_ea`` broadcast as the closed forms do: one OptResult for a scalar
+target, a list of one per target for an array. Both take one detection mode for
+the batch or one per problem: each mode is scanned and seeded on its own, and
+one lockstep refines the lanes of every mode, each lane on its own mode's terms
+(for NEA, one form evaluates them all in one pass), so a problem's result is
+that of a batch of its mode alone. Figures 6, 7 and 8 solve all three modes in
+one call per search.
 """
 
 from __future__ import annotations
@@ -202,16 +204,6 @@ def _first_per_problem(prob: np.ndarray, keys: list, limit: int = 1) -> np.ndarr
     return order[np.arange(order.size) - np.searchsorted(prob, prob) < limit]
 
 
-def _scan_seeds(ys: np.ndarray):
-    """(problem, node) of the best 16 grid-local maxima of each row of a 1-D scan.
-
-    A plateau keeps its first point; ties go to the smaller node.
-    """
-    prob, i = np.nonzero(_local_maxima(ys, (1,), strict_before=True))
-    top = _first_per_problem(prob, [-ys[prob, i], i], 16)
-    return prob[top], i[top]
-
-
 def _results(prob, n, evals, ok, pick, argmax, value) -> list[OptResult]:
     """One OptResult per problem: its picked lane, summed evals, all lanes converged.
 
@@ -255,14 +247,16 @@ def maximize_1d(objective: Callable[[float], float], bracket: tuple[float, float
     def stop(a, b):
         return from_u(b) - from_u(a) <= tol * (1.0 + abs(from_u(0.5 * (a + b))))
 
-    prob, i = _scan_seeds(np.array([[f(x) for x in xs.tolist()]]))
+    ys = np.array([f(x) for x in xs.tolist()])
+    i = np.flatnonzero(_local_maxima(ys, (0,), strict_before=True))
+    i = i[np.lexsort((i, -ys[i]))[:16]]
     brackets = zip(to_u(xs[np.maximum(i - 1, 0)]).tolist(),
                    to_u(xs[np.minimum(i + 1, n_grid - 1)]).tolist())
     u, fx, evals, ok = map(np.array, zip(*(
         _golden_section(lambda uu: f(float(from_u(uu))), a, b, stop) for a, b in brackets)))
     x = from_u(u)
-    pick = _first_per_problem(prob, [-fx, x])
-    return _results(prob, 1, evals, ok, pick, [(name, x)], fx)[0]
+    best = np.lexsort((x, -fx))[0]
+    return OptResult(((name, float(x[best])),), float(fx[best]), int(evals.sum()), bool(ok.all()))
 
 
 # the k of cos(k theta_a), k = 0..4, as ``_nea_coefficients`` takes them; -k and
@@ -561,42 +555,36 @@ def maximize_ea(v_z, mode, tol: float = 1e-8) -> OptResult | list[OptResult]:
     one DetectionMode for all targets or a sequence of one per target. The
     z-axis QFI is the radial coefficient c_r at r = |v_z|, so a grid of radii
     r >= 0 gives the best c_r at each radius. One ``_ea_cr`` call per mode
-    scans EA_GRID log-spaced nodes for its radii; each radius's best 16
-    grid-local maxima seed one ``_newton_root`` for all modes on c_r's
-    critical-point polynomial in W = Omega^2, inside the seed's +-1-cell
-    bracket, until a step moves Omega by at most tol (1 + Omega). A lane ends
-    at the higher of that point and its bracket's ends, and a radius at its
-    highest lane (ties to the smaller Omega), with the value from ``_ea_cr``.
-    Each target's result is that of a call with its mode alone.
-    ``iterations`` counts the Newton steps of every lane of the radius.
+    scans EA_GRID log-spaced nodes for its radii. c_r's critical-point
+    polynomial in W = Omega^2 has one sign change in W at every radius, so by
+    Descartes' rule it has one positive root, the maximum of c_r
+    (``tests/test_closedform.py::TestEaCriticalPolynomial::test_one_sign_change``).
+    So each radius runs one lane: its scan's best node seeds one
+    ``_newton_root`` for all modes on that polynomial, inside the node's
+    +-1-cell bracket, until a step moves Omega by at most tol (1 + Omega). The
+    value is ``_ea_cr`` at the lane's end. Each target's result is that of a
+    call with its mode alone. ``iterations`` counts the Newton steps of the
+    radius's lane.
     """
     _check_tol(tol)
     r2 = _check_radius(np.abs(np.asarray(v_z, dtype=float).ravel()), strict=True)**2
     groups = _mode_groups(mode, r2.size)
     if r2.size == 0:
         return []
-    ws = _EA_WS
-    seeds, lanes, start = [], [], 0
+    i, lanes, start = [], [], 0
     for m, targets in groups:
-        prob, i = _scan_seeds(_ea_cr(r2[targets, None], ws, m))
-        seeds.append((targets[prob], i))
-        lanes.append((m, slice(start, start + prob.size)))
-        start += prob.size
-    prob, i = (np.concatenate(x) for x in zip(*seeds))
-    lo, hi = ws[np.maximum(i - 1, 0)], ws[np.minimum(i + 1, EA_GRID - 1)]
-
+        i.append(_ea_cr(r2[targets, None], _EA_WS, m).argmax(axis=1))
+        lanes.append((m, slice(start, start + targets.size)))
+        start += targets.size
+    prob, i = np.concatenate([targets for _, targets in groups]), np.concatenate(i)
     w, steps, ok = _newton_root(
-        [_ea_cr_critical(r2[prob[at]], m) for m, at in lanes], ws[i], lo, hi,
+        [_ea_cr_critical(r2[prob[at]], m) for m, at in lanes], _EA_WS[i],
+        _EA_WS[np.maximum(i - 1, 0)], _EA_WS[np.minimum(i + 1, EA_GRID - 1)],
         lambda a, b: np.abs(np.sqrt(b) - np.sqrt(a)) <= tol * (1.0 + np.sqrt(b)))
-    ends = np.stack([w, lo, hi])
-    values = np.empty(ends.shape)
+    value = np.empty(prob.size)
     for m, at in lanes:
-        values[:, at] = _ea_cr(r2[prob[at]], ends[:, at], m)
-    best = np.argmax(values, axis=0)
-    each = np.arange(prob.size)
-    omega, value = np.sqrt(ends[best, each]), values[best, each]
-    pick = _first_per_problem(prob, [-value, omega])
-    results = _results(prob, r2.size, steps, ok, pick, [("omega", omega)], value)
+        value[at] = _ea_cr(r2[prob[at]], w[at], m)
+    results = _results(prob, r2.size, steps, ok, np.argsort(prob), [("omega", np.sqrt(w))], value)
     return results[0] if np.ndim(v_z) == 0 else results
 
 

@@ -545,6 +545,29 @@ class TestScanCommand:
         last = rows(out)[-1]
         assert last[:2] == ["1", "inf"] and float(last[2]) > 0.0
 
+    @pytest.mark.parametrize("mode", ["t", "r", "both"])
+    def test_ea_omega_scan_at_a_pure_target(self, capsys, mode):
+        # a scan prints closed forms: c_r = +inf is their exact value on the
+        # boundary, and c_theta the finite transverse coefficient phase_bound
+        # reads. qfi refuses the target, since the oracle drops the diverging terms
+        code, out, _ = run(capsys, "scan", "--strategy", "ea", "--mode", mode, "--vz", "1",
+                           "--sweep", "omega", "--points", "9")
+        assert code == 0
+        table = rows(out)
+        assert len(table) == 9 and [row[1] for row in table] == ["inf"] * 9
+        for omega, _, c_theta in ((float(x) for x in row) for row in table):
+            assert abs(c_theta / ea_polar(1.0, omega, MODES[mode]).c_theta - 1.0) <= 1e-11
+            if mode == "both":
+                assert abs(c_theta * phase_bound(omega, 1) - 1.0) <= 1e-11
+        assert run(capsys, "qfi", "--strategy", "ea", "--mode", mode, "--vz", "1",
+                   "--omega", "0.6")[0] == 3
+
+    def test_direct_r_sweep_to_a_pure_target(self, capsys):
+        code, out, _ = run(capsys, "scan", "--strategy", "direct", "--sweep", "r", "--to", "1",
+                           "--points", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == "1,inf,1"
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_nonpositive_points_is_usage_error(self, capsys, points):
         with pytest.raises(SystemExit) as exc:

@@ -185,6 +185,25 @@ class TestEaCriticalPolynomial:
         terms = r2[:, None, None]**np.arange(len(table))[:, None] * table
         assert np.all(np.abs(p - expected) <= 1e-12 * powers_sum(terms.sum(axis=1), w))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_sign_change(self, mode):
+        # P's W-coefficients c_j(s), s = r^2, run + ... - with one sign change
+        # at every s in [0, 1), so by Descartes' rule P has one root in W > 0: the
+        # one maximum of c_r that maximize_ea refines. Each c_j keeps its sign
+        # between its real roots, so exact values at s = 0 and between each pair
+        # of consecutive roots in (0, 1) cover every s. At a root a coefficient
+        # drops out, which cannot raise an odd count of one
+        table = _EA_CR_CRITICAL[mode]
+        columns = list(zip(*table))  # c_j's coefficients of s^0, s^1, ...
+        roots = sorted(x.real for c in columns if any(c[1:])
+                       for x in np.roots(c[::-1]) if abs(x.imag) <= 1e-9 and 0 < x.real < 1)
+        ends = [0.0, *roots, 1.0]
+        for s in [Fraction(0)] + [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(ends, ends[1:])]:
+            coef = [sum(k * s**i for i, k in enumerate(c)) for c in columns]
+            signs = [x > 0 for x in coef if x != 0]
+            assert coef[0] > 0 and not signs[-1], (mode, s)
+            assert sum(a != b for a, b in zip(signs, signs[1:])) == 1, (mode, s)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown detection mode"):
             _ea_cr_critical(0.5, "both")

@@ -10,7 +10,6 @@ from scattertomo.closedform import (_NEA_TERMS, _ea_cr, _nea_factors, ea_cartesi
                                     nea_qfi, phase_bound)
 from scattertomo.optimize import (
     DEFAULT_OMEGA_BRACKET,
-    EA_GRID,
     MAX_ITER,
     NEA_GRID,
     OptResult,
@@ -385,19 +384,22 @@ class TestEaNewton:
         results = maximize_ea(ea_radii(), mode, tol=1e-15)
         assert all(res.converged and res.iterations <= 7 for res in results)
 
-    def test_the_higher_bracket_end_wins(self, monkeypatch):
-        # a polynomial negative everywhere sends each lane to its lower end, yet
-        # the lane ends at the higher end of its bracket
-        monkeypatch.setattr(opt, "_ea_cr_critical", lambda r2, mode: -np.ones((len(r2), 1)))
-        r = np.array([0.0, 0.5, 0.9])
-        omegas = np.geomspace(*DEFAULT_OMEGA_BRACKET, EA_GRID)
-        for mode in MODES:
-            ys = ea_cr(r[:, None], omegas, mode)
-            i, rows = ys.argmax(axis=1), np.arange(r.size)
-            ends = np.maximum(ys[rows, i - 1], ys[rows, i + 1])
-            values = [res.value for res in maximize_ea(r, mode)]
-            assert values == pytest.approx(ends, rel=1e-7)
-            assert not np.allclose(ys[rows, i - 1], ys[rows, i + 1], rtol=1e-6)
+    def test_one_lane_per_radius(self, monkeypatch):
+        # c_r has one maximum in Omega (TestEaCriticalPolynomial::test_one_sign_change),
+        # so each radius starts one Newton lane, and the mode groups' lanes add up
+        seen, root = [], opt._newton_root
+
+        def spy(coef, w, lo, hi, stop):
+            seen.append((sum(len(c) for c in coef), w.size))
+            return root(coef, w, lo, hi, stop)
+        monkeypatch.setattr(opt, "_newton_root", spy)
+        rng = np.random.default_rng(233)
+        figure_6, seeded = np.linspace(0.0, 0.98, 50), rng.uniform(0.0, 0.999999, 200)
+        cases = [(r, mode) for r in (figure_6, seeded) for mode in MODES]
+        cases.append((seeded, [MODES[k] for k in rng.permutation(np.arange(seeded.size) % 3)]))
+        for r, mode in cases:
+            assert len(maximize_ea(r, mode)) == r.size
+        assert seen == [(r.size, r.size) for r, _ in cases]
 
     def test_both_optimum_does_not_depend_on_the_radius(self):
         # c_r in both is a function of W over (1 - r^2)
